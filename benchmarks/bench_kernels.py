@@ -35,7 +35,7 @@ WORKLOADS = [
 
 def run_once(G, n, kind, backend):
     if kind == "moves":
-        moves = compile_moves(n, G, depth=2)
+        moves = compile_moves(n, G)
         t0 = time.perf_counter()
         table = enumerate_orbits(G, n, moves, backend=backend)
         return time.perf_counter() - t0, table.count

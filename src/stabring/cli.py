@@ -31,8 +31,6 @@ def _load_spec(arg: str) -> dict:
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
-    if args.threads is not None:
-        data["threads"] = args.threads
     cache = args.cache or os.environ.get("STABRING_CACHE") or data.get("cache_dir")
     if cache:
         data["cache_dir"] = cache
@@ -50,7 +48,7 @@ def _cmd_run(args) -> int:
         if args.dump_moves:
             G = load_group(config.group)
             for n in range(1, config.n_max + 1):
-                moves = compile_moves(n, G, config.depth)
+                moves = compile_moves(n, G)
                 path = os.path.join(config.out_dir, f"moves_n{n}.json")
                 with open(path, "w") as fh:
                     json.dump(moveset_manifest(n, moves), fh, indent=2, sort_keys=True)
@@ -61,7 +59,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_orbits(args) -> int:
     G = load_group(_load_spec(args.group))
-    moves = compile_moves(args.n, G, args.depth)
+    moves = compile_moves(args.n, G)
     table = enumerate_orbits(G, args.n, moves, backend=args.backend)
     sizes = table.orbit_sizes()
     print(f"group {G.name} (order {G.order}), n = {args.n}: {table.count} orbits")
@@ -93,7 +91,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the full pipeline from a config file")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--cache", default=None, help="orbit cache directory")
     p_run.add_argument("--out", default=None, help="report output directory")
     p_run.add_argument("--backend", choices=["auto", "numba", "numpy"], default=None)
@@ -106,7 +103,6 @@ def main(argv=None) -> int:
     p_orb = sub.add_parser("orbits", help="enumerate orbits of G^(2n)")
     p_orb.add_argument("--group", required=True, help="group spec JSON (inline or path)")
     p_orb.add_argument("--n", type=int, required=True)
-    p_orb.add_argument("--depth", type=int, default=2, choices=[1, 2])
     p_orb.add_argument("--backend", choices=["auto", "numba", "numpy"], default=None)
     p_orb.set_defaults(fn=_cmd_orbits)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,14 +115,23 @@ def canonical_rep(table: OrbitTable, entries) -> tuple:
 
 
 def cache_store(table: OrbitTable, path) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    into place, so a reader never sees a partly written entry."""
     header = struct.pack(
         "<4sH32s32sHHI", MAGIC, VERSION,
         bytes.fromhex(table.group_hash), bytes.fromhex(table.moveset_hash),
         table.n, table.order, table.count)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.reps.astype("<u8").tobytes())
-        fh.write(table.orbit_id.astype("<u4").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(table.reps.astype("<u8").tobytes())
+            fh.write(table.orbit_id.astype("<u4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def cache_load(path, expect_group_hash: str | None = None,

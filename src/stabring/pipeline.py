@@ -6,9 +6,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,8 @@ from .orbits import OrbitError, cache_load, cache_store, enumerate_orbits
 from .ring import build_ring
 from .words import boundary_eval, compile_moves, moveset_hash
 
+log = logging.getLogger(__name__)
+
 
 class ConfigError(ValueError):
     """Raised on invalid pipeline configuration."""
@@ -34,7 +36,7 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -42,9 +44,7 @@ class PipelineConfig:
     group: dict
     n_max: int
     p_max: int
-    depth: int = 2
     state_cap: int = 2 ** 32
-    threads: int = 1
     cache_dir: str | None = None
     out_dir: str | None = None
     backend: str | None = None
@@ -57,10 +57,8 @@ class PipelineConfig:
             raise ConfigError("n_max must be >= 1")
         if self.p_max < 0:
             raise ConfigError("p_max must be >= 0")
-        if self.depth not in (1, 2):
-            raise ConfigError("depth must be 1 or 2")
-        if self.state_cap <= 0 or self.threads <= 0:
-            raise ConfigError("caps and thread count must be positive")
+        if self.state_cap <= 0:
+            raise ConfigError("state_cap must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -97,7 +95,7 @@ class Report:
         return 0
 
     def canonical_payload(self) -> dict:
-        """Everything except timings; byte-identical across thread counts."""
+        """Everything except timings; byte-identical across runs of one config."""
         return {
             "schema_version": self.schema_version,
             "group": self.group,
@@ -126,8 +124,8 @@ def _orbit_table_cached(G: FiniteGroup, n: int, moves, config: PipelineConfig):
     if os.path.exists(path):
         try:
             return cache_load(path, expect_group_hash=G.hash(), expect_moveset_hash=mh)
-        except OrbitError:
-            pass  # stale or corrupt cache entry: recompute and overwrite
+        except OrbitError as exc:
+            log.warning("recomputing orbit cache entry %s: %s", path, exc)
     table = enumerate_orbits(G, n, moves, config.state_cap, config.backend)
     cache_store(table, path)
     return table
@@ -283,7 +281,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
     """
     report = Report()
     report.config = {
-        "n_max": config.n_max, "p_max": config.p_max, "depth": config.depth,
+        "n_max": config.n_max, "p_max": config.p_max,
         "state_cap": config.state_cap, "seed": config.seed,
         "well_definedness_samples": config.well_definedness_samples,
     }
@@ -305,7 +303,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
         report.group = {"name": G.name, "order": G.order, "hash": G.hash()}
 
         moves_by_degree = stage("moves", lambda: {
-            n: compile_moves(n, G, config.depth) for n in range(1, config.n_max + 1)})
+            n: compile_moves(n, G) for n in range(1, config.n_max + 1)})
         report.moveset_hashes = {str(n): moveset_hash(m) for n, m in moves_by_degree.items()}
 
         tables = stage("orbits", lambda: {
@@ -313,7 +311,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             for n in range(config.n_max + 1)})
 
         ring = stage("ring", lambda: build_ring(
-            G, config.n_max, config.depth, config.state_cap, config.backend, tables))
+            G, config.n_max, config.state_cap, config.backend, tables))
         profile = ring.stability_profile()
         report.counts = list(profile.counts)
         report.stability = {
@@ -345,13 +343,12 @@ def run_pipeline(config: PipelineConfig) -> Report:
                     fh.write(mat.to_text())
 
         def _homology():
-            spots = [(p, n) for p in range(0, p_built) for n in range(p, config.n_max + 1)]
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                groups = list(pool.map(lambda s: kc.kc_homology(K, *s), spots))
             rows = []
-            for (p, n), hom in zip(spots, groups):
-                rows.append(kc.HProfileRow(p=p, n=n, homology=hom,
-                                           certified=n < config.n_max or hom.is_zero))
+            for p in range(0, p_built):
+                for n in range(p, config.n_max + 1):
+                    hom = kc.kc_homology(K, p, n)
+                    rows.append(kc.HProfileRow(p=p, n=n, homology=hom,
+                                               certified=n < config.n_max or hom.is_zero))
             return rows
         rows = stage("homology", _homology)
         report.homology = [

@@ -191,7 +191,7 @@ class GradedRing:
         }
 
 
-def build_ring(G: FiniteGroup, n_max: int, depth: int = 2, state_cap: int = 2 ** 32,
+def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
                backend: str | None = None, tables: dict | None = None) -> GradedRing:
     """Assemble the graded ring up to degree n_max.
 
@@ -203,7 +203,7 @@ def build_ring(G: FiniteGroup, n_max: int, depth: int = 2, state_cap: int = 2 **
     table_list = []
     moves_by_degree = {}
     for n in range(n_max + 1):
-        moves = compile_moves(n, G, depth) if n > 0 else ()
+        moves = compile_moves(n, G) if n > 0 else ()
         moves_by_degree[n] = moves
         got = tables.get(n) if tables else None
         if got is not None:

@@ -1,4 +1,4 @@
-"""Free-group words over 2n letters, the boundary word, and its exact stabilizers.
+"""Free-group words over 2n letters, the boundary word, and a generating set of its stabilizer.
 
 Words are tuples of nonzero signed integers: letter k stands for the k-th
 generator, -k for its inverse.  Generator 2i-1 plays the a_i role of handle i,
@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,8 +104,16 @@ def _with_image(n: int, repl: dict) -> tuple:
     return tuple(imgs)
 
 
+def _handle_mixer(n: int, i: int, x: tuple) -> tuple:
+    """a_i -> a_i x, b_i -> x^-1 b_i x, a_{i+1} -> x^-1 a_{i+1} x, b_{i+1} -> b_{i+1} x."""
+    a, b, c, d = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2
+    xi = invert_word(x)
+    return _with_image(n, {a: (a,) + x, b: xi + (b,) + x, c: xi + (c,) + x, d: (d,) + x})
+
+
 def _named_moves(n: int) -> list:
-    """Handle twists T1_i, T2_i, adjacent swaps S_i, and their inverses."""
+    """Handle twists T1_i, T2_i, adjacent swaps S_i, handle mixers M_i, and
+    their inverses; see enumerate_stabilizing_automorphisms."""
     moves = []
     for i in range(1, n + 1):
         a, b = 2 * i - 1, 2 * i
@@ -131,200 +138,37 @@ def _named_moves(n: int) -> list:
         })
         moves.append((f"S_{i}", fwd, bwd))
         moves.append((f"S_{i}_inv", bwd, fwd))
+        mix, mix_inv = _handle_mixer(n, i, (-c, b)), _handle_mixer(n, i, (-b, c))
+        moves.append((f"M_{i}", mix, mix_inv))
+        moves.append((f"M_{i}_inv", mix_inv, mix))
     return moves
 
 
-def _whitehead_images(n: int, v: int, cut: frozenset) -> tuple:
-    """Type-II Whitehead move: multiplier letter v, cut set of signed letters."""
-    imgs = []
-    for g in range(1, 2 * n + 1):
-        if g == abs(v):
-            imgs.append((g,))
-            continue
-        w = []
-        if -g in cut:
-            w.append(-v)
-        w.append(g)
-        if g in cut:
-            w.append(v)
-        imgs.append(reduce_word(w))
-    return tuple(imgs)
+def enumerate_stabilizing_automorphisms(n: int) -> tuple:
+    """The identity and the named moves: 8n - 3 automorphisms, closed under inverses.
 
-
-def _whitehead_inverse_key(v: int, cut: frozenset) -> tuple:
-    return -v, (cut - {v}) | {-v}
-
-
-def _iter_whitehead_keys(n: int):
-    """All (v, cut) with v in cut, -v not in cut, deterministic order."""
-    letters = [l for g in range(1, 2 * n + 1) for l in (g, -g)]
-    for v in letters:
-        others = [l for l in letters if abs(l) != abs(v)]
-        for mask in range(1 << len(others)):
-            cut = {v}
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    cut.add(others[i])
-                m >>= 1
-                i += 1
-            yield v, frozenset(cut)
-
-
-def _apply_whitehead_to_word(n: int, v: int, cut: frozenset, w) -> tuple:
-    """phi(w) for the type-II move, without materializing all images."""
-    gv = abs(v)
-    out = []
-
-    def push(m):
-        if out and out[-1] == -m:
-            out.pop()
-        else:
-            out.append(m)
-
-    for l in w:
-        g = abs(l)
-        if g == gv:
-            push(l)
-        elif l > 0:
-            if -l in cut:
-                push(-v)
-            push(l)
-            if l in cut:
-                push(v)
-        else:
-            if g in cut:
-                push(-v)
-            push(l)
-            if -g in cut:
-                push(v)
-    return tuple(out)
-
-
-def _solve_signed_perm(src, dst, n: int):
-    """Signed permutation sigma with sigma(src) = dst positionally, or None."""
-    if len(src) != len(dst):
-        return None
-    img = {}
-    for a, b in zip(src, dst):
-        g, s = abs(a), (1 if a > 0 else -1)
-        want = b * s
-        if img.setdefault(g, want) != want:
-            return None
-    if len(img) < 2 * n:
-        return None  # every generator occurs in the boundary word, so this is total
-    if len({abs(t) for t in img.values()}) != 2 * n:
-        return None
-    return tuple((img[g],) for g in range(1, 2 * n + 1))
-
-
-def _signed_perm_inverse(images) -> tuple:
-    inv = [None] * len(images)
-    for g, (t,) in enumerate(images, start=1):
-        if t > 0:
-            inv[t - 1] = (g,)
-        else:
-            inv[-t - 1] = (-g,)
-    return tuple(inv)
-
-
-@lru_cache(maxsize=None)
-def enumerate_stabilizing_automorphisms(n: int, depth: int = 1) -> tuple:
-    """Named handle moves plus every Whitehead automorphism (and, at depth 2,
-    every composite of two Whitehead automorphisms) fixing the boundary word
-    exactly, deduplicated by image tuple.
-
-    A type-I (signed permutation) automorphism maps the reduced boundary word
-    to a reduced word positionally, so the identity is the only one fixing it;
-    the search space is type-II moves and, at depth 2, composites with at most
-    one type-I factor solved positionally.
+    They generate the whole stabilizer of the boundary word in Aut(F_2n),
+    which is the mapping class group of the genus-n surface with one boundary
+    component fixed (Dehn-Nielsen-Baer, Zieschang).  T1_i and T2_i are the
+    Dehn twists about the curves of class b_i and a_i (T2_i with the opposite
+    sense), so they generate the mapping class group of handle i.  M_i is the
+    twist about a curve of class b_i - a_{i+1}, the handle mixer with
+    x = a_{i+1}^-1 b_i; M_i_inv is the mixer with x^-1.  Conjugating M_i by
+    the quarter turn T1_{i+1} T2_{i+1}_inv T1_{i+1} of handle i+1 gives the
+    twist about the curve of class b_i - b_{i+1} that meets a_i and a_{i+1}
+    once each.  The
+    curves a_i, b_i and these connecting curves are Lickorish's 3n - 1 twist
+    curves, which contain Humphries' 2n + 1 generators (Humphries 1979,
+    "Generators for the mapping class group").  So the orbits of G^(2n)
+    under this set are the orbits of the full stabilizer, for every finite
+    group G and genus n.  The swaps S_i lie in the stabilizer as well.
     """
     if n < 1:
         raise WordError("genus must be >= 1")
-    if depth not in (1, 2):
-        raise WordError("search depth must be 1 or 2")
-    W = boundary_word(n)
-    found = {}
-
-    def add(images, inverse_images, provenance):
-        if images not in found:
-            found[images] = MarkedAutomorphism(n, images, inverse_images, provenance)
-
-    add(identity_images(n), identity_images(n), "identity")
-    for name, imgs, inv_imgs in _named_moves(n):
-        add(imgs, inv_imgs, name)
-
-    # depth 1: single type-II moves fixing W
-    keys = list(_iter_whitehead_keys(n))
-    images_of_W = {}
-    for v, cut in keys:
-        u = _apply_whitehead_to_word(n, v, cut, W)
-        images_of_W[(v, cut)] = u
-        if u == W:
-            iv, icut = _whitehead_inverse_key(v, cut)
-            add(_whitehead_images(n, v, cut), _whitehead_images(n, iv, icut),
-                f"whitehead(v={v})")
-
-    if depth == 2:
-        by_word = {}
-        for key, u in images_of_W.items():
-            by_word.setdefault(u, []).append(key)
-        for key2 in keys:
-            inv2 = _whitehead_inverse_key(*key2)
-            target = images_of_W[inv2]
-            for key1 in by_word.get(target, ()):  # phi1(W) = phi2^-1(W)
-                imgs1 = _whitehead_images(n, *key1)
-                imgs2 = _whitehead_images(n, *key2)
-                comp = compose_images(imgs2, imgs1)
-                if apply_images(comp, W) != W:
-                    continue
-                inv1 = _whitehead_inverse_key(*key1)
-                comp_inv = compose_images(_whitehead_images(n, *inv1),
-                                          _whitehead_images(n, *inv2))
-                add(comp, comp_inv, f"whitehead2(v={key2[0]},v={key1[0]})")
-        # composites with one signed-permutation factor
-        for key, u in images_of_W.items():
-            imgs_t = _whitehead_images(n, *key)
-            inv_key = _whitehead_inverse_key(*key)
-            imgs_t_inv = _whitehead_images(n, *inv_key)
-            # sigma o tau fixes W  iff  tau(W) = sigma^-1(W)
-            sigma_inv = _solve_signed_perm(W, u, n)
-            if sigma_inv is not None:
-                sigma = _signed_perm_inverse(sigma_inv)
-                add(compose_images(sigma, imgs_t),
-                    compose_images(imgs_t_inv, sigma_inv),
-                    f"perm*whitehead(v={key[0]})")
-            # tau o sigma fixes W  iff  sigma(W) = tau^-1(W)
-            sigma2 = _solve_signed_perm(W, images_of_W[inv_key], n)
-            if sigma2 is not None:
-                add(compose_images(imgs_t, sigma2),
-                    compose_images(_signed_perm_inverse(sigma2), imgs_t_inv),
-                    f"whitehead*perm(v={key[0]})")
-
-    moves = sorted(found.values(), key=lambda a: a.images)
-    return tuple(moves)
-
-
-def abelianized_matrix(phi: MarkedAutomorphism) -> np.ndarray:
-    """Integer 2n x 2n matrix of the automorphism on the abelianization."""
-    n = phi.n
-    mat = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for j, w in enumerate(phi.images):
-        for l in w:
-            mat[abs(l) - 1, j] += 1 if l > 0 else -1
-    return mat
-
-
-def mixes_handles(phi: MarkedAutomorphism) -> bool:
-    """True if the abelianized matrix has a nonzero entry off the 2x2 handle blocks."""
-    mat = abelianized_matrix(phi)
-    n = phi.n
-    for r in range(2 * n):
-        for c in range(2 * n):
-            if r // 2 != c // 2 and mat[r, c] != 0:
-                return True
-    return False
+    moves = [MarkedAutomorphism(n, identity_images(n), identity_images(n), "identity")]
+    moves += [MarkedAutomorphism(n, imgs, inv_imgs, name)
+              for name, imgs, inv_imgs in _named_moves(n)]
+    return tuple(sorted(moves, key=lambda a: a.images))
 
 
 @dataclass(frozen=True)
@@ -346,14 +190,6 @@ class CompiledMove:
                 acc = G.mul(acc, e)
             out.append(acc)
         return tuple(out)
-
-
-def evaluate_word(G: FiniteGroup, w, entries) -> int:
-    acc = G.identity
-    for l in w:
-        e = entries[l - 1] if l > 0 else G.inv(entries[-l - 1])
-        acc = G.mul(acc, e)
-    return acc
 
 
 def boundary_eval(G: FiniteGroup, entries) -> int:
@@ -382,8 +218,8 @@ def compile_move(phi: MarkedAutomorphism, G: FiniteGroup, check_sample: int = 16
     return move
 
 
-def compile_moves(n: int, G: FiniteGroup, depth: int = 1) -> tuple:
-    return tuple(compile_move(phi, G) for phi in enumerate_stabilizing_automorphisms(n, depth))
+def compile_moves(n: int, G: FiniteGroup) -> tuple:
+    return tuple(compile_move(phi, G) for phi in enumerate_stabilizing_automorphisms(n))
 
 
 def moveset_hash(moves) -> str:

@@ -57,7 +57,7 @@ def reports(groups):
     for name in BATTERY_SPECS:
         n_max, p_max = BATTERY_WINDOWS[name]
         config = PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max, p_max=p_max,
-                                threads=2, well_definedness_samples=1000)
+                                well_definedness_samples=1000)
         out[name] = run_pipeline(config)
     return out
 

@@ -123,11 +123,12 @@ def test_criterion_11_determinism(tmp_path_factory):
     from stabring.pipeline import PipelineConfig, emit_report, run_pipeline
     cfg = dict(group=BATTERY_SPECS["C3"], n_max=3, p_max=2,
                well_definedness_samples=100)
-    rep1 = run_pipeline(PipelineConfig(threads=1, **cfg))
-    rep8 = run_pipeline(PipelineConfig(threads=8, **cfg))
-    d1 = tmp_path_factory.mktemp("t1")
-    d8 = tmp_path_factory.mktemp("t8")
-    emit_report(rep1, str(d1))
-    emit_report(rep8, str(d8))
-    ok = (d1 / "report.json").read_bytes() == (d8 / "report.json").read_bytes()
-    _announce(11, "byte-identical JSON reports across thread counts", ok)
+    cache = str(tmp_path_factory.mktemp("cache"))
+    cold = run_pipeline(PipelineConfig(cache_dir=cache, **cfg))
+    warm = run_pipeline(PipelineConfig(cache_dir=cache, **cfg))
+    d_cold = tmp_path_factory.mktemp("cold")
+    d_warm = tmp_path_factory.mktemp("warm")
+    emit_report(cold, str(d_cold))
+    emit_report(warm, str(d_warm))
+    ok = (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
+    _announce(11, "byte-identical JSON reports from a cold and a warm orbit cache", ok)

@@ -20,7 +20,7 @@ def test_resolve_backend(monkeypatch):
 def test_backends_agree_on_move_orbits(groups):
     for name, n in (("C2", 2), ("C3", 1), ("C4", 1), ("S3", 1), ("C2xC2", 2)):
         G = groups[name]
-        moves = compile_moves(n, G, depth=2)
+        moves = compile_moves(n, G)
         a = enumerate_orbits(G, n, moves, backend="numba")
         b = enumerate_orbits(G, n, moves, backend="numpy")
         assert a.count == b.count
@@ -42,7 +42,7 @@ def test_backends_agree_on_transvection_orbits(groups):
 
 def test_parent_is_minimum_of_orbit(groups):
     G = groups["C3"]
-    moves = compile_moves(1, G, depth=1)
+    moves = compile_moves(1, G)
     table = enumerate_orbits(G, 1, moves, backend="numpy")
     sizes = table.orbit_sizes()
     # representative ranks are strictly increasing and start at the zero state
@@ -55,7 +55,7 @@ def test_parent_is_minimum_of_orbit(groups):
 def test_numpy_backend_dedupes_identical_move_images(groups):
     # the identity move plus a duplicate must not distort the partition
     G = groups["C2"]
-    moves = compile_moves(1, G, depth=1)
+    moves = compile_moves(1, G)
     doubled = moves + moves
     a = enumerate_orbits(G, 1, moves, backend="numpy")
     b = enumerate_orbits(G, 1, doubled, backend="numpy")

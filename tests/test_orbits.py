@@ -45,14 +45,14 @@ def test_encode_rejects_bad_entries():
 def test_trivial_group_single_orbit():
     G = cyclic_group(1)
     for n in (0, 1, 2):
-        moves = compile_moves(n, G, 1) if n else ()
+        moves = compile_moves(n, G) if n else ()
         t = enumerate_orbits(G, n, moves)
         assert t.count == 1
 
 
 def test_c2_genus_one_two_orbits_vs_bruteforce():
     G = cyclic_group(2)
-    moves = compile_moves(1, G, 1)
+    moves = compile_moves(1, G)
     table = enumerate_orbits(G, 1, moves)
     count, assignment = brute_force_orbits(G, 1, moves)
     assert table.count == count == 2
@@ -67,20 +67,20 @@ def test_c2_genus_one_two_orbits_vs_bruteforce():
 
 def test_c3_genus_one_two_orbits():
     G = cyclic_group(3)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     assert table.count == 2
     assert sorted(table.orbit_sizes()) == [1, 8]
 
 
 def test_orbit_sizes_sum_to_state_count():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
-    table = enumerate_orbits(G, 2, compile_moves(2, G, 2))
+    table = enumerate_orbits(G, 2, compile_moves(2, G))
     assert int(table.orbit_sizes().sum()) == G.order ** 4
 
 
 def test_orbit_id_constant_on_move_images():
     G = cyclic_group(4)
-    moves = compile_moves(1, G, 2)
+    moves = compile_moves(1, G)
     table = enumerate_orbits(G, 1, moves)
     for rank in range(table.n_states):
         v = decode_tuple(rank, G.order, 2)
@@ -90,7 +90,7 @@ def test_orbit_id_constant_on_move_images():
 
 def test_boundary_and_subgroup_orbit_invariants():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 2))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     by_orbit = {}
     for rank in range(table.n_states):
         v = decode_tuple(rank, G.order, 2)
@@ -101,7 +101,7 @@ def test_boundary_and_subgroup_orbit_invariants():
 
 def test_canonical_rep_idempotent_and_minimal():
     G = cyclic_group(2)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     assert canonical_rep(table, (0, 0)) == (0, 0)
     assert canonical_rep(table, (1, 0)) == canonical_rep(table, (0, 1))
     for rank in range(table.n_states):
@@ -113,7 +113,7 @@ def test_canonical_rep_idempotent_and_minimal():
 
 def test_canonical_rep_dimension_mismatch():
     G = cyclic_group(2)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     with pytest.raises(OrbitError, match="length"):
         canonical_rep(table, (0, 0, 0))
 
@@ -121,12 +121,12 @@ def test_canonical_rep_dimension_mismatch():
 def test_state_cap():
     G = cyclic_group(4)
     with pytest.raises(OrbitError, match="exceeds cap"):
-        enumerate_orbits(G, 2, compile_moves(2, G, 1), state_cap=100)
+        enumerate_orbits(G, 2, compile_moves(2, G), state_cap=100)
 
 
 def test_cache_round_trip(tmp_path):
     G = cyclic_group(3)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     path = tmp_path / "orbits.hwot"
     cache_store(table, path)
     back = cache_load(path, expect_group_hash=table.group_hash,
@@ -139,7 +139,7 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_hash_mismatch(tmp_path):
     G = cyclic_group(3)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     path = tmp_path / "orbits.hwot"
     cache_store(table, path)
     with pytest.raises(OrbitError, match="group hash"):
@@ -151,7 +151,7 @@ def test_cache_hash_mismatch(tmp_path):
 
 def test_cache_truncation_and_bad_magic(tmp_path):
     G = cyclic_group(3)
-    table = enumerate_orbits(G, 1, compile_moves(1, G, 1))
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
     path = tmp_path / "orbits.hwot"
     cache_store(table, path)
     blob = path.read_bytes()

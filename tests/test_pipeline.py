@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import logging
 import os
 
 import pytest
 
 from stabring.cli import main as cli_main
+from stabring.orbits import cache_load, cache_store
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
@@ -12,7 +15,7 @@ from conftest import verdict_of
 
 def small_config(**overrides):
     base = dict(group={"kind": "cyclic", "order": 2}, n_max=3, p_max=2,
-                threads=1, well_definedness_samples=50)
+                well_definedness_samples=50)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -20,10 +23,13 @@ def small_config(**overrides):
 def test_config_validation():
     with pytest.raises(ConfigError, match="n_max"):
         PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=0, p_max=1)
-    with pytest.raises(ConfigError, match="depth"):
-        PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=1, p_max=1, depth=3)
+    with pytest.raises(ConfigError, match="state_cap"):
+        PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=1, p_max=1, state_cap=0)
     with pytest.raises(ConfigError, match="unknown config fields"):
         PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, "bogus": 2})
+    for removed in ("depth", "threads"):
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, removed: 2})
 
 
 def test_trivial_group_all_verdicts_never_fail(reports):
@@ -63,28 +69,44 @@ def test_state_cap_failure_keeps_partial_results():
     assert report.group["order"] == 2  # load stage result retained
 
 
-def test_determinism_across_thread_counts(tmp_path):
-    rep1 = run_pipeline(small_config(threads=1))
-    rep4 = run_pipeline(small_config(threads=4))
-    assert rep1.to_json() == rep4.to_json()
-    d1, d4 = tmp_path / "t1", tmp_path / "t4"
-    emit_report(rep1, str(d1))
-    emit_report(rep4, str(d4))
-    assert (d1 / "report.json").read_bytes() == (d4 / "report.json").read_bytes()
+def test_determinism_cold_and_warm_cache(tmp_path):
+    cache = tmp_path / "cache"
+    cold = run_pipeline(small_config(cache_dir=str(cache)))
+    def stamps():
+        out = {}
+        for f in os.listdir(cache):
+            st = os.stat(cache / f)
+            out[f] = (st.st_ino, st.st_mtime_ns)
+        return out
+    before = stamps()
+    warm = run_pipeline(small_config(cache_dir=str(cache)))
+    assert stamps() == before  # the warm run rewrote no entry
+    assert cold.to_json() == warm.to_json()
+    d_cold, d_warm = tmp_path / "cold", tmp_path / "warm"
+    emit_report(cold, str(d_cold))
+    emit_report(warm, str(d_warm))
+    assert (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
 
 
-def test_cache_reuse_and_moveset_guard(tmp_path):
-    cache = str(tmp_path / "cache")
-    rep1 = run_pipeline(small_config(cache_dir=cache))
+def test_cache_reuse_and_moveset_guard(tmp_path, caplog):
+    cache = tmp_path / "cache"
+    rep1 = run_pipeline(small_config(cache_dir=str(cache)))
     files = sorted(os.listdir(cache))
     assert files and all(f.endswith(".hwot") for f in files)
-    # depth change changes the move-set hash: new cache entries, not reuse
-    rep2 = run_pipeline(small_config(cache_dir=cache, depth=1))
-    files2 = sorted(os.listdir(cache))
-    assert set(files2) > set(files)
-    # a fresh run with the original config reuses the cache byte-for-byte
-    rep3 = run_pipeline(small_config(cache_dir=cache))
-    assert rep3.to_json() == rep1.to_json()
+    # plant an entry with a foreign move-set hash where the degree-2 table goes
+    path = str(cache / next(f for f in files if "_n2_" in f))
+    good = cache_load(path)
+    cache_store(dataclasses.replace(good, moveset_hash="0" * 64), path)
+    with caplog.at_level(logging.WARNING, logger="stabring.pipeline"):
+        rep2 = run_pipeline(small_config(cache_dir=str(cache)))
+    assert any("move-set hash mismatch" in r.getMessage() and path in r.getMessage()
+               for r in caplog.records)
+    assert rep2.to_json() == rep1.to_json()
+    # the entry was recomputed and rewritten valid, with no temporary file left
+    fixed = cache_load(path, expect_group_hash=good.group_hash,
+                       expect_moveset_hash=good.moveset_hash)
+    assert (fixed.orbit_id == good.orbit_id).all()
+    assert sorted(os.listdir(cache)) == files
 
 
 def test_emit_report_files(tmp_path, reports):
@@ -93,7 +115,7 @@ def test_emit_report_files(tmp_path, reports):
     names = {os.path.basename(f) for f in files}
     assert names == {"report.json", "homology.csv", "counts.csv", "summary.txt"}
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert "timings" not in payload
     rows = (tmp_path / "homology.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == len(rep.homology)
@@ -112,7 +134,7 @@ def test_cli_run_exit_codes(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code = cli_main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--threads", "2", "--dump-moves", "--dump-matrices"])
+                     "--dump-moves", "--dump-matrices"])
     assert code in (0, 2)
     assert (out / "report.json").exists()
     assert (out / "moves_n1.json").exists()
@@ -154,6 +176,7 @@ def test_cli_bad_config_returns_one(tmp_path):
 
 
 def test_config_echo_excludes_threads(reports):
-    # thread count must not leak into the canonical payload (determinism)
+    # only the fields that decide the results are echoed: no threads, no depth
     payload = reports["C2"].canonical_payload()
-    assert "threads" not in payload["config"]
+    assert set(payload["config"]) == {"n_max", "p_max", "state_cap", "seed",
+                                      "well_definedness_samples"}

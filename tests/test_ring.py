@@ -149,7 +149,7 @@ def test_build_ring_rejects_mismatched_tables(groups):
     from stabring.orbits import enumerate_orbits
     from stabring.words import compile_moves
     G2, G3 = groups["C2"], groups["C3"]
-    alien = enumerate_orbits(G3, 1, compile_moves(1, G3, 2))
+    alien = enumerate_orbits(G3, 1, compile_moves(1, G3))
     with pytest.raises(RingError, match="does not match"):
         build_ring(G2, 1, tables={1: alien})
 

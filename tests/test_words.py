@@ -1,13 +1,20 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import BATTERY_SPECS
+from reference_moves import (abelianized_matrix, image_ranks, mixes_handles,
+                             whitehead_stabilizers)
 from stabring.groups import cyclic_group, load_group
+from stabring.oracle import symplectic_form, transvection_matrix
+from stabring.orbits import enumerate_orbits
 from stabring.words import (MarkedAutomorphism, WordError, apply_images,
                             boundary_eval, boundary_word, compile_move,
                             compile_moves, enumerate_stabilizing_automorphisms,
-                            identity_images, invert_word, mixes_handles,
-                            moveset_hash, moveset_manifest, reduce_word)
+                            identity_images, invert_word, moveset_hash,
+                            moveset_manifest, reduce_word)
 
 letters = st.integers(-4, 4).filter(lambda x: x != 0)
 
@@ -42,16 +49,16 @@ def test_boundary_evaluates_to_identity_on_abelian():
 
 
 def test_named_t1_is_returned_at_genus_one():
-    moves = enumerate_stabilizing_automorphisms(1, 1)
+    moves = enumerate_stabilizing_automorphisms(1)
     images = {m.images for m in moves}
     assert ((1, 2), (2,)) in images           # a -> ab, b -> b
     assert identity_images(1) in images
 
 
 def test_every_move_fixes_boundary_and_has_inverse():
-    for n, depth in ((1, 1), (2, 2), (3, 1)):
+    for n in (1, 2, 3):
         W = boundary_word(n)
-        moves = enumerate_stabilizing_automorphisms(n, depth)
+        moves = enumerate_stabilizing_automorphisms(n)
         images = {m.images for m in moves}
         for m in moves:
             assert apply_images(m.images, W) == W
@@ -64,12 +71,12 @@ def test_marked_automorphism_rejects_non_stabilizer():
 
 
 def test_depth_two_finds_handle_mixer_at_genus_two():
-    moves = enumerate_stabilizing_automorphisms(2, 2)
+    # the reference search must be strong enough to mix handles, or comparing
+    # orbits against it would say little
+    moves = whitehead_stabilizers(2, 2)
     mixers = [m for m in moves if mixes_handles(m)]
     assert mixers, "no automorphism mixes the two handles"
     # the abelianized matrix must still be symplectic: check one mixer
-    from stabring.oracle import symplectic_form
-    from stabring.words import abelianized_matrix
     J = symplectic_form(2)
     for m in mixers[:5]:
         A = abelianized_matrix(m)
@@ -78,7 +85,7 @@ def test_depth_two_finds_handle_mixer_at_genus_two():
 
 def test_compiled_identity_is_identity_map():
     G = cyclic_group(3)
-    moves = enumerate_stabilizing_automorphisms(1, 1)
+    moves = enumerate_stabilizing_automorphisms(1)
     ident = next(m for m in moves if m.provenance == "identity")
     cm = compile_move(ident, G)
     assert cm.apply(G, (1, 2)) == (1, 2)
@@ -86,7 +93,7 @@ def test_compiled_identity_is_identity_map():
 
 def test_compiled_t1_on_order_two_group():
     G = cyclic_group(2)
-    t1 = next(m for m in enumerate_stabilizing_automorphisms(1, 1)
+    t1 = next(m for m in enumerate_stabilizing_automorphisms(1)
               if m.images == ((1, 2), (2,)))
     cm = compile_move(t1, G)
     assert cm.apply(G, (0, 1)) == (1, 1)  # a=1_G, b=g maps to (ab, b) = (g, g)
@@ -94,7 +101,7 @@ def test_compiled_t1_on_order_two_group():
 
 def test_compiled_move_inverse_round_trip():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
-    moves = enumerate_stabilizing_automorphisms(2, 1)
+    moves = enumerate_stabilizing_automorphisms(2)
     by_images = {m.images: m for m in moves}
     rng = np.random.default_rng(3)
     for m in moves:
@@ -108,28 +115,83 @@ def test_compiled_move_inverse_round_trip():
 def test_compiled_moves_preserve_boundary_value():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
     rng = np.random.default_rng(5)
-    for cm in compile_moves(2, G, depth=1):
+    for cm in compile_moves(2, G):
         for _ in range(20):
             v = tuple(int(x) for x in rng.integers(0, G.order, size=4))
             assert boundary_eval(G, cm.apply(G, v)) == boundary_eval(G, v)
 
 
 def test_moveset_hash_is_order_independent_and_content_sensitive():
-    m1 = enumerate_stabilizing_automorphisms(1, 1)
+    m1 = enumerate_stabilizing_automorphisms(1)
     assert moveset_hash(m1) == moveset_hash(tuple(reversed(m1)))
-    m2 = enumerate_stabilizing_automorphisms(2, 1)
+    m2 = enumerate_stabilizing_automorphisms(2)
     assert moveset_hash(m1) != moveset_hash(m2)
 
 
 def test_manifest_round_trips_hash():
-    moves = enumerate_stabilizing_automorphisms(1, 1)
+    moves = enumerate_stabilizing_automorphisms(1)
     man = moveset_manifest(1, moves)
     assert man["hash"] == moveset_hash(moves)
     assert len(man["moves"]) == len(moves)
 
 
-def test_depth_validation():
+def test_genus_validation():
     with pytest.raises(WordError):
-        enumerate_stabilizing_automorphisms(1, 3)
-    with pytest.raises(WordError):
-        enumerate_stabilizing_automorphisms(0, 1)
+        enumerate_stabilizing_automorphisms(0)
+
+
+def test_move_count_is_8n_minus_3_and_closed_under_inverses():
+    for n in range(1, 7):
+        moves = enumerate_stabilizing_automorphisms(n)
+        images = {m.images for m in moves}
+        assert len(moves) == len(images) == 8 * n - 3
+        assert {m.inverse_images for m in moves} == images
+
+
+def test_mixer_abelianizes_to_the_transvection_by_b_i_minus_a_next():
+    # M_1 at genus 2 is the first handle-mixing move of the depth-2 search
+    moves = {m.provenance: m for m in enumerate_stabilizing_automorphisms(2)}
+    assert moves["M_1"].images == ((1, -3, 2), (-2, 3, 2, -3, 2), (-2, 3, 2), (4, -3, 2))
+    for n in (2, 3, 4):
+        moves = {m.provenance: m for m in enumerate_stabilizing_automorphisms(n)}
+        for i in range(1, n):
+            v = np.zeros(2 * n, dtype=np.int64)
+            v[2 * i - 1], v[2 * i] = 1, -1  # b_i - a_{i+1}
+            assert np.array_equal(abelianized_matrix(moves[f"M_{i}"]), transvection_matrix(v))
+
+
+REFERENCE_GROUPS = {**BATTERY_SPECS, "C5": {"kind": "cyclic", "order": 5},
+                    "C8": {"kind": "cyclic", "order": 8}}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_orbit_ids_match_the_reference_search(name):
+    """The closed-form set partitions G^(2n) exactly as the depth-2 search does.
+
+    Every closed-form move is in the reference set, so each reference orbit
+    is a union of closed-form orbits; and every reference move keeps each
+    tuple inside its closed-form orbit, so the two partitions are equal.
+    Orbit ids are numbered by least rank, so equal partitions have equal
+    orbit_id arrays.  Checking the reference moves one at a time keeps C8 at
+    n = 3 small: the orbit kernel on all 123 of them needs about 1.9 GB.
+    """
+    G = load_group(REFERENCE_GROUPS[name])
+    for n in (1, 2, 3):
+        reference = whitehead_stabilizers(n, 2)
+        ours = enumerate_stabilizing_automorphisms(n)
+        assert {m.images for m in ours} <= {m.images for m in reference}
+        orbit_id = enumerate_orbits(G, n, compile_moves(n, G)).orbit_id
+        for phi in reference:
+            assert np.array_equal(orbit_id[image_ranks(G, phi)], orbit_id), phi.provenance
+        if n <= 2:
+            ref_table = enumerate_orbits(G, n, [compile_move(phi, G) for phi in reference])
+            assert np.array_equal(ref_table.orbit_id, orbit_id)
+
+
+def test_genus_five_builds_and_compiles_fast():
+    G = load_group(REFERENCE_GROUPS["S3"])
+    t0 = time.perf_counter()
+    moves = compile_moves(5, G)
+    elapsed = time.perf_counter() - t0
+    assert len(moves) == 8 * 5 - 3
+    assert elapsed < 0.5, f"genus-5 move set took {elapsed:.2f} s"
