@@ -1,126 +1,58 @@
-"""Hot kernels: orbit closure over G^(2n) and symplectic transvection orbits.
+"""Orbit kernel: the partition of G^(2n) under a family of maps.
 
-Two interchangeable backends compute the same partition:
+States are ranks in [0, order^(2n)), mixed radix with entry 0 most
+significant.  ``labels[v]`` holds the minimum rank in v's class so far.  For
+each map, the image of every state is computed at once, the classes it joins
+are merged with one ``connected_components`` call on the graph whose edges
+are the pairs ``(labels[v], labels[img[v]])`` that differ, and every label
+moves to the minimum of its merged class.  One label array and one image are
+alive at a time, so memory is O(states), not O(maps x states).
 
-* ``numba``: @njit union-find that evaluates moves on the fly, so memory stays
-  one int64 per state even for very large state spaces;
-* ``numpy``: vectorized move-image materialization plus
-  scipy.sparse.csgraph.connected_components.
-
-Selection: STABRING_BACKEND environment variable ("numba", "numpy", or
-"auto"), or an explicit ``backend=`` argument.  Both paths return the parent
-array canonicalized to the minimum rank of each orbit.
+``move_orbit_parents`` takes its images from compiled moves (letter words
+evaluated in the Cayley table), ``transvection_orbit_parents`` from
+symplectic transvections; both return the min-rank labels.
+``memory_shortfall`` estimates the peak before anything is allocated, so a
+caller can refuse a state space this machine cannot hold instead of being
+killed for it.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
+# Peak bytes per state of one kernel call, with margin: tracemalloc measures
+# about 80 (C8 at n = 3, moves and transvections).
+BYTES_PER_STATE = 128
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    choice = backend or os.environ.get("STABRING_BACKEND", "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
+def memory_budget() -> int:
+    """Physical memory, or the soft address-space limit when that is lower."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        budget = min(budget, soft)
+    return budget
 
 
-@njit(cache=True)
-def _find(parent, v):
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
-@njit(cache=True)
-def _union_min(parent, a, b):
-    ra = _find(parent, a)
-    rb = _find(parent, b)
-    if ra < rb:
-        parent[rb] = ra
-    elif rb < ra:
-        parent[ra] = rb
-
-
-@njit(cache=True)
-def _move_orbits_njit(table, inv, two_n, order, letters, lengths, n_states):
-    parent = np.arange(n_states, dtype=np.int64)
-    digits = np.empty(two_n, dtype=np.int64)
-    n_moves = lengths.shape[0]
-    for v in range(n_states):
-        x = v
-        for i in range(two_n - 1, -1, -1):
-            digits[i] = x % order
-            x //= order
-        for m in range(n_moves):
-            u = np.int64(0)
-            for j in range(two_n):
-                acc = np.int64(0)
-                for t in range(lengths[m, j]):
-                    l = letters[m, j, t]
-                    if l > 0:
-                        acc = table[acc, digits[l - 1]]
-                    else:
-                        acc = table[acc, inv[digits[-l - 1]]]
-                u = u * order + acc
-            _union_min(parent, v, u)
-    for v in range(n_states):
-        parent[v] = _find(parent, v)
-    return parent
-
-
-@njit(cache=True)
-def _transvection_orbits_njit(table, inv, two_n, order, vecs, n_states):
-    parent = np.arange(n_states, dtype=np.int64)
-    digits = np.empty(two_n, dtype=np.int64)
-    n_vecs = vecs.shape[0]
-    for v in range(n_states):
-        x = v
-        for i in range(two_n - 1, -1, -1):
-            digits[i] = x % order
-            x //= order
-        for m in range(n_vecs):
-            # s = <x, vec> in G: sum over handle pairs of v_{2i} x_{2i-1} - v_{2i-1} x_{2i}
-            s = np.int64(0)
-            for i in range(0, two_n, 2):
-                if vecs[m, i + 1] != 0:
-                    s = table[s, digits[i]]
-                if vecs[m, i] != 0:
-                    s = table[s, inv[digits[i + 1]]]
-            u = np.int64(0)
-            for j in range(two_n):
-                if vecs[m, j] != 0:
-                    u = u * order + table[digits[j], s]
-                else:
-                    u = u * order + digits[j]
-            _union_min(parent, v, u)
-    for v in range(n_states):
-        parent[v] = _find(parent, v)
-    return parent
+def memory_shortfall(n_states: int) -> str | None:
+    """Why a kernel call on n_states would not fit in memory, or None if it fits."""
+    need = n_states * BYTES_PER_STATE
+    budget = memory_budget()
+    if need <= budget:
+        return None
+    return (f"orbit kernel on {n_states} states needs about {need / 2 ** 20:.1f} MiB "
+            f"({BYTES_PER_STATE} B/state), over the memory budget of "
+            f"{budget / 2 ** 20:.1f} MiB")
 
 
 def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
-    digits = np.empty((two_n, n_states), dtype=np.int64)
+    """Digits of every rank, row i = entry i, in the smallest unsigned dtype."""
+    digits = np.empty((two_n, n_states), dtype=np.min_scalar_type(order - 1))
     x = np.arange(n_states, dtype=np.int64)
     for i in range(two_n - 1, -1, -1):
         digits[i] = x % order
@@ -128,85 +60,64 @@ def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
     return digits
 
 
-def _move_images_numpy(table, inv, digits, order, letters, lengths) -> np.ndarray:
-    two_n, n_states = digits.shape
-    out = np.zeros(n_states, dtype=np.int64)
-    for j in range(two_n):
-        acc = np.zeros(n_states, dtype=np.int64)
-        for t in range(int(lengths[j])):
-            l = int(letters[j, t])
-            col = digits[l - 1] if l > 0 else inv[digits[-l - 1]]
-            acc = table[acc, col]
-        out = out * order + acc
-    return out
-
-
-def _transvection_images_numpy(table, inv, digits, order, vec) -> np.ndarray:
-    two_n, n_states = digits.shape
-    s = np.zeros(n_states, dtype=np.int64)
-    for i in range(0, two_n, 2):
-        if vec[i + 1]:
-            s = table[s, digits[i]]
-        if vec[i]:
-            s = table[s, inv[digits[i + 1]]]
-    out = np.zeros(n_states, dtype=np.int64)
-    for j in range(two_n):
-        col = table[digits[j], s] if vec[j] else digits[j]
-        out = out * order + col
-    return out
-
-
-def _components_from_images(images: list, n_states: int) -> np.ndarray:
-    """Connected components of the union of v -> img[v] graphs, as min-rank parents."""
-    if not images:
-        return np.arange(n_states, dtype=np.int64)
+def _orbit_labels(n_states: int, n_maps: int, image) -> np.ndarray:
+    """Min-rank labels of the classes joined by v ~ image(m)[v] over all m."""
     ranks = np.arange(n_states, dtype=np.int64)
-    rows = np.concatenate([ranks] * len(images))
-    cols = np.concatenate(images)
-    data = np.ones(len(rows), dtype=np.int8)
-    graph = coo_matrix((data, (rows, cols)), shape=(n_states, n_states))
-    _, labels = connected_components(graph, directed=False)
-    reps = np.full(int(labels.max()) + 1, n_states, dtype=np.int64)
-    np.minimum.at(reps, labels, ranks)
-    return reps[labels]
+    labels = ranks.copy()
+    for m in range(n_maps):
+        joined = labels[image(m)]
+        diff = labels != joined
+        graph = coo_matrix((np.ones(int(diff.sum()), dtype=np.int8),
+                            (labels[diff], joined[diff])), shape=(n_states, n_states))
+        del joined, diff
+        n_comp, comp = connected_components(graph, directed=False)
+        del graph
+        comp_min = np.full(n_comp, n_states, dtype=np.int64)
+        np.minimum.at(comp_min, comp, ranks)
+        labels = comp_min[comp[labels]]
+    return labels
 
 
-def move_orbit_parents(table, inv, two_n, order, letters, lengths, n_states,
-                       backend: str | None = None) -> np.ndarray:
+def move_orbit_parents(table, inv, two_n, order, letters, lengths, n_states) -> np.ndarray:
     """Partition [0, n_states) under the compiled moves; parent = min rank in orbit."""
-    mode = resolve_backend(backend)
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    inv = np.ascontiguousarray(inv, dtype=np.int64)
-    if n_states == 1 or lengths.shape[0] == 0:
-        return np.zeros(n_states, dtype=np.int64) if n_states == 1 else np.arange(n_states)
-    if mode == "numba":
-        return _move_orbits_njit(table, inv, two_n, order,
-                                 np.ascontiguousarray(letters, dtype=np.int16),
-                                 np.ascontiguousarray(lengths, dtype=np.int16),
-                                 n_states)
     digits = _decode_all(two_n, order, n_states)
-    seen = {}
-    images = []
-    for m in range(lengths.shape[0]):
-        img = _move_images_numpy(table, inv, digits, order, letters[m], lengths[m])
-        key = img.tobytes()
-        if key not in seen:  # identical compiled maps add no edges
-            seen[key] = True
-            images.append(img)
-    return _components_from_images(images, n_states)
+    table = np.asarray(table, dtype=digits.dtype)
+    inv_digits = np.asarray(inv, dtype=digits.dtype)[digits]
+
+    def image(m):
+        out = np.zeros(n_states, dtype=np.int64)
+        for j in range(two_n):
+            word = letters[m, j, :lengths[m, j]]
+            cols = [digits[l - 1] if l > 0 else inv_digits[-l - 1] for l in word]
+            acc = cols[0]
+            for col in cols[1:]:
+                acc = table[acc, col]
+            out *= order
+            out += acc
+        return out
+
+    return _orbit_labels(n_states, len(lengths), image)
 
 
-def transvection_orbit_parents(table, inv, two_n, order, vecs, n_states,
-                               backend: str | None = None) -> np.ndarray:
-    mode = resolve_backend(backend)
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    inv = np.ascontiguousarray(inv, dtype=np.int64)
-    vecs = np.ascontiguousarray(vecs, dtype=np.int8)
-    if n_states == 1 or vecs.shape[0] == 0:
-        return np.zeros(n_states, dtype=np.int64) if n_states == 1 else np.arange(n_states)
-    if mode == "numba":
-        return _transvection_orbits_njit(table, inv, two_n, order, vecs, n_states)
+def transvection_orbit_parents(table, inv, two_n, order, vecs, n_states) -> np.ndarray:
+    """Partition [0, n_states) under x -> x + <x, v> v for each 0/1 row v of vecs."""
     digits = _decode_all(two_n, order, n_states)
-    images = [_transvection_images_numpy(table, inv, digits, order, vecs[m])
-              for m in range(vecs.shape[0])]
-    return _components_from_images(images, n_states)
+    table = np.asarray(table, dtype=digits.dtype)
+    inv_digits = np.asarray(inv, dtype=digits.dtype)[digits]
+
+    def image(m):
+        vec = vecs[m]
+        # s = <x, vec> in G: over handle pairs, v_{2i} x_{2i-1} - v_{2i-1} x_{2i}
+        s = np.zeros(n_states, dtype=digits.dtype)
+        for i in range(0, two_n, 2):
+            if vec[i + 1]:
+                s = table[s, digits[i]]
+            if vec[i]:
+                s = table[s, inv_digits[i + 1]]
+        out = np.zeros(n_states, dtype=np.int64)
+        for j in range(two_n):
+            out *= order
+            out += table[digits[j], s] if vec[j] else digits[j]
+        return out
+
+    return _orbit_labels(n_states, len(vecs), image)

@@ -36,8 +36,6 @@ def _cmd_run(args) -> int:
         data["cache_dir"] = cache
     if args.out is not None:
         data["out_dir"] = args.out
-    if args.backend is not None:
-        data["backend"] = args.backend
     if args.dump_matrices:
         data["dump_matrices"] = True
     config = PipelineConfig.from_dict(data)
@@ -60,7 +58,7 @@ def _cmd_run(args) -> int:
 def _cmd_orbits(args) -> int:
     G = load_group(_load_spec(args.group))
     moves = compile_moves(args.n, G)
-    table = enumerate_orbits(G, args.n, moves, backend=args.backend)
+    table = enumerate_orbits(G, args.n, moves)
     sizes = table.orbit_sizes()
     print(f"group {G.name} (order {G.order}), n = {args.n}: {table.count} orbits")
     for o in range(table.count):
@@ -93,7 +91,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--cache", default=None, help="orbit cache directory")
     p_run.add_argument("--out", default=None, help="report output directory")
-    p_run.add_argument("--backend", choices=["auto", "numba", "numpy"], default=None)
     p_run.add_argument("--dump-moves", action="store_true",
                        help="also write the move-set manifests")
     p_run.add_argument("--dump-matrices", action="store_true",
@@ -103,7 +100,6 @@ def main(argv=None) -> int:
     p_orb = sub.add_parser("orbits", help="enumerate orbits of G^(2n)")
     p_orb.add_argument("--group", required=True, help="group spec JSON (inline or path)")
     p_orb.add_argument("--n", type=int, required=True)
-    p_orb.add_argument("--backend", choices=["auto", "numba", "numpy"], default=None)
     p_orb.set_defaults(fn=_cmd_orbits)
 
     p_or = sub.add_parser("oracle", help="bar homology and stable-count oracles")

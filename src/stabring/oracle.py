@@ -11,7 +11,8 @@ from .zlinalg import IntMatrix, chain_homology, zero_matrix
 
 
 class OracleError(ValueError):
-    """Raised on cap violations or non-abelian input to the symplectic oracle."""
+    """Raised on cap or memory-budget violations, or non-abelian input to the
+    symplectic oracle."""
 
 
 BAR_ORDER_CAP = 12
@@ -142,8 +143,7 @@ def preserves_form(M: np.ndarray) -> bool:
     return bool(np.array_equal(M.T @ J @ M, J))
 
 
-def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32,
-                    backend: str | None = None) -> int:
+def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
     """Orbit count of G^(2n) under the symplectic transvection family.
 
     For abelian G every conjugator in the surface-move action is trivial, so
@@ -157,12 +157,15 @@ def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32,
     n_states = G.order ** (2 * n)
     if n_states > state_cap:
         raise OracleError(f"state space {n_states} exceeds cap {state_cap}")
+    shortfall = _kernels.memory_shortfall(n_states)
+    if shortfall:
+        raise OracleError(shortfall)
     vecs = transvection_vectors(n)
     for v in vecs:
         if not preserves_form(transvection_matrix(v)):
             raise OracleError(f"transvection for {v} does not preserve the form")
     parent = _kernels.transvection_orbit_parents(
-        G.table, G.inverse, 2 * n, G.order, vecs, n_states, backend)
+        G.table, G.inverse, 2 * n, G.order, vecs, n_states)
     return int(len(np.unique(parent)))
 
 

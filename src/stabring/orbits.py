@@ -15,7 +15,7 @@ from .words import moveset_hash
 
 
 class OrbitError(ValueError):
-    """Raised on state-cap violations and cache corruption."""
+    """Raised on state-cap or memory-budget violations and cache corruption."""
 
 
 MAGIC = b"HWOT"
@@ -70,11 +70,10 @@ class OrbitTable:
         return np.bincount(self.orbit_id, minlength=self.count)
 
 
-def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32,
-                     backend: str | None = None) -> OrbitTable:
-    """BFS closure of G^(2n) under the compiled moves.
+def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32) -> OrbitTable:
+    """Closure of G^(2n) under the compiled moves.
 
-    Output is deterministic and independent of traversal order: orbit ids are
+    Output is deterministic and independent of move order: orbit ids are
     assigned by increasing minimal rank.
     """
     if n < 0:
@@ -84,6 +83,9 @@ def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32,
         raise OrbitError(
             f"state space {G.order}^{2 * n} = {n_states} exceeds cap {state_cap}; "
             "lower n or use a smaller group")
+    shortfall = _kernels.memory_shortfall(n_states)
+    if shortfall:
+        raise OrbitError(shortfall)
     mh = moveset_hash(moves)
     if n == 0:
         return OrbitTable(n=0, order=G.order, group_hash=G.hash(), moveset_hash=mh,
@@ -100,7 +102,7 @@ def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32,
         letters[i, :, :m.letters.shape[1]] = m.letters
         lengths[i] = m.lengths
     parent = _kernels.move_orbit_parents(G.table, G.inverse, two_n, G.order,
-                                         letters, lengths, n_states, backend)
+                                         letters, lengths, n_states)
     reps, orbit_id = np.unique(parent, return_inverse=True)
     return OrbitTable(n=n, order=G.order, group_hash=G.hash(), moveset_hash=mh,
                       orbit_id=orbit_id.astype(np.uint32),

@@ -19,7 +19,7 @@ from .modules import delta_and_bounds, derive_module, regular_module
 from .oracle import (abelianization_invariants, bar_homology,
                      sp_orbit_oracle, stable_count_prediction)
 from .orbits import OrbitError, cache_load, cache_store, enumerate_orbits
-from .ring import build_ring
+from .ring import GradedRing
 from .words import boundary_eval, compile_moves, moveset_hash
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,6 @@ class PipelineConfig:
     state_cap: int = 2 ** 32
     cache_dir: str | None = None
     out_dir: str | None = None
-    backend: str | None = None
     seed: int = 0
     well_definedness_samples: int = 1000
     dump_matrices: bool = False
@@ -116,7 +115,7 @@ class Report:
 
 def _orbit_table_cached(G: FiniteGroup, n: int, moves, config: PipelineConfig):
     if not config.cache_dir or n == 0:
-        return enumerate_orbits(G, n, moves, config.state_cap, config.backend)
+        return enumerate_orbits(G, n, moves, config.state_cap)
     mh = moveset_hash(moves)
     os.makedirs(config.cache_dir, exist_ok=True)
     path = os.path.join(config.cache_dir,
@@ -126,7 +125,7 @@ def _orbit_table_cached(G: FiniteGroup, n: int, moves, config: PipelineConfig):
             return cache_load(path, expect_group_hash=G.hash(), expect_moveset_hash=mh)
         except OrbitError as exc:
             log.warning("recomputing orbit cache entry %s: %s", path, exc)
-    table = enumerate_orbits(G, n, moves, config.state_cap, config.backend)
+    table = enumerate_orbits(G, n, moves, config.state_cap)
     cache_store(table, path)
     return table
 
@@ -310,8 +309,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
             n: _orbit_table_cached(G, n, moves_by_degree.get(n, ()), config)
             for n in range(config.n_max + 1)})
 
-        ring = stage("ring", lambda: build_ring(
-            G, config.n_max, config.state_cap, config.backend, tables))
+        ring = stage("ring", lambda: GradedRing(
+            G, config.n_max, [tables[n] for n in range(config.n_max + 1)], moves_by_degree))
         profile = ring.stability_profile()
         report.counts = list(profile.counts)
         report.stability = {
@@ -342,15 +341,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 with open(os.path.join(mat_dir, f"d_p{p}_n{n}.txt"), "w") as fh:
                     fh.write(mat.to_text())
 
-        def _homology():
-            rows = []
-            for p in range(0, p_built):
-                for n in range(p, config.n_max + 1):
-                    hom = kc.kc_homology(K, p, n)
-                    rows.append(kc.HProfileRow(p=p, n=n, homology=hom,
-                                               certified=n < config.n_max or hom.is_zero))
-            return rows
-        rows = stage("homology", _homology)
+        rows = stage("homology", lambda: kc.h_profile(K))
         report.homology = [
             {"p": r.p, "n": r.n, "free_rank": r.homology.free_rank,
              "torsion": list(r.homology.torsion), "certified": r.certified}
@@ -365,7 +356,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             out["stable_count_prediction"] = stable_count_prediction(G)
             if G.is_abelian:
                 out["sp_counts"] = [1] + [
-                    sp_orbit_oracle(G, n, config.state_cap, config.backend)
+                    sp_orbit_oracle(G, n, config.state_cap)
                     for n in range(1, config.n_max + 1)]
             return out
         report.oracle = stage("oracles", _oracles)

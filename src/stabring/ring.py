@@ -192,7 +192,7 @@ class GradedRing:
 
 
 def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
-               backend: str | None = None, tables: dict | None = None) -> GradedRing:
+               tables: dict | None = None) -> GradedRing:
     """Assemble the graded ring up to degree n_max.
 
     ``tables`` may supply precomputed orbit tables per degree (cache path);
@@ -213,5 +213,5 @@ def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
                 raise RingError(f"supplied orbit table for degree {n} has a different move set")
             table_list.append(got)
         else:
-            table_list.append(enumerate_orbits(G, n, moves, state_cap, backend))
+            table_list.append(enumerate_orbits(G, n, moves, state_cap))
     return GradedRing(G, n_max, table_list, moves_by_degree)

@@ -1,49 +1,105 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+from conftest import BATTERY_SPECS
 from stabring import _kernels
-from stabring.oracle import transvection_vectors
-from stabring.orbits import enumerate_orbits
-from stabring.words import compile_moves
+from stabring.groups import load_group
+from stabring.oracle import OracleError, sp_orbit_oracle, transvection_vectors
+from stabring.orbits import OrbitError, enumerate_orbits
+from stabring.pipeline import PipelineConfig, run_pipeline
+from stabring.words import compile_moves, enumerate_stabilizing_automorphisms
+
+KERNEL_GROUPS = {**BATTERY_SPECS, "C5": {"kind": "cyclic", "order": 5},
+                 "C8": {"kind": "cyclic", "order": 8}}
+ABELIAN_KERNEL_GROUPS = [name for name in KERNEL_GROUPS if name != "S3"]
 
 
-def test_resolve_backend(monkeypatch):
-    assert _kernels.resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("STABRING_BACKEND", "numpy")
-    assert _kernels.resolve_backend() == "numpy"
-    monkeypatch.setenv("STABRING_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        _kernels.resolve_backend()
+def _table_of(parent):
+    reps, orbit_id = np.unique(parent, return_inverse=True)
+    return orbit_id.astype(np.uint32), reps.astype(np.uint64)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not importable")
-def test_backends_agree_on_move_orbits(groups):
-    for name, n in (("C2", 2), ("C3", 1), ("C4", 1), ("S3", 1), ("C2xC2", 2)):
-        G = groups[name]
+def _transvection_parents(G, n):
+    return _kernels.transvection_orbit_parents(G.table, G.inverse, 2 * n, G.order,
+                                               transvection_vectors(n), G.order ** (2 * n))
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_move_orbits_match_csgraph_and_bfs_references(name):
+    G = load_group(KERNEL_GROUPS[name])
+    for n in (1, 2):
         moves = compile_moves(n, G)
-        a = enumerate_orbits(G, n, moves, backend="numba")
-        b = enumerate_orbits(G, n, moves, backend="numpy")
-        assert a.count == b.count
-        assert np.array_equal(a.orbit_id, b.orbit_id)
-        assert np.array_equal(a.reps, b.reps)
+        table = enumerate_orbits(G, n, moves)
+        for parent in (ref.csgraph_move_parents(G, n, moves),
+                       ref.bfs_move_parents(G, n, enumerate_stabilizing_automorphisms(n))):
+            orbit_id, reps = _table_of(parent)
+            assert np.array_equal(table.orbit_id, orbit_id), (name, n)
+            assert np.array_equal(table.reps, reps), (name, n)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not importable")
-def test_backends_agree_on_transvection_orbits(groups):
-    for name, n in (("C2", 2), ("C4", 1), ("C2xC2", 2)):
-        G = groups[name]
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])
+def test_move_orbits_match_csgraph_reference_at_genus_three(name):
+    G = load_group(KERNEL_GROUPS[name])
+    moves = compile_moves(3, G)
+    table = enumerate_orbits(G, 3, moves)
+    orbit_id, reps = _table_of(ref.csgraph_move_parents(G, 3, moves))
+    assert np.array_equal(table.orbit_id, orbit_id)
+    assert np.array_equal(table.reps, reps)
+
+
+@pytest.mark.parametrize("name", ABELIAN_KERNEL_GROUPS)
+def test_transvection_orbits_match_csgraph_and_bfs_references(name):
+    G = load_group(KERNEL_GROUPS[name])
+    for n in (1, 2):
+        parent = _transvection_parents(G, n)
         vecs = transvection_vectors(n)
-        a = _kernels.transvection_orbit_parents(G.table, G.inverse, 2 * n, G.order,
-                                                vecs, G.order ** (2 * n), backend="numba")
-        b = _kernels.transvection_orbit_parents(G.table, G.inverse, 2 * n, G.order,
-                                                vecs, G.order ** (2 * n), backend="numpy")
-        assert np.array_equal(a, b)
+        assert np.array_equal(parent, ref.csgraph_transvection_parents(G, n, vecs)), (name, n)
+        assert np.array_equal(parent, ref.bfs_transvection_parents(G, n, vecs)), (name, n)
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2"])
+def test_transvection_orbits_match_csgraph_reference_at_genus_three(name):
+    G = load_group(KERNEL_GROUPS[name])
+    assert np.array_equal(_transvection_parents(G, 3),
+                          ref.csgraph_transvection_parents(G, 3, transvection_vectors(3)))
+
+
+def test_kernel_memory_is_linear_in_states():
+    """One label array and one image at a time: about 80 B/state, where
+    keeping every image and an all-moves edge list took about 1.2 KB."""
+    G = load_group(KERNEL_GROUPS["C8"])
+    moves = compile_moves(3, G)
+    n_states = G.order ** 6
+    for label, call in (("moves", lambda: enumerate_orbits(G, 3, moves)),
+                        ("transvections", lambda: sp_orbit_oracle(G, 3))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_states < 160, f"{label}: {peak / n_states:.0f} B/state"
+
+
+def test_memory_budget_fails_before_allocating(monkeypatch):
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 2 ** 20)
+    G = load_group(KERNEL_GROUPS["C8"])
+    with pytest.raises(OrbitError, match="memory budget of 1.0 MiB"):
+        enumerate_orbits(G, 3, compile_moves(3, G))
+    with pytest.raises(OracleError, match="32.0 MiB"):
+        sp_orbit_oracle(G, 3)
+    report = run_pipeline(PipelineConfig(group=KERNEL_GROUPS["C8"], n_max=3, p_max=0))
+    assert report.failure["stage"] == "orbits"
+    assert "memory budget" in report.failure["error"]
 
 
 def test_parent_is_minimum_of_orbit(groups):
     G = groups["C3"]
     moves = compile_moves(1, G)
-    table = enumerate_orbits(G, 1, moves, backend="numpy")
+    table = enumerate_orbits(G, 1, moves)
     sizes = table.orbit_sizes()
     # representative ranks are strictly increasing and start at the zero state
     reps = [int(r) for r in table.reps]
@@ -52,12 +108,12 @@ def test_parent_is_minimum_of_orbit(groups):
     assert int(sizes.sum()) == G.order ** 2
 
 
-def test_numpy_backend_dedupes_identical_move_images(groups):
+def test_duplicate_moves_do_not_change_the_partition(groups):
     # the identity move plus a duplicate must not distort the partition
     G = groups["C2"]
     moves = compile_moves(1, G)
     doubled = moves + moves
-    a = enumerate_orbits(G, 1, moves, backend="numpy")
-    b = enumerate_orbits(G, 1, doubled, backend="numpy")
+    a = enumerate_orbits(G, 1, moves)
+    b = enumerate_orbits(G, 1, doubled)
     assert a.count == b.count
     assert np.array_equal(a.orbit_id, b.orbit_id)

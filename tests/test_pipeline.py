@@ -27,7 +27,7 @@ def test_config_validation():
         PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=1, p_max=1, state_cap=0)
     with pytest.raises(ConfigError, match="unknown config fields"):
         PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, "bogus": 2})
-    for removed in ("depth", "threads"):
+    for removed in ("depth", "threads", "backend"):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, removed: 2})
 

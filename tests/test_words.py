@@ -172,8 +172,8 @@ def test_orbit_ids_match_the_reference_search(name):
     is a union of closed-form orbits; and every reference move keeps each
     tuple inside its closed-form orbit, so the two partitions are equal.
     Orbit ids are numbered by least rank, so equal partitions have equal
-    orbit_id arrays.  Checking the reference moves one at a time keeps C8 at
-    n = 3 small: the orbit kernel on all 123 of them needs about 1.9 GB.
+    orbit_id arrays.  At n = 3 the reference moves are checked one image at a
+    time, which costs less than running the orbit kernel on all 123 of them.
     """
     G = load_group(REFERENCE_GROUPS[name])
     for n in (1, 2, 3):
