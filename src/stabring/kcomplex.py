@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .groups import FiniteGroup
 from .modules import GradedModule
-from .orbits import decode_tuple, encode_tuple
 from .ring import GradedRing, StabilityProfile
 from .words import boundary_eval
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology, zero_matrix
@@ -51,15 +51,33 @@ class KComplex:
         return got
 
 
-def _conjugators(G: FiniteGroup, pairs) -> list:
-    """Suffix commutator products; out[k] multiplies the commutators of the
-    pairs from 0-based index k on, so the conjugator of pair k is out[k + 1]."""
-    p = len(pairs)
-    out = [G.identity] * (p + 1)
+def _group_tables(G: FiniteGroup):
+    """Commutator and conjugation tables: comm[x, y] = [x, y], conj[x, y] = x^y."""
+    t, inv = G.table, G.inverse
+    x = np.arange(G.order)[:, None]
+    y = np.arange(G.order)[None, :]
+    return t[t[t[x, y], inv[x]], inv[y]], t[t[inv[y], x], y]
+
+
+def _commutator_products(G: FiniteGroup, comm: np.ndarray, digits: np.ndarray) -> list:
+    """Suffix commutator products over every tuple at once: out[k][t] multiplies
+    the commutators of the pairs of tuple t from 0-based index k on, so out[0]
+    is the whole product and the conjugator of pair k is out[k + 1]."""
+    p = len(digits) // 2
+    out = [np.zeros(digits.shape[1], dtype=np.int64)] * (p + 1)
     for k in range(p - 1, -1, -1):
-        a, b = pairs[k]
-        out[k] = G.mul(G.commutator(a, b), out[k + 1])
+        out[k] = G.table[comm[digits[2 * k], digits[2 * k + 1]], out[k + 1]]
     return out
+
+
+def _ragged_gather(ptr: np.ndarray, key: np.ndarray):
+    """For segments ptr[key[i]]:ptr[key[i] + 1], the owning position i and the
+    index of every element, segments in the order of key."""
+    start = ptr[key]
+    count = ptr[key + 1] - start
+    owner = np.repeat(np.arange(len(key)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, start[owner] + offset
 
 
 def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
@@ -67,7 +85,9 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
 
     Column rule for a basis element (a_1, b_1, ..., a_p, b_p) (x) m:
     sum over k of (-1)^(k-1) (pairs minus k-th) (x) [a_k^{d_k}, b_k^{d_k}] m
-    with d_k the product of the commutators of the later pairs.
+    with d_k the product of the commutators of the later pairs.  Each term is
+    an index gather over all tuples at once: the conjugated pair picks the
+    stacked nonzeros of its action matrix.
     """
     if M.side != "left":
         raise KComplexError("K-complex coefficients must form a left module")
@@ -76,36 +96,42 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     ring = M.ring
     G = ring.G
     order = G.order
+    comm, conj = _group_tables(G)
+    pairs = [(a, b) for a in range(order) for b in range(order)]
     d = {}
     for p in range(1, p_max + 1):
         states = order ** (2 * p)
+        digits = _kernels._decode_all(2 * p, order, states)
+        suffix = _commutator_products(G, comm, digits)
+        ranks = np.arange(states, dtype=np.int64)
+        terms = []  # per k: sign, conjugated pair index, tuple without pair k
+        for k in range(p):
+            low = order ** (2 * (p - k - 1))
+            pair_k = (conj[digits[2 * k], suffix[k + 1]] * order
+                      + conj[digits[2 * k + 1], suffix[k + 1]])
+            rest = ranks // (low * order * order) * low + ranks % low
+            terms.append((1 if k % 2 == 0 else -1, pair_k, rest))
         for n in range(p, n_max + 1):
             rank_lo = M.rank(n - p + 1)
             rank_hi = M.rank(n - p)
-            mat = IntMatrix(order ** (2 * p - 2) * rank_lo, states * rank_hi)
+            shape = (order ** (2 * p - 2) * rank_lo, states * rank_hi)
             if rank_hi == 0 or rank_lo == 0:
-                d[p, n] = mat
+                d[p, n] = IntMatrix(*shape)
                 continue
-            acts = {}
-            for t in range(states):
-                flat = decode_tuple(t, order, 2 * p)
-                pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(p)]
-                conj = _conjugators(G, pairs)
-                for k in range(p):
-                    ck = conj[k + 1]
-                    pair_k = (G.conjugate(pairs[k][0], ck), G.conjugate(pairs[k][1], ck))
-                    act = acts.get(pair_k)
-                    if act is None:
-                        act = M.act(pair_k, n - p)
-                        acts[pair_k] = act
-                    rest = [e for i, pr in enumerate(pairs) if i != k for e in pr]
-                    t2 = encode_tuple(rest, order)
-                    sign = 1 if k % 2 == 0 else -1
-                    for j in range(rank_hi):
-                        col = t * rank_hi + j
-                        for r in np.flatnonzero(act[:, j]):
-                            mat.add_at(t2 * rank_lo + int(r), col, sign * int(act[r, j]))
-            d[p, n] = mat
+            # nonzeros of every action matrix, ordered by (pair, column, row)
+            acts = np.stack([M.act(pair, n - p) for pair in pairs]).transpose(0, 2, 1)
+            nz_pair, nz_col, nz_row = np.nonzero(acts)
+            nz_val = acts[nz_pair, nz_col, nz_row]
+            ptr = np.searchsorted(nz_pair * rank_hi + nz_col, np.arange(len(pairs) * rank_hi + 1))
+            rows, cols, vals = [], [], []
+            for sign, pair_k, rest in terms:
+                col, idx = _ragged_gather(
+                    ptr, (pair_k[:, None] * rank_hi + np.arange(rank_hi)).ravel())
+                rows.append(rest[col // rank_hi] * rank_lo + nz_row[idx])
+                cols.append(col)
+                vals.append(sign * nz_val[idx])
+            d[p, n] = IntMatrix.from_triplets(*shape, np.concatenate(rows),
+                                              np.concatenate(cols), np.concatenate(vals))
     return KComplex(module=M, ring=ring, p_max=p_max, n_max=n_max, d=d)
 
 
@@ -116,8 +142,7 @@ def verify_d_squared(K: KComplex):
         for n in range(p, K.n_max + 1):
             comp = K.d_matrix(p - 1, n).matmul(K.d_matrix(p, n))
             if not comp.is_zero:
-                col = min(c for (_, c) in comp.entries)
-                return False, (p, n, col)
+                return False, (p, n, int(comp.col.min()))
     return True, None
 
 
@@ -141,12 +166,10 @@ def _id_tensor_u(M: GradedModule, p: int, n: int, states: int) -> IntMatrix:
     rank_src = M.rank(n - p)
     rank_tgt = M.rank(n + 1 - p)
     u = M.u_matrix(n - p) if rank_src and n - p < M.n_max else np.zeros((rank_tgt, rank_src), dtype=np.int64)
-    out = IntMatrix(states * rank_tgt, states * rank_src)
-    for t in range(states):
-        for j in range(rank_src):
-            for r in np.flatnonzero(u[:, j]):
-                out.add_at(t * rank_tgt + int(r), t * rank_src + j, int(u[r, j]))
-    return out
+    r, j = np.nonzero(u)
+    t = np.arange(states, dtype=np.int64)[:, None]
+    return IntMatrix.from_triplets(states * rank_tgt, states * rank_src, t * rank_tgt + r,
+                                   t * rank_src + j, np.broadcast_to(u[r, j], (states, len(r))))
 
 
 def _require_regular(K: KComplex) -> None:
@@ -154,93 +177,55 @@ def _require_regular(K: KComplex) -> None:
         raise KComplexError("this operation needs the regular module as coefficients")
 
 
-def _tau(K: KComplex, pairs, ring_idx: int, n_class: int) -> int:
-    """Product of all commutators appearing: explicit pairs then the class part.
+def _basis_map(rows: int, image: np.ndarray) -> IntMatrix:
+    """The 0/1 matrix sending basis column i to basis row image.flat[i]."""
+    return IntMatrix.from_triplets(rows, image.size, image, np.arange(image.size),
+                                   np.ones(image.size, dtype=np.int64))
 
-    The class part is the evaluated boundary of any representative; it is an
-    orbit invariant, so the choice does not matter.
+
+def _homotopy_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
+    """S_{(g,h)}: K_p(n) -> K_{p+1}(n+1), one entry 1 per column.
+
+    Basis element (t, j) goes to ((g, h)^{tau^-1}, t) (x) j, where tau is the
+    product of all commutators appearing: the pairs of t, then the evaluated
+    boundary of class j.  That boundary value is an orbit invariant, so any
+    representative gives it.
     """
     G = K.G
-    acc = G.identity
-    for a, b in pairs:
-        acc = G.mul(acc, G.commutator(a, b))
-    rep = K.ring.rep(n_class, ring_idx)
-    return G.mul(acc, boundary_eval(G, rep))
-
-
-def _homotopy_image(K: KComplex, g: int, h: int, p: int, n: int, t: int, j: int):
-    """S_{(g,h)} of basis element (t, j) of K_p(n): flat index in K_{p+1}(n+1)."""
-    G = K.G
     order = G.order
-    flat = decode_tuple(t, order, 2 * p)
-    pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(p)]
-    tau = _tau(K, pairs, j, n - p)
-    tau_inv = G.inv(tau)
-    g2 = G.conjugate(g, tau_inv)
-    h2 = G.conjugate(h, tau_inv)
-    t2 = encode_tuple((g2, h2) + tuple(flat), order)
     rank = K.module.rank(n - p)
-    return t2 * rank + j
-
-
-def _apply_s_to_vector(K: KComplex, g: int, h: int, p: int, n: int, vec: dict) -> dict:
-    rank = K.module.rank(n - p)
-    out = {}
-    for idx, coef in vec.items():
-        t, j = divmod(idx, rank)
-        tgt = _homotopy_image(K, g, h, p, n, t, j)
-        out[tgt] = out.get(tgt, 0) + coef
-        if out[tgt] == 0:
-            del out[tgt]
-    return out
-
-
-def _matrix_column(mat: IntMatrix, col: int) -> dict:
-    return {r: v for (r, c), v in mat.entries.items() if c == col}
+    states = order ** (2 * p)
+    comm, conj = _group_tables(G)
+    tuple_comm = _commutator_products(G, comm, _kernels._decode_all(2 * p, order, states))[0]
+    boundary = np.array([boundary_eval(G, K.ring.rep(n - p, j)) for j in range(rank)],
+                        dtype=np.int64)
+    tau_inv = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
+    prepended = (conj[g, tau_inv] * order + conj[h, tau_inv]) * states
+    prepended += np.arange(states, dtype=np.int64)[:, None]
+    return _basis_map(K.dim(p + 1, n + 1), prepended * rank + np.arange(rank))
 
 
 def homotopy_check(K: KComplex, g: int, h: int):
     """Verify S d + d S = right multiplication by [g, h] on every spot with
-    p < p_max and n < n_max; returns (True, None) or (False, witness)."""
+    p < p_max and n < n_max; returns (True, None) or (False, witness), the
+    witness being the first failing spot and its smallest failing basis
+    element (p, n, tuple rank, class index)."""
     _require_regular(K)
-    ring = K.ring
-    order = K.G.order
+    s = {}  # S at (p, n) serves again as the S below the differential at (p + 1, n)
     for p in range(0, K.p_max):
         for n in range(p, K.n_max):
             rank = K.module.rank(n - p)
-            rank_up = K.module.rank(n - p + 1)
             if rank == 0:
                 continue
-            d_here = K.d_matrix(p, n) if p >= 1 else None
-            d_cols = None
-            if d_here is not None:
-                d_cols = {}
-                for (r, c), v in d_here.entries.items():
-                    d_cols.setdefault(c, {})[r] = v
-            d_up = K.d_matrix(p + 1, n + 1)
-            up_cols = {}
-            for (r, c), v in d_up.entries.items():
-                up_cols.setdefault(c, {})[r] = v
-            states = order ** (2 * p)
-            for t in range(states):
-                for j in range(rank):
-                    idx = t * rank + j
-                    # d(S(x))
-                    s_idx = _homotopy_image(K, g, h, p, n, t, j)
-                    lhs = dict(up_cols.get(s_idx, {}))
-                    # S(d(x))
-                    if d_cols is not None:
-                        dvec = d_cols.get(idx, {})
-                        for tgt, coef in _apply_s_to_vector(K, g, h, p - 1, n, dvec).items():
-                            lhs[tgt] = lhs.get(tgt, 0) + coef
-                            if lhs[tgt] == 0:
-                                del lhs[tgt]
-                    # right multiplication: append (g, h) to the class part
-                    rep = ring.rep(n - p, j)
-                    j2 = ring.class_index(n - p + 1, rep + (g, h))
-                    rhs = {t * rank_up + j2: 1}
-                    if lhs != rhs:
-                        return False, (p, n, t, j)
+            s[p, n] = _homotopy_matrix(K, g, h, p, n)
+            lhs = K.d_matrix(p + 1, n + 1).matmul(s[p, n])
+            if p >= 1:
+                s_lo = s.get((p - 1, n)) or _homotopy_matrix(K, g, h, p - 1, n)
+                lhs = lhs + s_lo.matmul(K.d_matrix(p, n))
+            rhs = right_mult_matrix(K, g, h, p, n)
+            if lhs != rhs:
+                col = int((lhs - rhs).col.min())
+                return False, (p, n, col // rank, col % rank)
     return True, None
 
 
@@ -252,12 +237,9 @@ def right_mult_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
     rank = K.module.rank(n - p)
     rank_up = K.module.rank(n - p + 1)
     states = order ** (2 * p)
-    out = IntMatrix(states * rank_up, states * rank)
-    append = [ring.class_index(n - p + 1, ring.rep(n - p, j) + (g, h)) for j in range(rank)]
-    for t in range(states):
-        for j in range(rank):
-            out.add_at(t * rank_up + append[j], t * rank + j, 1)
-    return out
+    append = np.array([ring.class_index(n - p + 1, ring.rep(n - p, j) + (g, h))
+                       for j in range(rank)], dtype=np.int64)
+    return _basis_map(states * rank_up, np.arange(states, dtype=np.int64)[:, None] * rank_up + append)
 
 
 def right_mult_is_chain_map(K: KComplex, g: int, h: int):

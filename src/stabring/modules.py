@@ -311,7 +311,8 @@ def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 
         raise ModuleError("tensor needs a right module and a left module")
     G = N.ring.G
     offsets, dim = _gen_offsets(N, M, n, min_i)
-    rel_cols = []
+    rows, cols, vals = [], [], []
+    n_rel = 0
     for i in range(min_i, n):
         k = n - 1 - i
         if N.rank(i) == 0 or M.rank(k) == 0:
@@ -321,21 +322,18 @@ def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 
             lamk = M.act(pair, k)      # M_k -> M_{k+1}
             for u in range(N.rank(i)):
                 for m in range(M.rank(k)):
-                    col = {}
                     base_hi = offsets[i + 1]
                     for u2 in np.flatnonzero(rho[:, u]):
-                        col[base_hi + int(u2) * M.rank(n - i - 1) + m] = int(rho[u2, u])
+                        rows.append(base_hi + int(u2) * M.rank(n - i - 1) + m)
+                        cols.append(n_rel)
+                        vals.append(int(rho[u2, u]))
                     base_lo = offsets[i]
                     for m2 in np.flatnonzero(lamk[:, m]):
-                        idx = base_lo + u * M.rank(k + 1) + int(m2)
-                        col[idx] = col.get(idx, 0) - int(lamk[m2, m])
-                    rel_cols.append(col)
-    rel = IntMatrix(dim, len(rel_cols))
-    for c, col in enumerate(rel_cols):
-        for r, v in col.items():
-            if v:
-                rel.add_at(r, c, v)
-    return offsets, dim, rel
+                        rows.append(base_lo + u * M.rank(k + 1) + int(m2))
+                        cols.append(n_rel)
+                        vals.append(-int(lamk[m2, m]))
+                    n_rel += 1
+    return offsets, dim, IntMatrix.from_triplets(dim, n_rel, rows, cols, vals)
 
 
 def graded_tensor(N: GradedModule, M: GradedModule) -> list:
@@ -360,14 +358,10 @@ def h0(M: GradedModule) -> list:
         if n == 0:
             out.append(HomologyGroup(free_rank=rows))
             continue
-        cols = len(_pairs(G)) * M.rank(n - 1)
-        stack = IntMatrix(rows, cols)
-        for p_i, pair in enumerate(_pairs(G)):
-            mat = M.act(pair, n - 1)
-            base = p_i * M.rank(n - 1)
-            for (r, c) in zip(*np.nonzero(mat)):
-                stack.add_at(int(r), base + int(c), int(mat[r, c]))
-        out.append(chain_homology(zero_matrix(0, rows), stack))
+        # the degree-1 actions side by side, one block of columns per pair
+        stack = np.concatenate([M.act(pair, n - 1) for pair in _pairs(G)], axis=1)
+        out.append(chain_homology(zero_matrix(0, rows),
+                                  IntMatrix.from_dense(stack, rows=rows, cols=stack.shape[1])))
     return out
 
 
@@ -375,7 +369,7 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
                  r_index_of=None) -> IntMatrix:
     """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m."""
     offsets, dim = _gen_offsets(N, M, n, min_i)
-    beta = IntMatrix(M.rank(n), dim)
+    rows, cols, vals = [], [], []
     for i in range(min_i, n + 1):
         k = n - i
         if N.rank(i) == 0 or M.rank(k) == 0:
@@ -383,11 +377,14 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
         for u in range(N.rank(i)):
             ring_idx = r_index_of(i, u) if r_index_of else u
             action = M.act_class(i, ring_idx, k)  # M_k -> M_n
-            for m in range(M.rank(k)):
-                col = offsets[i] + u * M.rank(k) + m
-                for r in np.flatnonzero(action[:, m]):
-                    beta.add_at(int(r), col, int(action[r, m]))
-    return beta
+            r, m = np.nonzero(action)
+            rows.append(r)
+            cols.append(offsets[i] + u * M.rank(k) + m)
+            vals.append(action[r, m])
+    if not rows:
+        return IntMatrix(M.rank(n), dim)
+    return IntMatrix.from_triplets(M.rank(n), dim, np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))
 
 
 def h1(M: GradedModule) -> list:
@@ -400,10 +397,6 @@ def h1(M: GradedModule) -> list:
         beta = _beta_matrix(rplus, M, n, min_i=1)
         out.append(chain_homology(beta, rel))
     return out
-
-
-def h0_h1(M: GradedModule) -> tuple:
-    return h0(M), h1(M)
 
 
 def deg_of(groups: list) -> int:
@@ -438,11 +431,11 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
             tor0.append(HomologyGroup(free_rank=M.rank(0)))
         else:
             u = M.u_matrix(n - 1)
-            mat = IntMatrix.from_dense(u.tolist(), rows=M.rank(n), cols=M.rank(n - 1))
+            mat = IntMatrix.from_dense(u, rows=M.rank(n), cols=M.rank(n - 1))
             tor0.append(chain_homology(zero_matrix(0, M.rank(n)), mat))
     for n in range(M.n_max):
         u = M.u_matrix(n)
-        mat = IntMatrix.from_dense(u.tolist(), rows=M.rank(n + 1), cols=M.rank(n))
+        mat = IntMatrix.from_dense(u, rows=M.rank(n + 1), cols=M.rank(n))
         if smith_normal_form(mat).rank < M.rank(n):
             deg_m_u = n
     # tor1 = ker(U(R) (x)_R M -> M) via the four-term exact sequence
@@ -491,7 +484,7 @@ def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
         if gens.shape[1]:
             gens = np.unique(gens, axis=1)  # duplicate columns add nothing to the span
         if M.rank(n):
-            mat = IntMatrix.from_dense(gens.tolist(), rows=M.rank(n), cols=gens.shape[1])
+            mat = IntMatrix.from_dense(gens, rows=M.rank(n), cols=gens.shape[1])
             snf = smith_normal_form(mat)
             full = snf.rank == M.rank(n) and all(f == 1 for f in snf.factors)
             if not full:

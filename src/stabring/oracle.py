@@ -32,8 +32,7 @@ def bar_differentials(G: FiniteGroup):
     """
     elems, idx = _bar_index(G)
     m = len(elems)
-    d2 = IntMatrix(m, m * m)
-    d3 = IntMatrix(m * m, m * m * m)
+    t2, t3 = [], []  # (row, col, sign) triplets of d2 and d3
 
     def c1(g):
         return None if g == G.identity else idx[g]
@@ -48,7 +47,7 @@ def bar_differentials(G: FiniteGroup):
             col = idx[g] * m + idx[h]
             for sign, row in ((1, c1(h)), (-1, c1(G.mul(g, h))), (1, c1(g))):
                 if row is not None:
-                    d2.add_at(row, col, sign)
+                    t2.append((row, col, sign))
     for g in elems:
         for h in elems:
             for k in elems:
@@ -57,8 +56,9 @@ def bar_differentials(G: FiniteGroup):
                          (1, c2(g, G.mul(h, k))), (-1, c2(g, h)))
                 for sign, row in terms:
                     if row is not None:
-                        d3.add_at(row, col, sign)
-    return d2, d3
+                        t3.append((row, col, sign))
+    return (IntMatrix.from_triplets(m, m * m, *np.array(t2, dtype=np.int64).reshape(-1, 3).T),
+            IntMatrix.from_triplets(m * m, m ** 3, *np.array(t3, dtype=np.int64).reshape(-1, 3).T))
 
 
 def bar_homology(G: FiniteGroup) -> dict:
@@ -75,13 +75,10 @@ def bar_homology(G: FiniteGroup) -> dict:
 def abelianization_invariants(G: FiniteGroup) -> tuple:
     """Invariant factors (> 1) of G/[G,G], straight from the Cayley table."""
     n = G.order
-    rel = IntMatrix(n, n * n)
-    for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            rel.add_at(a, col, 1)
-            rel.add_at(b, col, 1)
-            rel.add_at(G.mul(a, b), col, -1)
+    # column a * n + b is the relation [a] + [b] - [ab]
+    a, b = np.divmod(np.arange(n * n), n)
+    rel = IntMatrix.from_triplets(n, n * n, np.concatenate([a, b, G.table[a, b]]),
+                                  np.tile(np.arange(n * n), 3), np.repeat([1, 1, -1], n * n))
     h = chain_homology(zero_matrix(0, n), rel)
     if h.free_rank:
         raise OracleError("abelianization of a finite group came out infinite")
@@ -167,15 +164,3 @@ def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
     parent = _kernels.transvection_orbit_parents(
         G.table, G.inverse, 2 * n, G.order, vecs, n_states)
     return int(len(np.unique(parent)))
-
-
-# Known H2 values for the battery groups, cross-checked by hand via Hopf's
-# formula on two-generator presentations (test fixture, not a general feature).
-HOPF_H2_FIXTURES = {
-    "trivial": (),
-    "C2": (),
-    "C3": (),
-    "C4": (),
-    "C2xC2": (2,),
-    "S3": (),
-}

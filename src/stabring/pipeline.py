@@ -227,8 +227,9 @@ def _integer_kernel(d_out, dim: int) -> list:
 
 
 def _apply_sparse(mat, vec: list) -> list:
+    """mat . vec over Python integers (vec may hold entries beyond int64)."""
     out = [0] * mat.rows
-    for (r, c), v in mat.entries.items():
+    for r, c, v in zip(mat.row.tolist(), mat.col.tolist(), mat.val.tolist()):
         if vec[c]:
             out[r] += v * vec[c]
     return out

@@ -34,6 +34,17 @@ BATTERY_WINDOWS = {
 
 ABELIAN_BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2")
 
+# Known H2 values for the battery groups, cross-checked by hand via Hopf's
+# formula on two-generator presentations.
+HOPF_H2_FIXTURES = {
+    "trivial": (),
+    "C2": (),
+    "C3": (),
+    "C4": (),
+    "C2xC2": (2,),
+    "S3": (),
+}
+
 
 @pytest.fixture(scope="session")
 def groups():

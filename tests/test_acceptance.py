@@ -8,7 +8,7 @@ inconclusive when the window cannot certify them, but must never fail.
 
 import time
 
-from conftest import ABELIAN_BATTERY, BATTERY_SPECS, verdict_of
+from conftest import ABELIAN_BATTERY, BATTERY_SPECS, HOPF_H2_FIXTURES, verdict_of
 
 BATTERY = tuple(BATTERY_SPECS)
 _T0 = time.monotonic()
@@ -77,7 +77,7 @@ def test_criterion_06_stable_count_oracle(reports):
 
 
 def test_criterion_07_bar_oracle_self_consistency(reports, groups):
-    from stabring.oracle import HOPF_H2_FIXTURES, bar_homology
+    from stabring.oracle import bar_homology
     ok = True
     for g in BATTERY:
         rep = reports[g]

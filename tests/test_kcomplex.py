@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from stabring.kcomplex import (KComplexError, bound_checks, build_kcomplex,
-                               h_profile, homotopy_check, kc_homology,
-                               observed_h, right_mult_is_chain_map,
-                               u_commutes_with_d, verify_d_squared)
+import reference_kcomplex as ref
+from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u, bound_checks,
+                               build_kcomplex, h_profile, homotopy_check,
+                               kc_homology, observed_h, right_mult_is_chain_map,
+                               right_mult_matrix, u_commutes_with_d,
+                               verify_d_squared)
 from stabring.modules import regular_module, shift_module
-from stabring.zlinalg import HomologyGroup
+from stabring.zlinalg import HomologyGroup, IntMatrix
+
+
+def column(mat, c: int) -> dict:
+    """Column c of an IntMatrix as {row: value}."""
+    hit = mat.col == c
+    return dict(zip(mat.row[hit].tolist(), mat.val[hit].tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +40,7 @@ def test_degree_one_differential_is_the_module_action(complexes, rings):
                     t = a * order + b
                     act = R.act((a, b), n - 1)
                     for j in range(rank):
-                        col = {r: v for (r, c), v in d1.entries.items() if c == t * rank + j}
+                        col = column(d1, t * rank + j)
                         want = {int(r): int(act[r, j]) for r in np.flatnonzero(act[:, j])}
                         assert col == want
 
@@ -44,7 +52,7 @@ def test_trivial_group_differential_alternates(complexes):
         for n in range(p, K.n_max + 1):
             mat = K.d_matrix(p, n)
             if p % 2 == 1:
-                assert mat.nnz == mat.cols and all(v == 1 for v in mat.entries.values())
+                assert mat.nnz == mat.cols and all(v == 1 for v in mat.val.tolist())
             else:
                 assert mat.is_zero
 
@@ -63,7 +71,7 @@ def test_abelian_differential_matches_unconjugated_formula(rings):
         for t in range(order ** 4):
             flat = decode_tuple(t, order, 4)
             for j in range(rank_hi):
-                col = {r: v for (r, c), v in mat.entries.items() if c == t * rank_hi + j}
+                col = column(mat, t * rank_hi + j)
                 want = {}
                 for k, sign in ((0, 1), (1, -1)):
                     rest = flat[2:] if k == 0 else flat[:2]
@@ -89,7 +97,7 @@ def test_nonabelian_differential_column_with_conjugation(complexes, rings):
     for pairs in (((1, 2), (3, 4)), ((2, 5), (1, 1)), ((4, 3), (5, 2))):
         (a1, b1), (a2, b2) = pairs
         t = encode_tuple((a1, b1, a2, b2), G.order)
-        col = {r: v for (r, c), v in mat.entries.items() if c == t * rank_hi}
+        col = column(mat, t * rank_hi)
         c = G.commutator(a2, b2)
         first = (G.conjugate(a1, c), G.conjugate(b1, c))
         want = {}
@@ -194,3 +202,82 @@ def test_bounds_inconclusive_without_stability(complexes, rings):
     prof = rings["S3"].stability_profile()
     verdicts = bound_checks(prof, rows, K.n_max)
     assert all(v["status"] == "inconclusive" for v in verdicts)
+
+
+REFERENCE_GROUPS = ("trivial", "C2", "C3", "C4", "C2xC2", "S3")
+
+
+@pytest.fixture(scope="module")
+def reference_pairs(rings):
+    """(array-built, loop-built) complexes at p <= 3, n <= 3 for every battery group."""
+    out = {}
+    for name in REFERENCE_GROUPS:
+        R = regular_module(rings[name])
+        out[name] = (build_kcomplex(R, 3, 3), ref.build_kcomplex(R, 3, 3))
+    return out
+
+
+def test_differentials_match_the_reference_loops(reference_pairs):
+    for name, (K, K_ref) in reference_pairs.items():
+        assert sorted(K.d) == sorted(K_ref.d), name
+        for key in K.d:
+            assert K.d[key] == K_ref.d[key], (name, key)
+    # the shifted module has actions that vanish on some columns
+    R1 = shift_module(regular_module(reference_pairs["C2"][0].ring), 1)
+    K, K_ref = build_kcomplex(R1, 3, 3), ref.build_kcomplex(R1, 3, 3)
+    assert all(K.d[key] == K_ref.d[key] for key in K.d)
+
+
+def test_maps_match_the_reference_loops(reference_pairs):
+    K, _ = reference_pairs["S3"]
+    order = K.G.order
+    for p in range(0, 3):
+        for n in range(p, 3):
+            assert _id_tensor_u(K.module, p, n, order ** (2 * p)) == \
+                ref._id_tensor_u(K.module, p, n, order ** (2 * p))
+            for g, h in ((0, 0), (1, 2), (5, 3)):
+                assert right_mult_matrix(K, g, h, p, n) == ref.right_mult_matrix(K, g, h, p, n)
+
+
+def mutant(K: KComplex, key, flips: int = 1) -> KComplex:
+    """K with the signs of ``flips`` entries of d[key] flipped, spread evenly."""
+    d = dict(K.d)
+    mat = d[key]
+    val = mat.val.copy()
+    val[len(val) * np.arange(1, flips + 1) // (flips + 1)] *= -1
+    d[key] = IntMatrix.from_triplets(mat.rows, mat.cols, mat.row, mat.col, val)
+    return KComplex(module=K.module, ring=K.ring, p_max=K.p_max, n_max=K.n_max, d=d)
+
+
+def _pairs_to_check(name, order):
+    if name == "S3":  # the loop reference takes about 0.1 s per pair here
+        return ((0, 0), (1, 2), (2, 1), (3, 4), (5, 5), (4, 0))
+    return [(g, h) for g in range(order) for h in range(order)]
+
+
+def test_checks_match_the_reference_on_true_and_mutant_complexes(reference_pairs):
+    for name, (K, _) in reference_pairs.items():
+        pairs = _pairs_to_check(name, K.G.order)
+        calls = {  # kind -> (library check, reference check, arguments after K)
+            "d_squared": [(verify_d_squared, ref.verify_d_squared, ())],
+            "u_commutes": [(u_commutes_with_d, ref.u_commutes_with_d, ())],
+            "homotopy": [(homotopy_check, ref.homotopy_check, gh) for gh in pairs],
+            "rmult_chain": [(right_mult_is_chain_map, ref.right_mult_is_chain_map, gh)
+                            for gh in pairs],
+        }
+        # d_{2,3} meets every check; the trivial group's d_2 is zero, so flip d_{3,3}
+        key = (2, 3) if not K.d[2, 3].is_zero else (3, 3)
+        # one flipped entry, and three, which make several columns differ
+        for label, cx in (("true", K), ("mutant", mutant(K, key)),
+                          ("mutant", mutant(K, key, flips=3))):
+            for kind, checks in calls.items():
+                outcomes = []
+                for check, reference, args in checks:
+                    got, want = check(cx, *args), reference(cx, *args)
+                    assert got == want, (name, label, kind, args, got, want)
+                    outcomes.append(got[0])
+                if label == "true":
+                    assert all(outcomes), (name, kind)
+                elif name != "trivial":
+                    # the flipped entries are seen by every kind of check
+                    assert not all(outcomes), (name, kind)

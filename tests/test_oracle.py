@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import HOPF_H2_FIXTURES
 from stabring.groups import cyclic_group
-from stabring.oracle import (HOPF_H2_FIXTURES, OracleError,
-                             abelianization_invariants, bar_homology,
-                             preserves_form, sp_orbit_oracle,
+from stabring.oracle import (OracleError, abelianization_invariants,
+                             bar_homology, preserves_form, sp_orbit_oracle,
                              stable_count_prediction, transvection_matrix,
                              transvection_vectors)
 

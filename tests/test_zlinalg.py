@@ -1,20 +1,67 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
-from stabring.zlinalg import (HomologyGroup, IntMatrix, LinAlgError,
-                              chain_homology, identity_matrix, matrix_rank,
-                              rank_fraction_free, smith_normal_form, zero_matrix)
+from stabring.zlinalg import (HomologyGroup, IntMatrix, LinAlgError, _blocks,
+                              _normalize_factors, _snf_diagonal_sparse,
+                              chain_homology, matrix_rank, smith_normal_form,
+                              zero_matrix)
+
+
+def random_triplets(rng, m, n, count, values):
+    """``count`` random (row, col, value) triplets as three lists, drawn one
+    triplet at a time; repeated positions add up in ``from_triplets``."""
+    triplets = [(rng.randrange(m), rng.randrange(n), values()) for _ in range(count)]
+    return tuple(map(list, zip(*triplets))) if triplets else ([], [], [])
 
 
 def random_matrix(rng, max_dim=6, max_val=9):
     m, n = rng.randint(1, max_dim), rng.randint(1, max_dim)
-    A = IntMatrix(m, n)
-    for _ in range(rng.randint(0, m * n)):
-        A.add_at(rng.randrange(m), rng.randrange(n), rng.randint(-max_val, max_val))
-    return A
+    return IntMatrix.from_triplets(m, n, *random_triplets(
+        rng, m, n, rng.randint(0, m * n), lambda: rng.randint(-max_val, max_val)))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix.from_triplets(n, n, range(n), range(n), [1] * n)
+
+
+def transpose(A: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_triplets(A.cols, A.rows, A.col, A.row, A.val)
+
+
+def rank_fraction_free(A: IntMatrix) -> int:
+    """Rank over Q by dense Bareiss fraction-free elimination."""
+    M = A.to_dense()
+    m, n = A.rows, A.cols
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        piv = None
+        for r in range(row, m):
+            if M[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        for r in range(row + 1, m):
+            for c in range(col + 1, n):
+                M[r][c] = (M[row][col] * M[r][c] - M[r][col] * M[row][c]) // prev
+            M[r][col] = 0
+        prev = M[row][col]
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
+def sympy_factors(A: IntMatrix) -> tuple:
+    return tuple(int(x) for x in sympy_invariants(sympy.Matrix(A.to_dense())) if x != 0)
 
 
 def test_snf_identity():
@@ -61,9 +108,8 @@ def test_snf_invariant_under_permutation():
         cols = list(range(A.cols))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        B = IntMatrix(A.rows, A.cols)
-        for (r, c), v in A.entries.items():
-            B.add_at(rows[r], cols[c], v)
+        B = IntMatrix.from_triplets(A.rows, A.cols, [rows[r] for r in A.row],
+                                    [cols[c] for c in A.col], A.val)
         assert smith_normal_form(A).factors == smith_normal_form(B).factors
 
 
@@ -72,9 +118,8 @@ def test_snf_no_unit_entries_exercises_residual_path():
     rng = random.Random(29)
     for _ in range(40):
         m, n = rng.randint(2, 8), rng.randint(2, 8)
-        A = IntMatrix(m, n)
-        for _ in range(rng.randint(1, m * n)):
-            A.add_at(rng.randrange(m), rng.randrange(n), 2 * rng.randint(-8, 8))
+        A = IntMatrix.from_triplets(m, n, *random_triplets(
+            rng, m, n, rng.randint(1, m * n), lambda: 2 * rng.randint(-8, 8)))
         ref = tuple(int(x) for x in sympy_invariants(sympy.Matrix(A.to_dense())) if x != 0)
         assert smith_normal_form(A).factors == ref
 
@@ -83,9 +128,8 @@ def test_snf_larger_sparse_matches_sympy():
     rng = random.Random(31)
     for _ in range(10):
         m, n = rng.randint(10, 25), rng.randint(10, 25)
-        A = IntMatrix(m, n)
-        for _ in range(rng.randint(0, 3 * (m + n))):
-            A.add_at(rng.randrange(m), rng.randrange(n), rng.randint(-9, 9))
+        A = IntMatrix.from_triplets(m, n, *random_triplets(
+            rng, m, n, rng.randint(0, 3 * (m + n)), lambda: rng.randint(-9, 9)))
         ref = tuple(int(x) for x in sympy_invariants(sympy.Matrix(A.to_dense())) if x != 0)
         assert smith_normal_form(A).factors == ref
 
@@ -168,8 +212,106 @@ def test_matrix_text_round_trip():
         IntMatrix.from_text("2 2 5\n0 0 1\n")
 
 
+def test_from_text_rejects_what_to_text_never_writes():
+    # a repeated position (cancelling or not) and an explicit zero
+    for text in ("2 2 2\n0 0 1\n0 0 -1\n", "2 2 2\n0 1 1\n0 1 1\n", "2 2 1\n1 1 0\n"):
+        with pytest.raises(LinAlgError):
+            IntMatrix.from_text(text)
+    for text in ("2 2 1\n2 0 1\n", "2 2 1\n0 0\n", "2 2 1\n0 0 x\n"):
+        with pytest.raises(LinAlgError):
+            IntMatrix.from_text(text)
+
+
 def test_matmul_and_transpose():
     A = IntMatrix.from_dense([[1, 2], [0, 1]])
     B = IntMatrix.from_dense([[1, 0], [3, 1]])
     assert A.matmul(B).to_dense() == [[7, 2], [3, 1]]
-    assert A.transpose().to_dense() == [[1, 0], [2, 1]]
+    assert transpose(A).to_dense() == [[1, 0], [2, 1]]
+    # cancelling products leave no stored zero
+    C = IntMatrix.from_dense([[1, 1]]).matmul(IntMatrix.from_dense([[1], [-1]]))
+    assert C.is_zero and C.nnz == 0
+
+
+def test_triplets_are_canonical():
+    A = IntMatrix.from_triplets(3, 4, [2, 0, 2, 1, 0], [1, 3, 1, 0, 3], [5, 1, -5, 4, 2])
+    assert A.row.tolist() == [0, 1] and A.col.tolist() == [3, 0] and A.val.tolist() == [3, 4]
+    assert A.row.dtype == A.col.dtype == A.val.dtype == np.int64
+    assert not A.val.flags.writeable
+    with pytest.raises(LinAlgError, match="out of bounds"):
+        IntMatrix.from_triplets(2, 2, [2], [0], [1])
+
+
+def test_values_outside_int64_are_rejected():
+    for big in (2 ** 63, 2 ** 70, -2 ** 63, -2 ** 70):
+        with pytest.raises(LinAlgError):
+            IntMatrix.from_dense([[big]])
+        with pytest.raises(LinAlgError):
+            IntMatrix.from_triplets(1, 1, [0], [0], [big])
+    assert IntMatrix.from_dense([[2 ** 63 - 1]]).to_dense() == [[2 ** 63 - 1]]
+    # duplicates whose sum could leave int64
+    with pytest.raises(LinAlgError, match="duplicate"):
+        IntMatrix.from_triplets(1, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62])
+
+
+def test_matmul_refuses_before_the_bound_reaches_int64():
+    # bound = max|A| * max|B| * inner dimension
+    a = IntMatrix.from_dense([[2 ** 30, 0]])
+    b = IntMatrix.from_dense([[2 ** 31], [0]])
+    assert a.matmul(b).to_dense() == [[2 ** 61]]  # bound 2^62
+    with pytest.raises(LinAlgError, match="int64"):  # bound 2^63, same entries
+        IntMatrix.from_dense([[2 ** 30, 0, 0, 0]]).matmul(
+            IntMatrix.from_dense([[2 ** 31], [0], [0], [0]]))
+    with pytest.raises(LinAlgError, match="int64"):
+        IntMatrix.from_dense([[2 ** 32]]).matmul(IntMatrix.from_dense([[2 ** 31]]))
+
+
+def test_snf_keeps_python_integers_past_int64():
+    # entries fit in int64, but the determinant 2^124 is the second factor
+    A = IntMatrix.from_dense([[2 ** 62, 3], [0, 2 ** 62]])
+    assert smith_normal_form(A).factors == (1, 2 ** 124) == sympy_factors(A)
+    assert chain_homology(zero_matrix(0, 2), A) == HomologyGroup(0, (2 ** 124,))
+
+
+def random_block_diagonal(rng):
+    """Blocks placed along the diagonal, then rows and columns shuffled; some
+    blocks have even entries only, so they have no unit pivot."""
+    rows, cols, vals = [], [], []
+    m = n = 0
+    n_blocks = rng.randint(2, 5)
+    for _ in range(n_blocks):
+        bm, bn = rng.randint(1, 5), rng.randint(1, 5)
+        scale = rng.choice((1, 2))
+        r, c, v = random_triplets(rng, bm, bn, rng.randint(1, bm * bn),
+                                  lambda: scale * rng.randint(-6, 6))
+        rows += [m + x for x in r]
+        cols += [n + x for x in c]
+        vals += v
+        m, n = m + bm, n + bn
+    row_perm, col_perm = list(range(m)), list(range(n))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    return IntMatrix.from_triplets(m, n, [row_perm[r] for r in rows],
+                                   [col_perm[c] for c in cols], vals)
+
+
+def test_blocked_snf_matches_single_block_and_sympy():
+    rng = random.Random(37)
+    split = 0
+    for _ in range(80):
+        A = random_block_diagonal(rng)
+        whole = _normalize_factors(_snf_diagonal_sparse(A.row, A.col, A.val))
+        blocked = smith_normal_form(A).factors
+        assert blocked == whole == sympy_factors(A)
+        blocks = _blocks(A)
+        assert sum(len(b[0]) for b in blocks) == A.nnz
+        split += len(blocks) > 1
+    assert split > 60  # the random matrices really do fall apart into blocks
+
+
+def test_blocks_are_the_connected_components():
+    # rows 0, 2 share column 1; row 1 alone with column 0; row 3 with columns 2, 3
+    A = IntMatrix.from_dense([[0, 2, 0, 0], [5, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 3]])
+    got = sorted((sorted(set(r.tolist())), sorted(set(c.tolist()))) for r, c, _ in _blocks(A))
+    assert got == [([0, 2], [1]), ([1], [0]), ([3], [2, 3])]
+    assert smith_normal_form(A).factors == (1, 1, 10)
+    assert _blocks(zero_matrix(3, 3)) == []
