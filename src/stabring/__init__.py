@@ -7,9 +7,9 @@ from .kcomplex import (KComplex, build_kcomplex, h_profile, homotopy_check,
 from .modules import (GradedModule, delta_and_bounds, derive_module,
                       graded_tensor, h0, h1, regular_module)
 from .oracle import bar_homology, sp_orbit_oracle, stable_count_prediction
-from .orbits import OrbitTable, cache_load, cache_store, canonical_rep, enumerate_orbits
+from .orbits import OrbitTable, cache_load, cache_store, enumerate_orbits
 from .pipeline import PipelineConfig, Report, emit_report, run_pipeline
-from .ring import GradedRing, RingElement, build_ring
+from .ring import GradedRing, build_ring
 from .words import (MarkedAutomorphism, boundary_word,
                     enumerate_stabilizing_automorphisms, compile_move,
                     compile_moves, reduce_word)
@@ -24,9 +24,9 @@ __all__ = [
     "GradedModule", "delta_and_bounds", "derive_module", "graded_tensor",
     "h0", "h1", "regular_module",
     "bar_homology", "sp_orbit_oracle", "stable_count_prediction",
-    "OrbitTable", "cache_load", "cache_store", "canonical_rep", "enumerate_orbits",
+    "OrbitTable", "cache_load", "cache_store", "enumerate_orbits",
     "PipelineConfig", "Report", "emit_report", "run_pipeline",
-    "GradedRing", "RingElement", "build_ring",
+    "GradedRing", "build_ring",
     "MarkedAutomorphism", "boundary_word", "enumerate_stabilizing_automorphisms",
     "compile_move", "compile_moves", "reduce_word",
     "HomologyGroup", "IntMatrix", "chain_homology", "smith_normal_form",

@@ -41,21 +41,10 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conjugate(self, x: int, y: int) -> int:
-        """x^y := y^-1 x y."""
-        t = self.table
-        return int(t[t[self.inverse[y], x], y])
-
     def commutator(self, x: int, y: int) -> int:
         """[x, y] := x y x^-1 y^-1."""
         t = self.table
         return int(t[t[t[x, y], self.inverse[x]], self.inverse[y]])
-
-    def prod(self, elems) -> int:
-        acc = self.identity
-        for e in elems:
-            acc = int(self.table[acc, e])
-        return acc
 
     @property
     def is_abelian(self) -> bool:
@@ -148,29 +137,50 @@ def perm_group(generators, order_cap: int = 4096) -> FiniteGroup:
     return _validate(table, f"Perm{n}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_group(spec: dict, order_cap: int = 4096) -> FiniteGroup:
     """Build a validated group from a spec document.
 
     Kinds: "cayley" (row-major table), "cyclic" (order), "product" (factors),
-    "perm" (generators as cycle lists on {1..m}).
+    "perm" (generators as cycle lists on {1..m}).  A missing or malformed
+    field raises GroupError naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GroupError("group spec must be a mapping with a 'kind' field")
     kind = spec["kind"]
+
+    def field(name):
+        if name not in spec:
+            raise GroupError(f"{kind!r} group spec has no {name!r} field")
+        return spec[name]
+
     if kind == "cyclic":
-        return cyclic_group(int(spec["order"]))
+        order = field("order")
+        if not _is_int(order):
+            raise GroupError(f"cyclic group 'order' must be an integer, got {order!r}")
+        return cyclic_group(order)
     if kind == "product":
-        factors = [load_group(f, order_cap) for f in spec["factors"]]
-        if not factors:
-            raise GroupError("product needs at least one factor")
+        specs = field("factors")
+        if not isinstance(specs, list) or not specs:
+            raise GroupError("product group 'factors' must be a nonempty list")
+        factors = [load_group(f, order_cap) for f in specs]
         g = factors[0]
         for h in factors[1:]:
             g = product_group(g, h)
         return g
     if kind == "perm":
-        return perm_group(spec["generators"], order_cap)
+        generators = field("generators")
+        if not (isinstance(generators, list) and all(
+                isinstance(perm, list) and all(
+                    isinstance(cyc, list) and all(_is_int(p) for p in cyc) for cyc in perm)
+                for perm in generators)):
+            raise GroupError("perm group 'generators' must be lists of cycles of integer points")
+        return perm_group(generators, order_cap)
     if kind == "cayley":
-        rows = spec["table"]
+        rows = field("table")
         order = len(rows)
         g = _validate(_as_table(rows, order), spec.get("name", f"Cayley{order}"))
         return g
@@ -200,17 +210,6 @@ class Subgroup:
     group: FiniteGroup  # the restricted group on re-indexed elements
 
 
-@dataclass(frozen=True)
-class SubgroupList:
-    subgroups: tuple
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
-
-    def orders(self) -> list:
-        return [len(s.elements) for s in self.subgroups]
-
-
 def _restrict(G: FiniteGroup, elems: tuple) -> FiniteGroup:
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -221,8 +220,9 @@ def _restrict(G: FiniteGroup, elems: tuple) -> FiniteGroup:
     return _validate(table, f"{G.name}|{{{','.join(map(str, elems))}}}")
 
 
-def enumerate_subgroups(G: FiniteGroup, order_cap: int = 16) -> SubgroupList:
-    """All subgroups, each tagged with its re-indexed Cayley table.
+def enumerate_subgroups(G: FiniteGroup, order_cap: int = 16) -> tuple:
+    """All subgroups as a tuple of ``Subgroup``, each tagged with its
+    re-indexed Cayley table, ordered by order and then elements.
 
     Grows closures one generator at a time, so every subgroup is reached.
     """
@@ -245,4 +245,4 @@ def enumerate_subgroups(G: FiniteGroup, order_cap: int = 16) -> SubgroupList:
     for H in sorted(found, key=lambda s: (len(s), tuple(sorted(s)))):
         elems = tuple(sorted(H))
         subs.append(Subgroup(elements=elems, group=_restrict(G, elems)))
-    return SubgroupList(subgroups=tuple(subs))
+    return tuple(subs)

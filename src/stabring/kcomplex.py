@@ -13,7 +13,7 @@ from .groups import FiniteGroup
 from .modules import GradedModule
 from .ring import GradedRing, StabilityProfile
 from .words import boundary_eval
-from .zlinalg import HomologyGroup, IntMatrix, chain_homology, zero_matrix
+from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 
 
 class KComplexError(ValueError):
@@ -47,7 +47,7 @@ class KComplex:
             raise KComplexError(f"degree {n} beyond window {self.n_max}")
         got = self.d.get((p, n))
         if got is None:
-            return zero_matrix(self.dim(p - 1, n), self.dim(p, n))
+            return IntMatrix(self.dim(p - 1, n), self.dim(p, n))
         return got
 
 
@@ -260,7 +260,7 @@ def kc_homology(K: KComplex, p: int, n: int) -> HomologyGroup:
         raise KComplexError(f"homology at p={p} needs differentials to p={p + 1}")
     if p < 0 or n > K.n_max:
         raise KComplexError(f"spot ({p}, {n}) outside window")
-    d_out = K.d_matrix(p, n) if p >= 1 else zero_matrix(0, K.dim(0, n))
+    d_out = K.d_matrix(p, n) if p >= 1 else IntMatrix(0, K.dim(0, n))
     d_in = K.d_matrix(p + 1, n)
     return chain_homology(d_out, d_in)
 

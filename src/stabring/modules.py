@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ring import GradedRing
-from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form, zero_matrix
+from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
 
 
 class ModuleError(ValueError):
@@ -113,16 +113,6 @@ def regular_module(ring: GradedRing, side: str = "left", name: str | None = None
             mats.append(mat)
         lam[pair] = mats
     return GradedModule(name or "R", ring, side, ranks, lam, ring.n_max)
-
-
-def z_module(ring: GradedRing, side: str = "left") -> GradedModule:
-    """Z = R / R_{>0}, concentrated in degree 0 with the zero action."""
-    ranks = tuple([1] + [0] * ring.n_max)
-    lam = {}
-    for pair in _pairs(ring.G):
-        lam[pair] = [np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-                     for n in range(ring.n_max)]
-    return GradedModule("Z", ring, side, ranks, lam, ring.n_max)
 
 
 def shift_module(M: GradedModule, p: int) -> GradedModule:
@@ -342,7 +332,7 @@ def graded_tensor(N: GradedModule, M: GradedModule) -> list:
     out = []
     for n in range(budget + 1):
         _, dim, rel = _tensor_presentation(N, M, n)
-        out.append(chain_homology(zero_matrix(0, dim), rel))
+        out.append(chain_homology(IntMatrix(0, dim), rel))
     return out
 
 
@@ -360,7 +350,7 @@ def h0(M: GradedModule) -> list:
             continue
         # the degree-1 actions side by side, one block of columns per pair
         stack = np.concatenate([M.act(pair, n - 1) for pair in _pairs(G)], axis=1)
-        out.append(chain_homology(zero_matrix(0, rows),
+        out.append(chain_homology(IntMatrix(0, rows),
                                   IntMatrix.from_dense(stack, rows=rows, cols=stack.shape[1])))
     return out
 
@@ -432,7 +422,7 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
         else:
             u = M.u_matrix(n - 1)
             mat = IntMatrix.from_dense(u, rows=M.rank(n), cols=M.rank(n - 1))
-            tor0.append(chain_homology(zero_matrix(0, M.rank(n)), mat))
+            tor0.append(chain_homology(IntMatrix(0, M.rank(n)), mat))
     for n in range(M.n_max):
         u = M.u_matrix(n)
         mat = IntMatrix.from_dense(u, rows=M.rank(n + 1), cols=M.rank(n))

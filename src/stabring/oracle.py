@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _kernels
 from .groups import FiniteGroup, enumerate_subgroups
-from .zlinalg import IntMatrix, chain_homology, zero_matrix
+from .zlinalg import IntMatrix, chain_homology
 
 
 class OracleError(ValueError):
@@ -67,7 +67,7 @@ def bar_homology(G: FiniteGroup) -> dict:
         raise OracleError(f"bar complex capped at order {BAR_ORDER_CAP}, group has {G.order}")
     d2, d3 = bar_differentials(G)
     m = G.order - 1
-    h1 = chain_homology(zero_matrix(0, m), d2)
+    h1 = chain_homology(IntMatrix(0, m), d2)
     h2 = chain_homology(d2, d3)
     return {"H1": h1, "H2": h2}
 
@@ -79,7 +79,7 @@ def abelianization_invariants(G: FiniteGroup) -> tuple:
     a, b = np.divmod(np.arange(n * n), n)
     rel = IntMatrix.from_triplets(n, n * n, np.concatenate([a, b, G.table[a, b]]),
                                   np.tile(np.arange(n * n), 3), np.repeat([1, 1, -1], n * n))
-    h = chain_homology(zero_matrix(0, n), rel)
+    h = chain_homology(IntMatrix(0, n), rel)
     if h.free_rank:
         raise OracleError("abelianization of a finite group came out infinite")
     return h.torsion
@@ -92,7 +92,7 @@ def stable_count_prediction(G: FiniteGroup, order_cap: int = 16) -> int:
     onto H contribute one stable class per element of H2(H).
     """
     total = 0
-    for sub in enumerate_subgroups(G, order_cap).subgroups:
+    for sub in enumerate_subgroups(G, order_cap):
         h2 = bar_homology(sub.group)["H2"]
         size = h2.order()
         if size is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from contextlib import suppress
@@ -19,7 +20,9 @@ class OrbitError(ValueError):
 
 
 MAGIC = b"HWOT"
-VERSION = 1
+VERSION = 2
+# magic, version, group hash, move-set hash, n, order, orbit count, payload SHA-256
+HEADER = "<4sH32s32sHHI32s"
 
 
 def encode_tuple(entries, order: int) -> int:
@@ -109,26 +112,24 @@ def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32) ->
                       reps=reps.astype(np.uint64))
 
 
-def canonical_rep(table: OrbitTable, entries) -> tuple:
-    """Minimum-rank tuple in the orbit of entries; idempotent."""
-    if len(entries) != 2 * table.n:
-        raise OrbitError(f"tuple length {len(entries)} != 2n = {2 * table.n}")
-    return table.rep_tuple(table.class_of(entries))
-
-
 def cache_store(table: OrbitTable, path) -> None:
     """Write through a temporary file in the same directory, then rename it
-    into place, so a reader never sees a partly written entry."""
+    into place, so a reader never sees a partly written entry.  The header
+    carries a SHA-256 of the payload, which ``cache_load`` checks."""
+    reps = table.reps.astype("<u8").tobytes()
+    orbit_id = table.orbit_id.astype("<u4").tobytes()
+    digest = hashlib.sha256(reps)
+    digest.update(orbit_id)
     header = struct.pack(
-        "<4sH32s32sHHI", MAGIC, VERSION,
+        HEADER, MAGIC, VERSION,
         bytes.fromhex(table.group_hash), bytes.fromhex(table.moveset_hash),
-        table.n, table.order, table.count)
+        table.n, table.order, table.count, digest.digest())
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(table.reps.astype("<u8").tobytes())
-            fh.write(table.orbit_id.astype("<u4").tobytes())
+            fh.write(reps)
+            fh.write(orbit_id)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -140,10 +141,11 @@ def cache_load(path, expect_group_hash: str | None = None,
                expect_moveset_hash: str | None = None) -> OrbitTable:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_len = struct.calcsize("<4sH32s32sHHI")
+    head_len = struct.calcsize(HEADER)
     if len(blob) < head_len:
         raise OrbitError("orbit cache: truncated header")
-    magic, version, ghash, mhash, n, order, count = struct.unpack("<4sH32s32sHHI", blob[:head_len])
+    magic, version, ghash, mhash, n, order, count, digest = struct.unpack(
+        HEADER, blob[:head_len])
     if magic != MAGIC:
         raise OrbitError(f"orbit cache: bad magic {magic!r}")
     if version != VERSION:
@@ -157,6 +159,8 @@ def cache_load(path, expect_group_hash: str | None = None,
     want = head_len + 8 * count + 4 * n_states
     if len(blob) != want:
         raise OrbitError(f"orbit cache: payload length {len(blob)} != expected {want}")
+    if hashlib.sha256(memoryview(blob)[head_len:]).digest() != digest:
+        raise OrbitError("orbit cache: payload checksum mismatch")
     reps = np.frombuffer(blob, dtype="<u8", count=count, offset=head_len)
     orbit_id = np.frombuffer(blob, dtype="<u4", count=n_states, offset=head_len + 8 * count)
     return OrbitTable(n=n, order=order, group_hash=ghash, moveset_hash=mhash,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kcomplex as kc
-from .groups import FiniteGroup, load_group, subgroup_closure
+from .groups import FiniteGroup, _is_int, load_group, subgroup_closure
 from .modules import delta_and_bounds, derive_module, regular_module
 from .oracle import (abelianization_invariants, bar_homology,
                      sp_orbit_oracle, stable_count_prediction)
@@ -52,12 +52,20 @@ class PipelineConfig:
     dump_matrices: bool = False
 
     def __post_init__(self):
+        for name in ("n_max", "p_max", "state_cap", "seed", "well_definedness_samples"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
         if self.p_max < 0:
             raise ConfigError("p_max must be >= 0")
         if self.state_cap <= 0:
             raise ConfigError("state_cap must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.well_definedness_samples < 1:
+            raise ConfigError("well_definedness_samples must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -175,12 +183,10 @@ def _well_definedness_verdict(ring, K, config: PipelineConfig) -> dict:
                     "pass", f"{samples} randomized representative pairs")
 
 
-def _annihilation_verdict(K, homotopy_ok: bool, small_dim: int = 160) -> dict:
-    """Right multiplication kills homology: the chain-map and homotopy matrix
-    identities prove it on every class; small spots additionally verify the
-    boundary membership on an explicit integer kernel basis."""
-    from .zlinalg import smith_normal_form
-
+def _annihilation_verdict(K, homotopy_ok: bool) -> dict:
+    """Right multiplication kills homology.  It is a chain map, and the
+    homotopy identity d S + S d = Rmult on the same spots gives Rmult z = d(S z)
+    for every cycle z, so no cycle needs checking on its own."""
     G = K.ring.G
     statement = "right multiplication by every degree-1 class kills every computed homology class"
     for g in range(G.order):
@@ -192,59 +198,8 @@ def _annihilation_verdict(K, homotopy_ok: bool, small_dim: int = 160) -> dict:
     if not homotopy_ok:
         return _verdict("homology_annihilation", statement, "fail",
                         "homotopy identity failed, annihilation unproven")
-    checked = 0
-    for p in range(0, K.p_max):
-        for n in range(p, K.n_max):
-            dim = K.dim(p, n)
-            dim_in = K.dim(p + 1, n + 1)
-            if dim == 0 or dim > small_dim or dim_in > small_dim:
-                continue
-            d_out = K.d_matrix(p, n) if p >= 1 else None
-            kernel = _integer_kernel(d_out, dim)
-            d_in_next = K.d_matrix(p + 1, n + 1)
-            snf_in = smith_normal_form(d_in_next, transforms=True)
-            for g in range(G.order):
-                for h in range(G.order):
-                    rmat = kc.right_mult_matrix(K, g, h, p, n)
-                    for z in kernel:
-                        w = _apply_sparse(rmat, z)
-                        if not _in_image(snf_in, w, d_in_next.rows):
-                            return _verdict(
-                                "homology_annihilation", statement, "fail",
-                                f"kernel class at (p={p}, n={n}) not killed by ({g},{h})")
-                        checked += 1
     return _verdict("homology_annihilation", statement, "pass",
-                    f"chain-map + homotopy identities exact; {checked} explicit "
-                    "kernel-vector memberships verified on small spots")
-
-
-def _integer_kernel(d_out, dim: int) -> list:
-    from .zlinalg import smith_normal_form
-    if d_out is None or d_out.rows == 0:
-        return [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-    snf = smith_normal_form(d_out, transforms=True)
-    return [[snf.V[i][j] for i in range(dim)] for j in range(snf.rank, dim)]
-
-
-def _apply_sparse(mat, vec: list) -> list:
-    """mat . vec over Python integers (vec may hold entries beyond int64)."""
-    out = [0] * mat.rows
-    for r, c, v in zip(mat.row.tolist(), mat.col.tolist(), mat.val.tolist()):
-        if vec[c]:
-            out[r] += v * vec[c]
-    return out
-
-
-def _in_image(snf, w: list, rows: int) -> bool:
-    """Solvability of D x = w over Z given the transform SNF of D."""
-    uw = [sum(snf.U[i][j] * w[j] for j in range(rows)) for i in range(rows)]
-    for i, val in enumerate(uw):
-        if i < len(snf.factors):
-            if val % snf.factors[i]:
-                return False
-        elif val:
-            return False
-    return True
+                    "chain-map + homotopy identities exact")
 
 
 def _lemma_battery_verdict(ring) -> dict:
@@ -327,11 +282,14 @@ def run_pipeline(config: PipelineConfig) -> Report:
         }
         report.ring_summary = ring.summary()
 
-        R = stage("modules", lambda: regular_module(ring))
-        if config.n_max >= 2:  # degree-2 orbit relations exist only from there
-            bad = R.consistency_failures()
-            if bad:
-                raise StageError("modules", ValueError(f"lambda consistency failed: {bad[0]}"))
+        def _modules():
+            R = regular_module(ring)
+            if config.n_max >= 2:  # degree-2 orbit relations exist only from there
+                bad = R.consistency_failures()
+                if bad:
+                    raise ValueError(f"lambda consistency failed: {bad[0]}")
+            return R
+        R = stage("modules", _modules)
 
         p_built = min(config.p_max + 1, config.n_max)
         K = stage("kcomplex", lambda: kc.build_kcomplex(R, p_built, config.n_max))

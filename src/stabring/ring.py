@@ -17,29 +17,6 @@ class RingError(ValueError):
 
 
 @dataclass(frozen=True)
-class RingElement:
-    """Integer vector over the orbit basis of one graded piece."""
-
-    degree: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.degree != other.degree or len(self.coeffs) != len(other.coeffs):
-            raise RingError("cannot add elements of different degrees")
-        return RingElement(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, k: int) -> "RingElement":
-        return RingElement(self.degree, tuple(k * c for c in self.coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
-@dataclass(frozen=True)
 class StabilityProfile:
     """Observed degree invariants of U on the ring, within the computed window."""
 
@@ -68,7 +45,6 @@ class GradedRing:
         self.n_max = n_max
         self.tables = tables
         self.moves_by_degree = moves_by_degree
-        self._mult_memo = {}
         self._u_maps = {}
 
     # -- basis bookkeeping ------------------------------------------------
@@ -88,43 +64,7 @@ class GradedRing:
     def rep(self, n: int, idx: int) -> tuple:
         return self.tables[n].rep_tuple(idx)
 
-    def basis_element(self, n: int, idx: int) -> RingElement:
-        coeffs = [0] * self.basis_size(n)
-        coeffs[idx] = 1
-        return RingElement(n, tuple(coeffs))
-
-    def unit(self) -> RingElement:
-        return self.basis_element(0, 0)
-
-    def element_from_tuple(self, entries) -> RingElement:
-        n = len(entries) // 2
-        return self.basis_element(n, self.class_index(n, entries))
-
-    # -- product and U ----------------------------------------------------
-
-    def mult_basis(self, m: int, i: int, n: int, j: int) -> int:
-        """Index of [rep_i ++ rep_j] in the degree m+n basis."""
-        if m + n > self.n_max:
-            raise RingError(f"product degree {m + n} exceeds computed window {self.n_max}")
-        key = (m, i, n, j)
-        out = self._mult_memo.get(key)
-        if out is None:
-            out = self.class_index(m + n, self.rep(m, i) + self.rep(n, j))
-            self._mult_memo[key] = out
-        return out
-
-    def multiply(self, x: RingElement, y: RingElement) -> RingElement:
-        m, n = x.degree, y.degree
-        if m + n > self.n_max:
-            raise RingError(f"product degree {m + n} exceeds computed window {self.n_max}")
-        coeffs = [0] * self.basis_size(m + n)
-        for i, a in enumerate(x.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(y.coeffs):
-                if b:
-                    coeffs[self.mult_basis(m, i, n, j)] += a * b
-        return RingElement(m + n, tuple(coeffs))
+    # -- U ----------------------------------------------------------------
 
     def u_index(self, n: int, i: int) -> int:
         """Class of (1, 1) ++ rep_i, i.e. the U image of basis element i."""
@@ -139,14 +79,6 @@ class GradedRing:
                            dtype=np.int64)
             self._u_maps[n] = out
         return out
-
-    def apply_U(self, x: RingElement) -> RingElement:
-        umap = self.u_map(x.degree)
-        coeffs = [0] * self.basis_size(x.degree + 1)
-        for i, a in enumerate(x.coeffs):
-            if a:
-                coeffs[umap[i]] += a
-        return RingElement(x.degree + 1, tuple(coeffs))
 
     # -- stability --------------------------------------------------------
 

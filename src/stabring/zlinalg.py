@@ -98,10 +98,11 @@ class IntMatrix:
     value has absolute value below 2^63.  Build one with ``from_triplets``,
     ``from_dense`` or ``from_text``; ``IntMatrix(rows, cols)`` is the zero
     matrix.  Products are ``scipy.sparse`` int64 products, refused before they
-    start when an entry could leave int64.
+    start when an entry could leave int64.  The CSR form and the Smith form
+    are computed on first use and kept.
     """
 
-    __slots__ = ("rows", "cols", "row", "col", "val", "_csr")
+    __slots__ = ("rows", "cols", "row", "col", "val", "_csr", "_snf")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -110,6 +111,7 @@ class IntMatrix:
         self.cols = int(cols)
         self.row = self.col = self.val = _frozen(np.zeros(0, dtype=np.int64))
         self._csr = None
+        self._snf = None
 
     @classmethod
     def _canonical(cls, rows: int, cols: int, row, col, val) -> "IntMatrix":
@@ -403,89 +405,11 @@ def _snf_diagonal_sparse(row, col, val) -> list:
     return diag
 
 
-def _snf_dense_transforms(A: IntMatrix):
-    """Textbook SNF with accumulated unimodular transforms, for modest sizes.
-
-    Maintains the invariant U0 * A * V0 = D for the original A, and enforces
-    the divisibility chain inline by folding offending entries into the pivot.
-    """
-    m, n = A.rows, A.cols
-    D = A.to_dense()
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = 0
-    while t < min(m, n):
-        r0 = c0 = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v and (best is None or abs(v) < best):
-                    best, r0, c0 = abs(v), i, j
-        if best is None:
-            break
-        if r0 != t:
-            D[t], D[r0] = D[r0], D[t]
-            U[t], U[r0] = U[r0], U[t]
-        if c0 != t:
-            for row in D:
-                row[t], row[c0] = row[c0], row[t]
-            for row in V:
-                row[t], row[c0] = row[c0], row[t]
-        dirty = False
-        p = D[t][t]
-        for i in range(t + 1, m):
-            if D[i][t]:
-                q = D[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        D[i][j] -= q * D[t][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[t][j]
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if D[t][j]:
-                q = D[t][j] // p
-                if q:
-                    for i in range(t, m):
-                        D[i][j] -= q * D[i][t]
-                    for i in range(n):
-                        V[i][j] -= q * V[i][t]
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                D[t][j] += D[offender][j]
-            for j in range(m):
-                U[t][j] += U[offender][j]
-            continue
-        if p < 0:
-            for j in range(t, n):
-                D[t][j] = -D[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
-    return D, U, V
-
-
 @dataclass(frozen=True)
 class SmithForm:
-    """Invariant factors d1 | d2 | ... (nonzero); transforms optional."""
+    """Invariant factors d1 | d2 | ... (nonzero)."""
 
     factors: tuple
-    U: list | None = None
-    V: list | None = None
 
     @property
     def rank(self) -> int:
@@ -496,26 +420,18 @@ class SmithForm:
         return tuple(f for f in self.factors if f != 1)
 
 
-def smith_normal_form(A: IntMatrix, transforms: bool = False) -> SmithForm:
-    """Invariant factors of A.  Without transforms, each block of ``_blocks``
-    is eliminated on its own: the diagonals of the blocks together are a
-    diagonal form of A, so the factors are those of the whole matrix."""
-    if not transforms:
+def smith_normal_form(A: IntMatrix) -> SmithForm:
+    """Invariant factors of A, computed once per matrix and kept on it.
+
+    Each block of ``_blocks`` is eliminated on its own: the diagonals of the
+    blocks together are a diagonal form of A, so the factors are those of the
+    whole matrix."""
+    if A._snf is None:
         diag = []
         for block in _blocks(A):
             diag += _snf_diagonal_sparse(*block)
-        return SmithForm(factors=_normalize_factors(diag))
-    D, U, V = _snf_dense_transforms(A)
-    diag = [D[i][i] for i in range(min(A.rows, A.cols))]
-    factors = tuple(abs(d) for d in diag if d)
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise LinAlgError("internal: transform SNF missed divisibility")
-    return SmithForm(factors=factors, U=U, V=V)
-
-
-def matrix_rank(A: IntMatrix) -> int:
-    return smith_normal_form(A).rank
+        A._snf = SmithForm(factors=_normalize_factors(diag))
+    return A._snf
 
 
 def chain_homology(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
@@ -528,12 +444,7 @@ def chain_homology(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
         r, c, v = int(composite.row[0]), int(composite.col[0]), int(composite.val[0])
         raise LinAlgError(f"d_out . d_in != 0: entry ({r},{c}) = {v}")
     snf_in = smith_normal_form(d_in)
-    rank_out = matrix_rank(d_out)
-    free = d_in.rows - rank_out - snf_in.rank
+    free = d_in.rows - smith_normal_form(d_out).rank - snf_in.rank
     if free < 0:
         raise LinAlgError("negative free rank; input is not a chain spot")
     return HomologyGroup(free_rank=free, torsion=snf_in.torsion)
-
-
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols)

@@ -19,6 +19,11 @@ from stabring.words import boundary_eval
 from stabring.zlinalg import IntMatrix
 
 
+def conjugate(G, x: int, y: int) -> int:
+    """x^y := y^-1 x y."""
+    return G.mul(G.mul(G.inv(y), x), y)
+
+
 def entries(mat: IntMatrix) -> dict:
     return {(r, c): v for r, c, v in zip(mat.row.tolist(), mat.col.tolist(), mat.val.tolist())}
 
@@ -85,7 +90,7 @@ def build_kcomplex(M, p_max: int, n_max: int) -> KComplex:
                     conj = _conjugators(G, pairs)
                     for k in range(p):
                         ck = conj[k + 1]
-                        pair_k = (G.conjugate(pairs[k][0], ck), G.conjugate(pairs[k][1], ck))
+                        pair_k = (conjugate(G, pairs[k][0], ck), conjugate(G, pairs[k][1], ck))
                         act = acts.get(pair_k)
                         if act is None:
                             act = M.act(pair_k, n - p)
@@ -151,8 +156,8 @@ def _homotopy_image(K: KComplex, g: int, h: int, p: int, n: int, t: int, j: int)
     flat = decode_tuple(t, order, 2 * p)
     pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(p)]
     tau_inv = G.inv(_tau(K, pairs, j, n - p))
-    g2 = G.conjugate(g, tau_inv)
-    h2 = G.conjugate(h, tau_inv)
+    g2 = conjugate(G, g, tau_inv)
+    h2 = conjugate(G, h, tau_inv)
     t2 = encode_tuple((g2, h2) + tuple(flat), order)
     return t2 * K.module.rank(n - p) + j
 

@@ -3,9 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_kcomplex import conjugate
 from stabring.groups import (FiniteGroup, GroupError, cyclic_group,
                              enumerate_subgroups, load_group, perm_group,
                              product_group, subgroup_closure)
+from stabring.kcomplex import _group_tables
 
 
 def brute_force_subgroups(G):
@@ -72,9 +74,9 @@ def test_product_identity_packing():
 def test_conjugate_by_identity_and_abelian():
     G = cyclic_group(6)
     for x in G.elements():
-        assert G.conjugate(x, 0) == x
+        assert conjugate(G, x, 0) == x
         for y in G.elements():
-            assert G.conjugate(x, y) == x
+            assert conjugate(G, x, y) == x
             assert G.commutator(x, y) == 0
 
 
@@ -89,9 +91,12 @@ def test_s3_conjugation_moves_transpositions():
 
     transpositions = [p for p in elems if sorted(p) == [0, 1, 2] and _n_fixed(p) == 1]
     three_cycles = [p for p in elems if _n_fixed(p) == 0]
+    comm, conj_table = _group_tables(G)  # the tables the complex is built from
     for t in transpositions:
         for c in three_cycles:
-            conj = G.conjugate(idx[t], idx[c])
+            conj = conjugate(G, idx[t], idx[c])
+            assert conj_table[idx[t], idx[c]] == conj
+            assert comm[idx[t], idx[c]] == G.commutator(idx[t], idx[c])
             expect = compose(compose(_inv_perm(c), t), c)
             assert conj == idx[expect]
             assert elems[conj] in transpositions
@@ -126,7 +131,7 @@ def test_conjugation_round_trip(data):
     G = perm_group([[[1, 2]], [[1, 2, 3]]])
     x = data.draw(st.integers(0, G.order - 1))
     y = data.draw(st.integers(0, G.order - 1))
-    assert G.conjugate(G.conjugate(x, y), G.inv(y)) == x
+    assert conjugate(G, conjugate(G, x, y), G.inv(y)) == x
 
 
 @given(st.data())
@@ -139,24 +144,42 @@ def test_commutator_trivial_iff_commuting(data):
 
 def test_subgroups_of_order_two_group():
     G = cyclic_group(2)
-    assert enumerate_subgroups(G).orders() == [1, 2]
+    assert [len(s.elements) for s in enumerate_subgroups(G)] == [1, 2]
 
 
 def test_subgroups_of_klein_four():
     G = product_group(cyclic_group(2), cyclic_group(2))
     subs = enumerate_subgroups(G)
     assert len(subs) == 5
-    assert {frozenset(s.elements) for s in subs.subgroups} == brute_force_subgroups(G)
+    assert {frozenset(s.elements) for s in subs} == brute_force_subgroups(G)
 
 
 def test_subgroups_of_s3():
     G = perm_group([[[1, 2]], [[1, 2, 3]]])
     subs = enumerate_subgroups(G)
     assert len(subs) == 6
-    assert {frozenset(s.elements) for s in subs.subgroups} == brute_force_subgroups(G)
-    for s in subs.subgroups:  # Lagrange
+    assert {frozenset(s.elements) for s in subs} == brute_force_subgroups(G)
+    for s in subs:  # Lagrange
         assert G.order % len(s.elements) == 0
         assert isinstance(s.group, FiniteGroup)
+
+
+def test_malformed_specs_name_the_field():
+    with pytest.raises(GroupError, match="'order'"):
+        load_group({"kind": "cyclic"})
+    for order in ("3", 2.0, True):
+        with pytest.raises(GroupError, match="'order' must be an integer"):
+            load_group({"kind": "cyclic", "order": order})
+    for kind, name in (("perm", "'generators'"), ("product", "'factors'"),
+                       ("cayley", "'table'")):
+        with pytest.raises(GroupError, match=name):
+            load_group({"kind": kind})
+    for gens in ([[["a", "b"]]], [[[1.0, 2]]], [[1, 2]], "(1 2)", [[[1, True]]]):
+        with pytest.raises(GroupError, match="'generators' must be"):
+            load_group({"kind": "perm", "generators": gens})
+    for factors in ([], {"kind": "cyclic", "order": 2}, 2):
+        with pytest.raises(GroupError, match="'factors' must be"):
+            load_group({"kind": "product", "factors": factors})
 
 
 def test_subgroup_enumeration_cap():

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from stabring.modules import (ModuleError, delta_and_bounds, deg_of,
+from stabring.modules import (GradedModule, ModuleError, delta_and_bounds, deg_of,
                               derive_module, generated_in_degrees_upto,
                               graded_tensor, h0, h1, module_deg,
                               quotient_u_module, regular_module, shift_module,
-                              truncate_module, z_module)
+                              truncate_module)
 from stabring.zlinalg import HomologyGroup
+
+
+def z_module(ring, side: str = "left") -> GradedModule:
+    """Z = R / R_{>0}, concentrated in degree 0 with the zero action."""
+    ranks = tuple([1] + [0] * ring.n_max)
+    lam = {(a, b): [np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+                    for n in range(ring.n_max)]
+           for a in range(ring.G.order) for b in range(ring.G.order)}
+    return GradedModule("Z", ring, side, ranks, lam, ring.n_max)
 
 
 def test_regular_module_consistency(rings):

@@ -3,9 +3,11 @@ import json
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from stabring.cli import main as cli_main
+from stabring.modules import GradedModule
 from stabring.orbits import cache_load, cache_store
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
@@ -30,6 +32,16 @@ def test_config_validation():
     for removed in ("depth", "threads", "backend"):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, removed: 2})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        small_config(seed=-1)
+    with pytest.raises(ConfigError, match="well_definedness_samples must be >= 1"):
+        small_config(well_definedness_samples=-3)
+    with pytest.raises(ConfigError, match="well_definedness_samples must be >= 1"):
+        small_config(well_definedness_samples=0)
+    for name, value in (("n_max", "3"), ("p_max", 1.0), ("state_cap", True), ("seed", None),
+                        ("well_definedness_samples", 2.5)):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
 
 
 def test_trivial_group_all_verdicts_never_fail(reports):
@@ -59,6 +71,16 @@ def test_failed_stage_is_reported():
     assert report.failure is not None
     assert report.failure["stage"] == "load-group"
     assert report.exit_code == 1
+
+
+def test_lambda_consistency_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(GradedModule, "consistency_failures",
+                        lambda self: [(0, 0, (0, 0, 0, 0))])
+    report = run_pipeline(small_config(n_max=2, p_max=1))
+    assert report.failure["stage"] == "modules"
+    assert "lambda consistency failed" in report.failure["error"]
+    assert report.exit_code == 1
+    assert report.counts and not report.homology  # the ring stage's results are kept
 
 
 def test_state_cap_failure_keeps_partial_results():
@@ -107,6 +129,27 @@ def test_cache_reuse_and_moveset_guard(tmp_path, caplog):
                        expect_moveset_hash=good.moveset_hash)
     assert (fixed.orbit_id == good.orbit_id).all()
     assert sorted(os.listdir(cache)) == files
+
+
+def test_corrupt_orbit_id_is_recomputed(tmp_path, caplog):
+    cold = run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2, p_max=1))
+    cache = tmp_path / "cache"
+    run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2, p_max=1,
+                              cache_dir=str(cache)))
+    path = str(cache / next(f for f in os.listdir(cache) if "_n2_" in f))
+    good = cache_load(path)
+    # give the last state the id of another orbit, in place: the length stays valid
+    other = (int(good.orbit_id[-1]) + 1) % good.count
+    with open(path, "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)
+        fh.write(np.array([other], dtype="<u4").tobytes())
+    with caplog.at_level(logging.WARNING, logger="stabring.pipeline"):
+        warm = run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2,
+                                         p_max=1, cache_dir=str(cache)))
+    assert any("checksum mismatch" in r.getMessage() and path in r.getMessage()
+               for r in caplog.records)
+    assert warm.to_json() == cold.to_json()
+    assert (cache_load(path).orbit_id == good.orbit_id).all()
 
 
 def test_emit_report_files(tmp_path, reports):

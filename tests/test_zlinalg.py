@@ -5,10 +5,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
+from reference_snf import smith_with_transforms
 from stabring.zlinalg import (HomologyGroup, IntMatrix, LinAlgError, _blocks,
                               _normalize_factors, _snf_diagonal_sparse,
-                              chain_homology, matrix_rank, smith_normal_form,
-                              zero_matrix)
+                              chain_homology, smith_normal_form)
 
 
 def random_triplets(rng, m, n, count, values):
@@ -69,7 +69,7 @@ def test_snf_identity():
 
 
 def test_snf_zero():
-    assert smith_normal_form(zero_matrix(4, 2)).factors == ()
+    assert smith_normal_form(IntMatrix(4, 2)).factors == ()
 
 
 def test_snf_diag_two_three():
@@ -87,16 +87,19 @@ def test_snf_matches_sympy_randomized():
 
 
 def test_snf_transforms_diagonalize():
+    # the test-only transform SNF behind the kernel and image checks of
+    # test_kcomplex: unimodular U, V with U A V diagonal, same factors as the library
     rng = random.Random(13)
     for _ in range(60):
         A = random_matrix(rng, max_dim=5)
-        snf = smith_normal_form(A, transforms=True)
-        U, V = sympy.Matrix(snf.U), sympy.Matrix(snf.V)
+        factors, U, V = smith_with_transforms(A)
+        assert factors == smith_normal_form(A).factors
+        U, V = sympy.Matrix(U), sympy.Matrix(V)
         D = U * sympy.Matrix(A.to_dense()) * V
         assert abs(U.det()) == 1 and abs(V.det()) == 1
         for i in range(A.rows):
             for j in range(A.cols):
-                want = snf.factors[i] if i == j and i < len(snf.factors) else 0
+                want = factors[i] if i == j and i < len(factors) else 0
                 assert D[i, j] == want
 
 
@@ -138,16 +141,16 @@ def test_rank_cross_check_fraction_free():
     rng = random.Random(19)
     for _ in range(60):
         A = random_matrix(rng)
-        assert matrix_rank(A) == rank_fraction_free(A)
+        assert smith_normal_form(A).rank == rank_fraction_free(A)
 
 
 def test_chain_homology_zero_maps():
-    h = chain_homology(zero_matrix(0, 5), zero_matrix(5, 0))
+    h = chain_homology(IntMatrix(0, 5), IntMatrix(5, 0))
     assert h == HomologyGroup(free_rank=5)
 
 
 def test_chain_homology_multiplication_by_two():
-    h = chain_homology(zero_matrix(0, 1), IntMatrix.from_dense([[2]]))
+    h = chain_homology(IntMatrix(0, 1), IntMatrix.from_dense([[2]]))
     assert h.free_rank == 0 and h.torsion == (2,)
 
 
@@ -160,7 +163,7 @@ def test_chain_homology_rejects_nonzero_composite():
 
 def test_chain_homology_dimension_mismatch():
     with pytest.raises(LinAlgError, match="mismatch"):
-        chain_homology(zero_matrix(0, 2), zero_matrix(3, 1))
+        chain_homology(IntMatrix(0, 2), IntMatrix(3, 1))
 
 
 def test_chain_homology_unimodular_invariance():
@@ -269,7 +272,7 @@ def test_snf_keeps_python_integers_past_int64():
     # entries fit in int64, but the determinant 2^124 is the second factor
     A = IntMatrix.from_dense([[2 ** 62, 3], [0, 2 ** 62]])
     assert smith_normal_form(A).factors == (1, 2 ** 124) == sympy_factors(A)
-    assert chain_homology(zero_matrix(0, 2), A) == HomologyGroup(0, (2 ** 124,))
+    assert chain_homology(IntMatrix(0, 2), A) == HomologyGroup(0, (2 ** 124,))
 
 
 def random_block_diagonal(rng):
@@ -314,4 +317,4 @@ def test_blocks_are_the_connected_components():
     got = sorted((sorted(set(r.tolist())), sorted(set(c.tolist()))) for r, c, _ in _blocks(A))
     assert got == [([0, 2], [1]), ([1], [0]), ([3], [2, 3])]
     assert smith_normal_form(A).factors == (1, 1, 10)
-    assert _blocks(zero_matrix(3, 3)) == []
+    assert _blocks(IntMatrix(3, 3)) == []
