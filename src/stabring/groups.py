@@ -12,10 +12,13 @@ class GroupError(ValueError):
     """Raised when a group spec fails validation."""
 
 
-def _as_table(rows, order: int) -> np.ndarray:
-    table = np.asarray(rows, dtype=np.int64)
-    if table.shape != (order, order):
-        raise GroupError(f"Cayley table must be {order}x{order}, got {table.shape}")
+def _as_table(rows) -> np.ndarray:
+    """A square array of element indices from a list of integer rows."""
+    order = len(rows)
+    if order == 0 or any(len(row) != order for row in rows):
+        raise GroupError(f"Cayley table must be a nonempty square, got {order} rows "
+                         f"of lengths {sorted({len(row) for row in rows})}")
+    table = np.array(rows, dtype=np.int64)
     if table.min() < 0 or table.max() >= order:
         raise GroupError("Cayley table entries must be element indices in [0, order)")
     return table
@@ -102,7 +105,7 @@ def _perm_from_cycles(cycles, degree: int) -> tuple:
     img = list(range(degree))
     for cyc in cycles:
         pts = [p - 1 for p in cyc]
-        if len(set(pts)) != len(pts) or min(pts) < 0 or max(pts) >= degree:
+        if not pts or len(set(pts)) != len(pts) or min(pts) < 0 or max(pts) >= degree:
             raise GroupError(f"bad cycle {cyc} for degree {degree}")
         for i, p in enumerate(pts):
             img[p] = pts[(i + 1) % len(pts)]
@@ -181,9 +184,10 @@ def load_group(spec: dict, order_cap: int = 4096) -> FiniteGroup:
         return perm_group(generators, order_cap)
     if kind == "cayley":
         rows = field("table")
-        order = len(rows)
-        g = _validate(_as_table(rows, order), spec.get("name", f"Cayley{order}"))
-        return g
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(_is_int(x) for x in row) for row in rows)):
+            raise GroupError("cayley group 'table' must be a list of rows of integers")
+        return _validate(_as_table(rows), spec.get("name", f"Cayley{len(rows)}"))
     raise GroupError(f"unknown group spec kind {kind!r}")
 
 

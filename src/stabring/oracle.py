@@ -102,20 +102,25 @@ def stable_count_prediction(G: FiniteGroup, order_cap: int = 16) -> int:
 
 
 def transvection_vectors(n: int) -> np.ndarray:
-    """Standard-basis vectors and pairwise sums of two distinct ones, as 0/1 rows."""
+    """The 3n - 1 rows e_j (j = 1..2n) and e_{b_i} + e_{a_{i+1}} (i = 1..n-1), as 0/1.
+
+    A Dehn twist acts on H_1 of the surface as the transvection by its
+    curve's class, and the mapping class group maps onto Sp(2n, Z)
+    (Farb-Margalit, "A Primer on Mapping Class Groups", section 6.4).  So
+    the transvections by the classes of the twist generators of
+    ``words.enumerate_stabilizing_automorphisms`` generate Sp(2n, Z):
+    e_{a_i} and e_{b_i} for T2_i and T1_i, and b_i - a_{i+1} for M_i.  Here
+    M_i's class is replaced by b_i + a_{i+1}, so that every row stays 0/1.
+    The two transvections are conjugate under -I on handle i+1, which maps
+    b_i - a_{i+1} to b_i + a_{i+1}.  That map is symplectic, and it is the
+    square of the quarter turn T_{a_{i+1}} T_{b_{i+1}} T_{a_{i+1}} of the
+    handle, so it lies in the group the handle's own transvections generate.
+    Both sets therefore generate the same group.
+    """
     two_n = 2 * n
-    vecs = []
-    for i in range(two_n):
-        v = np.zeros(two_n, dtype=np.int8)
-        v[i] = 1
-        vecs.append(v)
-    for i in range(two_n):
-        for j in range(i + 1, two_n):
-            v = np.zeros(two_n, dtype=np.int8)
-            v[i] = 1
-            v[j] = 1
-            vecs.append(v)
-    return np.array(vecs, dtype=np.int8)
+    eye = np.eye(two_n, dtype=np.int8)
+    mixers = [eye[2 * i - 1] + eye[2 * i] for i in range(1, n)]  # b_i + a_{i+1}
+    return np.array(list(eye) + mixers, dtype=np.int8).reshape(-1, two_n)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -141,11 +146,13 @@ def preserves_form(M: np.ndarray) -> bool:
 
 
 def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
-    """Orbit count of G^(2n) under the symplectic transvection family.
+    """Orbit count of G^(2n) under the transvections of ``transvection_vectors``.
 
     For abelian G every conjugator in the surface-move action is trivial, so
     the move action factors through the integral symplectic group and this
-    count is an independent prediction of the orbit-table count.
+    count is an independent prediction of the orbit-table count.  Why those
+    transvections generate Sp(2n, Z), sign of e_{b_i} + e_{a_{i+1}} included,
+    is argued in ``transvection_vectors``.
     """
     if not G.is_abelian:
         raise OracleError("symplectic oracle needs an abelian group")

@@ -64,6 +64,8 @@ class OrbitTable:
         return len(self.orbit_id)
 
     def class_of(self, entries) -> int:
+        if len(entries) != 2 * self.n:
+            raise OrbitError(f"tuple of length {len(entries)}, expected 2n = {2 * self.n}")
         return int(self.orbit_id[encode_tuple(entries, self.order)])
 
     def rep_tuple(self, orbit: int) -> tuple:

@@ -36,7 +36,7 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -37,10 +37,6 @@ def invert_word(w) -> tuple:
     return tuple(-l for l in reversed(w))
 
 
-def commutator_word(u, v) -> tuple:
-    return reduce_word(tuple(u) + tuple(v) + invert_word(u) + invert_word(v))
-
-
 def boundary_word(n: int) -> tuple:
     """W = [x1, x2][x3, x4]...[x_{2n-1}, x_{2n}], reduced, length 4n."""
     if n < 1:
@@ -111,63 +107,42 @@ def _handle_mixer(n: int, i: int, x: tuple) -> tuple:
     return _with_image(n, {a: (a,) + x, b: xi + (b,) + x, c: xi + (c,) + x, d: (d,) + x})
 
 
-def _named_moves(n: int) -> list:
-    """Handle twists T1_i, T2_i, adjacent swaps S_i, handle mixers M_i, and
-    their inverses; see enumerate_stabilizing_automorphisms."""
-    moves = []
-    for i in range(1, n + 1):
-        a, b = 2 * i - 1, 2 * i
-        moves.append((f"T1_{i}", _with_image(n, {a: (a, b)}), _with_image(n, {a: (a, -b)})))
-        moves.append((f"T1_{i}_inv", _with_image(n, {a: (a, -b)}), _with_image(n, {a: (a, b)})))
-        moves.append((f"T2_{i}", _with_image(n, {b: (b, a)}), _with_image(n, {b: (b, -a)})))
-        moves.append((f"T2_{i}_inv", _with_image(n, {b: (b, -a)}), _with_image(n, {b: (b, a)})))
-    for i in range(1, n):
-        a, b = 2 * i - 1, 2 * i
-        c, d = 2 * i + 1, 2 * i + 2
-        conj = commutator_word((c,), (d,))       # [a_{i+1}, b_{i+1}]
-        conj_prev = commutator_word((a,), (b,))  # [a_i, b_i]
-        fwd = _with_image(n, {
-            a: (c,), b: (d,),
-            c: invert_word(conj) + (a,) + conj,
-            d: invert_word(conj) + (b,) + conj,
-        })
-        bwd = _with_image(n, {
-            a: conj_prev + (c,) + invert_word(conj_prev),
-            b: conj_prev + (d,) + invert_word(conj_prev),
-            c: (a,), d: (b,),
-        })
-        moves.append((f"S_{i}", fwd, bwd))
-        moves.append((f"S_{i}_inv", bwd, fwd))
-        mix, mix_inv = _handle_mixer(n, i, (-c, b)), _handle_mixer(n, i, (-b, c))
-        moves.append((f"M_{i}", mix, mix_inv))
-        moves.append((f"M_{i}_inv", mix_inv, mix))
-    return moves
-
-
 def enumerate_stabilizing_automorphisms(n: int) -> tuple:
-    """The identity and the named moves: 8n - 3 automorphisms, closed under inverses.
+    """The Dehn twists T1_i, T2_i (i = 1..n) and M_i (i = 1..n-1): 3n - 1 automorphisms.
 
     They generate the whole stabilizer of the boundary word in Aut(F_2n),
     which is the mapping class group of the genus-n surface with one boundary
-    component fixed (Dehn-Nielsen-Baer, Zieschang).  T1_i and T2_i are the
-    Dehn twists about the curves of class b_i and a_i (T2_i with the opposite
-    sense), so they generate the mapping class group of handle i.  M_i is the
-    twist about a curve of class b_i - a_{i+1}, the handle mixer with
-    x = a_{i+1}^-1 b_i; M_i_inv is the mixer with x^-1.  Conjugating M_i by
-    the quarter turn T1_{i+1} T2_{i+1}_inv T1_{i+1} of handle i+1 gives the
-    twist about the curve of class b_i - b_{i+1} that meets a_i and a_{i+1}
-    once each.  The
+    component fixed (Dehn-Nielsen-Baer, Zieschang).  T1_i: a_i -> a_i b_i and
+    T2_i: b_i -> b_i a_i are the Dehn twists about the curves of class b_i and
+    a_i (T2_i with the opposite sense), so they generate the mapping class
+    group of handle i.  M_i is the twist about a curve of class b_i - a_{i+1}:
+    the handle mixer with x = a_{i+1}^-1 b_i.  Conjugating M_i by the quarter
+    turn T1_{i+1} T2_{i+1}^-1 T1_{i+1} of handle i+1 gives the twist about the
+    curve of class b_i - b_{i+1} that meets a_i and a_{i+1} once each.  The
     curves a_i, b_i and these connecting curves are Lickorish's 3n - 1 twist
     curves, which contain Humphries' 2n + 1 generators (Humphries 1979,
-    "Generators for the mapping class group").  So the orbits of G^(2n)
-    under this set are the orbits of the full stabilizer, for every finite
-    group G and genus n.  The swaps S_i lie in the stabilizer as well.
+    "Generators for the mapping class group").
+
+    Orbits are the connected components of the undirected graph with an edge
+    from v to phi(v) for every move phi, so the inverse of a move adds no edge
+    and the identity adds none.  The orbits of G^(2n) under this set are
+    therefore the orbits of the full stabilizer, for every finite group G and
+    genus n.  Each move carries its inverse images, which certify that it is
+    an automorphism.
     """
     if n < 1:
         raise WordError("genus must be >= 1")
-    moves = [MarkedAutomorphism(n, identity_images(n), identity_images(n), "identity")]
-    moves += [MarkedAutomorphism(n, imgs, inv_imgs, name)
-              for name, imgs, inv_imgs in _named_moves(n)]
+    moves = []
+    for i in range(1, n + 1):
+        a, b = 2 * i - 1, 2 * i
+        moves.append(MarkedAutomorphism(
+            n, _with_image(n, {a: (a, b)}), _with_image(n, {a: (a, -b)}), f"T1_{i}"))
+        moves.append(MarkedAutomorphism(
+            n, _with_image(n, {b: (b, a)}), _with_image(n, {b: (b, -a)}), f"T2_{i}"))
+    for i in range(1, n):
+        b, c = 2 * i, 2 * i + 1
+        moves.append(MarkedAutomorphism(
+            n, _handle_mixer(n, i, (-c, b)), _handle_mixer(n, i, (-b, c)), f"M_{i}"))
     return tuple(sorted(moves, key=lambda a: a.images))
 
 
@@ -192,6 +167,10 @@ class CompiledMove:
         return tuple(out)
 
 
+# Random tuples on which compile_move checks that the boundary value is kept.
+BOUNDARY_CHECK_SAMPLES = 16
+
+
 def boundary_eval(G: FiniteGroup, entries) -> int:
     """Evaluate prod_i [a_i, b_i] in G; an orbit invariant of the move action."""
     acc = G.identity
@@ -200,7 +179,7 @@ def boundary_eval(G: FiniteGroup, entries) -> int:
     return acc
 
 
-def compile_move(phi: MarkedAutomorphism, G: FiniteGroup, check_sample: int = 16) -> CompiledMove:
+def compile_move(phi: MarkedAutomorphism, G: FiniteGroup) -> CompiledMove:
     """Compile image words to padded letter arrays; spot-check boundary preservation."""
     two_n = 2 * phi.n
     max_len = max((len(w) for w in phi.images), default=1) or 1
@@ -211,7 +190,7 @@ def compile_move(phi: MarkedAutomorphism, G: FiniteGroup, check_sample: int = 16
         letters[j, :len(w)] = w
     move = CompiledMove(phi.n, phi.images, phi.provenance, letters, lengths)
     rng = np.random.default_rng(0)
-    for _ in range(check_sample):
+    for _ in range(BOUNDARY_CHECK_SAMPLES):
         v = tuple(int(x) for x in rng.integers(0, G.order, size=two_n))
         if boundary_eval(G, move.apply(G, v)) != boundary_eval(G, v):
             raise WordError(f"{phi.provenance}: compiled move broke the boundary value")

@@ -1,10 +1,16 @@
-"""Test-only reference: the exhaustive Whitehead search that the closed-form
-move set in ``stabring.words`` replaced, and homology helpers for moves.
+"""Test-only references: the generating sets and the Whitehead search that
+the 3n - 1 Dehn twists of ``stabring.words`` and the 3n - 1 transvections of
+``stabring.oracle`` replaced, and homology helpers for moves.
+
+``reference_moves(n)`` is the former 8n - 3 move set: the identity, the twists
+T1_i, T2_i and M_i each with its inverse, and the adjacent handle swaps S_i
+with theirs.  ``pairwise_transvection_vectors(n)`` is the former n(2n + 1)
+transvection family.
 
 ``whitehead_stabilizers(n, depth)`` returns the identity, the named twists
-T1_i, T2_i and swaps S_i, and every Whitehead automorphism (depth 1) or
-composite of two (depth 2) that fixes the boundary word exactly.  It scans
-4n * 2^(4n-2) Whitehead keys, so keep it to n <= 3.
+T1_i, T2_i and swaps S_i with their inverses, and every Whitehead
+automorphism (depth 1) or composite of two (depth 2) that fixes the boundary
+word exactly.  It scans 4n * 2^(4n-2) Whitehead keys, so keep it to n <= 3.
 """
 
 from __future__ import annotations
@@ -13,9 +19,54 @@ from functools import lru_cache
 
 import numpy as np
 
-from stabring.words import (MarkedAutomorphism, _named_moves, apply_images,
-                            boundary_word, compose_images, identity_images,
-                            reduce_word)
+from stabring.words import (MarkedAutomorphism, _with_image, apply_images,
+                            boundary_word, compose_images,
+                            enumerate_stabilizing_automorphisms,
+                            identity_images, invert_word, reduce_word)
+
+
+def _commutator_word(u, v) -> tuple:
+    return reduce_word(tuple(u) + tuple(v) + invert_word(u) + invert_word(v))
+
+
+def _swap(n: int, i: int) -> MarkedAutomorphism:
+    """S_i: exchange handles i and i+1 up to conjugation by their commutators."""
+    a, b, c, d = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2
+    conj = _commutator_word((c,), (d,))       # [a_{i+1}, b_{i+1}]
+    conj_prev = _commutator_word((a,), (b,))  # [a_i, b_i]
+    fwd = _with_image(n, {
+        a: (c,), b: (d,),
+        c: invert_word(conj) + (a,) + conj,
+        d: invert_word(conj) + (b,) + conj,
+    })
+    bwd = _with_image(n, {
+        a: conj_prev + (c,) + invert_word(conj_prev),
+        b: conj_prev + (d,) + invert_word(conj_prev),
+        c: (a,), d: (b,),
+    })
+    return MarkedAutomorphism(n, fwd, bwd, f"S_{i}")
+
+
+def _inverse(phi: MarkedAutomorphism) -> MarkedAutomorphism:
+    return MarkedAutomorphism(phi.n, phi.inverse_images, phi.images, f"{phi.provenance}_inv")
+
+
+def reference_moves(n: int) -> tuple:
+    """The identity, T1_i, T2_i, S_i and M_i, and their inverses: 8n - 3 moves,
+    closed under inverses, sorted by images."""
+    ident = identity_images(n)
+    moves = [MarkedAutomorphism(n, ident, ident, "identity")]
+    moves += enumerate_stabilizing_automorphisms(n)
+    moves += [_swap(n, i) for i in range(1, n)]
+    moves += [_inverse(phi) for phi in moves[1:]]
+    return tuple(sorted(moves, key=lambda a: a.images))
+
+
+def pairwise_transvection_vectors(n: int) -> np.ndarray:
+    """Standard-basis vectors and sums of two distinct ones: n(2n + 1) 0/1 rows."""
+    eye = np.eye(2 * n, dtype=np.int8)
+    pairs = [eye[i] + eye[j] for i in range(2 * n) for j in range(i + 1, 2 * n)]
+    return np.array(list(eye) + pairs, dtype=np.int8).reshape(-1, 2 * n)
 
 
 def _whitehead_images(n: int, v: int, cut: frozenset) -> tuple:
@@ -94,10 +145,9 @@ def whitehead_stabilizers(n: int, depth: int) -> tuple:
         if images not in found:
             found[images] = MarkedAutomorphism(n, images, inverse_images, provenance)
 
-    add(identity_images(n), identity_images(n), "identity")
-    for name, imgs, inv_imgs in _named_moves(n):
-        if not name.startswith("M_"):  # the mixers are what the search must recover
-            add(imgs, inv_imgs, name)
+    for phi in reference_moves(n):
+        if not phi.provenance.startswith("M_"):  # the mixers are what the search must recover
+            add(phi.images, phi.inverse_images, phi.provenance)
 
     keys = list(_iter_whitehead_keys(n))
     images_of_W = {}

@@ -177,6 +177,16 @@ def test_malformed_specs_name_the_field():
     for gens in ([[["a", "b"]]], [[[1.0, 2]]], [[1, 2]], "(1 2)", [[[1, True]]]):
         with pytest.raises(GroupError, match="'generators' must be"):
             load_group({"kind": "perm", "generators": gens})
+    for gens in ([[[]]], [[[1, 2], []]]):
+        with pytest.raises(GroupError, match=r"bad cycle \[\]"):
+            load_group({"kind": "perm", "generators": gens})
+    for table in ([[0, 1], [1, 0.5]], [[0, 1], [1, 0.0]], [[0, True], [True, 0]],
+                  [[0, 1], [1, "0"]], "01/10", [0, 1]):
+        with pytest.raises(GroupError, match="'table' must be a list of rows of integers"):
+            load_group({"kind": "cayley", "table": table})
+    for table in ([], [[0, 1], [1]]):
+        with pytest.raises(GroupError, match="nonempty square"):
+            load_group({"kind": "cayley", "table": table})
     for factors in ([], {"kind": "cyclic", "order": 2}, 2):
         with pytest.raises(GroupError, match="'factors' must be"):
             load_group({"kind": "product", "factors": factors})

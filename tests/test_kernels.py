@@ -5,6 +5,7 @@ import pytest
 
 import reference_kernels as ref
 from conftest import BATTERY_SPECS
+from reference_moves import pairwise_transvection_vectors
 from stabring import _kernels
 from stabring.groups import load_group
 from stabring.oracle import OracleError, sp_orbit_oracle, transvection_vectors
@@ -60,6 +61,17 @@ def test_transvection_orbits_match_csgraph_and_bfs_references(name):
         assert np.array_equal(parent, ref.bfs_transvection_parents(G, n, vecs)), (name, n)
 
 
+@pytest.mark.parametrize("name", ABELIAN_KERNEL_GROUPS)
+def test_transvection_orbits_match_the_pairwise_family(name):
+    """The 3n - 1 twist-class transvections join what all n(2n + 1) do."""
+    G = load_group(KERNEL_GROUPS[name])
+    for n in (1, 2, 3):
+        pairwise = _kernels.transvection_orbit_parents(
+            G.table, G.inverse, 2 * n, G.order, pairwise_transvection_vectors(n),
+            G.order ** (2 * n))
+        assert np.array_equal(_transvection_parents(G, n), pairwise), (name, n)
+
+
 @pytest.mark.parametrize("name", ["C4", "C2xC2"])
 def test_transvection_orbits_match_csgraph_reference_at_genus_three(name):
     G = load_group(KERNEL_GROUPS[name])
@@ -109,7 +121,7 @@ def test_parent_is_minimum_of_orbit(groups):
 
 
 def test_duplicate_moves_do_not_change_the_partition(groups):
-    # the identity move plus a duplicate must not distort the partition
+    # a second copy of every move must not distort the partition
     G = groups["C2"]
     moves = compile_moves(1, G)
     doubled = moves + moves

@@ -64,6 +64,15 @@ def test_c2_genus_one_two_orbits_vs_bruteforce():
             assert same_brute == same_table
 
 
+def test_class_of_rejects_wrong_tuple_length():
+    G = cyclic_group(2)
+    table = enumerate_orbits(G, 1, compile_moves(1, G))
+    for entries in ((0, 0, 0), (1,), ()):
+        with pytest.raises(OrbitError, match="expected 2n = 2"):
+            table.class_of(entries)
+    assert table.class_of((0, 0)) == 0
+
+
 def test_c3_genus_one_two_orbits():
     G = cyclic_group(3)
     table = enumerate_orbits(G, 1, compile_moves(1, G))

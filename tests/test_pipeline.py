@@ -158,7 +158,7 @@ def test_emit_report_files(tmp_path, reports):
     names = {os.path.basename(f) for f in files}
     assert names == {"report.json", "homology.csv", "counts.csv", "summary.txt"}
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert "timings" not in payload
     rows = (tmp_path / "homology.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == len(rep.homology)

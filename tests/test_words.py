@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import BATTERY_SPECS
 from reference_moves import (abelianized_matrix, image_ranks, mixes_handles,
-                             whitehead_stabilizers)
+                             reference_moves, whitehead_stabilizers)
 from stabring.groups import cyclic_group, load_group
 from stabring.oracle import symplectic_form, transvection_matrix
 from stabring.orbits import enumerate_orbits
@@ -52,17 +52,15 @@ def test_named_t1_is_returned_at_genus_one():
     moves = enumerate_stabilizing_automorphisms(1)
     images = {m.images for m in moves}
     assert ((1, 2), (2,)) in images           # a -> ab, b -> b
-    assert identity_images(1) in images
 
 
 def test_every_move_fixes_boundary_and_has_inverse():
     for n in (1, 2, 3):
         W = boundary_word(n)
-        moves = enumerate_stabilizing_automorphisms(n)
-        images = {m.images for m in moves}
-        for m in moves:
+        # MarkedAutomorphism checks on construction that inverse_images inverts it
+        for m in enumerate_stabilizing_automorphisms(n):
             assert apply_images(m.images, W) == W
-            assert m.inverse_images in images  # closed under inverses
+            assert apply_images(m.inverse_images, W) == W
 
 
 def test_marked_automorphism_rejects_non_stabilizer():
@@ -85,8 +83,7 @@ def test_depth_two_finds_handle_mixer_at_genus_two():
 
 def test_compiled_identity_is_identity_map():
     G = cyclic_group(3)
-    moves = enumerate_stabilizing_automorphisms(1)
-    ident = next(m for m in moves if m.provenance == "identity")
+    ident = MarkedAutomorphism(1, identity_images(1), identity_images(1), "identity")
     cm = compile_move(ident, G)
     assert cm.apply(G, (1, 2)) == (1, 2)
 
@@ -101,11 +98,9 @@ def test_compiled_t1_on_order_two_group():
 
 def test_compiled_move_inverse_round_trip():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
-    moves = enumerate_stabilizing_automorphisms(2)
-    by_images = {m.images: m for m in moves}
     rng = np.random.default_rng(3)
-    for m in moves:
-        inv = by_images[m.inverse_images]
+    for m in enumerate_stabilizing_automorphisms(2):
+        inv = MarkedAutomorphism(2, m.inverse_images, m.images, f"{m.provenance}^-1")
         cm, ci = compile_move(m, G), compile_move(inv, G)
         for _ in range(10):
             v = tuple(int(x) for x in rng.integers(0, G.order, size=4))
@@ -140,12 +135,13 @@ def test_genus_validation():
         enumerate_stabilizing_automorphisms(0)
 
 
-def test_move_count_is_8n_minus_3_and_closed_under_inverses():
+def test_move_count_is_3n_minus_1():
     for n in range(1, 7):
         moves = enumerate_stabilizing_automorphisms(n)
-        images = {m.images for m in moves}
-        assert len(moves) == len(images) == 8 * n - 3
-        assert {m.inverse_images for m in moves} == images
+        assert len(moves) == len({m.images for m in moves}) == 3 * n - 1
+        assert sorted(m.provenance for m in moves) == sorted(
+            [f"T{k}_{i}" for k in (1, 2) for i in range(1, n + 1)]
+            + [f"M_{i}" for i in range(1, n)])
 
 
 def test_mixer_abelianizes_to_the_transvection_by_b_i_minus_a_next():
@@ -188,10 +184,32 @@ def test_orbit_ids_match_the_reference_search(name):
             assert np.array_equal(ref_table.orbit_id, orbit_id)
 
 
+def test_reference_set_is_the_8n_minus_3_inverse_closed_set():
+    for n in (1, 2, 3):
+        moves = reference_moves(n)
+        images = {m.images for m in moves}
+        assert len(moves) == len(images) == 8 * n - 3
+        assert {m.inverse_images for m in moves} == images
+        assert identity_images(n) in images
+        assert {m.images for m in enumerate_stabilizing_automorphisms(n)} <= images
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_orbits_match_the_8n_minus_3_reference_set(name):
+    """Dropping the identity, the inverses and the swaps S_i keeps every
+    orbit: the orbit_id and reps arrays are equal."""
+    G = load_group(REFERENCE_GROUPS[name])
+    for n in (1, 2, 3):
+        ours = enumerate_orbits(G, n, compile_moves(n, G))
+        ref = enumerate_orbits(G, n, [compile_move(phi, G) for phi in reference_moves(n)])
+        assert np.array_equal(ours.orbit_id, ref.orbit_id), (name, n)
+        assert np.array_equal(ours.reps, ref.reps), (name, n)
+
+
 def test_genus_five_builds_and_compiles_fast():
     G = load_group(REFERENCE_GROUPS["S3"])
     t0 = time.perf_counter()
     moves = compile_moves(5, G)
     elapsed = time.perf_counter() - t0
-    assert len(moves) == 8 * 5 - 3
+    assert len(moves) == 3 * 5 - 1
     assert elapsed < 0.5, f"genus-5 move set took {elapsed:.2f} s"
