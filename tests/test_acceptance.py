@@ -4,9 +4,15 @@ Battery: trivial, C2, C3, C4, the Klein four-group, and the order-6
 nonabelian group.  Windows: n <= 4, p <= 3 for |G| <= 4; n <= 3, p <= 2 for
 order 6.  All checks are exact (zero tolerance); threshold checks may be
 inconclusive when the window cannot certify them, but must never fail.
+
+Threshold tier: two low-p windows large enough to settle bounds the battery
+leaves inconclusive, where a pass is required: C2 at n <= 10, p <= 1 for both
+thresholds, and S3 at n <= 4, p <= 1 for stability and the degree bound.
 """
 
 import time
+
+import pytest
 
 from conftest import ABELIAN_BATTERY, BATTERY_SPECS, HOPF_H2_FIXTURES, verdict_of
 
@@ -132,3 +138,75 @@ def test_criterion_11_determinism(tmp_path_factory):
     emit_report(warm, str(d_warm))
     ok = (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
     _announce(11, "byte-identical JSON reports from a cold and a warm orbit cache", ok)
+
+
+# report.homology of every battery group as (p, n, free rank, torsion,
+# certified), one line per p.  C4 and C2xC2 reach their d_{4,4} only through
+# the unit-pivot rounds in tier 1, so these rows pin what the per-block
+# eliminator alone computed for them.
+BATTERY_HOMOLOGY = {
+    "trivial": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (0, 4, 0, (), True),
+        (1, 1, 0, (), True), (1, 2, 0, (), True), (1, 3, 0, (), True), (1, 4, 0, (), True),
+        (2, 2, 1, (), True), (2, 3, 0, (), True), (2, 4, 0, (), True),
+        (3, 3, 0, (), True), (3, 4, 0, (), True)],
+    "C2": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (0, 4, 0, (), True),
+        (1, 1, 2, (), True), (1, 2, 1, (), True), (1, 3, 0, (), True), (1, 4, 0, (), True),
+        (2, 2, 11, (), True), (2, 3, 2, (), True), (2, 4, 0, (), True),
+        (3, 3, 40, (), True), (3, 4, 11, (), False)],
+    "C3": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (0, 4, 0, (), True),
+        (1, 1, 7, (), True), (1, 2, 1, (), True), (1, 3, 0, (), True), (1, 4, 0, (), True),
+        (2, 2, 66, (), True), (2, 3, 7, (), True), (2, 4, 0, (), True),
+        (3, 3, 590, (), True), (3, 4, 66, (), False)],
+    "C4": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (0, 4, 0, (), True),
+        (1, 1, 13, (), True), (1, 2, 3, (), True), (1, 3, 0, (), True), (1, 4, 0, (), True),
+        (2, 2, 214, (), True), (2, 3, 41, (), True), (2, 4, 0, (), True),
+        (3, 3, 3414, (), True), (3, 4, 668, (), False)],
+    "C2xC2": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (0, 4, 0, (), True),
+        (1, 1, 11, (), True), (1, 2, 9, (), True), (1, 3, 0, (), True), (1, 4, 0, (), True),
+        (2, 2, 191, (), True), (2, 3, 115, (), True), (2, 4, 0, (), True),
+        (3, 3, 3021, (), True), (3, 4, 1904, (), False)],
+    "S3": [
+        (0, 0, 1, (), True), (0, 1, 0, (), True), (0, 2, 0, (), True), (0, 3, 0, (), True),
+        (1, 1, 29, (), True), (1, 2, 16, (), True), (1, 3, 0, (), True),
+        (2, 2, 1068, (), True), (2, 3, 524, (3,), False)],
+}
+
+
+def test_battery_homology_rows_are_pinned(reports):
+    for g in BATTERY:
+        got = [(r["p"], r["n"], r["free_rank"], tuple(r["torsion"]), r["certified"])
+               for r in reports[g].homology]
+        assert got == BATTERY_HOMOLOGY[g], g
+
+
+@pytest.fixture(scope="module")
+def threshold_reports():
+    from stabring.pipeline import PipelineConfig, run_pipeline
+    return {name: run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n, p_max=1))
+            for name, n in (("C2", 10), ("S3", 4))}
+
+
+def test_threshold_tier_c2_settles_both_thresholds(threshold_reports):
+    rep = threshold_reports["C2"]
+    ok = rep.stability["stable_within_window"]
+    for check in ("u_iso_threshold", "q0_threshold"):
+        ok = ok and verdict_of(rep, check)["status"] == "pass"
+    _announce(12, "C2 at n <= 10, p <= 1: U is an isomorphism past the threshold "
+                  "and the q = 0 threshold holds", ok)
+
+
+def test_threshold_tier_s3_certifies_stability(threshold_reports):
+    rep = threshold_reports["S3"]
+    ok = (rep.stability["stable_within_window"]
+          and verdict_of(rep, "hp_degree_bound")["status"] == "pass")
+    _announce(13, "S3 at n <= 4, p <= 1: stability certified and h_p(R) <= p + A(R) + 1", ok)

@@ -187,20 +187,30 @@ def test_right_mult_sends_small_cycles_to_boundaries(complexes, rings):
 
 def test_h_profile_eliminates_each_differential_once(rings, monkeypatch):
     # d_{p,n} is d_in at spot (p - 1, n) and d_out at (p, n); its Smith form
-    # is computed once and kept on the matrix
+    # is computed once and kept on the matrix.  A computation is a call that
+    # finds no kept form; its work is the unit-pivot rounds and the per-block
+    # eliminator, which see residual matrices rather than the differential.
     K = build_kcomplex(regular_module(rings["C2xC2"]), 3, 3)
     nonzero = [d for d in K.d.values() if not d.is_zero]
-    blocks = sum(len(zlinalg._blocks(d)) for d in nonzero)
-    split, eliminated = [], []
-    real_blocks, real_snf = zlinalg._blocks, zlinalg._snf_diagonal_sparse
-    monkeypatch.setattr(zlinalg, "_blocks",
-                        lambda A: split.append(A) or real_blocks(A))
-    monkeypatch.setattr(zlinalg, "_snf_diagonal_sparse",
-                        lambda *block: eliminated.append(block) or real_snf(*block))
+    assert any(d.nnz >= zlinalg._ROUND_MIN_NNZ for d in nonzero)  # rounds run too
+    computed, work = [], []
+    real_snf, real_round, real_blocks = (zlinalg.smith_normal_form, zlinalg._unit_round,
+                                         zlinalg._blocks)
+
+    def note(seen, A):
+        if not A.is_zero:
+            seen.append(A)
+
+    monkeypatch.setattr(zlinalg, "smith_normal_form",
+                        lambda A: (A._snf is None and note(computed, A)) or real_snf(A))
+    monkeypatch.setattr(zlinalg, "_unit_round", lambda A: note(work, A) or real_round(A))
+    monkeypatch.setattr(zlinalg, "_blocks", lambda A: note(work, A) or real_blocks(A))
     rows = h_profile(K)
-    assert sorted(map(id, (A for A in split if not A.is_zero))) == sorted(map(id, nonzero))
-    assert len(eliminated) == blocks
-    assert h_profile(K) == rows and len(eliminated) == blocks
+    assert sorted(map(id, computed)) == sorted(map(id, nonzero))
+    assert work
+    done = (len(computed), len(work))
+    assert h_profile(K) == rows
+    assert (len(computed), len(work)) == done
 
 
 def test_homotopy_requires_regular_module(rings):

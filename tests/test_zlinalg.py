@@ -6,9 +6,12 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
 from reference_snf import smith_with_transforms
-from stabring.zlinalg import (HomologyGroup, IntMatrix, LinAlgError, _blocks,
-                              _normalize_factors, _snf_diagonal_sparse,
-                              chain_homology, smith_normal_form)
+from stabring.kcomplex import build_kcomplex
+from stabring.modules import regular_module
+from stabring.zlinalg import (INT64_MAX, HomologyGroup, IntMatrix, LinAlgError,
+                              _ROUND_MIN_NNZ, _blocks, _normalize_factors,
+                              _snf_diagonal_sparse, _unit_round, chain_homology,
+                              smith_normal_form)
 
 
 def random_triplets(rng, m, n, count, values):
@@ -318,3 +321,135 @@ def test_blocks_are_the_connected_components():
     assert got == [([0, 2], [1]), ([1], [0]), ([3], [2, 3])]
     assert smith_normal_form(A).factors == (1, 1, 10)
     assert _blocks(IntMatrix(3, 3)) == []
+
+
+def eliminator_factors(A: IntMatrix) -> tuple:
+    """The per-block eliminator run on the whole of A, with no unit-pivot
+    rounds: the reference the rounds are checked against."""
+    return _normalize_factors([d for block in _blocks(A) for d in _snf_diagonal_sparse(*block)])
+
+
+def fresh(A: IntMatrix) -> IntMatrix:
+    """A copy of A that keeps no Smith form yet."""
+    return IntMatrix.from_triplets(A.rows, A.cols, A.row, A.col, A.val)
+
+
+def unit_rounds(A: IntMatrix) -> list:
+    """The rounds ``smith_normal_form`` runs on A, as (matrix, prow, pcol,
+    Schur complement) each, after checking that every pivot block is a signed
+    identity and that the Schur complement leaves the pivot lines empty."""
+    out = []
+    while A.nnz >= _ROUND_MIN_NNZ:
+        step = _unit_round(A)
+        if step is None:
+            break
+        prow, pcol, rest = step
+        k = len(prow)
+        assert k and len(set(prow.tolist())) == len(set(pcol.tolist())) == k
+        index_row = np.full(A.rows, -1)
+        index_row[prow] = np.arange(k)
+        index_col = np.full(A.cols, -1)
+        index_col[pcol] = np.arange(k)
+        i, j = index_row[A.row], index_col[A.col]
+        block = (i >= 0) & (j >= 0)
+        assert sorted(zip(i[block].tolist(), j[block].tolist())) == [(t, t) for t in range(k)]
+        assert set(np.abs(A.val[block]).tolist()) == {1}
+        assert not np.isin(rest.row, prow).any() and not np.isin(rest.col, pcol).any()
+        assert (rest.rows, rest.cols) == (A.rows, A.cols)
+        out.append((A, prow, pcol, rest))
+        A = rest
+    return out
+
+
+@pytest.fixture(scope="module")
+def battery_differentials(rings):
+    """Every nonzero differential of the six battery complexes at n <= 3,
+    S3's 9072 x 46656 d_{3,3} among them."""
+    out = {}
+    for name, ring in rings.items():
+        K = build_kcomplex(regular_module(ring), 3, 3)
+        out.update({(name, p, n): d for (p, n), d in K.d.items() if not d.is_zero})
+    return out
+
+
+def test_rounds_match_the_eliminator_on_battery_differentials(battery_differentials):
+    with_rounds = 0
+    for key, d in battery_differentials.items():
+        A = fresh(d)
+        with_rounds += bool(unit_rounds(A))
+        assert smith_normal_form(A).factors == eliminator_factors(fresh(d)), key
+    d33 = battery_differentials["S3", 3, 3]
+    assert (d33.rows, d33.cols) == (9072, 46656)
+    assert smith_normal_form(d33).rank == 8268 and smith_normal_form(d33).torsion == (3,)
+    # C4 d_{3,3}; C2xC2 d_{2,3} and d_{3,3}; S3 d_{2,2}, d_{2,3} and d_{3,3}
+    assert with_rounds == 6
+
+
+def random_unit_rich(rng):
+    """A sparse matrix above the cutoff: mostly +-1 entries with some 2, -3
+    and 5, about a tenth of the rows and columns left empty, and torsion
+    planted on four spare rows and columns, then hidden by adding multiples
+    of other rows to those four."""
+    m, n = rng.randint(400, 600), rng.randint(800, 1100)
+    used_rows, used_cols = rng.sample(range(m), m * 9 // 10), rng.sample(range(n), n * 9 // 10)
+    rows = {}
+    for _ in range(rng.randint(2400, 3200)):
+        r, c = rng.choice(used_rows), rng.choice(used_cols)
+        rows.setdefault(r, {})[c] = rng.choice((1, -1) * 6 + (2, -3, 5))
+    spare_rows = sorted(set(range(m)) - set(used_rows))[:4]
+    spare_cols = sorted(set(range(n)) - set(used_cols))[:4]
+    for r, c in zip(spare_rows, spare_cols):
+        rows[r] = {c: rng.choice((2, 3, 4, 6, 9))}
+        src, q = rng.choice(used_rows), rng.choice((1, -1, 2))
+        for c2, v in rows.get(src, {}).items():
+            rows[r][c2] = rows[r].get(c2, 0) + q * v
+    r, c, v = zip(*((r, c, v) for r, row in rows.items() for c, v in row.items()))
+    return IntMatrix.from_triplets(m, n, r, c, v)
+
+
+def test_rounds_match_the_eliminator_on_random_unit_rich_matrices():
+    rng = random.Random(41)
+    deep = 0
+    for _ in range(12):
+        A = random_unit_rich(rng)
+        assert A.nnz >= _ROUND_MIN_NNZ
+        assert len(set(A.row.tolist())) < A.rows and len(set(A.col.tolist())) < A.cols
+        rounds = unit_rounds(A)
+        assert rounds
+        deep += len(rounds) >= 3
+        factors = smith_normal_form(A).factors
+        assert factors == eliminator_factors(fresh(A))
+        assert smith_normal_form(A).torsion
+    assert deep >= 2
+
+
+def test_rounds_hand_off_before_the_product_leaves_int64():
+    # 700 copies of [[1, 2^62], [3, 1]], rows and columns shuffled: each copy
+    # is one pivot with Schur complement 1 - 3 * 2^62, outside int64, and the
+    # bound max|A22| + max|A21| max|A12| #pivots reaches 2^63, so the round is
+    # refused and the eliminator meets the whole matrix over Python integers
+    rng = random.Random(43)
+    motif = [[1, 2 ** 62], [3, 1]]
+    copies = 700
+    rows, cols = list(range(2 * copies)), list(range(2 * copies))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    r, c, v = zip(*((rows[2 * t + a], cols[2 * t + b], motif[a][b])
+                    for t in range(copies) for a in range(2) for b in range(2)))
+    A = IntMatrix.from_triplets(2 * copies, 2 * copies, r, c, v)
+    assert A.nnz >= _ROUND_MIN_NNZ
+    assert _unit_round(A) is None
+    want = (1,) * copies + (3 * 2 ** 62 - 1,) * copies
+    assert sympy_factors(IntMatrix.from_dense(motif)) == (1, 3 * 2 ** 62 - 1)
+    assert smith_normal_form(A).factors == want == eliminator_factors(fresh(A))
+
+
+def test_rounds_run_up_to_the_int64_bound():
+    # the same motif with 2^62 - 1 and 1: bound 1 + 1 * (2^62 - 1) * 2 copies
+    # = 2^63 - 1, so the round runs, and its products stay exact
+    A = IntMatrix.from_dense([[1, 2 ** 62 - 1, 0, 0], [1, 1, 0, 0],
+                              [0, 0, 1, 2 ** 62 - 1], [0, 0, 1, 1]])
+    prow, pcol, rest = _unit_round(A)
+    assert len(prow) == 2 and 1 + (2 ** 62 - 1) * len(prow) == INT64_MAX
+    assert sorted(rest.val.tolist()) == [2 - 2 ** 62] * 2
+    assert eliminator_factors(A) == (1, 1, 2 ** 62 - 2, 2 ** 62 - 2) == sympy_factors(A)
