@@ -233,12 +233,9 @@ def right_mult_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
     """Matrix of x -> x . [g,h] from K_p(n) to K_p(n+1)."""
     _require_regular(K)
     ring = K.ring
-    order = K.G.order
-    rank = K.module.rank(n - p)
     rank_up = K.module.rank(n - p + 1)
-    states = order ** (2 * p)
-    append = np.array([ring.class_index(n - p + 1, ring.rep(n - p, j) + (g, h))
-                       for j in range(rank)], dtype=np.int64)
+    states = K.G.order ** (2 * p)
+    append = ring.product(n - p, 1)[:, ring.class_index(1, (g, h))]
     return _basis_map(states * rank_up, np.arange(states, dtype=np.int64)[:, None] * rank_up + append)
 
 
@@ -273,11 +270,10 @@ class HProfileRow:
     certified: bool  # False only on the open window edge where higher degrees are unknown
 
 
-def h_profile(K: KComplex, p_top: int | None = None) -> list:
+def h_profile(K: KComplex) -> list:
     """Homology at every computable spot, flagged at the window edge."""
-    p_top = K.p_max - 1 if p_top is None else min(p_top, K.p_max - 1)
     rows = []
-    for p in range(0, p_top + 1):
+    for p in range(0, K.p_max):
         for n in range(p, K.n_max + 1):
             hom = kc_homology(K, p, n)
             rows.append(HProfileRow(p=p, n=n, homology=hom,

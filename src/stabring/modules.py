@@ -99,17 +99,15 @@ class GradedModule:
 
 def regular_module(ring: GradedRing, side: str = "left", name: str | None = None) -> GradedModule:
     """R itself; every lambda sends a basis class to a single basis class."""
-    G = ring.G
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
     lam = {}
-    for pair in _pairs(G):
+    for pair in _pairs(ring.G):
+        c = ring.class_index(1, pair)
         mats = []
         for n in range(ring.n_max):
+            image = ring.product(1, n)[c] if side == "left" else ring.product(n, 1)[:, c]
             mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            for j in range(ranks[n]):
-                rep = ring.rep(n, j)
-                tup = (pair + rep) if side == "left" else (rep + pair)
-                mat[ring.class_index(n + 1, tup), j] = 1
+            mat[image, np.arange(ranks[n])] = 1
             mats.append(mat)
         lam[pair] = mats
     return GradedModule(name or "R", ring, side, ranks, lam, ring.n_max)
@@ -133,142 +131,85 @@ def shift_module(M: GradedModule, p: int) -> GradedModule:
     return GradedModule(f"{M.name}[{p}]", M.ring, M.side, ranks, lam, M.n_max)
 
 
-def truncate_module(M: GradedModule, k: int) -> GradedModule:
-    """Quotient truncation: components above degree k become zero."""
-    ranks = tuple(r if n <= k else 0 for n, r in enumerate(M.ranks))
-    lam = {}
-    for pair, mats in M.lam.items():
-        lam[pair] = [mats[n] if n + 1 <= k else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-                     for n in range(M.n_max)]
-    return GradedModule(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)
-
-
-def _monomial_image_rows(u: np.ndarray) -> set | None:
-    """Rows spanned by the columns of a basis-to-basis (or zero) matrix."""
-    rows = set()
-    for j in range(u.shape[1]):
-        nz = np.flatnonzero(u[:, j])
-        if len(nz) == 0:
-            continue
-        if len(nz) > 1 or abs(int(u[nz[0], j])) != 1:
-            return None
-        rows.add(int(nz[0]))
-    return rows
-
-
-def quotient_u_module(M: GradedModule) -> GradedModule:
-    """M / UM, for modules whose U action is monomial (basis to basis or zero)."""
-    kept = [list(range(M.ranks[0]))]
-    for n in range(1, M.n_max + 1):
-        hit = _monomial_image_rows(M.u_matrix(n - 1))
-        if hit is None:
-            raise ModuleError(f"{M.name}: U action at degree {n - 1} is not monomial; "
-                              "quotient would need a torsion presentation")
-        kept.append([r for r in range(M.ranks[n]) if r not in hit])
+def _basis_restriction(M: GradedModule, kept: list, name: str) -> GradedModule:
+    """The module on the basis vectors kept[n] of each M_n: every action
+    restricted to kept rows and columns.  It is the submodule they span when
+    the actions keep that span, and the quotient by the other basis vectors
+    when the actions keep theirs."""
     ranks = tuple(len(k) for k in kept)
-    lam = {}
-    for pair, mats in M.lam.items():
-        lam[pair] = [mats[n][np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
-    name = "Rbar" if M.name == "R" else f"{M.name}/U"
+    lam = {pair: [mats[n][np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
+           for pair, mats in M.lam.items()}
     return GradedModule(name, M.ring, M.side, ranks, lam, M.n_max)
 
 
-def u_kernel_module(M: GradedModule) -> GradedModule:
-    """M[U] = ker(U), for monomial U; basis vectors are fiber differences.
+def truncate_module(M: GradedModule, k: int) -> GradedModule:
+    """Quotient truncation: components above degree k become zero."""
+    kept = [np.arange(r if n <= k else 0) for n, r in enumerate(M.ranks)]
+    return _basis_restriction(M, kept, f"{M.name}<= {k}")
+
+
+def _u_image(ring: GradedRing) -> list:
+    """Per degree n, the sorted classes of R_n in U(R_{n-1}); none in degree 0."""
+    return [np.arange(0)] + [np.unique(ring.u_map(n)) for n in range(ring.n_max)]
+
+
+def quotient_u_module(ring: GradedRing, side: str = "left") -> GradedModule:
+    """R/UR: the classes outside the image of U."""
+    kept = [np.setdiff1d(np.arange(ring.basis_size(n)), image)
+            for n, image in enumerate(_u_image(ring))]
+    return _basis_restriction(regular_module(ring, side), kept, "Rbar")
+
+
+def ur_ideal_module(ring: GradedRing, side: str = "left") -> GradedModule:
+    """U(R): the classes inside the image of U."""
+    return _basis_restriction(regular_module(ring, side), _u_image(ring), "UR")
+
+
+def u_kernel_module(ring: GradedRing, side: str = "left") -> GradedModule:
+    """R[U] = ker(U).  Its degree-n basis is e_j - e_l for each class j of R_n
+    that is not the least class l of its fibre under U, ordered by U image,
+    then by j.  A vector of ker U is the sum of its coordinates at those j
+    times these basis vectors.
 
     The window shrinks by one degree: the kernel at the top degree would need
     the U map out of it.
     """
-    n_top = M.n_max - 1
-    fibers = []
-    for n in range(n_top + 1):
-        u = M.u_matrix(n)
-        img_of = {}
-        for j in range(M.ranks[n]):
-            nz = np.flatnonzero(u[:, j])
-            if len(nz) != 1 or abs(int(u[nz[0], j])) != 1:
-                if len(nz) == 0:
-                    raise ModuleError(f"{M.name}: U kills a basis vector; "
-                                      "kernel basis needs the general presentation")
-                raise ModuleError(f"{M.name}: U action is not monomial")
-            img_of[j] = int(nz[0])
-        by_img = {}
-        for j, r in img_of.items():
-            by_img.setdefault(r, []).append(j)
-        basis = []   # (j, rep_j) with j != rep_j
-        rep_of = {}
-        for r, js in sorted(by_img.items()):
-            rep = min(js)
-            for j in js:
-                rep_of[j] = rep
-                if j != rep:
-                    basis.append((j, rep))
-        fibers.append((basis, rep_of, {j: i for i, (j, _) in enumerate(basis)}))
-    ranks = tuple(len(fibers[n][0]) for n in range(n_top + 1))
+    R = regular_module(ring, side)
+    basis, incl = [], []  # per degree: the classes j, and the columns e_j - e_l
+    for n in range(ring.n_max):
+        umap = ring.u_map(n)
+        _, first, fibre = np.unique(umap, return_index=True, return_inverse=True)
+        least = first[fibre]
+        order = np.argsort(umap, kind="stable")
+        keep = order[order != least[order]]
+        cols = np.arange(len(keep))
+        mat = np.zeros((len(umap), len(keep)), dtype=np.int64)
+        mat[keep, cols] = 1
+        mat[least[keep], cols] = -1
+        basis.append(keep)
+        incl.append(mat)
     lam = {}
-    for pair, mats in M.lam.items():
+    for pair, mats in R.lam.items():
         out = []
-        for n in range(n_top):
-            basis_n, _, _ = fibers[n]
-            _, rep_next, pos_next = fibers[n + 1]
-            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            lam_n = mats[n]
-            for col, (j, rep) in enumerate(basis_n):
-                image = {}
-                for src, sign in ((j, 1), (rep, -1)):
-                    for tgt in np.flatnonzero(lam_n[:, src]):
-                        tgt = int(tgt)
-                        image[tgt] = image.get(tgt, 0) + sign * int(lam_n[tgt, src])
-                # rewrite in the difference basis e_x - e_rep(x): valid iff the
-                # image sums to zero over every fiber
-                fiber_sums = {}
-                for tgt, coef in image.items():
-                    fiber_sums[rep_next[tgt]] = fiber_sums.get(rep_next[tgt], 0) + coef
-                if any(fiber_sums.values()):
-                    raise ModuleError(f"{M.name}: kernel image escapes the difference basis")
-                for tgt, coef in image.items():
-                    if coef and rep_next[tgt] != tgt:
-                        mat[pos_next[tgt], col] += coef
-            out.append(mat)
+        for n in range(ring.n_max - 1):
+            image = mats[n] @ incl[n]
+            if (R.u_matrix(n + 1) @ image).any():
+                raise ModuleError("R: kernel image escapes the difference basis")
+            out.append(image[basis[n + 1]])
         lam[pair] = out
-    name = "R[U]" if M.name == "R" else f"{M.name}[U]"
-    return GradedModule(name, M.ring, M.side, ranks, lam, n_top)
-
-
-def ur_ideal_module(ring: GradedRing, side: str = "left") -> GradedModule:
-    """U(R) as a module: degree-n basis = distinct U images inside R_n."""
-    bases = [[]]
-    for n in range(1, ring.n_max + 1):
-        bases.append(sorted(set(int(i) for i in ring.u_map(n - 1))))
-    ranks = tuple(len(b) for b in bases)
-    pos = [{r: i for i, r in enumerate(b)} for b in bases]
-    lam = {}
-    for pair in _pairs(ring.G):
-        mats = []
-        for n in range(ring.n_max):
-            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            for j, r_idx in enumerate(bases[n]):
-                rep = ring.rep(n, r_idx)
-                tup = (pair + rep) if side == "left" else (rep + pair)
-                tgt = ring.class_index(n + 1, tup)
-                mat[pos[n + 1][tgt], j] = 1
-            mats.append(mat)
-        lam[pair] = mats
-    mod = GradedModule("UR", ring, side, ranks, lam, ring.n_max)
-    mod.r_indices = bases  # R-basis index behind each UR basis vector
-    return mod
+    return GradedModule("R[U]", ring, side, tuple(len(b) for b in basis), lam, ring.n_max - 1)
 
 
 def derive_module(ring: GradedRing, recipe) -> GradedModule:
     """Left modules from the standard recipes: ("R",), ("Rbar",), ("RU",),
-    ("shift", p), ("trunc", k), ("quotient_U",)."""
+    ("shift", p), ("trunc", k)."""
     kind = recipe[0]
     if kind == "R":
         return regular_module(ring)
-    if kind in ("Rbar", "quotient_U"):
-        return quotient_u_module(regular_module(ring))
+    if kind == "Rbar":
+        return quotient_u_module(ring)
     if kind == "RU":
-        return u_kernel_module(regular_module(ring))
+        return u_kernel_module(ring)
     if kind == "shift":
         return shift_module(regular_module(ring), recipe[1])
     if kind == "trunc":
@@ -356,8 +297,9 @@ def h0(M: GradedModule) -> list:
 
 
 def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                 r_index_of=None) -> IntMatrix:
-    """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m."""
+                 classes: list | None = None) -> IntMatrix:
+    """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m;
+    classes[i][u] is that class when N is not R itself."""
     offsets, dim = _gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     for i in range(min_i, n + 1):
@@ -365,7 +307,7 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
         if N.rank(i) == 0 or M.rank(k) == 0:
             continue
         for u in range(N.rank(i)):
-            ring_idx = r_index_of(i, u) if r_index_of else u
+            ring_idx = classes[i][u] if classes is not None else u
             action = M.act_class(i, ring_idx, k)  # M_k -> M_n
             r, m = np.nonzero(action)
             rows.append(r)
@@ -430,12 +372,12 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
             deg_m_u = n
     # tor1 = ker(U(R) (x)_R M -> M) via the four-term exact sequence
     ur = ur_ideal_module(ring, side="right")
+    ur_classes = _u_image(ring)
     budget = min(ur.n_max, M.n_max)
     tor1 = []
     for n in range(budget + 1):
         _, dim, rel = _tensor_presentation(ur, M, n, min_i=1)
-        beta = _beta_matrix(ur, M, n, min_i=1,
-                            r_index_of=lambda i, u_idx: ur.r_indices[i][u_idx])
+        beta = _beta_matrix(ur, M, n, min_i=1, classes=ur_classes)
         tor1.append(chain_homology(beta, rel))
     deg_tor0 = deg_of(tor0)
     deg_tor1 = deg_of(tor1)
@@ -444,7 +386,7 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
     a_r = ring.stability_profile().a_r
     a_bound = a_m <= delta + a_r
     # tensor degree bound at (Rbar, M): deg(Rbar (x) M) <= min(...)
-    rbar_right = quotient_u_module(regular_module(ring, side="right"))
+    rbar_right = quotient_u_module(ring, side="right")
     tensor_deg = deg_of(graded_tensor(rbar_right, M))
     lhs_bound = min(module_deg(rbar_right) + deg_of(h0(M)),
                     deg_of(h0(rbar_right)) + module_deg(M))

@@ -66,6 +66,14 @@ class PipelineConfig:
             raise ConfigError("seed must be >= 0")
         if self.well_definedness_samples < 1:
             raise ConfigError("well_definedness_samples must be >= 1")
+        for name in ("cache_dir", "out_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string path, got {value!r}")
+        if not isinstance(self.dump_matrices, bool):
+            raise ConfigError(f"dump_matrices must be true or false, got {self.dump_matrices!r}")
+        if self.dump_matrices and not self.out_dir:
+            raise ConfigError("dump_matrices needs out_dir to write the matrices to")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -293,7 +301,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
         p_built = min(config.p_max + 1, config.n_max)
         K = stage("kcomplex", lambda: kc.build_kcomplex(R, p_built, config.n_max))
-        if config.dump_matrices and config.out_dir:
+        if config.dump_matrices:
             mat_dir = os.path.join(config.out_dir, "matrices")
             os.makedirs(mat_dir, exist_ok=True)
             for (p, n), mat in sorted(K.d.items()):
@@ -403,37 +411,34 @@ def run_pipeline(config: PipelineConfig) -> Report:
     return report
 
 
-def emit_report(report: Report, out_dir: str, formats=("json", "csv", "txt")) -> list:
+def emit_report(report: Report, out_dir: str) -> list:
     """Write report.json (canonical), CSV tables, and a text summary."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-        written.append(path)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "homology.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "module", "p", "n", "free_rank", "torsion", "certified"])
-            for row in report.homology:
-                w.writerow([report.group.get("name"), "R", row["p"], row["n"],
-                            row["free_rank"], ";".join(map(str, row["torsion"])),
-                            row["certified"]])
-        written.append(path)
-        path = os.path.join(out_dir, "counts.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "n", "orbit_count"])
-            for n, c in enumerate(report.counts):
-                w.writerow([report.group.get("name"), n, c])
-        written.append(path)
-    if "txt" in formats:
-        path = os.path.join(out_dir, "summary.txt")
-        with open(path, "w") as fh:
-            fh.write(render_summary(report))
-        written.append(path)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w") as fh:
+        fh.write(report.to_json())
+    written.append(path)
+    path = os.path.join(out_dir, "homology.csv")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["group", "module", "p", "n", "free_rank", "torsion", "certified"])
+        for row in report.homology:
+            w.writerow([report.group.get("name"), "R", row["p"], row["n"],
+                        row["free_rank"], ";".join(map(str, row["torsion"])),
+                        row["certified"]])
+    written.append(path)
+    path = os.path.join(out_dir, "counts.csv")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["group", "n", "orbit_count"])
+        for n, c in enumerate(report.counts):
+            w.writerow([report.group.get("name"), n, c])
+    written.append(path)
+    path = os.path.join(out_dir, "summary.txt")
+    with open(path, "w") as fh:
+        fh.write(render_summary(report))
+    written.append(path)
     return written
 
 

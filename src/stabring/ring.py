@@ -45,7 +45,7 @@ class GradedRing:
         self.n_max = n_max
         self.tables = tables
         self.moves_by_degree = moves_by_degree
-        self._u_maps = {}
+        self._products = {}
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -64,21 +64,28 @@ class GradedRing:
     def rep(self, n: int, idx: int) -> tuple:
         return self.tables[n].rep_tuple(idx)
 
-    # -- U ----------------------------------------------------------------
+    # -- product and U -----------------------------------------------------
 
-    def u_index(self, n: int, i: int) -> int:
-        """Class of (1, 1) ++ rep_i, i.e. the U image of basis element i."""
-        if n + 1 > self.n_max:
-            raise RingError(f"U target degree {n + 1} exceeds computed window {self.n_max}")
-        return self.class_index(n + 1, (self.G.identity, self.G.identity) + self.rep(n, i))
+    def product(self, m: int, n: int) -> np.ndarray:
+        """Structure constants R_m x R_n -> R_{m+n}: entry [i, j] is the class of
+        rep_i ++ rep_j, gathered from the degree m + n orbit table."""
+        if m < 0 or n < 0:
+            raise RingError(f"negative degree in product ({m}, {n})")
+        if m + n > self.n_max:
+            raise RingError(f"product degree {m + n} exceeds computed window {self.n_max}")
+        out = self._products.get((m, n))
+        if out is None:
+            shift = np.uint64(self.G.order ** (2 * n))
+            ranks = self.tables[m].reps[:, None] * shift + self.tables[n].reps[None, :]
+            out = self.tables[m + n].orbit_id[ranks].astype(np.int64)
+            out.flags.writeable = False  # shared by every caller
+            self._products[m, n] = out
+        return out
 
     def u_map(self, n: int) -> np.ndarray:
-        out = self._u_maps.get(n)
-        if out is None:
-            out = np.array([self.u_index(n, i) for i in range(self.basis_size(n))],
-                           dtype=np.int64)
-            self._u_maps[n] = out
-        return out
+        """U: R_n -> R_{n+1}, multiplication by class 0 of degree 1, the orbit
+        of (e, e) (orbit ids follow the least rank, and e has rank 0)."""
+        return self.product(1, n)[0]
 
     # -- stability --------------------------------------------------------
 

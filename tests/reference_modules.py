@@ -1,0 +1,164 @@
+"""Test-only references for ``stabring.modules``: the per-tuple constructions
+that the product table and the basis restrictions replaced.
+
+``regular_module`` looks up the class of every concatenated tuple with
+``class_index``.  ``quotient_u_module`` and ``u_kernel_module`` work on any
+module whose U action is monomial (basis to basis or zero), reading U off the
+module's own matrices, ``ur_ideal_module`` reads U(R) off the ring one
+representative at a time, and ``truncate_module`` writes zero blocks.  None
+of them reads ``GradedRing.product``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from stabring.modules import GradedModule, ModuleError, _pairs
+
+
+def regular_module(ring, side: str = "left") -> GradedModule:
+    """R itself, one concatenated tuple per basis class and pair."""
+    ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
+    lam = {}
+    for pair in _pairs(ring.G):
+        mats = []
+        for n in range(ring.n_max):
+            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+            for j in range(ranks[n]):
+                rep = ring.rep(n, j)
+                tup = (pair + rep) if side == "left" else (rep + pair)
+                mat[ring.class_index(n + 1, tup), j] = 1
+            mats.append(mat)
+        lam[pair] = mats
+    return GradedModule("R", ring, side, ranks, lam, ring.n_max)
+
+
+def _monomial_image_rows(u: np.ndarray) -> set | None:
+    """Rows spanned by the columns of a basis-to-basis (or zero) matrix."""
+    rows = set()
+    for j in range(u.shape[1]):
+        nz = np.flatnonzero(u[:, j])
+        if len(nz) == 0:
+            continue
+        if len(nz) > 1 or abs(int(u[nz[0], j])) != 1:
+            return None
+        rows.add(int(nz[0]))
+    return rows
+
+
+def quotient_u_module(M: GradedModule) -> GradedModule:
+    """M / UM, for modules whose U action is monomial (basis to basis or zero)."""
+    kept = [list(range(M.ranks[0]))]
+    for n in range(1, M.n_max + 1):
+        hit = _monomial_image_rows(M.u_matrix(n - 1))
+        if hit is None:
+            raise ModuleError(f"{M.name}: U action at degree {n - 1} is not monomial; "
+                              "quotient would need a torsion presentation")
+        kept.append([r for r in range(M.ranks[n]) if r not in hit])
+    ranks = tuple(len(k) for k in kept)
+    lam = {}
+    for pair, mats in M.lam.items():
+        lam[pair] = [mats[n][np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
+    name = "Rbar" if M.name == "R" else f"{M.name}/U"
+    return GradedModule(name, M.ring, M.side, ranks, lam, M.n_max)
+
+
+def u_kernel_module(M: GradedModule) -> GradedModule:
+    """M[U] = ker(U), for monomial U; basis vectors are fiber differences.
+
+    The window shrinks by one degree: the kernel at the top degree would need
+    the U map out of it.
+    """
+    n_top = M.n_max - 1
+    fibers = []
+    for n in range(n_top + 1):
+        u = M.u_matrix(n)
+        img_of = {}
+        for j in range(M.ranks[n]):
+            nz = np.flatnonzero(u[:, j])
+            if len(nz) != 1 or abs(int(u[nz[0], j])) != 1:
+                if len(nz) == 0:
+                    raise ModuleError(f"{M.name}: U kills a basis vector; "
+                                      "kernel basis needs the general presentation")
+                raise ModuleError(f"{M.name}: U action is not monomial")
+            img_of[j] = int(nz[0])
+        by_img = {}
+        for j, r in img_of.items():
+            by_img.setdefault(r, []).append(j)
+        basis = []   # (j, rep_j) with j != rep_j
+        rep_of = {}
+        for r, js in sorted(by_img.items()):
+            rep = min(js)
+            for j in js:
+                rep_of[j] = rep
+                if j != rep:
+                    basis.append((j, rep))
+        fibers.append((basis, rep_of, {j: i for i, (j, _) in enumerate(basis)}))
+    ranks = tuple(len(fibers[n][0]) for n in range(n_top + 1))
+    lam = {}
+    for pair, mats in M.lam.items():
+        out = []
+        for n in range(n_top):
+            basis_n, _, _ = fibers[n]
+            _, rep_next, pos_next = fibers[n + 1]
+            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+            lam_n = mats[n]
+            for col, (j, rep) in enumerate(basis_n):
+                image = {}
+                for src, sign in ((j, 1), (rep, -1)):
+                    for tgt in np.flatnonzero(lam_n[:, src]):
+                        tgt = int(tgt)
+                        image[tgt] = image.get(tgt, 0) + sign * int(lam_n[tgt, src])
+                # rewrite in the difference basis e_x - e_rep(x): valid iff the
+                # image sums to zero over every fiber
+                fiber_sums = {}
+                for tgt, coef in image.items():
+                    fiber_sums[rep_next[tgt]] = fiber_sums.get(rep_next[tgt], 0) + coef
+                if any(fiber_sums.values()):
+                    raise ModuleError(f"{M.name}: kernel image escapes the difference basis")
+                for tgt, coef in image.items():
+                    if coef and rep_next[tgt] != tgt:
+                        mat[pos_next[tgt], col] += coef
+            out.append(mat)
+        lam[pair] = out
+    name = "R[U]" if M.name == "R" else f"{M.name}[U]"
+    return GradedModule(name, M.ring, M.side, ranks, lam, n_top)
+
+
+def u_image(ring) -> list:
+    """Per degree n, the sorted classes of (e, e) ++ rep_i over the classes i
+    of R_{n-1}, one representative at a time; none in degree 0."""
+    e = ring.G.identity
+    return [[]] + [sorted({ring.class_index(n, (e, e) + ring.rep(n - 1, i))
+                           for i in range(ring.basis_size(n - 1))})
+                   for n in range(1, ring.n_max + 1)]
+
+
+def ur_ideal_module(ring, side: str = "left") -> GradedModule:
+    """U(R) as a module: degree-n basis = distinct U images inside R_n."""
+    bases = u_image(ring)
+    ranks = tuple(len(b) for b in bases)
+    pos = [{r: i for i, r in enumerate(b)} for b in bases]
+    lam = {}
+    for pair in _pairs(ring.G):
+        mats = []
+        for n in range(ring.n_max):
+            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+            for j, r_idx in enumerate(bases[n]):
+                rep = ring.rep(n, r_idx)
+                tup = (pair + rep) if side == "left" else (rep + pair)
+                tgt = ring.class_index(n + 1, tup)
+                mat[pos[n + 1][tgt], j] = 1
+            mats.append(mat)
+        lam[pair] = mats
+    return GradedModule("UR", ring, side, ranks, lam, ring.n_max)
+
+
+def truncate_module(M: GradedModule, k: int) -> GradedModule:
+    """Quotient truncation: components above degree k become zero."""
+    ranks = tuple(r if n <= k else 0 for n, r in enumerate(M.ranks))
+    lam = {}
+    for pair, mats in M.lam.items():
+        lam[pair] = [mats[n] if n + 1 <= k else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+                     for n in range(M.n_max)]
+    return GradedModule(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)

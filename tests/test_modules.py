@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stabring.modules import (GradedModule, ModuleError, delta_and_bounds, deg_of,
-                              derive_module, generated_in_degrees_upto,
+import reference_modules as ref
+from stabring.modules import (GradedModule, ModuleError, _u_image, delta_and_bounds,
+                              deg_of, derive_module, generated_in_degrees_upto,
                               graded_tensor, h0, h1, module_deg,
                               quotient_u_module, regular_module, shift_module,
-                              truncate_module)
+                              truncate_module, u_kernel_module, ur_ideal_module)
+from stabring.ring import GradedRing
 from stabring.zlinalg import HomologyGroup
 
 
@@ -52,6 +56,92 @@ def test_ru_kernel_vanishes_where_u_injective(rings):
     assert all(r == 0 for r in RU.ranks)
 
 
+def assert_same_module(M: GradedModule, N: GradedModule) -> None:
+    assert (M.name, M.side, M.ranks, M.n_max) == (N.name, N.side, N.ranks, N.n_max)
+    assert list(M.lam) == list(N.lam)
+    for pair in M.lam:
+        assert len(M.lam[pair]) == len(N.lam[pair]), (M.name, pair)
+        for n, (a, b) in enumerate(zip(M.lam[pair], N.lam[pair])):
+            assert a.dtype == b.dtype and a.shape == b.shape, (M.name, pair, n)
+            assert np.array_equal(a, b), (M.name, pair, n)
+
+
+def assert_matches_reference(ring) -> None:
+    """R, R/UR, R[U], U(R) and every truncation of R equal the per-tuple
+    references, on both sides."""
+    assert [c.tolist() for c in _u_image(ring)] == ref.u_image(ring)
+    for side in ("left", "right"):
+        R = ref.regular_module(ring, side)
+        assert_same_module(regular_module(ring, side), R)
+        assert_same_module(quotient_u_module(ring, side), ref.quotient_u_module(R))
+        assert_same_module(u_kernel_module(ring, side), ref.u_kernel_module(R))
+        assert_same_module(ur_ideal_module(ring, side), ref.ur_ideal_module(ring, side))
+        for k in range(ring.n_max + 1):
+            assert_same_module(truncate_module(R, k), ref.truncate_module(R, k))
+
+
+def relabelled(ring, n: int, labels: np.ndarray) -> GradedRing:
+    """ring with its degree-n orbit table replaced by the partition ``labels``
+    (one label per state), ids renumbered by least rank as orbit tables are."""
+    table = ring.tables[n]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[order] = np.arange(len(first))
+    tables = list(ring.tables)
+    tables[n] = dataclasses.replace(table, orbit_id=renumber[inverse].astype(np.uint32),
+                                    reps=first[order].astype(np.uint64))
+    return GradedRing(ring.G, ring.n_max, tables, ring.moves_by_degree)
+
+
+def test_derived_modules_match_the_reference(rings):
+    for ring in rings.values():
+        assert_matches_reference(ring)
+
+
+def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
+    # Every battery ring has an injective U.  One top-degree class makes the
+    # last U merge every class.  Merging U images of pairs of classes below it
+    # puts e_j - e_l in ker U, and the actions carry it into the top kernel;
+    # the pairs (0, 3) and (1, 2) order ker U by image differently than by class.
+    nonzero = {}
+    for name in ("C2", "C4", "C2xC2", "S3"):
+        ring = rings[name]
+        top = ring.n_max
+        ring = relabelled(ring, top, np.zeros(ring.tables[top].n_states, dtype=np.int64))
+        assert ring.counts[top] == 1
+        assert not ring.stability_profile().u_injective[top - 1]
+        assert u_kernel_module(ring).ranks[top - 1] == ring.counts[top - 1] - 1
+        assert_matches_reference(ring)
+        umap = ring.u_map(top - 2)
+        pairs = [(0, 3), (1, 2)] if len(umap) >= 4 else [(0, 1)]
+        labels = ring.tables[top - 1].orbit_id.astype(np.int64)
+        for j, l in pairs:
+            labels[labels == umap[l]] = umap[j]
+        ring = relabelled(ring, top - 1, labels)
+        RU = u_kernel_module(ring)
+        assert RU.ranks[top - 2] == len(pairs)
+        nonzero[name] = any(mats[top - 2].any() for mats in RU.lam.values())
+        assert_matches_reference(ring)
+    # with two degree-3 classes, C2's merge leaves one class there and zero actions
+    assert nonzero == {"C2": False, "C4": True, "C2xC2": True, "S3": True}
+
+
+def test_u_kernel_refuses_an_action_that_leaves_the_kernel(rings):
+    # merging the U images of two degree-1 classes puts their difference in
+    # ker U, but the degree-1 actions carry it to classes U keeps apart
+    ring = rings["S3"]
+    umap = ring.u_map(1)
+    labels = ring.tables[2].orbit_id.astype(np.int64)
+    labels[labels == umap[1]] = umap[0]
+    bad = relabelled(ring, 2, labels)
+    for side in ("left", "right"):
+        with pytest.raises(ModuleError, match="escapes"):
+            u_kernel_module(bad, side)
+        with pytest.raises(ModuleError, match="escapes"):
+            ref.u_kernel_module(ref.regular_module(bad, side))
+
+
 def test_shift_and_truncate(rings):
     ring = rings["C2"]
     R = regular_module(ring)
@@ -91,7 +181,7 @@ def test_tensor_unit_laws(rings):
     t = graded_tensor(z_module(ring, side="right"), R_left)
     assert t[0] == HomologyGroup(free_rank=1) and all(g.is_zero for g in t[1:])
     # Rbar (x)_R R = Rbar
-    rbar_r = quotient_u_module(regular_module(ring, side="right"))
+    rbar_r = quotient_u_module(ring, side="right")
     t2 = graded_tensor(rbar_r, R_left)
     assert [g.free_rank for g in t2] == list(rbar_r.ranks)
     assert all(not g.torsion for g in t2)
@@ -101,7 +191,7 @@ def test_tensor_degree_bound_randomized(rings):
     # deg(N (x) M) <= min(deg N + deg H0(M), deg H0(N) + deg M)
     ring = rings["C4"]
     rights = [regular_module(ring, side="right"),
-              quotient_u_module(regular_module(ring, side="right")),
+              quotient_u_module(ring, side="right"),
               truncate_module(regular_module(ring, side="right"), 1),
               truncate_module(regular_module(ring, side="right"), 2),
               z_module(ring, side="right")]

@@ -219,6 +219,36 @@ def test_cli_bad_config_returns_one(tmp_path):
     assert cli_main(["run", "--config", str(cfg_path)]) == 1
 
 
+def run_cli_config(tmp_path, capsys, **fields):
+    """Exit code and stderr of ``stabring run`` on a small C2 config plus fields."""
+    cfg = {"group": {"kind": "cyclic", "order": 2}, "n_max": 2, "p_max": 1, **fields}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli_main(["run", "--config", str(cfg_path)])
+    return code, capsys.readouterr().err
+
+
+def test_cli_refuses_a_non_string_out_dir(tmp_path, capsys):
+    code, err = run_cli_config(tmp_path, capsys, out_dir=5, dump_matrices=True)
+    assert code == 1
+    assert "out_dir must be a string path, got 5" in err
+
+
+def test_cli_refuses_dump_matrices_without_out_dir(tmp_path, capsys):
+    code, err = run_cli_config(tmp_path, capsys, dump_matrices=True)
+    assert code == 1
+    assert "dump_matrices needs out_dir" in err
+    with pytest.raises(ConfigError, match="dump_matrices must be true or false"):
+        small_config(dump_matrices="yes", out_dir=str(tmp_path))
+
+
+def test_cli_refuses_a_non_string_cache_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STABRING_CACHE", raising=False)
+    code, err = run_cli_config(tmp_path, capsys, cache_dir=7)
+    assert code == 1
+    assert "cache_dir must be a string path, got 7" in err
+
+
 def test_config_echo_excludes_threads(reports):
     # only the fields that decide the results are echoed: no threads, no depth
     payload = reports["C2"].canonical_payload()

@@ -33,18 +33,36 @@ def test_unit_law(rings):
 def test_u_equals_left_multiplication_by_trivial_pair(rings):
     ring = rings["C2"]
     u_cls = ring.class_index(1, (0, 0))
+    assert u_cls == 0  # the orbit of rank 0 comes first, so u_map is row 0
     for n in (0, 1, 2):
         for i in range(ring.basis_size(n)):
             assert ring.u_map(n)[i] == mult(ring, 1, u_cls, n, i)
-    assert ring.u_index(0, 0) == u_cls
+    assert list(ring.u_map(0)) == [u_cls]
 
 
 def test_u_image_example_c2(rings):
     # U[g,1] = [1,1,g,1], a basis element of degree 2
     ring = rings["C2"]
     idx = ring.class_index(1, (1, 0))
-    img = ring.u_index(1, idx)
-    assert img == ring.class_index(2, (0, 0, 1, 0))
+    img = ring.class_index(2, (0, 0, 1, 0))
+    assert ring.u_map(1)[idx] == img
+    assert ring.product(1, 1)[0, idx] == img
+
+
+def test_product_matches_per_tuple_mult(rings):
+    for name, ring in rings.items():
+        assert ring.class_index(1, (0, 0)) == 0, name
+        for m in range(ring.n_max + 1):
+            for n in range(ring.n_max + 1 - m):
+                table = ring.product(m, n)
+                assert table.shape == (ring.basis_size(m), ring.basis_size(n))
+                want = [[mult(ring, m, i, n, j) for j in range(ring.basis_size(n))]
+                        for i in range(ring.basis_size(m))]
+                assert table.tolist() == want, (name, m, n)
+                # R is commutative, so left and right actions of R agree
+                assert np.array_equal(table, ring.product(n, m).T), (name, m, n)
+                if m == 1:
+                    assert np.array_equal(ring.u_map(n), table[0]), (name, n)
 
 
 def test_basis_product_associativity(rings):
@@ -105,9 +123,13 @@ def test_every_class_factors_through_degree_one(rings):
 def test_degree_overflow_raises(rings):
     ring = rings["C2"]
     with pytest.raises(RingError, match="exceeds"):
-        ring.u_index(ring.n_max, 0)
+        ring.product(1, ring.n_max)
+    with pytest.raises(RingError, match="exceeds"):
+        ring.product(ring.n_max, 1)
     with pytest.raises(RingError, match="exceeds"):
         ring.u_map(ring.n_max)
+    with pytest.raises(RingError, match="negative"):
+        ring.product(-1, 1)
 
 
 def test_class_index_refuses_wrong_tuple_length(rings):
