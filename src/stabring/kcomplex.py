@@ -86,8 +86,8 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     Column rule for a basis element (a_1, b_1, ..., a_p, b_p) (x) m:
     sum over k of (-1)^(k-1) (pairs minus k-th) (x) [a_k^{d_k}, b_k^{d_k}] m
     with d_k the product of the commutators of the later pairs.  Each term is
-    an index gather over all tuples at once: the conjugated pair picks the
-    stacked nonzeros of its action matrix.
+    an index gather over all tuples at once: the class of the conjugated pair
+    picks the nonzeros of its row of the module's action array.
     """
     if M.side != "left":
         raise KComplexError("K-complex coefficients must form a left module")
@@ -97,20 +97,20 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     G = ring.G
     order = G.order
     comm, conj = _group_tables(G)
-    pairs = [(a, b) for a in range(order) for b in range(order)]
+    pair_class = ring.tables[1].orbit_id.astype(np.int64)
     d = {}
     for p in range(1, p_max + 1):
         states = order ** (2 * p)
         digits = _kernels._decode_all(2 * p, order, states)
         suffix = _commutator_products(G, comm, digits)
         ranks = np.arange(states, dtype=np.int64)
-        terms = []  # per k: sign, conjugated pair index, tuple without pair k
+        terms = []  # per k: sign, class of the conjugated pair, tuple without pair k
         for k in range(p):
             low = order ** (2 * (p - k - 1))
             pair_k = (conj[digits[2 * k], suffix[k + 1]] * order
                       + conj[digits[2 * k + 1], suffix[k + 1]])
             rest = ranks // (low * order * order) * low + ranks % low
-            terms.append((1 if k % 2 == 0 else -1, pair_k, rest))
+            terms.append((1 if k % 2 == 0 else -1, pair_class[pair_k], rest))
         for n in range(p, n_max + 1):
             rank_lo = M.rank(n - p + 1)
             rank_hi = M.rank(n - p)
@@ -118,15 +118,15 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             if rank_hi == 0 or rank_lo == 0:
                 d[p, n] = IntMatrix(*shape)
                 continue
-            # nonzeros of every action matrix, ordered by (pair, column, row)
-            acts = np.stack([M.act(pair, n - p) for pair in pairs]).transpose(0, 2, 1)
-            nz_pair, nz_col, nz_row = np.nonzero(acts)
-            nz_val = acts[nz_pair, nz_col, nz_row]
-            ptr = np.searchsorted(nz_pair * rank_hi + nz_col, np.arange(len(pairs) * rank_hi + 1))
+            # nonzeros of every class's action, ordered by (class, column, row)
+            acts = M.acts[n - p].transpose(0, 2, 1)
+            nz_cls, nz_col, nz_row = np.nonzero(acts)
+            nz_val = acts[nz_cls, nz_col, nz_row]
+            ptr = np.searchsorted(nz_cls * rank_hi + nz_col, np.arange(len(acts) * rank_hi + 1))
             rows, cols, vals = [], [], []
-            for sign, pair_k, rest in terms:
+            for sign, class_k, rest in terms:
                 col, idx = _ragged_gather(
-                    ptr, (pair_k[:, None] * rank_hi + np.arange(rank_hi)).ravel())
+                    ptr, (class_k[:, None] * rank_hi + np.arange(rank_hi)).ravel())
                 rows.append(rest[col // rank_hi] * rank_lo + nz_row[idx])
                 cols.append(col)
                 vals.append(sign * nz_val[idx])

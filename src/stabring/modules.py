@@ -1,6 +1,11 @@
-"""Graded modules over the connected-component ring, presented degreewise by
-free components and generator-multiplication matrices, plus the derived
-constructions and degree-bound battery built on them."""
+"""Graded modules over the connected-component ring, plus the derived
+constructions and degree-bound battery built on them.
+
+R is generated in degree 1, so a module is fixed by how the degree-1 classes
+act on it.  A module keeps one int64 array per degree, ``acts[n]`` of shape
+(|R_1|, rank_{n+1}, rank_n): row c is the action of degree-1 class c, and
+row 0, the class of (e, e), is U.  Every construction here is an array
+operation on these arrays."""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .orbits import decode_tuple
 from .ring import GradedRing
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
 
@@ -16,14 +22,11 @@ class ModuleError(ValueError):
     """Raised on budget violations and inconsistent module data."""
 
 
-def _pairs(G):
-    return [(a, b) for a in range(G.order) for b in range(G.order)]
-
-
 @dataclass
 class GradedModule:
-    """Degreewise-free graded module; the action of a degree-1 class (a, b) on
-    the degree-n component is the integer matrix lam[(a, b)][n].
+    """Degreewise-free graded module; acts[n][c] is the integer matrix of
+    degree-1 class c acting M_n -> M_{n+1}, for 0 <= n < n_max.  A pair
+    (a, b) acts through its class, ring.tables[1].orbit_id at its rank.
 
     side "left": matrices realize m -> [a,b] m; side "right": m -> m [a,b].
     Components above n_max are unknown, not zero.
@@ -33,7 +36,7 @@ class GradedModule:
     ring: GradedRing
     side: str
     ranks: tuple
-    lam: dict
+    acts: list
     n_max: int
 
     def rank(self, n: int) -> int:
@@ -45,9 +48,9 @@ class GradedModule:
 
     def act(self, pair, n: int) -> np.ndarray:
         """Matrix of the (a, b) action M_n -> M_{n+1}."""
-        if not 0 <= n < self.n_max + 1 or n + 1 > self.n_max:
+        if not 0 <= n < self.n_max:
             raise ModuleError(f"action at degree {n} beyond window {self.n_max}")
-        return self.lam[pair][n]
+        return self.acts[n][self.ring.class_index(1, pair)]
 
     def u_matrix(self, n: int) -> np.ndarray:
         ident = self.ring.G.identity
@@ -68,49 +71,50 @@ class GradedModule:
         return mat
 
     def consistency_failures(self) -> list:
-        """Degree-2 orbit relations violated by the lambda maps (empty when sound)."""
+        """Degree-2 orbit relations violated by the actions (empty when sound).
+
+        Per degree n and degree-2 class, the first tuple (a, b, c, d) in rank
+        order whose composite of the (a, b) and (c, d) actions differs from
+        the composite of the class representative.  Every tuple of G^4 is
+        checked: its composite is the composite of its two degree-1 classes.
+        """
         ring = self.ring
         if ring.n_max < 2:
             raise ModuleError("consistency check needs ring degree >= 2")
-        G = ring.G
-        by_class = {}
-        for a in range(G.order):
-            for b in range(G.order):
-                for c in range(G.order):
-                    for d in range(G.order):
-                        cls = ring.class_index(2, (a, b, c, d))
-                        by_class.setdefault(cls, []).append((a, b, c, d))
+        order = ring.G.order
+        pairs = order * order
+        classes = ring.basis_size(1)
+        tuples = np.arange(pairs * pairs)
+        head = ring.tables[1].orbit_id[tuples // pairs].astype(np.int64)
+        tail = ring.tables[1].orbit_id[tuples % pairs].astype(np.int64)
+        # the left side applies (c, d) first, the right side (a, b)
+        first, last = (tail, head) if self.side == "left" else (head, tail)
+        cls = ring.tables[2].orbit_id.astype(np.int64)
+        rep = ring.tables[2].reps.astype(np.int64)[cls]
         bad = []
         for n in range(self.n_max - 1):
-            for cls, members in by_class.items():
-                ref = None
-                for (a, b, c, d) in members:
-                    if self.side == "left":
-                        comp = self.act((a, b), n + 1) @ self.act((c, d), n)
-                    else:
-                        comp = self.act((c, d), n + 1) @ self.act((a, b), n)
-                    if ref is None:
-                        ref = comp
-                    elif not np.array_equal(ref, comp):
-                        bad.append((n, cls, (a, b, c, d)))
-                        break
+            comp = np.matmul(self.acts[n + 1][:, None], self.acts[n][None, :])
+            flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
+            _, label = np.unique(flat, axis=0, return_inverse=True)
+            key = label.ravel()[last * classes + first]
+            wrong = np.flatnonzero(key != key[rep])
+            found, at = np.unique(cls[wrong], return_index=True)
+            bad.extend((n, int(c), decode_tuple(int(t), order, 4))
+                       for c, t in zip(found, wrong[at]))
         return bad
 
 
 def regular_module(ring: GradedRing, side: str = "left", name: str | None = None) -> GradedModule:
-    """R itself; every lambda sends a basis class to a single basis class."""
+    """R itself; every action sends a basis class to a single basis class."""
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
-    lam = {}
-    for pair in _pairs(ring.G):
-        c = ring.class_index(1, pair)
-        mats = []
-        for n in range(ring.n_max):
-            image = ring.product(1, n)[c] if side == "left" else ring.product(n, 1)[:, c]
-            mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            mat[image, np.arange(ranks[n])] = 1
-            mats.append(mat)
-        lam[pair] = mats
-    return GradedModule(name or "R", ring, side, ranks, lam, ring.n_max)
+    classes = np.arange(ranks[1])[:, None]
+    acts = []
+    for n in range(ring.n_max):
+        image = ring.product(1, n) if side == "left" else ring.product(n, 1).T
+        act = np.zeros((ranks[1], ranks[n + 1], ranks[n]), dtype=np.int64)
+        act[classes, image, np.arange(ranks[n])] = 1
+        acts.append(act)
+    return GradedModule(name or "R", ring, side, ranks, acts, ring.n_max)
 
 
 def shift_module(M: GradedModule, p: int) -> GradedModule:
@@ -118,17 +122,11 @@ def shift_module(M: GradedModule, p: int) -> GradedModule:
     if p < 0:
         raise ModuleError("shift amount must be >= 0")
     ranks = tuple([0] * p + list(M.ranks))[:M.n_max + 1]
-    lam = {}
-    for pair, mats in M.lam.items():
-        shifted = []
-        for n in range(M.n_max):
-            if n < p or n - p >= len(mats):
-                shifted.append(np.zeros((ranks[n + 1] if n + 1 <= M.n_max else 0,
-                                         ranks[n]), dtype=np.int64))
-            else:
-                shifted.append(mats[n - p])
-        lam[pair] = shifted
-    return GradedModule(f"{M.name}[{p}]", M.ring, M.side, ranks, lam, M.n_max)
+    classes = M.ring.basis_size(1)
+    acts = [M.acts[n - p] if n >= p
+            else np.zeros((classes, ranks[n + 1], ranks[n]), dtype=np.int64)
+            for n in range(M.n_max)]
+    return GradedModule(f"{M.name}[{p}]", M.ring, M.side, ranks, acts, M.n_max)
 
 
 def _basis_restriction(M: GradedModule, kept: list, name: str) -> GradedModule:
@@ -137,9 +135,8 @@ def _basis_restriction(M: GradedModule, kept: list, name: str) -> GradedModule:
     the actions keep that span, and the quotient by the other basis vectors
     when the actions keep theirs."""
     ranks = tuple(len(k) for k in kept)
-    lam = {pair: [mats[n][np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
-           for pair, mats in M.lam.items()}
-    return GradedModule(name, M.ring, M.side, ranks, lam, M.n_max)
+    acts = [act[:, kept[n + 1]][:, :, kept[n]] for n, act in enumerate(M.acts)]
+    return GradedModule(name, M.ring, M.side, ranks, acts, M.n_max)
 
 
 def truncate_module(M: GradedModule, k: int) -> GradedModule:
@@ -188,16 +185,13 @@ def u_kernel_module(ring: GradedRing, side: str = "left") -> GradedModule:
         mat[least[keep], cols] = -1
         basis.append(keep)
         incl.append(mat)
-    lam = {}
-    for pair, mats in R.lam.items():
-        out = []
-        for n in range(ring.n_max - 1):
-            image = mats[n] @ incl[n]
-            if (R.u_matrix(n + 1) @ image).any():
-                raise ModuleError("R: kernel image escapes the difference basis")
-            out.append(image[basis[n + 1]])
-        lam[pair] = out
-    return GradedModule("R[U]", ring, side, tuple(len(b) for b in basis), lam, ring.n_max - 1)
+    acts = []
+    for n in range(ring.n_max - 1):
+        image = R.acts[n] @ incl[n]
+        if (R.u_matrix(n + 1) @ image).any():
+            raise ModuleError("R: kernel image escapes the difference basis")
+        acts.append(image[:, basis[n + 1]])
+    return GradedModule("R[U]", ring, side, tuple(len(b) for b in basis), acts, ring.n_max - 1)
 
 
 def derive_module(ring: GradedRing, recipe) -> GradedModule:
@@ -232,39 +226,34 @@ def _gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
     return offsets, dim
 
 
-def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
+def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
     """Relation matrix of the degree-n piece of N (x)_R M.
 
-    Generators u (x) m over splits i + k = n (i >= min_i); relations move one
-    degree-1 class across the tensor sign: (u . [a,b]) (x) m - u (x) ([a,b] m).
+    Generators u (x) m over splits i + k = n (i >= min_i), numbered as in
+    ``_gen_offsets``; relations move one degree-1 class c across the tensor
+    sign: (u . c) (x) m - u (x) (c m).  Per split i + 1 + k = n they are one
+    block per class, -kron(I, lambda_c) on the N_i x M_{k+1} generators
+    stacked on kron(rho_c, I) on the N_{i+1} x M_k generators right after them.
     """
     if N.side != "right" or M.side != "left":
         raise ModuleError("tensor needs a right module and a left module")
-    G = N.ring.G
     offsets, dim = _gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     n_rel = 0
     for i in range(min_i, n):
         k = n - 1 - i
-        if N.rank(i) == 0 or M.rank(k) == 0:
-            continue
-        for pair in _pairs(G):
-            rho = N.act(pair, i)       # N_i -> N_{i+1}
-            lamk = M.act(pair, k)      # M_k -> M_{k+1}
-            for u in range(N.rank(i)):
-                for m in range(M.rank(k)):
-                    base_hi = offsets[i + 1]
-                    for u2 in np.flatnonzero(rho[:, u]):
-                        rows.append(base_hi + int(u2) * M.rank(n - i - 1) + m)
-                        cols.append(n_rel)
-                        vals.append(int(rho[u2, u]))
-                    base_lo = offsets[i]
-                    for m2 in np.flatnonzero(lamk[:, m]):
-                        rows.append(base_lo + u * M.rank(k + 1) + int(m2))
-                        cols.append(n_rel)
-                        vals.append(-int(lamk[m2, m]))
-                    n_rel += 1
-    return offsets, dim, IntMatrix.from_triplets(dim, n_rel, rows, cols, vals)
+        block = np.concatenate(
+            [-np.kron(np.eye(N.rank(i), dtype=np.int64), M.acts[k]),
+             np.kron(N.acts[i], np.eye(M.rank(k), dtype=np.int64))], axis=1)
+        cls, r, c = np.nonzero(block)
+        rows.append(offsets[i] + r)
+        cols.append(n_rel + cls * block.shape[2] + c)
+        vals.append(block[cls, r, c])
+        n_rel += block.shape[0] * block.shape[2]
+    if not rows:
+        return IntMatrix(dim, n_rel)
+    return IntMatrix.from_triplets(dim, n_rel, np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))
 
 
 def graded_tensor(N: GradedModule, M: GradedModule) -> list:
@@ -272,8 +261,8 @@ def graded_tensor(N: GradedModule, M: GradedModule) -> list:
     budget = min(N.n_max, M.n_max)
     out = []
     for n in range(budget + 1):
-        _, dim, rel = _tensor_presentation(N, M, n)
-        out.append(chain_homology(IntMatrix(0, dim), rel))
+        rel = _tensor_presentation(N, M, n)
+        out.append(chain_homology(IntMatrix(0, rel.rows), rel))
     return out
 
 
@@ -282,15 +271,15 @@ def h0(M: GradedModule) -> list:
 
     Works for either side; the act matrices already encode the side.
     """
-    G = M.ring.G
     out = []
     for n in range(M.n_max + 1):
         rows = M.rank(n)
         if n == 0:
             out.append(HomologyGroup(free_rank=rows))
             continue
-        # the degree-1 actions side by side, one block of columns per pair
-        stack = np.concatenate([M.act(pair, n - 1) for pair in _pairs(G)], axis=1)
+        # the degree-1 actions side by side, one block of columns per class
+        act = M.acts[n - 1]
+        stack = act.transpose(1, 0, 2).reshape(rows, act.shape[0] * act.shape[2])
         out.append(chain_homology(IntMatrix(0, rows),
                                   IntMatrix.from_dense(stack, rows=rows, cols=stack.shape[1])))
     return out
@@ -325,7 +314,7 @@ def h1(M: GradedModule) -> list:
     rplus = regular_module(ring, side="right", name="R>0")
     out = []
     for n in range(M.n_max + 1):
-        _, dim, rel = _tensor_presentation(rplus, M, n, min_i=1)
+        rel = _tensor_presentation(rplus, M, n, min_i=1)
         beta = _beta_matrix(rplus, M, n, min_i=1)
         out.append(chain_homology(beta, rel))
     return out
@@ -376,7 +365,7 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
     budget = min(ur.n_max, M.n_max)
     tor1 = []
     for n in range(budget + 1):
-        _, dim, rel = _tensor_presentation(ur, M, n, min_i=1)
+        rel = _tensor_presentation(ur, M, n, min_i=1)
         beta = _beta_matrix(ur, M, n, min_i=1, classes=ur_classes)
         tor1.append(chain_homology(beta, rel))
     deg_tor0 = deg_of(tor0)
@@ -402,15 +391,14 @@ def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
     Tracks the integer span: the submodule generated by degrees <= a fills
     M_n iff the accumulated image lattice is all of Z^{rank}.
     """
-    G = M.ring.G
     prev_gens = None
     for n in range(M.n_max + 1):
         cols = []
         if n <= a:
             cols.append(np.eye(M.rank(n), dtype=np.int64))
         if n > 0 and prev_gens is not None and prev_gens.shape[1]:
-            for pair in _pairs(G):
-                cols.append(M.act(pair, n - 1) @ prev_gens)
+            image = M.acts[n - 1] @ prev_gens  # one block of columns per class
+            cols.append(image.transpose(1, 0, 2).reshape(M.rank(n), image.shape[0] * image.shape[2]))
         gens = (np.concatenate(cols, axis=1) if cols
                 else np.zeros((M.rank(n), 0), dtype=np.int64))
         if gens.shape[1]:

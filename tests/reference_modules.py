@@ -1,26 +1,85 @@
 """Test-only references for ``stabring.modules``: the per-tuple constructions
-that the product table and the basis restrictions replaced.
+that the product table, the basis restrictions and the per-class action
+arrays replaced.
 
 ``regular_module`` looks up the class of every concatenated tuple with
 ``class_index``.  ``quotient_u_module`` and ``u_kernel_module`` work on any
 module whose U action is monomial (basis to basis or zero), reading U off the
 module's own matrices, ``ur_ideal_module`` reads U(R) off the ring one
 representative at a time, and ``truncate_module`` writes zero blocks.  None
-of them reads ``GradedRing.product``.
+of them reads ``GradedRing.product``.  Each builds one matrix per pair
+(a, b) of G^2, and ``module_from_pairs`` stores them by class only after
+checking that all pairs of a class agree.  ``consistency_failures`` checks
+the degree-2 relations one tuple of G^4 at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stabring.modules import GradedModule, ModuleError, _pairs
+from stabring.modules import GradedModule, ModuleError
+
+
+def pairs(G) -> list:
+    return [(a, b) for a in range(G.order) for b in range(G.order)]
+
+
+def module_from_pairs(name, ring, side, ranks, lam: dict, n_max: int) -> GradedModule:
+    """The module whose pair (a, b) acts on degree n by lam[(a, b)][n]; every
+    pair must be given, and pairs of one degree-1 class must agree."""
+    assert sorted(lam) == pairs(ring.G)
+    acts = []
+    for n in range(n_max):
+        act = np.zeros((ring.basis_size(1), ranks[n + 1], ranks[n]), dtype=np.int64)
+        seen = set()
+        for pair, mats in lam.items():
+            c = ring.class_index(1, pair)
+            assert mats[n].dtype == np.int64 and mats[n].shape == act.shape[1:], (name, pair, n)
+            if c in seen:
+                assert np.array_equal(act[c], mats[n]), (name, pair, n)
+            act[c] = mats[n]
+            seen.add(c)
+        acts.append(act)
+    return GradedModule(name, ring, side, ranks, acts, n_max)
+
+
+def consistency_failures(M: GradedModule) -> list:
+    """Degree-2 orbit relations violated by the actions, one tuple at a time:
+    per degree n and degree-2 class, the first tuple in rank order whose
+    composite differs from that of the first tuple of its class."""
+    ring = M.ring
+    if ring.n_max < 2:
+        raise ModuleError("consistency check needs ring degree >= 2")
+    G = ring.G
+    by_class = {}
+    for a in range(G.order):
+        for b in range(G.order):
+            for c in range(G.order):
+                for d in range(G.order):
+                    cls = ring.class_index(2, (a, b, c, d))
+                    by_class.setdefault(cls, []).append((a, b, c, d))
+    bad = []
+    for n in range(M.n_max - 1):
+        for cls, members in by_class.items():
+            ref = None
+            for (a, b, c, d) in members:
+                if M.side == "left":
+                    comp = M.act((a, b), n + 1) @ M.act((c, d), n)
+                else:
+                    comp = M.act((c, d), n + 1) @ M.act((a, b), n)
+                if ref is None:
+                    ref = comp
+                elif not np.array_equal(ref, comp):
+                    bad.append((n, cls, (a, b, c, d)))
+                    break
+    return bad
 
 
 def regular_module(ring, side: str = "left") -> GradedModule:
     """R itself, one concatenated tuple per basis class and pair."""
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
     lam = {}
-    for pair in _pairs(ring.G):
+    for pair in pairs(ring.G):
         mats = []
         for n in range(ring.n_max):
             mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
@@ -30,7 +89,7 @@ def regular_module(ring, side: str = "left") -> GradedModule:
                 mat[ring.class_index(n + 1, tup), j] = 1
             mats.append(mat)
         lam[pair] = mats
-    return GradedModule("R", ring, side, ranks, lam, ring.n_max)
+    return module_from_pairs("R", ring, side, ranks, lam, ring.n_max)
 
 
 def _monomial_image_rows(u: np.ndarray) -> set | None:
@@ -57,10 +116,10 @@ def quotient_u_module(M: GradedModule) -> GradedModule:
         kept.append([r for r in range(M.ranks[n]) if r not in hit])
     ranks = tuple(len(k) for k in kept)
     lam = {}
-    for pair, mats in M.lam.items():
-        lam[pair] = [mats[n][np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
+    for pair in pairs(M.ring.G):
+        lam[pair] = [M.act(pair, n)[np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
     name = "Rbar" if M.name == "R" else f"{M.name}/U"
-    return GradedModule(name, M.ring, M.side, ranks, lam, M.n_max)
+    return module_from_pairs(name, M.ring, M.side, ranks, lam, M.n_max)
 
 
 def u_kernel_module(M: GradedModule) -> GradedModule:
@@ -96,13 +155,13 @@ def u_kernel_module(M: GradedModule) -> GradedModule:
         fibers.append((basis, rep_of, {j: i for i, (j, _) in enumerate(basis)}))
     ranks = tuple(len(fibers[n][0]) for n in range(n_top + 1))
     lam = {}
-    for pair, mats in M.lam.items():
+    for pair in pairs(M.ring.G):
         out = []
         for n in range(n_top):
             basis_n, _, _ = fibers[n]
             _, rep_next, pos_next = fibers[n + 1]
             mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            lam_n = mats[n]
+            lam_n = M.act(pair, n)
             for col, (j, rep) in enumerate(basis_n):
                 image = {}
                 for src, sign in ((j, 1), (rep, -1)):
@@ -122,7 +181,7 @@ def u_kernel_module(M: GradedModule) -> GradedModule:
             out.append(mat)
         lam[pair] = out
     name = "R[U]" if M.name == "R" else f"{M.name}[U]"
-    return GradedModule(name, M.ring, M.side, ranks, lam, n_top)
+    return module_from_pairs(name, M.ring, M.side, ranks, lam, n_top)
 
 
 def u_image(ring) -> list:
@@ -140,7 +199,7 @@ def ur_ideal_module(ring, side: str = "left") -> GradedModule:
     ranks = tuple(len(b) for b in bases)
     pos = [{r: i for i, r in enumerate(b)} for b in bases]
     lam = {}
-    for pair in _pairs(ring.G):
+    for pair in pairs(ring.G):
         mats = []
         for n in range(ring.n_max):
             mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
@@ -151,14 +210,15 @@ def ur_ideal_module(ring, side: str = "left") -> GradedModule:
                 mat[pos[n + 1][tgt], j] = 1
             mats.append(mat)
         lam[pair] = mats
-    return GradedModule("UR", ring, side, ranks, lam, ring.n_max)
+    return module_from_pairs("UR", ring, side, ranks, lam, ring.n_max)
 
 
 def truncate_module(M: GradedModule, k: int) -> GradedModule:
     """Quotient truncation: components above degree k become zero."""
     ranks = tuple(r if n <= k else 0 for n, r in enumerate(M.ranks))
     lam = {}
-    for pair, mats in M.lam.items():
-        lam[pair] = [mats[n] if n + 1 <= k else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
+    for pair in pairs(M.ring.G):
+        lam[pair] = [M.act(pair, n) if n + 1 <= k
+                     else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
                      for n in range(M.n_max)]
-    return GradedModule(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)
+    return module_from_pairs(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)

@@ -16,15 +16,45 @@ from stabring.zlinalg import HomologyGroup
 def z_module(ring, side: str = "left") -> GradedModule:
     """Z = R / R_{>0}, concentrated in degree 0 with the zero action."""
     ranks = tuple([1] + [0] * ring.n_max)
-    lam = {(a, b): [np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-                    for n in range(ring.n_max)]
-           for a in range(ring.G.order) for b in range(ring.G.order)}
-    return GradedModule("Z", ring, side, ranks, lam, ring.n_max)
+    acts = [np.zeros((ring.basis_size(1), ranks[n + 1], ranks[n]), dtype=np.int64)
+            for n in range(ring.n_max)]
+    return GradedModule("Z", ring, side, ranks, acts, ring.n_max)
 
 
 def test_regular_module_consistency(rings):
     for name in ("C2", "C4", "S3"):
         assert regular_module(rings[name]).consistency_failures() == []
+
+
+def mutant(M: GradedModule, n: int, c: int) -> GradedModule:
+    """M with entry (0, 0) of class c's action at degree n raised by one."""
+    acts = [act.copy() for act in M.acts]
+    acts[n][c, 0, 0] += 1
+    return dataclasses.replace(M, acts=acts)
+
+
+def test_consistency_matches_the_per_tuple_reference(rings):
+    for ring in rings.values():
+        modules = [regular_module(ring, "right")] + [
+            derive_module(ring, recipe) for recipe in
+            (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1))]
+        for M in modules:
+            assert M.consistency_failures() == ref.consistency_failures(M) == [], M.name
+
+
+def test_consistency_matches_the_per_tuple_reference_on_mutants(rings):
+    # one class's action perturbed at degree 0 or 1 breaks the relations of
+    # every degree-2 class whose tuples compose it with other classes
+    for name in ("S3", "C4", "C2xC2"):
+        ring = rings[name]
+        for side in ("left", "right"):
+            R = regular_module(ring, side)
+            for n in (0, 1):
+                for c in range(ring.basis_size(1)):
+                    M = mutant(R, n, c)
+                    want = ref.consistency_failures(M)
+                    assert want, (name, side, n, c)
+                    assert M.consistency_failures() == want, (name, side, n, c)
 
 
 def test_derived_modules_consistency(rings):
@@ -58,10 +88,10 @@ def test_ru_kernel_vanishes_where_u_injective(rings):
 
 def assert_same_module(M: GradedModule, N: GradedModule) -> None:
     assert (M.name, M.side, M.ranks, M.n_max) == (N.name, N.side, N.ranks, N.n_max)
-    assert list(M.lam) == list(N.lam)
-    for pair in M.lam:
-        assert len(M.lam[pair]) == len(N.lam[pair]), (M.name, pair)
-        for n, (a, b) in enumerate(zip(M.lam[pair], N.lam[pair])):
+    assert len(M.acts) == len(N.acts) == M.n_max
+    for n in range(M.n_max):
+        for pair in ref.pairs(M.ring.G):
+            a, b = M.act(pair, n), N.act(pair, n)
             assert a.dtype == b.dtype and a.shape == b.shape, (M.name, pair, n)
             assert np.array_equal(a, b), (M.name, pair, n)
 
@@ -121,7 +151,7 @@ def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
         ring = relabelled(ring, top - 1, labels)
         RU = u_kernel_module(ring)
         assert RU.ranks[top - 2] == len(pairs)
-        nonzero[name] = any(mats[top - 2].any() for mats in RU.lam.values())
+        nonzero[name] = bool(RU.acts[top - 2].any())
         assert_matches_reference(ring)
     # with two degree-3 classes, C2's merge leaves one class there and zero actions
     assert nonzero == {"C2": False, "C4": True, "C2xC2": True, "S3": True}
@@ -273,7 +303,8 @@ def test_unknown_recipe(rings):
 
 def test_window_guard(rings):
     R = regular_module(rings["C2"])
-    with pytest.raises(ModuleError):
-        R.act((0, 0), R.n_max)
+    for n in (-1, R.n_max):
+        with pytest.raises(ModuleError):
+            R.act((0, 0), n)
     with pytest.raises(ModuleError):
         R.rank(R.n_max + 1)

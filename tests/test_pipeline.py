@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -6,13 +7,16 @@ import os
 import numpy as np
 import pytest
 
+from stabring import kcomplex as kc
+from stabring import pipeline
 from stabring.cli import main as cli_main
-from stabring.modules import GradedModule
+from stabring.kcomplex import build_kcomplex
+from stabring.modules import GradedModule, regular_module
 from stabring.orbits import cache_load, cache_store
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
-from conftest import verdict_of
+from conftest import BATTERY_SPECS, verdict_of
 
 
 def small_config(**overrides):
@@ -81,6 +85,82 @@ def test_lambda_consistency_failure_is_reported(monkeypatch):
     assert "lambda consistency failed" in report.failure["error"]
     assert report.exit_code == 1
     assert report.counts and not report.homology  # the ring stage's results are kept
+
+
+def test_dump_matrices_error_is_reported(tmp_path):
+    # out_dir names a regular file, so the matrices directory cannot be made
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    report = run_pipeline(small_config(n_max=1, p_max=0, out_dir=str(afile),
+                                       dump_matrices=True))
+    assert report.failure["stage"] == "dump-matrices"
+    assert report.exit_code == 1
+    assert report.counts and not report.homology  # the ring stage's results are kept
+
+
+# SHA-256 of every matrix file that `stabring run --dump-matrices` writes
+DUMPED_MATRICES = {
+    ("S3", 3, 2): {
+        "d_p1_n1.txt": "5daf01fff2049af2e5f8f208e5bbb6bce0174a6a2c85dbc149124c398a4956ba",
+        "d_p1_n2.txt": "cbfac90338284bfeb19c5f78d51b7d266d607739f5824125e80fa9faadc77376",
+        "d_p1_n3.txt": "eebecb7d9177be873a6b286a7874363c995adcfdca0252f25179bb9a6a43b3c5",
+        "d_p2_n2.txt": "9f5953cc2f9561bbc6aadfac72e0df35eb44e377b5ceaa2a486ad2f852ad1d40",
+        "d_p2_n3.txt": "929f065fd7fc99a4a1d647266bf94682b476a0b10c1b4e004cea3932ba0f1506",
+        "d_p3_n3.txt": "1300bf7c43e2f909f9fa0f0c9026fc9ccedcc1f7311c40e64df1250f3a294726",
+    },
+    ("C2xC2", 4, 3): {
+        "d_p1_n1.txt": "67ec73d97078f6228d020f294dd9b852e9f33925db12133c401ae3d147368ce2",
+        "d_p1_n2.txt": "72a869d4d98e9f3ace90e1be51778fdb68cd010617e731e0c7c72206c7a2814c",
+        "d_p1_n3.txt": "1913b5401e49e8dc6390b5339bc98665bb6d37035e093cd780f434643846ba90",
+        "d_p1_n4.txt": "1913b5401e49e8dc6390b5339bc98665bb6d37035e093cd780f434643846ba90",
+        "d_p2_n2.txt": "401875976c5a58c9cb91953d95180f7af1804fa8090d5e24a52dbe5b14c5c6b4",
+        "d_p2_n3.txt": "a9b237cfe327efc4e1d83c50af3cb351043fb76107daee1765cd44bfa07d8e43",
+        "d_p2_n4.txt": "c6c1f53fd246a5ebb6b3f8f4dc3bfcb8bfc668dd5075f6c45e50293d76bbbe52",
+        "d_p3_n3.txt": "026c763b1fb231291803ab8bb3e80b8f7020e47ee09977a7d1cee450485ca205",
+        "d_p3_n4.txt": "f2ba28e05ea014b9c345013bd724848e8712e75640c450a75bf147d881e5ed7c",
+        "d_p4_n4.txt": "874ad3af0f8d5eb96e763c4f8d1617228495d470be0d8b826f2fd0e7cacc18fa",
+    },
+}
+
+
+def test_dumped_differentials_are_pinned(tmp_path):
+    for (name, n_max, p_max), want in DUMPED_MATRICES.items():
+        out = tmp_path / name
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"group": BATTERY_SPECS[name], "n_max": n_max,
+                                        "p_max": p_max}))
+        cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-matrices"])
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out / "matrices").iterdir()}
+        assert got == want, name
+
+
+def test_annihilation_verdict_names_the_first_failing_pair(monkeypatch, rings):
+    # one chain-map check per degree-1 class gives the witness of the loop
+    # over every pair, whichever class fails
+    ring = rings["S3"]
+    K = build_kcomplex(regular_module(ring), 2, 2)
+    order = ring.G.order
+    for bad in [None] + list(range(ring.basis_size(1))):
+        calls = []
+
+        def fake(K, g, h):
+            calls.append((g, h))
+            return ring.class_index(1, (g, h)) != bad, (g, h)
+
+        first = next(((g, h) for g in range(order) for h in range(order)
+                      if not fake(K, g, h)[0]), None)
+        calls.clear()
+        monkeypatch.setattr(kc, "right_mult_is_chain_map", fake)
+        verdict = pipeline._annihilation_verdict(K, True)
+        if first is None:
+            assert verdict["status"] == "pass"
+            assert len(calls) == ring.basis_size(1)
+        else:
+            assert verdict["status"] == "fail"
+            assert verdict["witness"] == (f"right multiplication by ({first[0]},{first[1]}) "
+                                          f"is not a chain map at {first}")
+            assert len(calls) == bad + 1
 
 
 def test_state_cap_failure_keeps_partial_results():
