@@ -13,7 +13,7 @@ import os
 import sys
 
 from .groups import load_group
-from .oracle import bar_homology, sp_orbit_oracle, stable_count_prediction
+from .oracle import bar_homology, sp_orbit_counts, stable_count_prediction
 from .orbits import enumerate_orbits
 from .pipeline import PipelineConfig, emit_report, render_summary, run_pipeline
 from .words import compile_moves, moveset_manifest
@@ -75,8 +75,8 @@ def _cmd_oracle(args) -> int:
     print(f"  stable orbit-count prediction (sum of |H2| over subgroups): "
           f"{stable_count_prediction(G)}")
     if G.is_abelian and args.n:
-        for n in range(1, args.n + 1):
-            print(f"  symplectic orbit count at n = {n}: {sp_orbit_oracle(G, n)}")
+        for n, count in enumerate(sp_orbit_counts(G, args.n)[1:], start=1):
+            print(f"  symplectic orbit count at n = {n}: {count}")
     return 0
 
 

@@ -97,7 +97,6 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     G = ring.G
     order = G.order
     comm, conj = _group_tables(G)
-    pair_class = ring.tables[1].orbit_id.astype(np.int64)
     d = {}
     for p in range(1, p_max + 1):
         states = order ** (2 * p)
@@ -110,7 +109,7 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             pair_k = (conj[digits[2 * k], suffix[k + 1]] * order
                       + conj[digits[2 * k + 1], suffix[k + 1]])
             rest = ranks // (low * order * order) * low + ranks % low
-            terms.append((1 if k % 2 == 0 else -1, pair_class[pair_k], rest))
+            terms.append((1 if k % 2 == 0 else -1, ring.pair_class[pair_k], rest))
         for n in range(p, n_max + 1):
             rank_lo = M.rank(n - p + 1)
             rank_hi = M.rank(n - p)

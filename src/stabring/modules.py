@@ -26,7 +26,7 @@ class ModuleError(ValueError):
 class GradedModule:
     """Degreewise-free graded module; acts[n][c] is the integer matrix of
     degree-1 class c acting M_n -> M_{n+1}, for 0 <= n < n_max.  A pair
-    (a, b) acts through its class, ring.tables[1].orbit_id at its rank.
+    (a, b) acts through its class, ring.pair_class at its rank.
 
     side "left": matrices realize m -> [a,b] m; side "right": m -> m [a,b].
     Components above n_max are unknown, not zero.
@@ -85,22 +85,28 @@ class GradedModule:
         pairs = order * order
         classes = ring.basis_size(1)
         tuples = np.arange(pairs * pairs)
-        head = ring.tables[1].orbit_id[tuples // pairs].astype(np.int64)
-        tail = ring.tables[1].orbit_id[tuples % pairs].astype(np.int64)
-        # the left side applies (c, d) first, the right side (a, b)
-        first, last = (tail, head) if self.side == "left" else (head, tail)
-        cls = ring.tables[2].orbit_id.astype(np.int64)
-        rep = ring.tables[2].reps.astype(np.int64)[cls]
+        head = ring.pair_class[tuples // pairs]
+        tail = ring.pair_class[tuples % pairs]
+        cls = ring.steps[1][head, tail]
+        # the class representative's handles are the least entry of its class
+        _, least = np.unique(ring.steps[1], return_index=True)
+        rep_head, rep_tail = np.divmod(least[cls], classes)
+        # composite labels are indexed by (last, first) class; the left side
+        # applies (c, d) first, the right side (a, b)
+        if self.side == "left":
+            at, at_rep = head * classes + tail, rep_head * classes + rep_tail
+        else:
+            at, at_rep = tail * classes + head, rep_tail * classes + rep_head
         bad = []
         for n in range(self.n_max - 1):
             comp = np.matmul(self.acts[n + 1][:, None], self.acts[n][None, :])
             flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
             _, label = np.unique(flat, axis=0, return_inverse=True)
-            key = label.ravel()[last * classes + first]
-            wrong = np.flatnonzero(key != key[rep])
-            found, at = np.unique(cls[wrong], return_index=True)
+            label = label.ravel()
+            wrong = np.flatnonzero(label[at] != label[at_rep])
+            found, first = np.unique(cls[wrong], return_index=True)
             bad.extend((n, int(c), decode_tuple(int(t), order, 4))
-                       for c, t in zip(found, wrong[at]))
+                       for c, t in zip(found, wrong[first]))
         return bad
 
 

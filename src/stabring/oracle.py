@@ -7,6 +7,7 @@ import numpy as np
 
 from . import _kernels
 from .groups import FiniteGroup, enumerate_subgroups
+from .orbits import local_steps, step_table
 from .zlinalg import IntMatrix, chain_homology
 
 
@@ -101,6 +102,13 @@ def stable_count_prediction(G: FiniteGroup, order_cap: int = 16) -> int:
     return total
 
 
+def _twist_vectors(n: int) -> np.ndarray:
+    two_n = 2 * n
+    eye = np.eye(two_n, dtype=np.int8)
+    mixers = [eye[2 * i - 1] + eye[2 * i] for i in range(1, n)]  # b_i + a_{i+1}
+    return np.array(list(eye) + mixers, dtype=np.int8).reshape(-1, two_n)
+
+
 def transvection_vectors(n: int) -> np.ndarray:
     """The 3n - 1 rows e_j (j = 1..2n) and e_{b_i} + e_{a_{i+1}} (i = 1..n-1), as 0/1.
 
@@ -116,11 +124,20 @@ def transvection_vectors(n: int) -> np.ndarray:
     square of the quarter turn T_{a_{i+1}} T_{b_{i+1}} T_{a_{i+1}} of the
     handle, so it lies in the group the handle's own transvections generate.
     Both sets therefore generate the same group.
+
+    The local orbit construction needs every row to be a row of degree 1 or
+    2 placed on handle i or handles (i, i+1), zero elsewhere, and every row
+    of degree 2 at every (i, i+1) to be present; ``OracleError`` otherwise.
     """
-    two_n = 2 * n
-    eye = np.eye(two_n, dtype=np.int8)
-    mixers = [eye[2 * i - 1] + eye[2 * i] for i in range(1, n)]  # b_i + a_{i+1}
-    return np.array(list(eye) + mixers, dtype=np.int8).reshape(-1, two_n)
+    vecs = _twist_vectors(n)
+    placed = {k: {tuple(np.pad(row, (2 * i, 2 * (n - i - k)))) for row in _twist_vectors(k)
+                  for i in range(n - k + 1)} for k in (1, 2)}
+    have = {tuple(row) for row in vecs}
+    if have - placed[1] - placed[2]:
+        raise OracleError(f"a transvection of degree {n} is not local")
+    if placed[2] - have:
+        raise OracleError(f"the transvections of degree {n} miss a degree-2 one")
+    return vecs
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -145,29 +162,41 @@ def preserves_form(M: np.ndarray) -> bool:
     return bool(np.array_equal(M.T @ J @ M, J))
 
 
-def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
-    """Orbit count of G^(2n) under the transvections of ``transvection_vectors``.
+def sp_orbit_counts(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32) -> list:
+    """Orbit counts of G^(2n), n = 0..n_max, under the transvections of
+    ``transvection_vectors``.
 
     For abelian G every conjugator in the surface-move action is trivial, so
-    the move action factors through the integral symplectic group and this
-    count is an independent prediction of the orbit-table count.  Why those
+    the move action factors through the integral symplectic group and these
+    counts are an independent prediction of the orbit-table counts.  Why those
     transvections generate Sp(2n, Z), sign of e_{b_i} + e_{a_{i+1}} included,
-    is argued in ``transvection_vectors``.
+    is argued in ``transvection_vectors``.  The kernel partitions G^2 and G^4
+    only; ``orbits.local_steps`` builds the higher degrees from them, which
+    the locality of every transvection makes exact.
     """
     if not G.is_abelian:
         raise OracleError("symplectic oracle needs an abelian group")
-    if n == 0:
-        return 1
-    n_states = G.order ** (2 * n)
-    if n_states > state_cap:
-        raise OracleError(f"state space {n_states} exceeds cap {state_cap}")
-    shortfall = _kernels.memory_shortfall(n_states)
-    if shortfall:
-        raise OracleError(shortfall)
-    vecs = transvection_vectors(n)
-    for v in vecs:
-        if not preserves_form(transvection_matrix(v)):
-            raise OracleError(f"transvection for {v} does not preserve the form")
-    parent = _kernels.transvection_orbit_parents(
-        G.table, G.inverse, 2 * n, G.order, vecs, n_states)
-    return int(len(np.unique(parent)))
+    for n in range(1, n_max + 1):
+        for v in transvection_vectors(n):
+            if not preserves_form(transvection_matrix(v)):
+                raise OracleError(f"transvection for {v} does not preserve the form")
+    classes = []
+    for n in range(1, min(2, n_max) + 1):
+        n_states = G.order ** (2 * n)
+        if n_states > state_cap:
+            raise OracleError(f"state space {n_states} exceeds cap {state_cap}")
+        shortfall = _kernels.memory_shortfall(n_states)
+        if shortfall:
+            raise OracleError(shortfall)
+        parent = _kernels.transvection_orbit_parents(
+            G.table, G.inverse, 2 * n, G.order, transvection_vectors(n), n_states)
+        classes.append(np.unique(parent, return_inverse=True)[1])
+    if n_max < 2:
+        return [1] + [int(c.max()) + 1 for c in classes]
+    steps = local_steps(step_table(*classes), n_max)
+    return [1] + [int(step.max()) + 1 for step in steps]
+
+
+def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
+    """The degree-n count of ``sp_orbit_counts``."""
+    return sp_orbit_counts(G, n, state_cap)[n]

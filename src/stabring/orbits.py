@@ -1,4 +1,6 @@
-"""Orbit tables: the partition of G^(2n) under the compiled move set."""
+"""Orbit tables: the partition of G^(2n) under the compiled move set, and
+the local construction of higher degrees from the degree-1 and degree-2
+partitions."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .groups import FiniteGroup
@@ -16,7 +20,8 @@ from .words import moveset_hash
 
 
 class OrbitError(ValueError):
-    """Raised on state-cap or memory-budget violations and cache corruption."""
+    """Raised on state-cap or memory-budget violations, cache corruption, and
+    degree-2 partitions that are not a function of the handle classes."""
 
 
 MAGIC = b"HWOT"
@@ -167,3 +172,61 @@ def cache_load(path, expect_group_hash: str | None = None,
     orbit_id = np.frombuffer(blob, dtype="<u4", count=n_states, offset=head_len + 8 * count)
     return OrbitTable(n=n, order=order, group_hash=ghash, moveset_hash=mhash,
                       orbit_id=orbit_id.astype(np.uint32), reps=reps.astype(np.uint64))
+
+
+def step_table(class1: np.ndarray, class2: np.ndarray) -> np.ndarray:
+    """The degree-2 class of rep_p ++ rep_y, for degree-1 classes p and y.
+
+    ``class1[r]`` is the class of the pair of rank r and ``class2[r]`` the
+    class of the 4-tuple of rank r, ids ordered by least rank.  Raises
+    ``OrbitError`` unless the class of every 4-tuple is the entry of its two
+    handles' classes, which is what makes the table exact."""
+    pairs = len(class1)
+    _, reps = np.unique(class1, return_index=True)
+    grid = np.asarray(class2, dtype=np.int64).reshape(pairs, pairs)
+    step = grid[reps[:, None], reps[None, :]]
+    if not np.array_equal(grid, step[class1[:, None], class1[None, :]]):
+        raise OrbitError("the degree-2 class of a tuple is not a function of "
+                         "the degree-1 classes of its two handles")
+    return step
+
+
+def local_steps(step2: np.ndarray, n_max: int) -> list:
+    """Tables ``steps[k]`` of R_k x R_1 -> R_{k+1} for k < n_max, from the
+    degree-2 table ``step2`` of ``step_table`` alone.
+
+    Valid when every map of degree n is the identity outside two adjacent
+    handles and an embedded map of degree 1 or 2 there, and every embedded
+    map of degree 2 is one of them (``words.compile_moves`` and
+    ``oracle.transvection_vectors`` check both).  Then the orbits of degree
+    n are the components of a graph on the nodes (p, y) of R_{n-1} x R_1,
+    node (p, y) standing for rep_p ++ rep_y.  For every (q, y1, y2) in
+    R_{n-2} x R_1 x R_1 it joins (q y1, y2) to (q y1', y2'), where (y1', y2')
+    is the first pair of the degree-2 class of (y1, y2): rewriting the last
+    two handles within their degree-2 orbit.  Moves on the first n - 1
+    handles and on the last one keep the node; the moves on the last two
+    are these edges.
+
+    Components are numbered by their least node key p * |R_1| + y.  The least
+    rank tuple of an orbit is rep_p ++ rep_y for its least node, so this is
+    the least-rank order of the full-state kernel.
+    """
+    c1 = step2.shape[0]
+    steps = [np.arange(c1, dtype=np.int64)[None, :], step2][:n_max]
+    _, least = np.unique(step2, return_index=True)
+    first_y1, first_y2 = np.divmod(least[step2], c1)
+    tail = np.arange(c1, dtype=np.int64)
+    for k in range(2, n_max):
+        prev = steps[k - 1]  # R_{k-1} x R_1 -> R_k
+        n_nodes = (int(prev.max()) + 1) * c1
+        src = (prev[:, :, None] * c1 + tail).ravel()
+        dst = (prev[:, first_y1] * c1 + first_y2).ravel()
+        moved = src != dst
+        graph = coo_matrix((np.ones(int(moved.sum()), dtype=np.int8),
+                            (src[moved], dst[moved])), shape=(n_nodes, n_nodes))
+        _, comp = connected_components(graph, directed=False)
+        _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
+        ids = np.empty(len(first), dtype=np.int64)
+        ids[np.argsort(first)] = np.arange(len(first))
+        steps.append(ids[comp].reshape(-1, c1))
+    return steps

@@ -4,6 +4,7 @@ verdict assembly, and report emission."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -17,9 +18,9 @@ from . import kcomplex as kc
 from .groups import FiniteGroup, _is_int, load_group, subgroup_closure
 from .modules import delta_and_bounds, derive_module, regular_module
 from .oracle import (abelianization_invariants, bar_homology,
-                     sp_orbit_oracle, stable_count_prediction)
+                     sp_orbit_counts, stable_count_prediction)
 from .orbits import OrbitError, cache_load, cache_store, enumerate_orbits
-from .ring import GradedRing
+from .ring import local_ring
 from .words import boundary_eval, compile_moves, moveset_hash
 
 log = logging.getLogger(__name__)
@@ -130,7 +131,7 @@ class Report:
 
 
 def _orbit_table_cached(G: FiniteGroup, n: int, moves, config: PipelineConfig):
-    if not config.cache_dir or n == 0:
+    if not config.cache_dir:
         return enumerate_orbits(G, n, moves, config.state_cap)
     mh = moveset_hash(moves)
     os.makedirs(config.cache_dir, exist_ok=True)
@@ -157,6 +158,8 @@ def _well_definedness_verdict(ring, config: PipelineConfig) -> dict:
     G = ring.G
     rng = np.random.default_rng(config.seed)
     moves_at = {n: ring.moves_by_degree[n] for n in range(1, ring.n_max + 1)}
+    # the generated subgroup depends only on the set of entries
+    closure = functools.lru_cache(maxsize=None)(lambda entries: subgroup_closure(G, entries))
     samples = config.well_definedness_samples
     for _ in range(samples):
         if ring.n_max >= 2:
@@ -183,7 +186,7 @@ def _well_definedness_verdict(ring, config: PipelineConfig) -> dict:
         if boundary_eval(G, v2) != boundary_eval(G, v):
             return _verdict("well_definedness", "boundary value is orbit-constant",
                             "fail", f"boundary changed along a move at v={v}")
-        if subgroup_closure(G, v2) != subgroup_closure(G, v):
+        if closure(frozenset(v2)) != closure(frozenset(v)):
             return _verdict("well_definedness", "generated subgroup is orbit-constant",
                             "fail", f"generated subgroup changed along a move at v={v}")
     return _verdict("well_definedness",
@@ -280,12 +283,12 @@ def run_pipeline(config: PipelineConfig) -> Report:
             n: compile_moves(n, G) for n in range(1, config.n_max + 1)})
         report.moveset_hashes = {str(n): moveset_hash(m) for n, m in moves_by_degree.items()}
 
+        # the kernel runs at degrees 1 and 2; the ring builds the rest from them
         tables = stage("orbits", lambda: {
-            n: _orbit_table_cached(G, n, moves_by_degree.get(n, ()), config)
-            for n in range(config.n_max + 1)})
+            n: _orbit_table_cached(G, n, moves_by_degree[n], config)
+            for n in range(1, min(2, config.n_max) + 1)})
 
-        ring = stage("ring", lambda: GradedRing(
-            G, config.n_max, [tables[n] for n in range(config.n_max + 1)], moves_by_degree))
+        ring = stage("ring", lambda: local_ring(G, config.n_max, tables, moves_by_degree))
         profile = ring.stability_profile()
         report.counts = list(profile.counts)
         report.stability = {
@@ -329,9 +332,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             out["abelianization"] = list(abelianization_invariants(G))
             out["stable_count_prediction"] = stable_count_prediction(G)
             if G.is_abelian:
-                out["sp_counts"] = [1] + [
-                    sp_orbit_oracle(G, n, config.state_cap)
-                    for n in range(1, config.n_max + 1)]
+                out["sp_counts"] = sp_orbit_counts(G, config.n_max, config.state_cap)
             return out
         report.oracle = stage("oracles", _oracles)
 

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .groups import FiniteGroup
-from .orbits import enumerate_orbits
+from .orbits import enumerate_orbits, local_steps, step_table
 from .words import compile_moves, moveset_hash
 
 
@@ -36,48 +37,99 @@ class StabilityProfile:
 
 
 class GradedRing:
-    """R = (+)_n Z<G^2n / moves>, product by concatenation of representatives."""
+    """R = (+)_n Z<G^2n / moves>, product by concatenation of representatives.
 
-    def __init__(self, G: FiniteGroup, n_max: int, tables: list, moves_by_degree: dict):
-        if len(tables) != n_max + 1:
-            raise RingError("need one orbit table per degree 0..n_max")
+    The ring keeps one table per degree, ``steps[k]`` = ``product(k, 1)``:
+    entry [p, y] is the class of rep_p ++ rep_y.  Each class of degree k + 1
+    is represented by its least entry (p, y) in row-major order, so
+    rep_j = rep_p ++ rep_y, and every other product follows by associativity
+    through that entry.  ``pair_class[r]`` is the degree-1 class of the pair
+    of rank r."""
+
+    def __init__(self, G: FiniteGroup, n_max: int, pair_class: np.ndarray, steps: list,
+                 moves_by_degree: dict):
+        if n_max < 1 or len(steps) != n_max:
+            raise RingError("need one step table per degree 1..n_max, n_max >= 1")
+        pair_class = np.asarray(pair_class, dtype=np.int64)
+        values, first_rank = np.unique(pair_class, return_index=True)
+        c1 = len(values)
+        if len(pair_class) != G.order ** 2 or not np.array_equal(values, np.arange(c1)):
+            raise RingError("pair classes must number every pair of G^2 by 0..k-1")
+        if not np.array_equal(steps[0], np.arange(c1)[None, :]):
+            raise RingError("product(0, 1) must be the identity on degree-1 classes")
+        counts, least = [1], []
+        for k, step in enumerate(steps):
+            if step.shape != (counts[k], c1):
+                raise RingError(f"product({k}, 1) has shape {step.shape}, "
+                                f"expected {(counts[k], c1)}")
+            values, first = np.unique(step, return_index=True)
+            if not np.array_equal(values, np.arange(len(values))):
+                raise RingError(f"product({k}, 1) leaves a class of degree {k + 1} unused")
+            counts.append(len(values))
+            least.append(first)
         self.G = G
         self.n_max = n_max
-        self.tables = tables
+        self.pair_class = pair_class
+        self.steps = steps
         self.moves_by_degree = moves_by_degree
+        self._counts = tuple(counts)
+        self._least = least  # least entry p * |R_1| + y of steps[k] per class
+        self._rep1 = [tuple(int(x) for x in divmod(int(r), G.order)) for r in first_rank]
         self._products = {}
+        for table in (pair_class, *steps):
+            table.flags.writeable = False  # shared by every caller
 
     # -- basis bookkeeping ------------------------------------------------
 
     def basis_size(self, n: int) -> int:
-        return self.tables[n].count
+        return self._counts[n]
 
     @property
     def counts(self) -> tuple:
-        return tuple(t.count for t in self.tables)
+        return self._counts
 
     def class_index(self, n: int, entries) -> int:
+        """Class of a tuple: the handle classes folded through product(k, 1)."""
         if len(entries) != 2 * n:
             raise RingError(f"tuple length {len(entries)} != 2n = {2 * n}")
-        return self.tables[n].class_of(entries)
+        order = self.G.order
+        cls = 0
+        for k in range(n):
+            a, b = entries[2 * k], entries[2 * k + 1]
+            if not (0 <= a < order and 0 <= b < order):
+                raise RingError(f"entry out of range for order {order} in {tuple(entries)}")
+            cls = int(self.steps[k][cls, self.pair_class[a * order + b]])
+        return cls
 
     def rep(self, n: int, idx: int) -> tuple:
-        return self.tables[n].rep_tuple(idx)
+        """The least-rank tuple of class idx of degree n."""
+        if not 0 <= n <= self.n_max or not 0 <= idx < self._counts[n]:
+            raise RingError(f"no class {idx} in degree {n}")
+        pairs = []
+        for k in range(n - 1, -1, -1):
+            idx, y = divmod(int(self._least[k][idx]), len(self._rep1))
+            pairs.append(self._rep1[y])
+        return tuple(x for pair in reversed(pairs) for x in pair)
 
     # -- product and U -----------------------------------------------------
 
     def product(self, m: int, n: int) -> np.ndarray:
         """Structure constants R_m x R_n -> R_{m+n}: entry [i, j] is the class of
-        rep_i ++ rep_j, gathered from the degree m + n orbit table."""
+        rep_i ++ rep_j.  With (p, y) the least entry of class j in
+        product(n - 1, 1), that is product(m + n - 1, 1)[product(m, n - 1)[i, p], y]."""
         if m < 0 or n < 0:
             raise RingError(f"negative degree in product ({m}, {n})")
         if m + n > self.n_max:
             raise RingError(f"product degree {m + n} exceeds computed window {self.n_max}")
         out = self._products.get((m, n))
         if out is None:
-            shift = np.uint64(self.G.order ** (2 * n))
-            ranks = self.tables[m].reps[:, None] * shift + self.tables[n].reps[None, :]
-            out = self.tables[m + n].orbit_id[ranks].astype(np.int64)
+            if n == 0:
+                out = np.arange(self._counts[m], dtype=np.int64)[:, None]
+            elif n == 1:
+                out = self.steps[m]
+            else:
+                p, y = np.divmod(self._least[n - 1], self._counts[1])
+                out = self.steps[m + n - 1][self.product(m, n - 1)[:, p], y]
             out.flags.writeable = False  # shared by every caller
             self._products[m, n] = out
         return out
@@ -130,27 +182,56 @@ class GradedRing:
         }
 
 
+def local_ring(G: FiniteGroup, n_max: int, tables: dict, moves_by_degree: dict) -> GradedRing:
+    """The ring up to degree n_max from the orbit tables of degrees 1 and 2
+    (degree 1 alone when n_max is 1), by ``orbits.local_steps``."""
+    pair_class = tables[1].orbit_id.astype(np.int64)
+    if n_max == 1:
+        steps = [np.arange(tables[1].count, dtype=np.int64)[None, :]]
+    else:
+        steps = local_steps(step_table(pair_class, tables[2].orbit_id), n_max)
+    return GradedRing(G, n_max, pair_class, steps, moves_by_degree)
+
+
+def _state_classes(ring: GradedRing, n: int) -> np.ndarray:
+    """Class of every state of G^(2n) in rank order, by folding its handles."""
+    order = ring.G.order
+    digits = _kernels._decode_all(2 * n, order, order ** (2 * n))
+    cls = np.zeros(digits.shape[1], dtype=np.int64)
+    for k in range(n):
+        pair = digits[2 * k].astype(np.int64) * order + digits[2 * k + 1]
+        cls = ring.steps[k][cls, ring.pair_class[pair]]
+    return cls
+
+
 def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
                tables: dict | None = None) -> GradedRing:
     """Assemble the graded ring up to degree n_max.
 
-    ``tables`` may supply precomputed orbit tables per degree (cache path);
-    missing degrees are enumerated here.
+    The orbit kernel runs at degrees 1 and 2 only; ``local_ring`` builds the
+    rest.  ``tables`` may supply orbit tables per degree: those of degrees 1
+    and 2 are used in place of the kernel, and any higher one must partition
+    G^(2n) exactly as the local ring does, or ``RingError`` is raised.
     """
     if n_max < 1:
         raise RingError("n_max must be >= 1")
-    table_list = []
-    moves_by_degree = {}
-    for n in range(n_max + 1):
-        moves = compile_moves(n, G) if n > 0 else ()
-        moves_by_degree[n] = moves
-        got = tables.get(n) if tables else None
-        if got is not None:
-            if got.group_hash != G.hash() or got.n != n:
-                raise RingError(f"supplied orbit table for degree {n} does not match the group")
-            if n > 0 and got.moveset_hash != moveset_hash(moves):
-                raise RingError(f"supplied orbit table for degree {n} has a different move set")
-            table_list.append(got)
-        else:
-            table_list.append(enumerate_orbits(G, n, moves, state_cap))
-    return GradedRing(G, n_max, table_list, moves_by_degree)
+    tables = {n: got for n, got in (tables or {}).items() if n <= n_max}
+    moves_by_degree = {n: compile_moves(n, G) if n > 0 else () for n in range(n_max + 1)}
+    for n, got in tables.items():
+        if got.group_hash != G.hash() or got.n != n:
+            raise RingError(f"supplied orbit table for degree {n} does not match the group")
+        if n > 0 and got.moveset_hash != moveset_hash(moves_by_degree[n]):
+            raise RingError(f"supplied orbit table for degree {n} has a different move set")
+    kernel = {n: tables.get(n) or enumerate_orbits(G, n, moves_by_degree[n], state_cap)
+              for n in range(1, min(2, n_max) + 1)}
+    ring = local_ring(G, n_max, kernel, moves_by_degree)
+    for n, got in sorted(tables.items()):
+        if n <= 2:
+            continue
+        if got.count != ring.basis_size(n):
+            raise RingError(f"supplied orbit table for degree {n} has {got.count} "
+                            f"orbits, the local ring {ring.basis_size(n)}")
+        if not np.array_equal(got.orbit_id, _state_classes(ring, n)):
+            raise RingError(f"supplied orbit table for degree {n} partitions "
+                            f"G^{2 * n} differently from the local ring")
+    return ring

@@ -7,6 +7,7 @@ generator 2i the b_i role.  All words are kept freely reduced.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -197,8 +198,45 @@ def compile_move(phi: MarkedAutomorphism, G: FiniteGroup) -> CompiledMove:
     return move
 
 
+def _placed(images, n: int, i: int) -> tuple:
+    """Images of a degree-k automorphism acting on handles i+1..i+k of genus n,
+    the identity on the other handles."""
+    shift = 2 * i
+    out = list(identity_images(n))
+    for j, w in enumerate(images):
+        out[shift + j] = tuple(l + shift if l > 0 else l - shift for l in w)
+    return tuple(out)
+
+
+@functools.cache
+def _move_images(k: int) -> tuple:
+    return tuple(phi.images for phi in enumerate_stabilizing_automorphisms(k))
+
+
+def check_local(n: int, moves) -> None:
+    """Refuse a degree-n move set the local orbit construction cannot use.
+
+    Every move must be the identity outside handles i, i+1 and equal a move
+    of degree 1 or 2 placed there, and every degree-2 move placed at every
+    (i, i+1) must be a move.  Then the orbits of degree n follow from those
+    of degrees 1 and 2 (``orbits.local_steps``)."""
+    placed = {k: {_placed(images, n, i) for images in _move_images(k)
+                  for i in range(n - k + 1)} for k in (1, 2)}
+    have = {phi.images for phi in moves}
+    for phi in moves:
+        if phi.images not in placed[1] | placed[2]:
+            raise WordError(f"{phi.provenance}: not a move of degree 1 or 2 on adjacent "
+                            f"handles, so the degree-{n} orbits are not local")
+    if placed[2] - have:
+        raise WordError(f"the degree-{n} moves miss a degree-2 move on some adjacent handles")
+
+
 def compile_moves(n: int, G: FiniteGroup) -> tuple:
-    return tuple(compile_move(phi, G) for phi in enumerate_stabilizing_automorphisms(n))
+    """The compiled moves of ``enumerate_stabilizing_automorphisms``, after
+    ``check_local``."""
+    moves = enumerate_stabilizing_automorphisms(n)
+    check_local(n, moves)
+    return tuple(compile_move(phi, G) for phi in moves)
 
 
 def moveset_hash(moves) -> str:

@@ -78,3 +78,14 @@ def verdict_of(report, check: str) -> dict:
         if v["check"] == check:
             return v
     raise KeyError(f"no verdict {check!r} in report")
+
+
+# Small nonabelian groups past the battery: the dihedral group of order 8,
+# the quaternion group (its regular representation: 1..8 stand for
+# 1, -1, i, -i, j, -j, k, -k) and the alternating group on four points.
+EXTRA_SPECS = {
+    "D4": {"kind": "perm", "generators": [[[1, 2, 3, 4]], [[1, 3]]]},
+    "Q8": {"kind": "perm", "generators": [[[1, 3, 2, 4], [5, 7, 6, 8]],
+                                          [[1, 5, 2, 6], [3, 8, 4, 7]]]},
+    "A4": {"kind": "perm", "generators": [[[1, 2, 3]], [[1, 2], [3, 4]]]},
+}

@@ -10,8 +10,13 @@
   from the integer matrix ``transvection_matrix``.  Keep these to a few
   thousand states.
 
-Every function returns the parent array, the minimum rank of each state's
+These functions return the parent array, the minimum rank of each state's
 orbit, like the kernel.
+
+* ``kernel_tables`` / ``kernel_product``: the ring the full-state kernel
+  gives, which the local construction of ``stabring.ring`` replaced above
+  degree 2.  ``kernel_product`` gathers the class of rep_i ++ rep_j from the
+  degree m + n orbit table at its rank.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from stabring.oracle import transvection_matrix
-from stabring.orbits import decode_tuple, encode_tuple
+from stabring.orbits import decode_tuple, encode_tuple, enumerate_orbits
+from stabring.words import compile_moves
 
 
 def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
@@ -160,3 +166,15 @@ def bfs_transvection_parents(G, n: int, vecs) -> np.ndarray:
         return f
 
     return _bfs_parents(G.order ** two_n, [as_map(v) for v in vecs])
+
+
+def kernel_tables(G, n_max: int) -> list:
+    """Full-state orbit tables of degrees 0..n_max."""
+    return [enumerate_orbits(G, n, compile_moves(n, G) if n else ()) for n in range(n_max + 1)]
+
+
+def kernel_product(G, tables, m: int, n: int) -> np.ndarray:
+    """Class of rep_i ++ rep_j for every pair of kernel classes of degrees m, n."""
+    shift = np.uint64(G.order ** (2 * n))
+    ranks = tables[m].reps[:, None] * shift + tables[n].reps[None, :]
+    return tables[m + n].orbit_id[ranks].astype(np.int64)

@@ -5,9 +5,10 @@ nonabelian group.  Windows: n <= 4, p <= 3 for |G| <= 4; n <= 3, p <= 2 for
 order 6.  All checks are exact (zero tolerance); threshold checks may be
 inconclusive when the window cannot certify them, but must never fail.
 
-Threshold tier: two low-p windows large enough to settle bounds the battery
-leaves inconclusive, where a pass is required: C2 at n <= 10, p <= 1 for both
-thresholds, and S3 at n <= 4, p <= 1 for stability and the degree bound.
+Threshold tier: low-p windows large enough to settle bounds the battery
+leaves inconclusive, where a pass is required: C2 at n <= 10 and C3 and C4 at
+n <= 12, p <= 1, for both thresholds, and S3 at n <= 4, p <= 1 for stability
+and the degree bound.
 """
 
 import time
@@ -193,16 +194,26 @@ def test_battery_homology_rows_are_pinned(reports):
 def threshold_reports():
     from stabring.pipeline import PipelineConfig, run_pipeline
     return {name: run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n, p_max=1))
-            for name, n in (("C2", 10), ("S3", 4))}
+            for name, n in (("C2", 10), ("C3", 12), ("C4", 12), ("S3", 4))}
 
 
-def test_threshold_tier_c2_settles_both_thresholds(threshold_reports):
-    rep = threshold_reports["C2"]
+def _settles_both_thresholds(rep) -> bool:
     ok = rep.stability["stable_within_window"]
     for check in ("u_iso_threshold", "q0_threshold"):
         ok = ok and verdict_of(rep, check)["status"] == "pass"
+    return ok
+
+
+def test_threshold_tier_c2_settles_both_thresholds(threshold_reports):
     _announce(12, "C2 at n <= 10, p <= 1: U is an isomorphism past the threshold "
-                  "and the q = 0 threshold holds", ok)
+                  "and the q = 0 threshold holds",
+              _settles_both_thresholds(threshold_reports["C2"]))
+
+
+def test_threshold_tier_c3_and_c4_settle_both_thresholds(threshold_reports):
+    _announce(14, "C3 and C4 at n <= 12, p <= 1: U is an isomorphism past the "
+                  "threshold and the q = 0 threshold holds",
+              all(_settles_both_thresholds(threshold_reports[g]) for g in ("C3", "C4")))
 
 
 def test_threshold_tier_s3_certifies_stability(threshold_reports):

@@ -86,7 +86,7 @@ def test_kernel_memory_is_linear_in_states():
     moves = compile_moves(3, G)
     n_states = G.order ** 6
     for label, call in (("moves", lambda: enumerate_orbits(G, 3, moves)),
-                        ("transvections", lambda: sp_orbit_oracle(G, 3))):
+                        ("transvections", lambda: _transvection_parents(G, 3))):
         tracemalloc.start()
         try:
             call()
@@ -101,7 +101,10 @@ def test_memory_budget_fails_before_allocating(monkeypatch):
     G = load_group(KERNEL_GROUPS["C8"])
     with pytest.raises(OrbitError, match="memory budget of 1.0 MiB"):
         enumerate_orbits(G, 3, compile_moves(3, G))
-    with pytest.raises(OracleError, match="32.0 MiB"):
+    # the ring and the sp oracle run the kernel at degrees 1 and 2 only, and
+    # C8's 4096 degree-2 states need 0.5 MiB
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 2 ** 18)
+    with pytest.raises(OracleError, match="needs about 0.5 MiB"):
         sp_orbit_oracle(G, 3)
     report = run_pipeline(PipelineConfig(group=KERNEL_GROUPS["C8"], n_max=3, p_max=0))
     assert report.failure["stage"] == "orbits"

@@ -111,17 +111,20 @@ def assert_matches_reference(ring) -> None:
 
 
 def relabelled(ring, n: int, labels: np.ndarray) -> GradedRing:
-    """ring with its degree-n orbit table replaced by the partition ``labels``
-    (one label per state), ids renumbered by least rank as orbit tables are."""
-    table = ring.tables[n]
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    """ring with its degree-n step table product(n - 1, 1) replaced by the
+    classes ``labels`` (one label per entry), renumbered by least entry as the
+    ring numbers them.  A class of degree n stands for the tuples of its least
+    entry, so product(n, 1) keeps the row of that entry's former class."""
+    steps = list(ring.steps)
+    old = steps[n - 1].ravel()
+    _, first, inverse = np.unique(labels.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)
     renumber = np.empty(len(first), dtype=np.int64)
     renumber[order] = np.arange(len(first))
-    tables = list(ring.tables)
-    tables[n] = dataclasses.replace(table, orbit_id=renumber[inverse].astype(np.uint32),
-                                    reps=first[order].astype(np.uint64))
-    return GradedRing(ring.G, ring.n_max, tables, ring.moves_by_degree)
+    steps[n - 1] = renumber[inverse].reshape(steps[n - 1].shape)
+    if n < ring.n_max:
+        steps[n] = steps[n][old[first[order]]]
+    return GradedRing(ring.G, ring.n_max, ring.pair_class, steps, ring.moves_by_degree)
 
 
 def test_derived_modules_match_the_reference(rings):
@@ -138,14 +141,14 @@ def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
     for name in ("C2", "C4", "C2xC2", "S3"):
         ring = rings[name]
         top = ring.n_max
-        ring = relabelled(ring, top, np.zeros(ring.tables[top].n_states, dtype=np.int64))
+        ring = relabelled(ring, top, np.zeros(ring.steps[top - 1].shape, dtype=np.int64))
         assert ring.counts[top] == 1
         assert not ring.stability_profile().u_injective[top - 1]
         assert u_kernel_module(ring).ranks[top - 1] == ring.counts[top - 1] - 1
         assert_matches_reference(ring)
         umap = ring.u_map(top - 2)
         pairs = [(0, 3), (1, 2)] if len(umap) >= 4 else [(0, 1)]
-        labels = ring.tables[top - 1].orbit_id.astype(np.int64)
+        labels = ring.steps[top - 2].copy()
         for j, l in pairs:
             labels[labels == umap[l]] = umap[j]
         ring = relabelled(ring, top - 1, labels)
@@ -162,7 +165,7 @@ def test_u_kernel_refuses_an_action_that_leaves_the_kernel(rings):
     # ker U, but the degree-1 actions carry it to classes U keeps apart
     ring = rings["S3"]
     umap = ring.u_map(1)
-    labels = ring.tables[2].orbit_id.astype(np.int64)
+    labels = ring.steps[1].copy()
     labels[labels == umap[1]] = umap[0]
     bad = relabelled(ring, 2, labels)
     for side in ("left", "right"):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import HOPF_H2_FIXTURES
-from stabring.groups import cyclic_group
+from stabring import _kernels, oracle
+from stabring.groups import cyclic_group, load_group
 from stabring.oracle import (OracleError, abelianization_invariants,
-                             bar_homology, preserves_form, sp_orbit_oracle,
-                             stable_count_prediction, transvection_matrix,
-                             transvection_vectors)
+                             bar_homology, preserves_form, sp_orbit_counts,
+                             sp_orbit_oracle, stable_count_prediction,
+                             transvection_matrix, transvection_vectors)
 
 
 def test_bar_homology_trivial(groups):
@@ -80,3 +81,46 @@ def test_moves_abelianize_into_the_symplectic_group():
         for phi in enumerate_stabilizing_automorphisms(n):
             A = abelianized_matrix(phi)
             assert np.array_equal(A.T @ J @ A, J), phi.provenance
+
+
+LOCAL_SP = {
+    "C4": ({"kind": "cyclic", "order": 4}, 4),
+    "C2xC2": ({"kind": "product", "factors": [{"kind": "cyclic", "order": 2}] * 2}, 4),
+    "C6": ({"kind": "cyclic", "order": 6}, 3),
+    "C2xC4": ({"kind": "product", "factors": [{"kind": "cyclic", "order": 2},
+                                              {"kind": "cyclic", "order": 4}]}, 3),
+}
+
+
+@pytest.mark.parametrize("name", LOCAL_SP)
+def test_local_sp_counts_match_the_full_state_kernel(name):
+    spec, n_max = LOCAL_SP[name]
+    G = load_group(spec)
+    want = [1] + [len(np.unique(_kernels.transvection_orbit_parents(
+        G.table, G.inverse, 2 * n, G.order, transvection_vectors(n), G.order ** (2 * n))))
+        for n in range(1, n_max + 1)]
+    assert sp_orbit_counts(G, n_max) == want
+    assert [sp_orbit_oracle(G, n) for n in range(n_max + 1)] == want
+
+
+def test_transvection_vectors_refuse_what_is_not_local(monkeypatch):
+    twist = oracle._twist_vectors
+
+    def with_long_row(n):
+        rows = twist(n)
+        if n != 3:
+            return rows
+        long_row = np.zeros(6, dtype=np.int8)
+        long_row[[1, 4]] = 1  # b_1 + a_3 skips handle 2
+        return np.vstack([rows, long_row])
+
+    monkeypatch.setattr(oracle, "_twist_vectors", with_long_row)
+    with pytest.raises(OracleError, match="transvection of degree 3 is not local"):
+        transvection_vectors(3)
+    with pytest.raises(OracleError, match="not local"):
+        sp_orbit_counts(cyclic_group(2), 3)
+    assert len(transvection_vectors(2)) == 5
+    # without the mixer of handles 2 and 3 the degree-2 rows are not all placed
+    monkeypatch.setattr(oracle, "_twist_vectors", lambda n: twist(n)[:-1] if n == 3 else twist(n))
+    with pytest.raises(OracleError, match="miss a degree-2 one"):
+        transvection_vectors(3)

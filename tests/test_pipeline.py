@@ -13,6 +13,7 @@ from stabring.cli import main as cli_main
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import GradedModule, regular_module
 from stabring.orbits import cache_load, cache_store
+from stabring.ring import GradedRing
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
@@ -334,3 +335,20 @@ def test_config_echo_excludes_threads(reports):
     payload = reports["C2"].canonical_payload()
     assert set(payload["config"]) == {"n_max", "p_max", "state_cap", "seed",
                                       "well_definedness_samples"}
+
+
+def test_well_definedness_fails_on_a_wrong_product_entry(rings):
+    # class_index folds handle classes through product(k, 1), so the sampled
+    # move images are what test that table: one wrong product(2, 1) entry,
+    # not the least entry of its class, is caught
+    ring = rings["S3"]
+    config = PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=0)
+    assert pipeline._well_definedness_verdict(ring, config)["status"] == "pass"
+    steps = list(ring.steps)
+    steps[2] = steps[2].copy()
+    steps[2][-1, -1] = (steps[2][-1, -1] + 1) % ring.basis_size(3)
+    wrong = GradedRing(ring.G, ring.n_max, ring.pair_class, steps, ring.moves_by_degree)
+    assert [wrong.rep(3, j) for j in range(8)] == [ring.rep(3, j) for j in range(8)]
+    verdict = pipeline._well_definedness_verdict(wrong, config)
+    assert verdict["status"] == "fail"
+    assert verdict["witness"].startswith("product mismatch")

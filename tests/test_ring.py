@@ -1,6 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+from conftest import BATTERY_SPECS, EXTRA_SPECS
+from stabring.groups import load_group
+from stabring.orbits import OrbitError, step_table
 from stabring.ring import RingError, build_ring
 
 
@@ -180,3 +186,60 @@ def test_summary_shape(rings):
     assert s["counts"] == [1, 2, 2, 2, 2]
     assert set(s["u_maps"]) == {"0", "1", "2", "3"}
     assert s["stable_within_window"] is True
+
+
+LOCAL_VS_KERNEL = {**{name: 4 for name in BATTERY_SPECS}, **{name: 3 for name in EXTRA_SPECS}}
+
+
+@pytest.mark.parametrize("name", LOCAL_VS_KERNEL)
+def test_local_ring_matches_the_kernel_reference(name):
+    """Every product table and every representative of the ring built from
+    the degree-1 and degree-2 tables equal those of the full-state kernel."""
+    G = load_group({**BATTERY_SPECS, **EXTRA_SPECS}[name])
+    n_max = LOCAL_VS_KERNEL[name]
+    tables = ref.kernel_tables(G, n_max)
+    ring = build_ring(G, n_max)
+    assert ring.counts == tuple(t.count for t in tables)
+    for n in range(n_max + 1):
+        assert [ring.rep(n, j) for j in range(ring.basis_size(n))] == \
+            [tables[n].rep_tuple(j) for j in range(tables[n].count)], (name, n)
+        for m in range(n_max + 1 - n):
+            assert np.array_equal(ring.product(m, n), ref.kernel_product(G, tables, m, n)), \
+                (name, m, n)
+
+
+def test_build_ring_checks_supplied_tables_above_degree_two(groups):
+    G = groups["C4"]
+    tables = dict(enumerate(ref.kernel_tables(G, 3)))
+    assert build_ring(G, 3, tables=tables).counts == (1, 3, 3, 3)
+    top = tables[3]
+    merged = dataclasses.replace(top, orbit_id=np.zeros_like(top.orbit_id), reps=top.reps[:1])
+    with pytest.raises(RingError, match="has 1 orbits, the local ring 3"):
+        build_ring(G, 3, tables={**tables, 3: merged})
+    # the last state moved to another orbit: the counts agree, the partition does not
+    orbit_id = top.orbit_id.copy()
+    orbit_id[-1] = (orbit_id[-1] + 1) % top.count
+    moved = dataclasses.replace(top, orbit_id=orbit_id)
+    with pytest.raises(RingError, match="partitions G\\^6 differently"):
+        build_ring(G, 3, tables={**tables, 3: moved})
+
+
+def test_step_table_refuses_a_partition_finer_than_the_handle_classes(groups):
+    # split one degree-2 orbit along a pair that is not its handles' least pair
+    G = groups["C3"]
+    class1 = ref.kernel_tables(G, 1)[1].orbit_id.astype(np.int64)
+    class2 = ref.kernel_tables(G, 2)[2].orbit_id.astype(np.int64)
+    assert step_table(class1, class2).shape == (2, 2)
+    class2[-1] = class2.max() + 1
+    with pytest.raises(OrbitError, match="not a function of the degree-1 classes"):
+        step_table(class1, class2)
+
+
+def test_rep_and_class_index_refuse_what_is_not_in_the_ring(rings):
+    ring = rings["C2"]
+    with pytest.raises(RingError, match="no class"):
+        ring.rep(1, ring.basis_size(1))
+    with pytest.raises(RingError, match="no class"):
+        ring.rep(ring.n_max + 1, 0)
+    with pytest.raises(RingError, match="out of range"):
+        ring.class_index(1, (0, 2))

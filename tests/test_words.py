@@ -10,9 +10,12 @@ from reference_moves import (abelianized_matrix, image_ranks, mixes_handles,
 from stabring.groups import cyclic_group, load_group
 from stabring.oracle import symplectic_form, transvection_matrix
 from stabring.orbits import enumerate_orbits
+from stabring import words
+from stabring.pipeline import PipelineConfig, run_pipeline
 from stabring.words import (MarkedAutomorphism, WordError, apply_images,
                             boundary_eval, boundary_word, compile_move,
-                            compile_moves, enumerate_stabilizing_automorphisms,
+                            compile_moves, compose_images,
+                            enumerate_stabilizing_automorphisms,
                             identity_images, invert_word, moveset_hash,
                             moveset_manifest, reduce_word)
 
@@ -213,3 +216,32 @@ def test_genus_five_builds_and_compiles_fast():
     elapsed = time.perf_counter() - t0
     assert len(moves) == 3 * 5 - 1
     assert elapsed < 0.5, f"genus-5 move set took {elapsed:.2f} s"
+
+
+def test_compile_moves_refuses_a_move_set_that_is_not_local(monkeypatch):
+    """The local orbit construction needs every move on two adjacent handles
+    and equal to a move of degree 1 or 2 there, and every degree-2 move on
+    every pair of adjacent handles."""
+    G = cyclic_group(2)
+    base = enumerate_stabilizing_automorphisms
+    moves = base(3)
+    m1, m2 = (next(phi for phi in moves if phi.provenance == name) for name in ("M_1", "M_2"))
+    composite = MarkedAutomorphism(3, compose_images(m1.images, m2.images),
+                                   compose_images(m2.inverse_images, m1.inverse_images),
+                                   "M_1 M_2")
+    inverse = MarkedAutomorphism(3, m1.inverse_images, m1.images, "M_1^-1")
+    for extra, message in ((composite, "M_1 M_2: not a move of degree 1 or 2"),
+                           (inverse, "M_1\\^-1: not a move of degree 1 or 2")):
+        monkeypatch.setattr(words, "enumerate_stabilizing_automorphisms",
+                            lambda n, extra=extra: base(n) + (extra,) if n == 3 else base(n))
+        with pytest.raises(WordError, match=message):
+            compile_moves(3, G)
+        report = run_pipeline(PipelineConfig(group={"kind": "cyclic", "order": 2},
+                                             n_max=3, p_max=0))
+        assert report.failure["stage"] == "moves"
+    monkeypatch.setattr(words, "enumerate_stabilizing_automorphisms",
+                        lambda n: tuple(phi for phi in base(n) if phi.provenance != "M_2")
+                        if n == 3 else base(n))
+    with pytest.raises(WordError, match="miss a degree-2 move"):
+        compile_moves(3, G)
+    assert len(compile_moves(2, G)) == 5

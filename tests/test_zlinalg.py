@@ -6,6 +6,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
 from reference_snf import smith_with_transforms
+from stabring import zlinalg
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import regular_module
 from stabring.zlinalg import (INT64_MAX, HomologyGroup, IntMatrix, LinAlgError,
@@ -335,9 +336,11 @@ def fresh(A: IntMatrix) -> IntMatrix:
 
 
 def unit_rounds(A: IntMatrix) -> list:
-    """The rounds ``smith_normal_form`` runs on A, as (matrix, prow, pcol,
-    Schur complement) each, after checking that every pivot block is a signed
-    identity and that the Schur complement leaves the pivot lines empty."""
+    """The chain of ``_unit_round`` calls on A down to the cutoff, as (matrix,
+    prow, pcol, Schur complement) each, after checking that every pivot block
+    is a signed identity and that the Schur complement leaves the pivot lines
+    empty.  ``smith_normal_form`` runs a prefix of it: it also stops before a
+    round that grows the matrix."""
     out = []
     while A.nnz >= _ROUND_MIN_NNZ:
         step = _unit_round(A)
@@ -453,3 +456,59 @@ def test_rounds_run_up_to_the_int64_bound():
     assert len(prow) == 2 and 1 + (2 ** 62 - 1) * len(prow) == INT64_MAX
     assert sorted(rest.val.tolist()) == [2 - 2 ** 62] * 2
     assert eliminator_factors(A) == (1, 1, 2 ** 62 - 2, 2 ** 62 - 2) == sympy_factors(A)
+
+
+def dense_beside_units(rng, dim: int, density: float, units: int) -> IntMatrix:
+    """A dim x dim block with a fraction ``density`` of entries in
+    {+-1, 2, 3}, beside ``units`` signed unit diagonal entries."""
+    r, c, v = [], [], []
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < density:
+                r.append(i)
+                c.append(j)
+                v.append(rng.choice((1, -1, 1, -1, 2, 3)))
+    for t in range(units):
+        r.append(dim + t)
+        c.append(dim + t)
+        v.append(rng.choice((1, -1)))
+    return IntMatrix.from_triplets(dim + units, dim + units, r, c, v)
+
+
+def test_rounds_stop_when_fill_grows(monkeypatch):
+    # the first round clears the unit diagonal and shrinks the matrix; the
+    # next two fill the dense block in, so both are undone
+    A = dense_beside_units(random.Random(0), 90, 0.25, 1500)
+    assert A.nnz >= _ROUND_MIN_NNZ
+    rounds, handed = [], []
+
+    def recording_round(M):
+        step = _unit_round(M)
+        rounds.append((M, None if step is None else step[2]))
+        return step
+
+    def recording_blocks(M):
+        handed.append(M)
+        return _blocks(M)
+
+    monkeypatch.setattr(zlinalg, "_unit_round", recording_round)
+    monkeypatch.setattr(zlinalg, "_blocks", recording_blocks)
+    factors = smith_normal_form(A).factors
+    grew = [out.nnz > M.nnz for M, out in rounds]
+    assert grew == [False, True, True]
+    assert handed == [rounds[1][0]]  # the matrix ahead of the two growing rounds
+    block = IntMatrix.from_triplets(90, 90, *(x[A.row < 90] for x in (A.row, A.col, A.val)))
+    assert factors == _normalize_factors([1] * 1500 + list(smith_with_transforms(block)[0]))
+
+
+def test_one_growing_round_is_kept(monkeypatch):
+    # the second round grows the matrix and the third shrinks it again, so
+    # the rounds run on to the cutoff
+    A = dense_beside_units(random.Random(0), 60, 0.4, 700)
+    handed = []
+    monkeypatch.setattr(zlinalg, "_blocks", lambda M: handed.append(M) or _blocks(M))
+    rounds = unit_rounds(A)
+    assert [rest.nnz > M.nnz for M, _, _, rest in rounds[:3]] == [False, True, False]
+    factors = smith_normal_form(A).factors
+    assert handed == [rounds[-1][3]] and handed[0].nnz < _ROUND_MIN_NNZ
+    assert factors == eliminator_factors(fresh(A))
