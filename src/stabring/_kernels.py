@@ -31,7 +31,8 @@ BYTES_PER_STATE = 128
 
 
 def memory_budget() -> int:
-    """Physical memory, or the soft address-space limit when that is lower."""
+    """Physical memory, or the soft address-space limit when that is lower.
+    The orbit kernel and ``groups.max_order`` both check against it."""
     budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:

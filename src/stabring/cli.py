@@ -2,7 +2,7 @@
 the homology oracles.
 
 Exit codes for ``run``: 0 all verdicts pass, 2 some inconclusive, 1 any
-failure or error.  STABRING_CACHE overrides the cache directory.
+failure or error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import sys
 from .groups import load_group
 from .oracle import bar_homology, sp_orbit_counts, stable_count_prediction
 from .orbits import enumerate_orbits
-from .pipeline import PipelineConfig, emit_report, render_summary, run_pipeline
+from .pipeline import (ConfigError, PipelineConfig, emit_report, render_summary,
+                       run_pipeline)
 from .words import compile_moves, moveset_manifest
 
 
@@ -31,14 +32,13 @@ def _load_spec(arg: str) -> dict:
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
-    cache = args.cache or os.environ.get("STABRING_CACHE") or data.get("cache_dir")
-    if cache:
-        data["cache_dir"] = cache
     if args.out is not None:
         data["out_dir"] = args.out
     if args.dump_matrices:
         data["dump_matrices"] = True
     config = PipelineConfig.from_dict(data)
+    if args.dump_moves and not config.out_dir:
+        raise ConfigError("--dump-moves needs out_dir or --out to write the manifests to")
     report = run_pipeline(config)
     print(render_summary(report), end="")
     if config.out_dir:
@@ -89,10 +89,9 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the full pipeline from a config file")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--cache", default=None, help="orbit cache directory")
     p_run.add_argument("--out", default=None, help="report output directory")
     p_run.add_argument("--dump-moves", action="store_true",
-                       help="also write the move-set manifests")
+                       help="also write the move-set manifests (needs an output directory)")
     p_run.add_argument("--dump-matrices", action="store_true",
                        help="write the differential matrices as text triplets")
     p_run.set_defaults(fn=_cmd_run)

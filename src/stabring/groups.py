@@ -7,9 +7,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+
 
 class GroupError(ValueError):
-    """Raised when a group spec fails validation."""
+    """Raised when a group spec fails validation or does not fit in memory."""
+
+
+# Peak bytes per triple (a, b, c) of the associativity check in ``_validate``,
+# with margin: tracemalloc measures 17 (two int64 gathers and their comparison).
+BYTES_PER_TRIPLE = 24
+SUBGROUP_ORDER_CAP = 16
+
+
+def max_order() -> int:
+    """The largest order whose associativity check fits ``_kernels.memory_budget``."""
+    triples = _kernels.memory_budget() // BYTES_PER_TRIPLE
+    cap = round(triples ** (1 / 3))  # the cube root or one above it
+    return cap if cap ** 3 <= triples else cap - 1
+
+
+def _check_order(order: int, what: str = "group order") -> None:
+    """Refuse an order over ``max_order`` before a table of that size exists."""
+    cap = max_order()
+    if order > cap:
+        raise GroupError(f"{what} {order} is over {cap}, the largest order whose associativity "
+                         f"check ({BYTES_PER_TRIPLE} B per triple) fits the memory budget of "
+                         f"{_kernels.memory_budget() / 2 ** 20:.1f} MiB")
 
 
 def _as_table(rows) -> np.ndarray:
@@ -18,6 +42,7 @@ def _as_table(rows) -> np.ndarray:
     if order == 0 or any(len(row) != order for row in rows):
         raise GroupError(f"Cayley table must be a nonempty square, got {order} rows "
                          f"of lengths {sorted({len(row) for row in rows})}")
+    _check_order(order)
     table = np.array(rows, dtype=np.int64)
     if table.min() < 0 or table.max() >= order:
         raise GroupError("Cayley table entries must be element indices in [0, order)")
@@ -88,6 +113,7 @@ def _validate(table: np.ndarray, name: str) -> FiniteGroup:
 def cyclic_group(k: int) -> FiniteGroup:
     if k < 1:
         raise GroupError("cyclic order must be >= 1")
+    _check_order(k)
     idx = np.arange(k)
     return _validate((idx[:, None] + idx[None, :]) % k, f"C{k}")
 
@@ -95,6 +121,7 @@ def cyclic_group(k: int) -> FiniteGroup:
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; index (a, b) packs to a * |G2| + b, so identity stays 0."""
     n1, n2 = g1.order, g2.order
+    _check_order(n1 * n2)
     a1, b1 = np.divmod(np.arange(n1 * n2), n2)
     t1 = g1.table[np.ix_(a1, a1)]
     t2 = g2.table[np.ix_(b1, b1)]
@@ -112,8 +139,10 @@ def _perm_from_cycles(cycles, degree: int) -> tuple:
     return tuple(img)
 
 
-def perm_group(generators, order_cap: int = 4096) -> FiniteGroup:
-    """Close permutation generators (cycle notation on {1..m}) under products."""
+def perm_group(generators) -> FiniteGroup:
+    """Close permutation generators (cycle notation on {1..m}) under products.
+
+    The closure stops with ``GroupError`` once it outgrows ``max_order``."""
     degree = max((p for perm in generators for cyc in perm for p in cyc), default=1)
     gens = [_perm_from_cycles(cycs, degree) for cycs in generators]
     identity = tuple(range(degree))
@@ -125,8 +154,7 @@ def perm_group(generators, order_cap: int = 4096) -> FiniteGroup:
             for g in gens:
                 q = tuple(g[p[i]] for i in range(degree))
                 if q not in seen:
-                    if len(seen) >= order_cap:
-                        raise GroupError(f"permutation closure exceeds order cap {order_cap}")
+                    _check_order(len(seen) + 1, "permutation closure size")
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -144,12 +172,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_group(spec: dict, order_cap: int = 4096) -> FiniteGroup:
+def load_group(spec: dict) -> FiniteGroup:
     """Build a validated group from a spec document.
 
     Kinds: "cayley" (row-major table), "cyclic" (order), "product" (factors),
     "perm" (generators as cycle lists on {1..m}).  A missing or malformed
-    field raises GroupError naming it.
+    field raises GroupError naming it, and so does an order over ``max_order``,
+    checked before the table is allocated.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GroupError("group spec must be a mapping with a 'kind' field")
@@ -169,7 +198,7 @@ def load_group(spec: dict, order_cap: int = 4096) -> FiniteGroup:
         specs = field("factors")
         if not isinstance(specs, list) or not specs:
             raise GroupError("product group 'factors' must be a nonempty list")
-        factors = [load_group(f, order_cap) for f in specs]
+        factors = [load_group(f) for f in specs]
         g = factors[0]
         for h in factors[1:]:
             g = product_group(g, h)
@@ -181,7 +210,7 @@ def load_group(spec: dict, order_cap: int = 4096) -> FiniteGroup:
                     isinstance(cyc, list) and all(_is_int(p) for p in cyc) for cyc in perm)
                 for perm in generators)):
             raise GroupError("perm group 'generators' must be lists of cycles of integer points")
-        return perm_group(generators, order_cap)
+        return perm_group(generators)
     if kind == "cayley":
         rows = field("table")
         if not (isinstance(rows, list) and all(
@@ -224,14 +253,15 @@ def _restrict(G: FiniteGroup, elems: tuple) -> FiniteGroup:
     return _validate(table, f"{G.name}|{{{','.join(map(str, elems))}}}")
 
 
-def enumerate_subgroups(G: FiniteGroup, order_cap: int = 16) -> tuple:
+def enumerate_subgroups(G: FiniteGroup) -> tuple:
     """All subgroups as a tuple of ``Subgroup``, each tagged with its
     re-indexed Cayley table, ordered by order and then elements.
 
     Grows closures one generator at a time, so every subgroup is reached.
     """
-    if G.order > order_cap:
-        raise GroupError(f"subgroup enumeration capped at order {order_cap}, group has {G.order}")
+    if G.order > SUBGROUP_ORDER_CAP:
+        raise GroupError(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}, "
+                         f"group has {G.order}")
     found = {frozenset({G.identity})}
     frontier = [frozenset({G.identity})]
     while frontier:

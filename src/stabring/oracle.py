@@ -12,8 +12,8 @@ from .zlinalg import IntMatrix, chain_homology
 
 
 class OracleError(ValueError):
-    """Raised on cap or memory-budget violations, or non-abelian input to the
-    symplectic oracle."""
+    """Raised on the bar-complex order cap, memory-budget violations, or
+    non-abelian input to the symplectic oracle."""
 
 
 BAR_ORDER_CAP = 12
@@ -86,14 +86,14 @@ def abelianization_invariants(G: FiniteGroup) -> tuple:
     return h.torsion
 
 
-def stable_count_prediction(G: FiniteGroup, order_cap: int = 16) -> int:
+def stable_count_prediction(G: FiniteGroup) -> int:
     """Sum over all subgroups H <= G of |H2(H, Z)|.
 
     The image subgroup of a tuple is an orbit invariant, and tuples surjecting
     onto H contribute one stable class per element of H2(H).
     """
     total = 0
-    for sub in enumerate_subgroups(G, order_cap):
+    for sub in enumerate_subgroups(G):
         h2 = bar_homology(sub.group)["H2"]
         size = h2.order()
         if size is None:
@@ -162,7 +162,7 @@ def preserves_form(M: np.ndarray) -> bool:
     return bool(np.array_equal(M.T @ J @ M, J))
 
 
-def sp_orbit_counts(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32) -> list:
+def sp_orbit_counts(G: FiniteGroup, n_max: int) -> list:
     """Orbit counts of G^(2n), n = 0..n_max, under the transvections of
     ``transvection_vectors``.
 
@@ -183,8 +183,6 @@ def sp_orbit_counts(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32) -> lis
     classes = []
     for n in range(1, min(2, n_max) + 1):
         n_states = G.order ** (2 * n)
-        if n_states > state_cap:
-            raise OracleError(f"state space {n_states} exceeds cap {state_cap}")
         shortfall = _kernels.memory_shortfall(n_states)
         if shortfall:
             raise OracleError(shortfall)
@@ -197,6 +195,6 @@ def sp_orbit_counts(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32) -> lis
     return [1] + [int(step.max()) + 1 for step in steps]
 
 
-def sp_orbit_oracle(G: FiniteGroup, n: int, state_cap: int = 2 ** 32) -> int:
+def sp_orbit_oracle(G: FiniteGroup, n: int) -> int:
     """The degree-n count of ``sp_orbit_counts``."""
-    return sp_orbit_counts(G, n, state_cap)[n]
+    return sp_orbit_counts(G, n)[n]

@@ -20,24 +20,14 @@ from .words import moveset_hash
 
 
 class OrbitError(ValueError):
-    """Raised on state-cap or memory-budget violations, cache corruption, and
-    degree-2 partitions that are not a function of the handle classes."""
+    """Raised on memory-budget violations, cache corruption, and degree-2
+    partitions that are not a function of the handle classes."""
 
 
 MAGIC = b"HWOT"
 VERSION = 2
 # magic, version, group hash, move-set hash, n, order, orbit count, payload SHA-256
 HEADER = "<4sH32s32sHHI32s"
-
-
-def encode_tuple(entries, order: int) -> int:
-    """Mixed-radix rank, entries[0] most significant; all-identity maps to 0."""
-    rank = 0
-    for e in entries:
-        if not 0 <= e < order:
-            raise OrbitError(f"entry {e} out of range for order {order}")
-        rank = rank * order + e
-    return rank
 
 
 def decode_tuple(rank: int, order: int, two_n: int) -> tuple:
@@ -64,15 +54,6 @@ class OrbitTable:
     def count(self) -> int:
         return len(self.reps)
 
-    @property
-    def n_states(self) -> int:
-        return len(self.orbit_id)
-
-    def class_of(self, entries) -> int:
-        if len(entries) != 2 * self.n:
-            raise OrbitError(f"tuple of length {len(entries)}, expected 2n = {2 * self.n}")
-        return int(self.orbit_id[encode_tuple(entries, self.order)])
-
     def rep_tuple(self, orbit: int) -> tuple:
         return decode_tuple(int(self.reps[orbit]), self.order, 2 * self.n)
 
@@ -80,19 +61,16 @@ class OrbitTable:
         return np.bincount(self.orbit_id, minlength=self.count)
 
 
-def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32) -> OrbitTable:
+def enumerate_orbits(G: FiniteGroup, n: int, moves) -> OrbitTable:
     """Closure of G^(2n) under the compiled moves.
 
     Output is deterministic and independent of move order: orbit ids are
-    assigned by increasing minimal rank.
+    assigned by increasing minimal rank.  ``OrbitError`` is raised before
+    anything is allocated when the state space does not fit in memory.
     """
     if n < 0:
         raise OrbitError("genus must be >= 0")
     n_states = G.order ** (2 * n)
-    if n_states > state_cap:
-        raise OrbitError(
-            f"state space {G.order}^{2 * n} = {n_states} exceeds cap {state_cap}; "
-            "lower n or use a smaller group")
     shortfall = _kernels.memory_shortfall(n_states)
     if shortfall:
         raise OrbitError(shortfall)
@@ -122,7 +100,8 @@ def enumerate_orbits(G: FiniteGroup, n: int, moves, state_cap: int = 2 ** 32) ->
 def cache_store(table: OrbitTable, path) -> None:
     """Write through a temporary file in the same directory, then rename it
     into place, so a reader never sees a partly written entry.  The header
-    carries a SHA-256 of the payload, which ``cache_load`` checks."""
+    carries a SHA-256 of the payload, which ``cache_load`` checks.  The
+    pipeline keeps no cache; ``perfbench/child.py`` times this round trip."""
     reps = table.reps.astype("<u8").tobytes()
     orbit_id = table.orbit_id.astype("<u4").tobytes()
     digest = hashlib.sha256(reps)

@@ -1,5 +1,5 @@
-"""Pipeline orchestration: configuration, staged execution, orbit caching,
-verdict assembly, and report emission."""
+"""Pipeline orchestration: configuration, staged execution, verdict
+assembly, and report emission."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import csv
 import functools
 import io
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -15,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kcomplex as kc
-from .groups import FiniteGroup, _is_int, load_group, subgroup_closure
+from .groups import _is_int, load_group, subgroup_closure
 from .modules import delta_and_bounds, derive_module, regular_module
 from .oracle import (abelianization_invariants, bar_homology,
                      sp_orbit_counts, stable_count_prediction)
-from .orbits import OrbitError, cache_load, cache_store, enumerate_orbits
+from .orbits import enumerate_orbits
 from .ring import local_ring
 from .words import boundary_eval, compile_moves, moveset_hash
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -37,7 +34,7 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -45,15 +42,13 @@ class PipelineConfig:
     group: dict
     n_max: int
     p_max: int
-    state_cap: int = 2 ** 32
-    cache_dir: str | None = None
     out_dir: str | None = None
     seed: int = 0
     well_definedness_samples: int = 1000
     dump_matrices: bool = False
 
     def __post_init__(self):
-        for name in ("n_max", "p_max", "state_cap", "seed", "well_definedness_samples"):
+        for name in ("n_max", "p_max", "seed", "well_definedness_samples"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -61,16 +56,12 @@ class PipelineConfig:
             raise ConfigError("n_max must be >= 1")
         if self.p_max < 0:
             raise ConfigError("p_max must be >= 0")
-        if self.state_cap <= 0:
-            raise ConfigError("state_cap must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.well_definedness_samples < 1:
             raise ConfigError("well_definedness_samples must be >= 1")
-        for name in ("cache_dir", "out_dir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string path, got {value!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string path, got {self.out_dir!r}")
         if not isinstance(self.dump_matrices, bool):
             raise ConfigError(f"dump_matrices must be true or false, got {self.dump_matrices!r}")
         if self.dump_matrices and not self.out_dir:
@@ -128,23 +119,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.canonical_payload(), sort_keys=True, indent=2) + "\n"
-
-
-def _orbit_table_cached(G: FiniteGroup, n: int, moves, config: PipelineConfig):
-    if not config.cache_dir:
-        return enumerate_orbits(G, n, moves, config.state_cap)
-    mh = moveset_hash(moves)
-    os.makedirs(config.cache_dir, exist_ok=True)
-    path = os.path.join(config.cache_dir,
-                        f"orbits_{G.hash()[:12]}_n{n}_{mh[:12]}.hwot")
-    if os.path.exists(path):
-        try:
-            return cache_load(path, expect_group_hash=G.hash(), expect_moveset_hash=mh)
-        except OrbitError as exc:
-            log.warning("recomputing orbit cache entry %s: %s", path, exc)
-    table = enumerate_orbits(G, n, moves, config.state_cap)
-    cache_store(table, path)
-    return table
 
 
 def _verdict(check, statement, status, witness=None):
@@ -258,8 +232,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
     """
     report = Report()
     report.config = {
-        "n_max": config.n_max, "p_max": config.p_max,
-        "state_cap": config.state_cap, "seed": config.seed,
+        "n_max": config.n_max, "p_max": config.p_max, "seed": config.seed,
         "well_definedness_samples": config.well_definedness_samples,
     }
     timings = report.timings
@@ -285,7 +258,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
         # the kernel runs at degrees 1 and 2; the ring builds the rest from them
         tables = stage("orbits", lambda: {
-            n: _orbit_table_cached(G, n, moves_by_degree[n], config)
+            n: enumerate_orbits(G, n, moves_by_degree[n])
             for n in range(1, min(2, config.n_max) + 1)})
 
         ring = stage("ring", lambda: local_ring(G, config.n_max, tables, moves_by_degree))
@@ -332,7 +305,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             out["abelianization"] = list(abelianization_invariants(G))
             out["stable_count_prediction"] = stable_count_prediction(G)
             if G.is_abelian:
-                out["sp_counts"] = sp_orbit_counts(G, config.n_max, config.state_cap)
+                out["sp_counts"] = sp_orbit_counts(G, config.n_max)
             return out
         report.oracle = stage("oracles", _oracles)
 

@@ -204,8 +204,7 @@ def _state_classes(ring: GradedRing, n: int) -> np.ndarray:
     return cls
 
 
-def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
-               tables: dict | None = None) -> GradedRing:
+def build_ring(G: FiniteGroup, n_max: int, tables: dict | None = None) -> GradedRing:
     """Assemble the graded ring up to degree n_max.
 
     The orbit kernel runs at degrees 1 and 2 only; ``local_ring`` builds the
@@ -222,7 +221,7 @@ def build_ring(G: FiniteGroup, n_max: int, state_cap: int = 2 ** 32,
             raise RingError(f"supplied orbit table for degree {n} does not match the group")
         if n > 0 and got.moveset_hash != moveset_hash(moves_by_degree[n]):
             raise RingError(f"supplied orbit table for degree {n} has a different move set")
-    kernel = {n: tables.get(n) or enumerate_orbits(G, n, moves_by_degree[n], state_cap)
+    kernel = {n: tables.get(n) or enumerate_orbits(G, n, moves_by_degree[n])
               for n in range(1, min(2, n_max) + 1)}
     ring = local_ring(G, n_max, kernel, moves_by_degree)
     for n, got in sorted(tables.items()):

@@ -178,11 +178,6 @@ class IntMatrix:
     def _max_abs(self) -> int:
         return int(np.abs(self.val).max()) if len(self.val) else 0
 
-    def to_dense(self) -> list:
-        dense = np.zeros((self.rows, self.cols), dtype=np.int64)
-        dense[self.row, self.col] = self.val
-        return dense.tolist()
-
     def _to_csr(self) -> csr_matrix:
         """The same matrix as an int64 ``csr_matrix``, built once and shared."""
         if self._csr is None:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_kernels import encode_tuple
 from stabring.kcomplex import KComplex, KComplexError, _require_regular
-from stabring.orbits import decode_tuple, encode_tuple
+from stabring.orbits import decode_tuple
 from stabring.words import boundary_eval
 from stabring.zlinalg import IntMatrix
 

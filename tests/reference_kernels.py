@@ -17,6 +17,9 @@ orbit, like the kernel.
   gives, which the local construction of ``stabring.ring`` replaced above
   degree 2.  ``kernel_product`` gathers the class of rep_i ++ rep_j from the
   degree m + n orbit table at its rank.
+* ``encode_tuple``, ``class_of`` and ``n_states``: lookups of a tuple's rank
+  and orbit in a full-state ``OrbitTable``.  The library folds handle classes
+  through the ring's step tables instead (``GradedRing.class_index``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,29 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from stabring.oracle import transvection_matrix
-from stabring.orbits import decode_tuple, encode_tuple, enumerate_orbits
+from stabring.orbits import OrbitError, decode_tuple, enumerate_orbits
 from stabring.words import compile_moves
+
+
+def encode_tuple(entries, order: int) -> int:
+    """Mixed-radix rank, entries[0] most significant; all-identity maps to 0."""
+    rank = 0
+    for e in entries:
+        if not 0 <= e < order:
+            raise OrbitError(f"entry {e} out of range for order {order}")
+        rank = rank * order + e
+    return rank
+
+
+def class_of(table, entries) -> int:
+    """The orbit id of a tuple in a full-state orbit table."""
+    if len(entries) != 2 * table.n:
+        raise OrbitError(f"tuple of length {len(entries)}, expected 2n = {2 * table.n}")
+    return int(table.orbit_id[encode_tuple(entries, table.order)])
+
+
+def n_states(table) -> int:
+    return len(table.orbit_id)
 
 
 def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Test-only reference for ``stabring.zlinalg``: the dense Smith normal form
-with unimodular transforms that the library no longer keeps, and the
-kernel-basis and image-membership checks built on it.
+with unimodular transforms that the library no longer keeps, the kernel-basis
+and image-membership checks built on it, and ``to_dense``, which turns an
+``IntMatrix`` into nested lists for them and for sympy.
 
 Everything here is dense Python-integer arithmetic, cubic in the matrix size;
 keep it to matrices of a few hundred rows and columns.
@@ -8,7 +9,16 @@ keep it to matrices of a few hundred rows and columns.
 
 from __future__ import annotations
 
+import numpy as np
+
 from stabring.zlinalg import IntMatrix
+
+
+def to_dense(A: IntMatrix) -> list:
+    """A as a list of rows of Python ints."""
+    dense = np.zeros((A.rows, A.cols), dtype=np.int64)
+    dense[A.row, A.col] = A.val
+    return dense.tolist()
 
 
 def snf_dense_transforms(A: IntMatrix):
@@ -18,7 +28,7 @@ def snf_dense_transforms(A: IntMatrix):
     the divisibility chain inline by folding offending entries into the pivot.
     """
     m, n = A.rows, A.cols
-    D = A.to_dense()
+    D = to_dense(A)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0

@@ -130,15 +130,15 @@ def test_criterion_11_determinism(tmp_path_factory):
     from stabring.pipeline import PipelineConfig, emit_report, run_pipeline
     cfg = dict(group=BATTERY_SPECS["C3"], n_max=3, p_max=2,
                well_definedness_samples=100)
-    cache = str(tmp_path_factory.mktemp("cache"))
-    cold = run_pipeline(PipelineConfig(cache_dir=cache, **cfg))
-    warm = run_pipeline(PipelineConfig(cache_dir=cache, **cfg))
-    d_cold = tmp_path_factory.mktemp("cold")
-    d_warm = tmp_path_factory.mktemp("warm")
-    emit_report(cold, str(d_cold))
-    emit_report(warm, str(d_warm))
-    ok = (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
-    _announce(11, "byte-identical JSON reports from a cold and a warm orbit cache", ok)
+    first = run_pipeline(PipelineConfig(**cfg))
+    second = run_pipeline(PipelineConfig(**cfg))
+    d_first = tmp_path_factory.mktemp("first")
+    d_second = tmp_path_factory.mktemp("second")
+    emit_report(first, str(d_first))
+    emit_report(second, str(d_second))
+    ok = all((d_first / name).read_bytes() == (d_second / name).read_bytes()
+             for name in ("report.json", "homology.csv", "counts.csv"))
+    _announce(11, "byte-identical JSON reports and CSV tables from two cold runs", ok)
 
 
 # report.homology of every battery group as (p, n, free rank, torsion,

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from reference_kcomplex import conjugate
+from stabring import _kernels
 from stabring.groups import (FiniteGroup, GroupError, cyclic_group,
-                             enumerate_subgroups, load_group, perm_group,
+                             enumerate_subgroups, load_group, max_order, perm_group,
                              product_group, subgroup_closure)
 from stabring.kcomplex import _group_tables
 
@@ -58,9 +60,40 @@ def test_perm_generators_give_order_six():
     assert not G.is_abelian
 
 
-def test_perm_closure_cap():
-    with pytest.raises(GroupError, match="order cap"):
-        perm_group([[[1, 2]], [[1, 2, 3, 4, 5]]], order_cap=5)
+def test_perm_closure_cap(monkeypatch):
+    # 3000 B fits the 24 B/triple associativity check of order 5 and no more
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 24 * 5 ** 3)
+    with pytest.raises(GroupError, match="permutation closure size 6 is over 5"):
+        perm_group([[[1, 2]], [[1, 2, 3, 4, 5]]])
+
+
+def test_max_order_is_the_largest_order_that_fits(monkeypatch):
+    for k in (1, 2, 5, 100, 678):
+        for budget, want in ((24 * k ** 3, k), (24 * k ** 3 - 1, k - 1)):
+            monkeypatch.setattr(_kernels, "memory_budget", lambda b=budget: b)
+            assert max_order() == want, budget
+
+
+def test_load_group_refuses_orders_over_the_memory_budget(monkeypatch):
+    # the associativity check of order 100 needs 24 B x 100^3, just this budget
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 24 * 100 ** 3)
+    assert load_group({"kind": "cyclic", "order": 100}).order == 100
+    c10 = {"kind": "cyclic", "order": 10}
+    assert load_group({"kind": "product", "factors": [c10, c10]}).order == 100
+    c101 = [[(i + j) % 101 for j in range(101)] for i in range(101)]
+    for spec in ({"kind": "cyclic", "order": 120},
+                 {"kind": "product", "factors": [c10, {"kind": "cyclic", "order": 12}]},
+                 {"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3, 4, 5]]]},
+                 {"kind": "cayley", "table": c101}):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError, match="memory budget of 22.9 MiB"):
+                load_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before an order^2 table, let alone the order^3 check, exists
+        assert peak < 2 ** 16, (spec["kind"], peak)
 
 
 def test_product_identity_packing():
@@ -194,7 +227,7 @@ def test_malformed_specs_name_the_field():
 
 def test_subgroup_enumeration_cap():
     with pytest.raises(GroupError, match="capped"):
-        enumerate_subgroups(cyclic_group(17), order_cap=16)
+        enumerate_subgroups(cyclic_group(17))
 
 
 def test_subgroup_closure():

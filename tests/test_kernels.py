@@ -109,6 +109,7 @@ def test_memory_budget_fails_before_allocating(monkeypatch):
     report = run_pipeline(PipelineConfig(group=KERNEL_GROUPS["C8"], n_max=3, p_max=0))
     assert report.failure["stage"] == "orbits"
     assert "memory budget" in report.failure["error"]
+    assert report.group["order"] == 8  # the load-group result is kept
 
 
 def test_parent_is_minimum_of_orbit(groups):

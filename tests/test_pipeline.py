@@ -1,10 +1,7 @@
-import dataclasses
 import hashlib
 import json
-import logging
 import os
 
-import numpy as np
 import pytest
 
 from stabring import kcomplex as kc
@@ -12,7 +9,6 @@ from stabring import pipeline
 from stabring.cli import main as cli_main
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import GradedModule, regular_module
-from stabring.orbits import cache_load, cache_store
 from stabring.ring import GradedRing
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
@@ -30,11 +26,9 @@ def small_config(**overrides):
 def test_config_validation():
     with pytest.raises(ConfigError, match="n_max"):
         PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=0, p_max=1)
-    with pytest.raises(ConfigError, match="state_cap"):
-        PipelineConfig(group={"kind": "cyclic", "order": 2}, n_max=1, p_max=1, state_cap=0)
     with pytest.raises(ConfigError, match="unknown config fields"):
         PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, "bogus": 2})
-    for removed in ("depth", "threads", "backend"):
+    for removed in ("depth", "threads", "backend", "cache_dir", "state_cap"):
         with pytest.raises(ConfigError, match="unknown config fields"):
             PipelineConfig.from_dict({"group": {}, "n_max": 1, "p_max": 1, removed: 2})
     with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -43,7 +37,7 @@ def test_config_validation():
         small_config(well_definedness_samples=-3)
     with pytest.raises(ConfigError, match="well_definedness_samples must be >= 1"):
         small_config(well_definedness_samples=0)
-    for name, value in (("n_max", "3"), ("p_max", 1.0), ("state_cap", True), ("seed", None),
+    for name, value in (("n_max", "3"), ("p_max", 1.0), ("seed", None),
                         ("well_definedness_samples", 2.5)):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             small_config(**{name: value})
@@ -164,73 +158,17 @@ def test_annihilation_verdict_names_the_first_failing_pair(monkeypatch, rings):
             assert len(calls) == bad + 1
 
 
-def test_state_cap_failure_keeps_partial_results():
-    config = small_config(state_cap=10)
-    report = run_pipeline(config)
-    assert report.failure is not None
-    assert report.failure["stage"] == "orbits"
-    assert report.group["order"] == 2  # load stage result retained
-
-
-def test_determinism_cold_and_warm_cache(tmp_path):
-    cache = tmp_path / "cache"
-    cold = run_pipeline(small_config(cache_dir=str(cache)))
-    def stamps():
-        out = {}
-        for f in os.listdir(cache):
-            st = os.stat(cache / f)
-            out[f] = (st.st_ino, st.st_mtime_ns)
-        return out
-    before = stamps()
-    warm = run_pipeline(small_config(cache_dir=str(cache)))
-    assert stamps() == before  # the warm run rewrote no entry
-    assert cold.to_json() == warm.to_json()
-    d_cold, d_warm = tmp_path / "cold", tmp_path / "warm"
-    emit_report(cold, str(d_cold))
-    emit_report(warm, str(d_warm))
-    assert (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
-
-
-def test_cache_reuse_and_moveset_guard(tmp_path, caplog):
-    cache = tmp_path / "cache"
-    rep1 = run_pipeline(small_config(cache_dir=str(cache)))
-    files = sorted(os.listdir(cache))
-    assert files and all(f.endswith(".hwot") for f in files)
-    # plant an entry with a foreign move-set hash where the degree-2 table goes
-    path = str(cache / next(f for f in files if "_n2_" in f))
-    good = cache_load(path)
-    cache_store(dataclasses.replace(good, moveset_hash="0" * 64), path)
-    with caplog.at_level(logging.WARNING, logger="stabring.pipeline"):
-        rep2 = run_pipeline(small_config(cache_dir=str(cache)))
-    assert any("move-set hash mismatch" in r.getMessage() and path in r.getMessage()
-               for r in caplog.records)
-    assert rep2.to_json() == rep1.to_json()
-    # the entry was recomputed and rewritten valid, with no temporary file left
-    fixed = cache_load(path, expect_group_hash=good.group_hash,
-                       expect_moveset_hash=good.moveset_hash)
-    assert (fixed.orbit_id == good.orbit_id).all()
-    assert sorted(os.listdir(cache)) == files
-
-
-def test_corrupt_orbit_id_is_recomputed(tmp_path, caplog):
-    cold = run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2, p_max=1))
-    cache = tmp_path / "cache"
-    run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2, p_max=1,
-                              cache_dir=str(cache)))
-    path = str(cache / next(f for f in os.listdir(cache) if "_n2_" in f))
-    good = cache_load(path)
-    # give the last state the id of another orbit, in place: the length stays valid
-    other = (int(good.orbit_id[-1]) + 1) % good.count
-    with open(path, "r+b") as fh:
-        fh.seek(-4, os.SEEK_END)
-        fh.write(np.array([other], dtype="<u4").tobytes())
-    with caplog.at_level(logging.WARNING, logger="stabring.pipeline"):
-        warm = run_pipeline(small_config(group={"kind": "cyclic", "order": 3}, n_max=2,
-                                         p_max=1, cache_dir=str(cache)))
-    assert any("checksum mismatch" in r.getMessage() and path in r.getMessage()
-               for r in caplog.records)
-    assert warm.to_json() == cold.to_json()
-    assert (cache_load(path).orbit_id == good.orbit_id).all()
+def test_orbit_stage_runs_the_kernel_at_degrees_one_and_two(monkeypatch):
+    degrees = []
+    kernel = pipeline.enumerate_orbits
+    monkeypatch.setattr(pipeline, "enumerate_orbits",
+                        lambda G, n, moves: degrees.append(n) or kernel(G, n, moves))
+    report = run_pipeline(small_config(n_max=4, p_max=0, well_definedness_samples=10))
+    assert report.failure is None
+    assert degrees == [1, 2]
+    assert report.counts == [1, 2, 2, 2, 2]
+    # perfbench/run.py reads these stage names from Report.timings
+    assert {"orbits", "ring"} <= set(report.timings)
 
 
 def test_emit_report_files(tmp_path, reports):
@@ -239,7 +177,7 @@ def test_emit_report_files(tmp_path, reports):
     names = {os.path.basename(f) for f in files}
     assert names == {"report.json", "homology.csv", "counts.csv", "summary.txt"}
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert "timings" not in payload
     rows = (tmp_path / "homology.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == len(rep.homology)
@@ -270,16 +208,22 @@ def test_cli_run_exit_codes(tmp_path):
         assert IntMatrix.from_text(text).to_text() == text, path.name
 
 
-def test_cli_cache_env_override(tmp_path, monkeypatch):
-    cfg = {"group": {"kind": "cyclic", "order": 2}, "n_max": 2, "p_max": 1,
-           "well_definedness_samples": 10}
+def test_cli_dump_moves_writes_one_manifest_per_degree(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("STABRING_CACHE", str(cache))
-    code = cli_main(["run", "--config", str(cfg_path)])
-    assert code in (0, 2)
-    assert cache.exists() and any(f.endswith(".hwot") for f in os.listdir(cache))
+    cfg_path.write_text(json.dumps({"group": {"kind": "cyclic", "order": 3},
+                                    "n_max": 3, "p_max": 0,
+                                    "well_definedness_samples": 10}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--dump-moves"]) in (0, 2)
+    report = json.loads((out / "report.json").read_text())
+    names = sorted(path.name for path in out.glob("moves_n*.json"))
+    assert names == ["moves_n1.json", "moves_n2.json", "moves_n3.json"]
+    for n in (1, 2, 3):
+        manifest = json.loads((out / f"moves_n{n}.json").read_text())
+        assert manifest["n"] == n
+        assert len(manifest["moves"]) == 3 * n - 1
+        assert manifest["hash"] == report["moveset_hashes"][str(n)]
 
 
 def test_cli_orbits_and_oracle(tmp_path, capsys):
@@ -323,18 +267,31 @@ def test_cli_refuses_dump_matrices_without_out_dir(tmp_path, capsys):
         small_config(dump_matrices="yes", out_dir=str(tmp_path))
 
 
-def test_cli_refuses_a_non_string_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("STABRING_CACHE", raising=False)
-    code, err = run_cli_config(tmp_path, capsys, cache_dir=7)
-    assert code == 1
-    assert "cache_dir must be a string path, got 7" in err
+def test_cli_refuses_dump_moves_without_out_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"group": {"kind": "cyclic", "order": 2},
+                                    "n_max": 2, "p_max": 1}))
+    assert cli_main(["run", "--config", str(cfg_path), "--dump-moves"]) == 1
+    captured = capsys.readouterr()
+    assert "--dump-moves needs out_dir or --out" in captured.err
+    assert not captured.out  # refused before the pipeline runs
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_refuses_a_config_naming_cache_dir(tmp_path, capsys):
+    # the orbit cache and its cap are gone; a config that still names them is
+    # an error, not silence
+    for name, value in (("cache_dir", ".stabring-cache"), ("cache_dir", 7),
+                        ("state_cap", 2 ** 32)):
+        code, err = run_cli_config(tmp_path, capsys, **{name: value})
+        assert code == 1
+        assert f"unknown config fields: ['{name}']" in err
 
 
 def test_config_echo_excludes_threads(reports):
     # only the fields that decide the results are echoed: no threads, no depth
     payload = reports["C2"].canonical_payload()
-    assert set(payload["config"]) == {"n_max", "p_max", "state_cap", "seed",
-                                      "well_definedness_samples"}
+    assert set(payload["config"]) == {"n_max", "p_max", "seed", "well_definedness_samples"}
 
 
 def test_well_definedness_fails_on_a_wrong_product_entry(rings):
