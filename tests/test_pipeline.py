@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from stabring import _kernels, words
 from stabring import kcomplex as kc
 from stabring import pipeline
 from stabring.cli import main as cli_main
@@ -70,6 +71,30 @@ def test_failed_stage_is_reported():
     assert report.failure is not None
     assert report.failure["stage"] == "load-group"
     assert report.exit_code == 1
+
+
+def test_state_cap_failure_keeps_partial_results(monkeypatch):
+    # the orbit kernel's one state guard is the memory budget; C8's degree-2
+    # states need 0.5 MiB, over a budget of 0.25 MiB
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 2 ** 18)
+    report = run_pipeline(PipelineConfig(group={"kind": "cyclic", "order": 8},
+                                         n_max=3, p_max=0))
+    assert report.failure is not None
+    assert report.failure["stage"] == "orbits"
+    assert "memory budget" in report.failure["error"]
+    assert report.group["order"] == 8  # load stage result retained
+
+
+def test_determinism_cold_and_warm_cache(tmp_path):
+    words._move_images.cache_clear()
+    cold = run_pipeline(small_config())
+    assert words._move_images.cache_info().currsize > 0
+    warm = run_pipeline(small_config())  # reuses the in-process move tables
+    assert cold.to_json() == warm.to_json()
+    d_cold, d_warm = tmp_path / "cold", tmp_path / "warm"
+    emit_report(cold, str(d_cold))
+    emit_report(warm, str(d_warm))
+    assert (d_cold / "report.json").read_bytes() == (d_warm / "report.json").read_bytes()
 
 
 def test_lambda_consistency_failure_is_reported(monkeypatch):
