@@ -10,9 +10,8 @@ from .oracle import bar_homology, sp_orbit_oracle, stable_count_prediction
 from .orbits import OrbitTable, cache_load, cache_store, enumerate_orbits
 from .pipeline import PipelineConfig, Report, emit_report, run_pipeline
 from .ring import GradedRing, build_ring
-from .words import (MarkedAutomorphism, boundary_word,
-                    enumerate_stabilizing_automorphisms, compile_move,
-                    compile_moves, reduce_word)
+from .words import (MarkedAutomorphism, boundary_word, compile_moves,
+                    enumerate_stabilizing_automorphisms, reduce_word)
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __all__ = [
     "PipelineConfig", "Report", "emit_report", "run_pipeline",
     "GradedRing", "build_ring",
     "MarkedAutomorphism", "boundary_word", "enumerate_stabilizing_automorphisms",
-    "compile_move", "compile_moves", "reduce_word",
+    "compile_moves", "reduce_word",
     "HomologyGroup", "IntMatrix", "chain_homology", "smith_normal_form",
     "__version__",
 ]

@@ -8,9 +8,10 @@ are the pairs ``(labels[v], labels[img[v]])`` that differ, and every label
 moves to the minimum of its merged class.  One label array and one image are
 alive at a time, so memory is O(states), not O(maps x states).
 
-``move_orbit_parents`` takes its images from compiled moves (letter words
-evaluated in the Cayley table), ``transvection_orbit_parents`` from
-symplectic transvections; both return the min-rank labels.
+``word_orbit_parents`` takes each map as its image words, one per entry,
+and evaluates them in the Cayley table; surface moves
+(``words.MarkedAutomorphism.images``) and symplectic transvections
+(``oracle.transvection_images``) both come this way.
 ``memory_shortfall`` estimates the peak before anything is allocated, so a
 caller can refuse a state space this machine cannot hold instead of being
 killed for it.
@@ -79,16 +80,16 @@ def _orbit_labels(n_states: int, n_maps: int, image) -> np.ndarray:
     return labels
 
 
-def move_orbit_parents(table, inv, two_n, order, letters, lengths, n_states) -> np.ndarray:
-    """Partition [0, n_states) under the compiled moves; parent = min rank in orbit."""
+def word_orbit_parents(table, inv, two_n, order, images, n_states) -> np.ndarray:
+    """Partition [0, n_states) under the maps given by image words, one tuple
+    of 2n signed-letter words per map; parent = min rank in orbit."""
     digits = _decode_all(two_n, order, n_states)
     table = np.asarray(table, dtype=digits.dtype)
     inv_digits = np.asarray(inv, dtype=digits.dtype)[digits]
 
     def image(m):
         out = np.zeros(n_states, dtype=np.int64)
-        for j in range(two_n):
-            word = letters[m, j, :lengths[m, j]]
+        for word in images[m]:
             cols = [digits[l - 1] if l > 0 else inv_digits[-l - 1] for l in word]
             acc = cols[0]
             for col in cols[1:]:
@@ -97,28 +98,4 @@ def move_orbit_parents(table, inv, two_n, order, letters, lengths, n_states) -> 
             out += acc
         return out
 
-    return _orbit_labels(n_states, len(lengths), image)
-
-
-def transvection_orbit_parents(table, inv, two_n, order, vecs, n_states) -> np.ndarray:
-    """Partition [0, n_states) under x -> x + <x, v> v for each 0/1 row v of vecs."""
-    digits = _decode_all(two_n, order, n_states)
-    table = np.asarray(table, dtype=digits.dtype)
-    inv_digits = np.asarray(inv, dtype=digits.dtype)[digits]
-
-    def image(m):
-        vec = vecs[m]
-        # s = <x, vec> in G: over handle pairs, v_{2i} x_{2i-1} - v_{2i-1} x_{2i}
-        s = np.zeros(n_states, dtype=digits.dtype)
-        for i in range(0, two_n, 2):
-            if vec[i + 1]:
-                s = table[s, digits[i]]
-            if vec[i]:
-                s = table[s, inv_digits[i + 1]]
-        out = np.zeros(n_states, dtype=np.int64)
-        for j in range(two_n):
-            out *= order
-            out += table[digits[j], s] if vec[j] else digits[j]
-        return out
-
-    return _orbit_labels(n_states, len(vecs), image)
+    return _orbit_labels(n_states, len(images), image)

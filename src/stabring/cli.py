@@ -17,7 +17,8 @@ from .oracle import bar_homology, sp_orbit_counts, stable_count_prediction
 from .orbits import enumerate_orbits
 from .pipeline import (ConfigError, PipelineConfig, emit_report, render_summary,
                        run_pipeline)
-from .words import compile_moves, moveset_manifest
+from .words import (compile_moves, enumerate_stabilizing_automorphisms,
+                    moveset_manifest)
 
 
 def _load_spec(arg: str) -> dict:
@@ -44,9 +45,9 @@ def _cmd_run(args) -> int:
     if config.out_dir:
         written = emit_report(report, config.out_dir)
         if args.dump_moves:
-            G = load_group(config.group)
+            # the pipeline's moves are these, so the manifest hashes equal the report's
             for n in range(1, config.n_max + 1):
-                moves = compile_moves(n, G)
+                moves = enumerate_stabilizing_automorphisms(n)
                 path = os.path.join(config.out_dir, f"moves_n{n}.json")
                 with open(path, "w") as fh:
                     json.dump(moveset_manifest(n, moves), fh, indent=2, sort_keys=True)

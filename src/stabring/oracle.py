@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .groups import FiniteGroup, enumerate_subgroups
+from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, enumerate_subgroups
 from .orbits import local_steps, step_table
 from .zlinalg import IntMatrix, chain_homology
 
@@ -14,9 +14,6 @@ from .zlinalg import IntMatrix, chain_homology
 class OracleError(ValueError):
     """Raised on the bar-complex order cap, memory-budget violations, or
     non-abelian input to the symplectic oracle."""
-
-
-BAR_ORDER_CAP = 12
 
 
 def _bar_index(G: FiniteGroup):
@@ -63,9 +60,13 @@ def bar_differentials(G: FiniteGroup):
 
 
 def bar_homology(G: FiniteGroup) -> dict:
-    """H1 and H2 of G with integer coefficients, from the normalized bar complex."""
-    if G.order > BAR_ORDER_CAP:
-        raise OracleError(f"bar complex capped at order {BAR_ORDER_CAP}, group has {G.order}")
+    """H1 and H2 of G with integer coefficients, from the normalized bar complex.
+
+    Orders above ``groups.SUBGROUP_ORDER_CAP`` are refused, the cap at which
+    ``stable_count_prediction`` stops too; d3 has (|G| - 1)^3 columns."""
+    if G.order > SUBGROUP_ORDER_CAP:
+        raise OracleError(f"bar complex capped at order {SUBGROUP_ORDER_CAP}, "
+                          f"group has {G.order}")
     d2, d3 = bar_differentials(G)
     m = G.order - 1
     h1 = chain_homology(IntMatrix(0, m), d2)
@@ -140,6 +141,16 @@ def transvection_vectors(n: int) -> np.ndarray:
     return vecs
 
 
+def transvection_images(v) -> tuple:
+    """x -> x + <x, v> v for a 0/1 row v, as image words: letter j goes to
+    j s when v_j = 1, with s = prod_i a_i^(v_{b_i}) b_i^(-v_{a_i}) over the
+    handles in order, the form <x, v> written in G."""
+    s = []
+    for i in range(0, len(v), 2):
+        s += [i + 1] * int(v[i + 1]) + [-(i + 2)] * int(v[i])
+    return tuple((j + 1,) + tuple(s) * int(v[j]) for j in range(len(v)))
+
+
 def symplectic_form(n: int) -> np.ndarray:
     """Block-diagonal J with [[0, 1], [-1, 0]] per handle pair."""
     J = np.zeros((2 * n, 2 * n), dtype=np.int64)
@@ -186,8 +197,9 @@ def sp_orbit_counts(G: FiniteGroup, n_max: int) -> list:
         shortfall = _kernels.memory_shortfall(n_states)
         if shortfall:
             raise OracleError(shortfall)
-        parent = _kernels.transvection_orbit_parents(
-            G.table, G.inverse, 2 * n, G.order, transvection_vectors(n), n_states)
+        parent = _kernels.word_orbit_parents(
+            G.table, G.inverse, 2 * n, G.order,
+            [transvection_images(v) for v in transvection_vectors(n)], n_states)
         classes.append(np.unique(parent, return_inverse=True)[1])
     if n_max < 2:
         return [1] + [int(c.max()) + 1 for c in classes]

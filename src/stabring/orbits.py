@@ -1,4 +1,4 @@
-"""Orbit tables: the partition of G^(2n) under the compiled move set, and
+"""Orbit tables: the partition of G^(2n) under the move set, and
 the local construction of higher degrees from the degree-1 and degree-2
 partitions."""
 
@@ -62,7 +62,7 @@ class OrbitTable:
 
 
 def enumerate_orbits(G: FiniteGroup, n: int, moves) -> OrbitTable:
-    """Closure of G^(2n) under the compiled moves.
+    """Closure of G^(2n) under the moves (``words.compile_moves``).
 
     Output is deterministic and independent of move order: orbit ids are
     assigned by increasing minimal rank.  ``OrbitError`` is raised before
@@ -83,14 +83,8 @@ def enumerate_orbits(G: FiniteGroup, n: int, moves) -> OrbitTable:
     for m in moves:
         if m.n != n:
             raise OrbitError(f"move {m.provenance} has genus {m.n}, expected {n}")
-    max_len = max((m.letters.shape[1] for m in moves), default=1)
-    letters = np.zeros((len(moves), two_n, max_len), dtype=np.int16)
-    lengths = np.zeros((len(moves), two_n), dtype=np.int16)
-    for i, m in enumerate(moves):
-        letters[i, :, :m.letters.shape[1]] = m.letters
-        lengths[i] = m.lengths
-    parent = _kernels.move_orbit_parents(G.table, G.inverse, two_n, G.order,
-                                         letters, lengths, n_states)
+    parent = _kernels.word_orbit_parents(G.table, G.inverse, two_n, G.order,
+                                         [m.images for m in moves], n_states)
     reps, orbit_id = np.unique(parent, return_inverse=True)
     return OrbitTable(n=n, order=G.order, group_hash=G.hash(), moveset_hash=mh,
                       orbit_id=orbit_id.astype(np.uint32),

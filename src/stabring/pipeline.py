@@ -126,12 +126,12 @@ def _verdict(check, statement, status, witness=None):
             "witness": witness}
 
 
-def _well_definedness_verdict(ring, config: PipelineConfig) -> dict:
+def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> dict:
     """Randomized representative independence of the product and the homotopy
-    prepend map: different orbit representatives give identical classes."""
+    prepend map: different orbit representatives give identical classes.
+    ``moves_at[n]`` is the move set of degree n."""
     G = ring.G
     rng = np.random.default_rng(config.seed)
-    moves_at = {n: ring.moves_by_degree[n] for n in range(1, ring.n_max + 1)}
     # the generated subgroup depends only on the set of entries
     closure = functools.lru_cache(maxsize=None)(lambda entries: subgroup_closure(G, entries))
     samples = config.well_definedness_samples
@@ -144,10 +144,10 @@ def _well_definedness_verdict(ring, config: PipelineConfig) -> dict:
         v = tuple(int(x) for x in rng.integers(0, G.order, size=2 * m_deg))
         w = tuple(int(x) for x in rng.integers(0, G.order, size=2 * n_deg))
         mv = moves_at[m_deg][int(rng.integers(0, len(moves_at[m_deg])))]
-        v2 = mv.apply(G, v)
+        v2 = mv.evaluate(G, v)
         if n_deg:
             mw = moves_at[n_deg][int(rng.integers(0, len(moves_at[n_deg])))]
-            w2 = mw.apply(G, w)
+            w2 = mw.evaluate(G, w)
             base = ring.class_index(m_deg + n_deg, v + w)
             alt = ring.class_index(m_deg + n_deg, v2 + w2)
             if base != alt:
@@ -261,7 +261,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             n: enumerate_orbits(G, n, moves_by_degree[n])
             for n in range(1, min(2, config.n_max) + 1)})
 
-        ring = stage("ring", lambda: local_ring(G, config.n_max, tables, moves_by_degree))
+        ring = stage("ring", lambda: local_ring(G, config.n_max, tables))
         profile = ring.stability_profile()
         report.counts = list(profile.counts)
         report.stability = {
@@ -275,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             "a_tilde_r": profile.a_tilde_r,
             "stable_within_window": profile.stable_within_window,
         }
-        report.ring_summary = ring.summary()
+        report.ring_summary = {**ring.summary(), "moveset_hashes": report.moveset_hashes}
 
         def _modules():
             R = regular_module(ring)
@@ -383,7 +383,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 "pass" if h1_match else "fail",
                 f"H1 {orc['bar_h1']}, abelianization {orc['abelianization']}"))
 
-            verdicts.append(_well_definedness_verdict(ring, config))
+            verdicts.append(_well_definedness_verdict(ring, moves_by_degree, config))
             verdicts.append(_lemma_battery_verdict(ring))
             return verdicts
         report.verdicts = stage("verdicts", _verdicts)

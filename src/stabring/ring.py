@@ -46,8 +46,7 @@ class GradedRing:
     through that entry.  ``pair_class[r]`` is the degree-1 class of the pair
     of rank r."""
 
-    def __init__(self, G: FiniteGroup, n_max: int, pair_class: np.ndarray, steps: list,
-                 moves_by_degree: dict):
+    def __init__(self, G: FiniteGroup, n_max: int, pair_class: np.ndarray, steps: list):
         if n_max < 1 or len(steps) != n_max:
             raise RingError("need one step table per degree 1..n_max, n_max >= 1")
         pair_class = np.asarray(pair_class, dtype=np.int64)
@@ -71,7 +70,6 @@ class GradedRing:
         self.n_max = n_max
         self.pair_class = pair_class
         self.steps = steps
-        self.moves_by_degree = moves_by_degree
         self._counts = tuple(counts)
         self._least = least  # least entry p * |R_1| + y of steps[k] per class
         self._rep1 = [tuple(int(x) for x in divmod(int(r), G.order)) for r in first_rank]
@@ -161,9 +159,6 @@ class GradedRing:
             deg_u=1, deg_r_u=deg_r_u, deg_rbar=deg_rbar,
             a_r=a_r, a_tilde_r=max(1, a_r), stable_within_window=stable)
 
-    def moveset_hash_for(self, n: int) -> str:
-        return moveset_hash(self.moves_by_degree.get(n, ()))
-
     def summary(self) -> dict:
         prof = self.stability_profile()
         return {
@@ -178,11 +173,10 @@ class GradedRing:
             "a_r": prof.a_r,
             "a_tilde_r": prof.a_tilde_r,
             "stable_within_window": prof.stable_within_window,
-            "moveset_hashes": {str(n): self.moveset_hash_for(n) for n in range(1, self.n_max + 1)},
         }
 
 
-def local_ring(G: FiniteGroup, n_max: int, tables: dict, moves_by_degree: dict) -> GradedRing:
+def local_ring(G: FiniteGroup, n_max: int, tables: dict) -> GradedRing:
     """The ring up to degree n_max from the orbit tables of degrees 1 and 2
     (degree 1 alone when n_max is 1), by ``orbits.local_steps``."""
     pair_class = tables[1].orbit_id.astype(np.int64)
@@ -190,7 +184,7 @@ def local_ring(G: FiniteGroup, n_max: int, tables: dict, moves_by_degree: dict) 
         steps = [np.arange(tables[1].count, dtype=np.int64)[None, :]]
     else:
         steps = local_steps(step_table(pair_class, tables[2].orbit_id), n_max)
-    return GradedRing(G, n_max, pair_class, steps, moves_by_degree)
+    return GradedRing(G, n_max, pair_class, steps)
 
 
 def _state_classes(ring: GradedRing, n: int) -> np.ndarray:
@@ -215,15 +209,15 @@ def build_ring(G: FiniteGroup, n_max: int, tables: dict | None = None) -> Graded
     if n_max < 1:
         raise RingError("n_max must be >= 1")
     tables = {n: got for n, got in (tables or {}).items() if n <= n_max}
-    moves_by_degree = {n: compile_moves(n, G) if n > 0 else () for n in range(n_max + 1)}
+    moves = {n: compile_moves(n, G) for n in {*tables, *range(1, min(2, n_max) + 1)} if n > 0}
     for n, got in tables.items():
         if got.group_hash != G.hash() or got.n != n:
             raise RingError(f"supplied orbit table for degree {n} does not match the group")
-        if n > 0 and got.moveset_hash != moveset_hash(moves_by_degree[n]):
+        if n > 0 and got.moveset_hash != moveset_hash(moves[n]):
             raise RingError(f"supplied orbit table for degree {n} has a different move set")
-    kernel = {n: tables.get(n) or enumerate_orbits(G, n, moves_by_degree[n])
+    kernel = {n: tables.get(n) or enumerate_orbits(G, n, moves[n])
               for n in range(1, min(2, n_max) + 1)}
-    ring = local_ring(G, n_max, kernel, moves_by_degree)
+    ring = local_ring(G, n_max, kernel)
     for n, got in sorted(tables.items()):
         if n <= 2:
             continue

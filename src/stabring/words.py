@@ -2,7 +2,10 @@
 
 Words are tuples of nonzero signed integers: letter k stands for the k-th
 generator, -k for its inverse.  Generator 2i-1 plays the a_i role of handle i,
-generator 2i the b_i role.  All words are kept freely reduced.
+generator 2i the b_i role.  All words are kept freely reduced.  A map of
+G^(2n) is given by its image words, one per generator; a move
+(``MarkedAutomorphism``) evaluates them on a G-tuple, and the orbit kernel
+(``_kernels.word_orbit_parents``) on every tuple at once.
 """
 
 from __future__ import annotations
@@ -83,6 +86,16 @@ class MarkedAutomorphism:
     def apply(self, w) -> tuple:
         return apply_images(self.images, w)
 
+    def evaluate(self, G: FiniteGroup, entries) -> tuple:
+        """The image of a G-tuple: each image word evaluated on its entries."""
+        out = []
+        for w in self.images:
+            acc = G.identity
+            for l in w:
+                acc = G.mul(acc, entries[l - 1] if l > 0 else G.inv(entries[-l - 1]))
+            out.append(acc)
+        return tuple(out)
+
     def __post_init__(self):
         W = boundary_word(self.n)
         if apply_images(self.images, W) != W:
@@ -147,28 +160,7 @@ def enumerate_stabilizing_automorphisms(n: int) -> tuple:
     return tuple(sorted(moves, key=lambda a: a.images))
 
 
-@dataclass(frozen=True)
-class CompiledMove:
-    """A marked automorphism evaluated on G-tuples by word substitution."""
-
-    n: int
-    images: tuple
-    provenance: str
-    letters: np.ndarray  # (2n, max_len) signed letters, 0-padded
-    lengths: np.ndarray  # (2n,)
-
-    def apply(self, G: FiniteGroup, entries) -> tuple:
-        out = []
-        for w in self.images:
-            acc = G.identity
-            for l in w:
-                e = entries[l - 1] if l > 0 else G.inv(entries[-l - 1])
-                acc = G.mul(acc, e)
-            out.append(acc)
-        return tuple(out)
-
-
-# Random tuples on which compile_move checks that the boundary value is kept.
+# Random tuples on which compile_moves checks that each move keeps the boundary value.
 BOUNDARY_CHECK_SAMPLES = 16
 
 
@@ -178,24 +170,6 @@ def boundary_eval(G: FiniteGroup, entries) -> int:
     for i in range(0, len(entries), 2):
         acc = G.mul(acc, G.commutator(entries[i], entries[i + 1]))
     return acc
-
-
-def compile_move(phi: MarkedAutomorphism, G: FiniteGroup) -> CompiledMove:
-    """Compile image words to padded letter arrays; spot-check boundary preservation."""
-    two_n = 2 * phi.n
-    max_len = max((len(w) for w in phi.images), default=1) or 1
-    letters = np.zeros((two_n, max_len), dtype=np.int16)
-    lengths = np.zeros(two_n, dtype=np.int16)
-    for j, w in enumerate(phi.images):
-        lengths[j] = len(w)
-        letters[j, :len(w)] = w
-    move = CompiledMove(phi.n, phi.images, phi.provenance, letters, lengths)
-    rng = np.random.default_rng(0)
-    for _ in range(BOUNDARY_CHECK_SAMPLES):
-        v = tuple(int(x) for x in rng.integers(0, G.order, size=two_n))
-        if boundary_eval(G, move.apply(G, v)) != boundary_eval(G, v):
-            raise WordError(f"{phi.provenance}: compiled move broke the boundary value")
-    return move
 
 
 def _placed(images, n: int, i: int) -> tuple:
@@ -232,11 +206,17 @@ def check_local(n: int, moves) -> None:
 
 
 def compile_moves(n: int, G: FiniteGroup) -> tuple:
-    """The compiled moves of ``enumerate_stabilizing_automorphisms``, after
-    ``check_local``."""
+    """The moves of ``enumerate_stabilizing_automorphisms``, after ``check_local``
+    and a check on random G-tuples that each keeps the boundary value."""
     moves = enumerate_stabilizing_automorphisms(n)
     check_local(n, moves)
-    return tuple(compile_move(phi, G) for phi in moves)
+    for phi in moves:
+        rng = np.random.default_rng(0)
+        for _ in range(BOUNDARY_CHECK_SAMPLES):
+            v = tuple(int(x) for x in rng.integers(0, G.order, size=2 * n))
+            if boundary_eval(G, phi.evaluate(G, v)) != boundary_eval(G, v):
+                raise WordError(f"{phi.provenance}: move broke the boundary value")
+    return moves
 
 
 def moveset_hash(moves) -> str:

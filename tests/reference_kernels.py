@@ -10,6 +10,10 @@
   from the integer matrix ``transvection_matrix``.  Keep these to a few
   thousand states.
 
+The transvection references compute x -> x + <x, v> v directly, not from
+``oracle.transvection_images``, so they cross-check the words the kernel is
+given as well as the kernel.
+
 These functions return the parent array, the minimum rank of each state's
 orbit, like the kernel.
 
@@ -63,13 +67,12 @@ def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
     return digits
 
 
-def _move_image(table, inv, digits, order, letters, lengths) -> np.ndarray:
+def _move_image(table, inv, digits, order, images) -> np.ndarray:
     two_n, n_states = digits.shape
     out = np.zeros(n_states, dtype=np.int64)
-    for j in range(two_n):
+    for word in images:
         acc = np.zeros(n_states, dtype=np.int64)
-        for t in range(int(lengths[j])):
-            l = int(letters[j, t])
+        for l in word:
             col = digits[l - 1] if l > 0 else inv[digits[-l - 1]]
             acc = table[acc, col]
         out = out * order + acc
@@ -108,8 +111,7 @@ def _components_from_images(images: list, n_states: int) -> np.ndarray:
 def csgraph_move_parents(G, n: int, moves) -> np.ndarray:
     two_n, n_states = 2 * n, G.order ** (2 * n)
     digits = _decode_all(two_n, G.order, n_states)
-    images = [_move_image(G.table, G.inverse, digits, G.order, m.letters, m.lengths)
-              for m in moves]
+    images = [_move_image(G.table, G.inverse, digits, G.order, m.images) for m in moves]
     return _components_from_images(images, n_states)
 
 

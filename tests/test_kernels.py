@@ -8,8 +8,9 @@ from conftest import BATTERY_SPECS
 from reference_moves import pairwise_transvection_vectors
 from stabring import _kernels
 from stabring.groups import load_group
-from stabring.oracle import OracleError, sp_orbit_oracle, transvection_vectors
-from stabring.orbits import OrbitError, enumerate_orbits
+from stabring.oracle import (OracleError, sp_orbit_oracle, transvection_images,
+                             transvection_vectors)
+from stabring.orbits import OrbitError, decode_tuple, enumerate_orbits
 from stabring.words import compile_moves, enumerate_stabilizing_automorphisms
 
 KERNEL_GROUPS = {**BATTERY_SPECS, "C5": {"kind": "cyclic", "order": 5},
@@ -22,9 +23,14 @@ def _table_of(parent):
     return orbit_id.astype(np.uint32), reps.astype(np.uint64)
 
 
+def _word_parents(G, n, vecs):
+    return _kernels.word_orbit_parents(G.table, G.inverse, 2 * n, G.order,
+                                       [transvection_images(v) for v in vecs],
+                                       G.order ** (2 * n))
+
+
 def _transvection_parents(G, n):
-    return _kernels.transvection_orbit_parents(G.table, G.inverse, 2 * n, G.order,
-                                               transvection_vectors(n), G.order ** (2 * n))
+    return _word_parents(G, n, transvection_vectors(n))
 
 
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
@@ -65,9 +71,7 @@ def test_transvection_orbits_match_the_pairwise_family(name):
     """The 3n - 1 twist-class transvections join what all n(2n + 1) do."""
     G = load_group(KERNEL_GROUPS[name])
     for n in (1, 2, 3):
-        pairwise = _kernels.transvection_orbit_parents(
-            G.table, G.inverse, 2 * n, G.order, pairwise_transvection_vectors(n),
-            G.order ** (2 * n))
+        pairwise = _word_parents(G, n, pairwise_transvection_vectors(n))
         assert np.array_equal(_transvection_parents(G, n), pairwise), (name, n)
 
 
@@ -128,3 +132,21 @@ def test_duplicate_moves_do_not_change_the_partition(groups):
     b = enumerate_orbits(G, 1, doubled)
     assert a.count == b.count
     assert np.array_equal(a.orbit_id, b.orbit_id)
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "C6"])
+def test_transvection_images_evaluate_to_the_reference_transvection(name):
+    """Evaluating the words of ``transvection_images(v)`` on a tuple gives
+    x + <x, v> v as the per-state reference computes it, for the twist-class
+    rows and all n(2n + 1) pairwise rows."""
+    G = load_group({**KERNEL_GROUPS, "C6": {"kind": "cyclic", "order": 6}}[name])
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        ranks = rng.integers(0, G.order ** (2 * n), size=64)
+        digits = np.array([decode_tuple(int(r), G.order, 2 * n) for r in ranks]).T
+        for v in [*transvection_vectors(n), *pairwise_transvection_vectors(n)]:
+            want = ref._transvection_image(G.table, G.inverse, digits, G.order, v)
+            words = transvection_images(v)
+            for x, rank in zip(digits.T, want):
+                got = [ref._evaluate(G, w, tuple(int(e) for e in x)) for w in words]
+                assert ref.encode_tuple(got, G.order) == rank, (name, n, tuple(v), tuple(x))

@@ -124,7 +124,7 @@ def relabelled(ring, n: int, labels: np.ndarray) -> GradedRing:
     steps[n - 1] = renumber[inverse].reshape(steps[n - 1].shape)
     if n < ring.n_max:
         steps[n] = steps[n][old[first[order]]]
-    return GradedRing(ring.G, ring.n_max, ring.pair_class, steps, ring.moves_by_degree)
+    return GradedRing(ring.G, ring.n_max, ring.pair_class, steps)
 
 
 def test_derived_modules_match_the_reference(rings):

@@ -7,7 +7,8 @@ from stabring.groups import cyclic_group, load_group
 from stabring.oracle import (OracleError, abelianization_invariants,
                              bar_homology, preserves_form, sp_orbit_counts,
                              sp_orbit_oracle, stable_count_prediction,
-                             transvection_matrix, transvection_vectors)
+                             transvection_images, transvection_matrix,
+                             transvection_vectors)
 
 
 def test_bar_homology_trivial(groups):
@@ -30,8 +31,10 @@ def test_bar_h1_equals_abelianization(groups):
 
 
 def test_bar_order_cap():
-    with pytest.raises(OracleError, match="capped"):
-        bar_homology(cyclic_group(13))
+    # the cap is the subgroup cap, where stable_count_prediction stops too
+    assert bar_homology(cyclic_group(16))["H1"].torsion == (16,)
+    with pytest.raises(OracleError, match="capped at order 16, group has 17"):
+        bar_homology(cyclic_group(17))
 
 
 def test_stable_count_values(groups):
@@ -96,8 +99,9 @@ LOCAL_SP = {
 def test_local_sp_counts_match_the_full_state_kernel(name):
     spec, n_max = LOCAL_SP[name]
     G = load_group(spec)
-    want = [1] + [len(np.unique(_kernels.transvection_orbit_parents(
-        G.table, G.inverse, 2 * n, G.order, transvection_vectors(n), G.order ** (2 * n))))
+    want = [1] + [len(np.unique(_kernels.word_orbit_parents(
+        G.table, G.inverse, 2 * n, G.order,
+        [transvection_images(v) for v in transvection_vectors(n)], G.order ** (2 * n))))
         for n in range(1, n_max + 1)]
     assert sp_orbit_counts(G, n_max) == want
     assert [sp_orbit_oracle(G, n) for n in range(n_max + 1)] == want

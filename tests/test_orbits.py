@@ -22,7 +22,7 @@ def brute_force_orbits(G, n, moves):
             nxt = []
             for v in frontier:
                 for m in moves:
-                    w = m.apply(G, v)
+                    w = m.evaluate(G, v)
                     if w not in seen:
                         seen[w] = count
                         nxt.append(w)
@@ -93,7 +93,7 @@ def test_orbit_id_constant_on_move_images():
     for rank in range(n_states(table)):
         v = decode_tuple(rank, G.order, 2)
         for m in moves:
-            assert class_of(table, m.apply(G, v)) == class_of(table, v)
+            assert class_of(table, m.evaluate(G, v)) == class_of(table, v)
 
 
 def test_boundary_and_subgroup_orbit_invariants():

@@ -7,6 +7,7 @@ import pytest
 from stabring import _kernels, words
 from stabring import kcomplex as kc
 from stabring import pipeline
+from stabring import cli
 from stabring.cli import main as cli_main
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import GradedModule, regular_module
@@ -183,6 +184,15 @@ def test_annihilation_verdict_names_the_first_failing_pair(monkeypatch, rings):
             assert len(calls) == bad + 1
 
 
+def test_order_thirteen_runs_every_stage():
+    # the bar oracle stops at the subgroup cap (16), not at order 12
+    report = run_pipeline(small_config(group={"kind": "cyclic", "order": 13}, n_max=2,
+                                       p_max=0, well_definedness_samples=10))
+    assert report.failure is None
+    assert len(report.verdicts) == 12
+    assert report.oracle["bar_h1"] == {"free_rank": 0, "torsion": [13]}
+
+
 def test_orbit_stage_runs_the_kernel_at_degrees_one_and_two(monkeypatch):
     degrees = []
     kernel = pipeline.enumerate_orbits
@@ -233,14 +243,20 @@ def test_cli_run_exit_codes(tmp_path):
         assert IntMatrix.from_text(text).to_text() == text, path.name
 
 
-def test_cli_dump_moves_writes_one_manifest_per_degree(tmp_path):
+def test_cli_dump_moves_writes_one_manifest_per_degree(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"group": {"kind": "cyclic", "order": 3},
                                     "n_max": 3, "p_max": 0,
                                     "well_definedness_samples": 10}))
     out = tmp_path / "out"
+    # the manifests need no group, so the pipeline's load is the only one
+    loads = []
+    load = pipeline.load_group
+    monkeypatch.setattr(pipeline, "load_group", lambda spec: loads.append(spec) or load(spec))
+    monkeypatch.setattr(cli, "load_group", lambda spec: loads.append(spec) or load(spec))
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--dump-moves"]) in (0, 2)
+    assert len(loads) == 1
     report = json.loads((out / "report.json").read_text())
     names = sorted(path.name for path in out.glob("moves_n*.json"))
     assert names == ["moves_n1.json", "moves_n2.json", "moves_n3.json"]
@@ -325,12 +341,13 @@ def test_well_definedness_fails_on_a_wrong_product_entry(rings):
     # not the least entry of its class, is caught
     ring = rings["S3"]
     config = PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=0)
-    assert pipeline._well_definedness_verdict(ring, config)["status"] == "pass"
+    moves = {n: words.compile_moves(n, ring.G) for n in (1, 2, 3)}
+    assert pipeline._well_definedness_verdict(ring, moves, config)["status"] == "pass"
     steps = list(ring.steps)
     steps[2] = steps[2].copy()
     steps[2][-1, -1] = (steps[2][-1, -1] + 1) % ring.basis_size(3)
-    wrong = GradedRing(ring.G, ring.n_max, ring.pair_class, steps, ring.moves_by_degree)
+    wrong = GradedRing(ring.G, ring.n_max, ring.pair_class, steps)
     assert [wrong.rep(3, j) for j in range(8)] == [ring.rep(3, j) for j in range(8)]
-    verdict = pipeline._well_definedness_verdict(wrong, config)
+    verdict = pipeline._well_definedness_verdict(wrong, moves, config)
     assert verdict["status"] == "fail"
     assert verdict["witness"].startswith("product mismatch")

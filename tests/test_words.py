@@ -13,8 +13,8 @@ from stabring.orbits import enumerate_orbits
 from stabring import words
 from stabring.pipeline import PipelineConfig, run_pipeline
 from stabring.words import (MarkedAutomorphism, WordError, apply_images,
-                            boundary_eval, boundary_word, compile_move,
-                            compile_moves, compose_images,
+                            boundary_eval, boundary_word, compile_moves,
+                            compose_images,
                             enumerate_stabilizing_automorphisms,
                             identity_images, invert_word, moveset_hash,
                             moveset_manifest, reduce_word)
@@ -87,16 +87,14 @@ def test_depth_two_finds_handle_mixer_at_genus_two():
 def test_compiled_identity_is_identity_map():
     G = cyclic_group(3)
     ident = MarkedAutomorphism(1, identity_images(1), identity_images(1), "identity")
-    cm = compile_move(ident, G)
-    assert cm.apply(G, (1, 2)) == (1, 2)
+    assert ident.evaluate(G, (1, 2)) == (1, 2)
 
 
 def test_compiled_t1_on_order_two_group():
     G = cyclic_group(2)
     t1 = next(m for m in enumerate_stabilizing_automorphisms(1)
               if m.images == ((1, 2), (2,)))
-    cm = compile_move(t1, G)
-    assert cm.apply(G, (0, 1)) == (1, 1)  # a=1_G, b=g maps to (ab, b) = (g, g)
+    assert t1.evaluate(G, (0, 1)) == (1, 1)  # a=1_G, b=g maps to (ab, b) = (g, g)
 
 
 def test_compiled_move_inverse_round_trip():
@@ -104,19 +102,33 @@ def test_compiled_move_inverse_round_trip():
     rng = np.random.default_rng(3)
     for m in enumerate_stabilizing_automorphisms(2):
         inv = MarkedAutomorphism(2, m.inverse_images, m.images, f"{m.provenance}^-1")
-        cm, ci = compile_move(m, G), compile_move(inv, G)
         for _ in range(10):
             v = tuple(int(x) for x in rng.integers(0, G.order, size=4))
-            assert ci.apply(G, cm.apply(G, v)) == v
+            assert inv.evaluate(G, m.evaluate(G, v)) == v
 
 
 def test_compiled_moves_preserve_boundary_value():
     G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
     rng = np.random.default_rng(5)
-    for cm in compile_moves(2, G):
+    for m in compile_moves(2, G):
         for _ in range(20):
             v = tuple(int(x) for x in rng.integers(0, G.order, size=4))
-            assert boundary_eval(G, cm.apply(G, v)) == boundary_eval(G, v)
+            assert boundary_eval(G, m.evaluate(G, v)) == boundary_eval(G, v)
+
+
+def test_compile_moves_spot_checks_the_boundary_value(monkeypatch):
+    # a map that swaps a_1 and b_1 inverts [a_1, b_1], which S3 notices
+    G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
+    monkeypatch.setattr(MarkedAutomorphism, "evaluate",
+                        lambda self, G, v: (v[1], v[0]) + tuple(v[2:]))
+    with pytest.raises(WordError, match="move broke the boundary value"):
+        compile_moves(1, G)
+
+
+def test_every_exported_name_resolves():
+    import stabring
+    for name in stabring.__all__:
+        assert getattr(stabring, name) is not None, name
 
 
 def test_moveset_hash_is_order_independent_and_content_sensitive():
@@ -183,7 +195,7 @@ def test_orbit_ids_match_the_reference_search(name):
         for phi in reference:
             assert np.array_equal(orbit_id[image_ranks(G, phi)], orbit_id), phi.provenance
         if n <= 2:
-            ref_table = enumerate_orbits(G, n, [compile_move(phi, G) for phi in reference])
+            ref_table = enumerate_orbits(G, n, reference)
             assert np.array_equal(ref_table.orbit_id, orbit_id)
 
 
@@ -204,7 +216,7 @@ def test_orbits_match_the_8n_minus_3_reference_set(name):
     G = load_group(REFERENCE_GROUPS[name])
     for n in (1, 2, 3):
         ours = enumerate_orbits(G, n, compile_moves(n, G))
-        ref = enumerate_orbits(G, n, [compile_move(phi, G) for phi in reference_moves(n)])
+        ref = enumerate_orbits(G, n, reference_moves(n))
         assert np.array_equal(ours.orbit_id, ref.orbit_id), (name, n)
         assert np.array_equal(ours.reps, ref.reps), (name, n)
 
