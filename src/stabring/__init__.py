@@ -5,7 +5,7 @@ from .groups import FiniteGroup, GroupError, enumerate_subgroups, load_group
 from .kcomplex import (KComplex, build_kcomplex, h_profile, homotopy_check,
                        kc_homology, verify_d_squared)
 from .modules import (GradedModule, delta_and_bounds, derive_module,
-                      graded_tensor, h0, h1, regular_module)
+                      graded_tensor, h0, regular_module)
 from .oracle import bar_homology, sp_orbit_oracle, stable_count_prediction
 from .orbits import OrbitTable, cache_load, cache_store, enumerate_orbits
 from .pipeline import PipelineConfig, Report, emit_report, run_pipeline
@@ -21,7 +21,7 @@ __all__ = [
     "KComplex", "build_kcomplex", "h_profile", "homotopy_check",
     "kc_homology", "verify_d_squared",
     "GradedModule", "delta_and_bounds", "derive_module", "graded_tensor",
-    "h0", "h1", "regular_module",
+    "h0", "regular_module",
     "bar_homology", "sp_orbit_oracle", "stable_count_prediction",
     "OrbitTable", "cache_load", "cache_store", "enumerate_orbits",
     "PipelineConfig", "Report", "emit_report", "run_pipeline",

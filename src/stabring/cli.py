@@ -33,10 +33,12 @@ def _load_spec(arg: str) -> dict:
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.dump_matrices:
-        data["dump_matrices"] = True
+    # anything but an object is left to from_dict, which refuses it by its type
+    if isinstance(data, dict):
+        if args.out is not None:
+            data["out_dir"] = args.out
+        if args.dump_matrices:
+            data["dump_matrices"] = True
     config = PipelineConfig.from_dict(data)
     if args.dump_moves and not config.out_dir:
         raise ConfigError("--dump-moves needs out_dir or --out to write the manifests to")

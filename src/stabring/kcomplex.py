@@ -1,6 +1,7 @@
 """The Koszul-type complex of a graded module: explicit differential with
-commutator conjugators, the prepend chain homotopy, homology per spot, and
-the degree-bound verdicts."""
+commutator conjugators, its exact chain checks (d^2 = 0, dU = Ud, the
+prepend chain homotopy, right multiplication as a chain map), and homology
+per spot.  The verdicts built from these live in ``pipeline``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .groups import FiniteGroup
 from .modules import GradedModule
-from .ring import GradedRing, StabilityProfile
+from .ring import GradedRing
 from .words import boundary_eval
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 
@@ -278,75 +279,3 @@ def h_profile(K: KComplex) -> list:
             rows.append(HProfileRow(p=p, n=n, homology=hom,
                                     certified=n < K.n_max or hom.is_zero))
     return rows
-
-
-def observed_h(rows: list, p: int) -> int:
-    """Top degree with nonvanishing H_p among computed spots; -1 if none."""
-    return max((r.n for r in rows if r.p == p and not r.homology.is_zero), default=-1)
-
-
-def bound_checks(profile: StabilityProfile, rows: list, n_max: int) -> list:
-    """Tri-state verdicts for the degree bound, the stabilization threshold,
-    and the q = 0 instance of the main threshold."""
-    a_r = profile.a_r
-    a_tilde = profile.a_tilde_r
-    deg_u = profile.deg_u
-    verdicts = []
-
-    # (i) h_p <= p + A(R) + deg U wherever the window certifies A(R)
-    name = "hp_degree_bound"
-    statement = "h_p(R) <= p + A(R) + 1 for every computed p"
-    if not profile.stable_within_window:
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "inconclusive",
-                         "witness": "window too small to certify A(R)"})
-    else:
-        bad = [(r.p, r.n) for r in rows
-               if not r.homology.is_zero and r.n > r.p + a_r + deg_u]
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "fail" if bad else "pass",
-                         "witness": f"violations at {bad}" if bad else None})
-
-    # (ii) U iso on R_n for observed n >= max(h0, h1) + 5 A(R) + 1
-    h0_obs = observed_h(rows, 0)
-    h1_obs = observed_h(rows, 1) if any(r.p == 1 for r in rows) else -1
-    saturated = any(r.p in (0, 1) and r.n == n_max and not r.homology.is_zero for r in rows)
-    threshold = max(h0_obs, h1_obs, 0) + 5 * a_r + 1
-    name = "u_iso_threshold"
-    statement = "U: R_n -> R_{n+1} is an isomorphism for n >= max(h0, h1) + 5 A(R) + 1"
-    in_window = list(range(threshold, n_max))
-    if saturated or not profile.stable_within_window:
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "inconclusive",
-                         "witness": "h0/h1 or A(R) not certified by the window"})
-    elif not in_window:
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "inconclusive",
-                         "witness": f"threshold {threshold} exceeds window {n_max}"})
-    else:
-        bad = [n for n in in_window if not profile.u_bijective[n]]
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "fail" if bad else "pass",
-                         "witness": f"U not bijective at {bad}" if bad else
-                         f"verified for n in {in_window}"})
-
-    # (iii) q = 0 instance of the stabilization threshold
-    name = "q0_threshold"
-    statement = "U: R_n -> R_{n+1} is an isomorphism for n >= A~(R) + 6 A(R) + 2"
-    threshold0 = a_tilde + 6 * a_r + 2
-    in_window0 = list(range(threshold0, n_max))
-    if not profile.stable_within_window:
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "inconclusive",
-                         "witness": "window too small to certify A(R)"})
-    elif not in_window0:
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "inconclusive",
-                         "witness": f"threshold {threshold0} exceeds window {n_max}"})
-    else:
-        bad = [n for n in in_window0 if not profile.u_bijective[n]]
-        verdicts.append({"check": name, "statement": statement,
-                         "status": "fail" if bad else "pass",
-                         "witness": f"U not bijective at {bad}" if bad else
-                         f"verified for n in {in_window0}"})
-    return verdicts

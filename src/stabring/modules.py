@@ -314,18 +314,6 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
                                    np.concatenate(cols), np.concatenate(vals))
 
 
-def h1(M: GradedModule) -> list:
-    """H1(M) = ker(beta: R_{>0} (x)_R M -> M) degreewise."""
-    ring = M.ring
-    rplus = regular_module(ring, side="right", name="R>0")
-    out = []
-    for n in range(M.n_max + 1):
-        rel = _tensor_presentation(rplus, M, n, min_i=1)
-        beta = _beta_matrix(rplus, M, n, min_i=1)
-        out.append(chain_homology(beta, rel))
-    return out
-
-
 def deg_of(groups: list) -> int:
     """Top degree with a nonzero group; -1 when all vanish."""
     return max((n for n, g in enumerate(groups) if not g.is_zero), default=-1)

@@ -1,21 +1,24 @@
-"""Pipeline orchestration: configuration, staged execution, verdict
-assembly, and report emission."""
+"""Pipeline orchestration: configuration, staged execution, every verdict
+record (the exact chain checks, the oracles and the paper's degree bounds),
+and report emission."""
 
 from __future__ import annotations
 
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kcomplex as kc
 from .groups import _is_int, load_group, subgroup_closure
-from .modules import delta_and_bounds, derive_module, regular_module
+from .modules import (deg_of, delta_and_bounds, derive_module,
+                      generated_in_degrees_upto, h0, regular_module)
 from .oracle import (abelianization_invariants, bar_homology,
                      sp_orbit_counts, stable_count_prediction)
 from .orbits import enumerate_orbits
@@ -48,18 +51,13 @@ class PipelineConfig:
     dump_matrices: bool = False
 
     def __post_init__(self):
-        for name in ("n_max", "p_max", "seed", "well_definedness_samples"):
+        for name, least in (("n_max", 1), ("p_max", 0), ("seed", 0),
+                            ("well_definedness_samples", 1)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
-        if self.p_max < 0:
-            raise ConfigError("p_max must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.well_definedness_samples < 1:
-            raise ConfigError("well_definedness_samples must be >= 1")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string path, got {self.out_dir!r}")
         if not isinstance(self.dump_matrices, bool):
@@ -69,6 +67,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -103,19 +103,9 @@ class Report:
 
     def canonical_payload(self) -> dict:
         """Everything except timings; byte-identical across runs of one config."""
-        return {
-            "schema_version": self.schema_version,
-            "group": self.group,
-            "config": self.config,
-            "moveset_hashes": self.moveset_hashes,
-            "counts": self.counts,
-            "stability": self.stability,
-            "ring_summary": self.ring_summary,
-            "homology": self.homology,
-            "oracle": self.oracle,
-            "verdicts": self.verdicts,
-            "failure": self.failure,
-        }
+        payload = asdict(self)
+        del payload["timings"]
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.canonical_payload(), sort_keys=True, indent=2) + "\n"
@@ -135,6 +125,7 @@ def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> d
     # the generated subgroup depends only on the set of entries
     closure = functools.lru_cache(maxsize=None)(lambda entries: subgroup_closure(G, entries))
     samples = config.well_definedness_samples
+    statement = "product and homotopy classes are independent of representatives"
     for _ in range(samples):
         if ring.n_max >= 2:
             m_deg = int(rng.integers(1, ring.n_max))
@@ -151,10 +142,8 @@ def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> d
             base = ring.class_index(m_deg + n_deg, v + w)
             alt = ring.class_index(m_deg + n_deg, v2 + w2)
             if base != alt:
-                return _verdict(
-                    "well_definedness",
-                    "product and homotopy classes are independent of representatives",
-                    "fail", f"product mismatch for v={v}, w={w}, move images v'={v2}, w'={w2}")
+                return _verdict("well_definedness", statement, "fail",
+                                f"product mismatch for v={v}, w={w}, move images v'={v2}, w'={w2}")
         # the homotopy conjugator only sees the evaluated boundary, which must
         # be constant on orbits (same for the generated subgroup)
         if boundary_eval(G, v2) != boundary_eval(G, v):
@@ -163,9 +152,8 @@ def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> d
         if closure(frozenset(v2)) != closure(frozenset(v)):
             return _verdict("well_definedness", "generated subgroup is orbit-constant",
                             "fail", f"generated subgroup changed along a move at v={v}")
-    return _verdict("well_definedness",
-                    "product and homotopy classes are independent of representatives",
-                    "pass", f"{samples} randomized representative pairs")
+    return _verdict("well_definedness", statement, "pass",
+                    f"{samples} randomized representative pairs")
 
 
 def _annihilation_verdict(K, homotopy_ok: bool) -> dict:
@@ -191,8 +179,6 @@ def _annihilation_verdict(K, homotopy_ok: bool) -> dict:
 
 def _lemma_battery_verdict(ring) -> dict:
     """Generation/degree lemmas on the derived-module battery."""
-    from .modules import deg_of, generated_in_degrees_upto, h0
-
     statement = ("generation lemma, tensor degree bound and A <= delta + A(R) "
                  "hold on derived modules")
     recipes = [("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1)]
@@ -205,14 +191,58 @@ def _lemma_battery_verdict(ring) -> dict:
         if not db.tensor_bound_ok:
             return _verdict("lemma_battery", statement, "fail",
                             f"tensor degree bound fails for {M.name}")
+        # H0 is top in degree a iff M is generated up to degree a, not below it
         a = deg_of(h0(M))
-        gen_at_a = generated_in_degrees_upto(M, a) if a >= 0 else True
-        gen_below = generated_in_degrees_upto(M, a - 1) if a >= 0 else False
-        if not gen_at_a or (a >= 0 and gen_below):
+        if a >= 0 and (not generated_in_degrees_upto(M, a)
+                       or generated_in_degrees_upto(M, a - 1)):
             return _verdict("lemma_battery", statement, "fail",
                             f"H0-degree/generation equivalence fails for {M.name}")
     return _verdict("lemma_battery", statement, "pass",
                     f"{len(recipes)} derived modules checked")
+
+
+def _bound_verdicts(profile, rows: list, n_max: int) -> list:
+    """The degree bound h_p(R) <= p + A(R) + 1 and the two thresholds past which
+    U: R_n -> R_{n+1} is an isomorphism, on the ``kcomplex.h_profile`` rows."""
+    a_r = profile.a_r
+    stable = profile.stable_within_window
+    nonzero = [r for r in rows if not r.homology.is_zero]
+    bad = [(r.p, r.n) for r in nonzero if r.n > r.p + a_r + profile.deg_u]
+    if not stable:
+        status, witness = "inconclusive", "window too small to certify A(R)"
+    elif bad:
+        status, witness = "fail", f"violations at {bad}"
+    else:
+        status, witness = "pass", None
+    verdicts = [_verdict("hp_degree_bound", "h_p(R) <= p + A(R) + 1 for every computed p",
+                         status, witness)]
+
+    # h_p: top degree of nonvanishing H_p (-1 if none); H_0 or H_1 nonvanishing
+    # at the window's top degree may go on above it, leaving h0/h1 uncertified
+    h = {p: max((r.n for r in nonzero if r.p == p), default=-1) for p in (0, 1)}
+    saturated = any(r.p in (0, 1) and r.n == n_max for r in nonzero)
+    rules = [
+        ("u_iso_threshold", "max(h0, h1) + 5 A(R) + 1",
+         max(h[0], h[1], 0) + 5 * a_r + 1, stable and not saturated,
+         "h0/h1 or A(R) not certified by the window"),
+        ("q0_threshold", "A~(R) + 6 A(R) + 2",
+         profile.a_tilde_r + 6 * a_r + 2, stable,
+         "window too small to certify A(R)"),
+    ]
+    for name, rule, threshold, certified, reason in rules:
+        in_window = list(range(threshold, n_max))
+        bad = [n for n in in_window if not profile.u_bijective[n]]
+        if not certified:
+            status, witness = "inconclusive", reason
+        elif not in_window:
+            status, witness = "inconclusive", f"threshold {threshold} exceeds window {n_max}"
+        elif bad:
+            status, witness = "fail", f"U not bijective at {bad}"
+        else:
+            status, witness = "pass", f"verified for n in {in_window}"
+        verdicts.append(_verdict(
+            name, "U: R_n -> R_{n+1} is an isomorphism for n >= " + rule, status, witness))
+    return verdicts
 
 
 def _dump_matrices(K, out_dir: str) -> None:
@@ -231,11 +261,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
     the report.
     """
     report = Report()
-    report.config = {
-        "n_max": config.n_max, "p_max": config.p_max, "seed": config.seed,
-        "well_definedness_samples": config.well_definedness_samples,
-    }
-    timings = report.timings
+    report.config = {name: getattr(config, name)
+                     for name in ("n_max", "p_max", "seed", "well_definedness_samples")}
 
     def stage(name, fn):
         t0 = time.perf_counter()
@@ -245,7 +272,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             report.failure = {"stage": name, "error": str(exc)}
             raise StageError(name, exc) from exc
         finally:
-            timings[name] = round(time.perf_counter() - t0, 3)
+            report.timings[name] = round(time.perf_counter() - t0, 3)
         return out
 
     try:
@@ -264,17 +291,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
         ring = stage("ring", lambda: local_ring(G, config.n_max, tables))
         profile = ring.stability_profile()
         report.counts = list(profile.counts)
-        report.stability = {
-            "counts": list(profile.counts),
-            "u_injective": list(profile.u_injective),
-            "u_surjective": list(profile.u_surjective),
-            "deg_u": profile.deg_u,
-            "deg_r_u": profile.deg_r_u,
-            "deg_rbar": profile.deg_rbar,
-            "a_r": profile.a_r,
-            "a_tilde_r": profile.a_tilde_r,
-            "stable_within_window": profile.stable_within_window,
-        }
+        report.stability = profile.as_dict()
         report.ring_summary = {**ring.summary(), "moveset_hashes": report.moveset_hashes}
 
         def _modules():
@@ -322,16 +339,13 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 "u_commutes_with_d", "the degree-raising operator commutes with the differential",
                 "pass" if ok_du else "fail", None if ok_du else f"spot {wit_du}"))
 
-            homotopy_ok = True
             hom_wit = None
-            for g in range(G.order):
-                for h in range(G.order):
-                    ok, w = kc.homotopy_check(K, g, h)
-                    if not ok:
-                        homotopy_ok, hom_wit = False, (g, h, w)
-                        break
-                if not homotopy_ok:
+            for g, h in itertools.product(range(G.order), repeat=2):
+                ok, w = kc.homotopy_check(K, g, h)
+                if not ok:
+                    hom_wit = (g, h, w)
                     break
+            homotopy_ok = hom_wit is None
             verdicts.append(_verdict(
                 "homotopy_identity",
                 "S d + d S equals right multiplication by the prepended class, exactly",
@@ -339,44 +353,37 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 None if homotopy_ok else f"(g, h, spot) = {hom_wit}"))
 
             verdicts.append(_annihilation_verdict(K, homotopy_ok))
-            verdicts.extend(kc.bound_checks(profile, rows, config.n_max))
+            verdicts.extend(_bound_verdicts(profile, rows, config.n_max))
 
-            if G.is_abelian:
-                sp = report.oracle["sp_counts"]
+            sp = report.oracle.get("sp_counts")  # abelian groups only
+            if sp is None:
+                status, witness = "inconclusive", "oracle applies to abelian groups only"
+            elif sp != list(profile.counts):
                 mism = [n for n in range(config.n_max + 1) if profile.counts[n] != sp[n]]
-                verdicts.append(_verdict(
-                    "sp_oracle_match",
-                    "orbit counts match the symplectic transvection oracle",
-                    "fail" if mism else "pass",
-                    f"mismatch at degrees {mism}" if mism else
-                    f"equal for all n <= {config.n_max}"))
+                status, witness = "fail", f"mismatch at degrees {mism}"
             else:
-                verdicts.append(_verdict(
-                    "sp_oracle_match",
-                    "orbit counts match the symplectic transvection oracle",
-                    "inconclusive", "oracle applies to abelian groups only"))
+                status, witness = "pass", f"equal for all n <= {config.n_max}"
+            verdicts.append(_verdict(
+                "sp_oracle_match", "orbit counts match the symplectic transvection oracle",
+                status, witness))
 
             pred = report.oracle["stable_count_prediction"]
             top = profile.counts[-1]
             if not profile.stable_within_window:
-                verdicts.append(_verdict(
-                    "stable_count", "stable orbit count matches the subgroup H2 sum",
-                    "inconclusive", "stability not certified by the window"))
+                status, witness = "inconclusive", "stability not certified by the window"
             elif G.is_abelian:
-                verdicts.append(_verdict(
-                    "stable_count", "stable orbit count matches the subgroup H2 sum",
-                    "pass" if top == pred else "fail",
-                    f"observed {top}, predicted {pred}"))
+                status = "pass" if top == pred else "fail"
+                witness = f"observed {top}, predicted {pred}"
             else:
-                verdicts.append(_verdict(
-                    "stable_count", "stable orbit count matches the subgroup H2 sum",
-                    "inconclusive",
-                    f"observed {top}, unrefined prediction {pred}: surjective classes "
-                    "split further by the boundary value in the commutator subgroup"))
+                status = "inconclusive"
+                witness = (f"observed {top}, unrefined prediction {pred}: surjective classes "
+                           "split further by the boundary value in the commutator subgroup")
+            verdicts.append(_verdict(
+                "stable_count", "stable orbit count matches the subgroup H2 sum",
+                status, witness))
 
             orc = report.oracle
-            h1_match = (orc["bar_h1"]["free_rank"] == 0
-                        and orc["bar_h1"]["torsion"] == orc["abelianization"])
+            h1_match = orc["bar_h1"] == {"free_rank": 0, "torsion": orc["abelianization"]}
             verdicts.append(_verdict(
                 "bar_h1_abelianization",
                 "bar-complex H1 equals the abelianization from the Cayley table",

@@ -3,7 +3,7 @@ product, the degree-raising operator U, and the stability profile."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class StabilityProfile:
     @property
     def u_bijective(self) -> tuple:
         return tuple(i and s for i, s in zip(self.u_injective, self.u_surjective))
+
+    def as_dict(self) -> dict:
+        """Every field, tuples as lists: the report's ``stability`` record."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 class GradedRing:
@@ -160,19 +164,15 @@ class GradedRing:
             a_r=a_r, a_tilde_r=max(1, a_r), stable_within_window=stable)
 
     def summary(self) -> dict:
-        prof = self.stability_profile()
+        """The stability profile with the U maps in place of the per-step U flags."""
+        prof = self.stability_profile().as_dict()
+        del prof["u_injective"], prof["u_surjective"]
         return {
             "group": self.G.name,
             "group_hash": self.G.hash(),
             "n_max": self.n_max,
-            "counts": list(prof.counts),
             "u_maps": {str(n): [int(i) for i in self.u_map(n)] for n in range(self.n_max)},
-            "deg_u": prof.deg_u,
-            "deg_r_u": prof.deg_r_u,
-            "deg_rbar": prof.deg_rbar,
-            "a_r": prof.a_r,
-            "a_tilde_r": prof.a_tilde_r,
-            "stable_within_window": prof.stable_within_window,
+            **prof,
         }
 
 

@@ -15,8 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import FiniteGroup
 
 
@@ -82,9 +80,6 @@ class MarkedAutomorphism:
     images: tuple
     inverse_images: tuple
     provenance: str
-
-    def apply(self, w) -> tuple:
-        return apply_images(self.images, w)
 
     def evaluate(self, G: FiniteGroup, entries) -> tuple:
         """The image of a G-tuple: each image word evaluated on its entries."""
@@ -160,10 +155,6 @@ def enumerate_stabilizing_automorphisms(n: int) -> tuple:
     return tuple(sorted(moves, key=lambda a: a.images))
 
 
-# Random tuples on which compile_moves checks that each move keeps the boundary value.
-BOUNDARY_CHECK_SAMPLES = 16
-
-
 def boundary_eval(G: FiniteGroup, entries) -> int:
     """Evaluate prod_i [a_i, b_i] in G; an orbit invariant of the move action."""
     acc = G.identity
@@ -206,16 +197,13 @@ def check_local(n: int, moves) -> None:
 
 
 def compile_moves(n: int, G: FiniteGroup) -> tuple:
-    """The moves of ``enumerate_stabilizing_automorphisms``, after ``check_local``
-    and a check on random G-tuples that each keeps the boundary value."""
+    """The moves of ``enumerate_stabilizing_automorphisms``, after ``check_local``.
+
+    They are the same for every G.  Each keeps the boundary value in G because
+    ``MarkedAutomorphism`` refuses a map that does not fix the boundary word
+    W exactly, and W(phi(v)) = phi(W)(v) = W(v)."""
     moves = enumerate_stabilizing_automorphisms(n)
     check_local(n, moves)
-    for phi in moves:
-        rng = np.random.default_rng(0)
-        for _ in range(BOUNDARY_CHECK_SAMPLES):
-            v = tuple(int(x) for x in rng.integers(0, G.order, size=2 * n))
-            if boundary_eval(G, phi.evaluate(G, v)) != boundary_eval(G, v):
-                raise WordError(f"{phi.provenance}: move broke the boundary value")
     return moves
 
 

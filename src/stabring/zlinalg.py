@@ -104,7 +104,7 @@ class IntMatrix:
     ``row``, ``col`` and ``val`` list the nonzero entries sorted by (row, col),
     with no duplicates and no stored zeros, as read-only int64 arrays; every
     value has absolute value below 2^63.  Build one with ``from_triplets``,
-    ``from_dense`` or ``from_text``; ``IntMatrix(rows, cols)`` is the zero
+    or ``from_dense``; ``IntMatrix(rows, cols)`` is the zero
     matrix.  Products are ``scipy.sparse`` int64 products, refused before they
     start when an entry could leave int64.  The CSR form and the Smith form
     are computed on first use and kept.
@@ -233,28 +233,6 @@ class IntMatrix:
         lines += [f"{r} {c} {v}" for r, c, v in
                   zip(self.row.tolist(), self.col.tolist(), self.val.tolist())]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntMatrix":
-        """Inverse of ``to_text``; a duplicate position or a zero value is an error."""
-        lines = [l.split() for l in text.splitlines() if l.strip()]
-        if not lines:
-            raise LinAlgError("empty matrix text")
-        if any(len(l) != 3 for l in lines):
-            raise LinAlgError("every matrix text line must hold three integers")
-        try:
-            (rows, cols, nnz), *triplets = [[int(t) for t in l] for l in lines]
-        except ValueError as exc:
-            raise LinAlgError(f"matrix text holds a non-integer: {exc}") from None
-        if len(triplets) != nnz:
-            raise LinAlgError(f"matrix text declares {nnz} entries, has {len(triplets)}")
-        r, c, v = zip(*triplets) if triplets else ((), (), ())
-        if 0 in v:
-            raise LinAlgError("matrix text stores an explicit zero")
-        out = cls.from_triplets(rows, cols, r, c, v)
-        if out.nnz != nnz:
-            raise LinAlgError("matrix text repeats a position")
-        return out
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

@@ -5,7 +5,7 @@
   over int64 digits, stacks them into one COO edge list and runs a single
   ``connected_components`` on it.  Memory grows with maps x states.
 * ``bfs_move_parents`` / ``bfs_transvection_parents``: brute force, one
-  state at a time in Python.  Move images come from ``MarkedAutomorphism.apply``
+  state at a time in Python.  Move images come from ``words.apply_images``
   on the generators, evaluated in the Cayley table; transvection images come
   from the integer matrix ``transvection_matrix``.  Keep these to a few
   thousand states.
@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import connected_components
 
 from stabring.oracle import transvection_matrix
 from stabring.orbits import OrbitError, decode_tuple, enumerate_orbits
-from stabring.words import compile_moves
+from stabring.words import apply_images, compile_moves
 
 
 def encode_tuple(entries, order: int) -> int:
@@ -155,7 +155,7 @@ def bfs_move_parents(G, n: int, automorphisms) -> np.ndarray:
     two_n = 2 * n
 
     def as_map(phi):
-        words = [phi.apply((k,)) for k in range(1, two_n + 1)]
+        words = [apply_images(phi.images, (k,)) for k in range(1, two_n + 1)]
 
         def f(rank):
             entries = decode_tuple(rank, G.order, two_n)

@@ -11,13 +11,18 @@ of them reads ``GradedRing.product``.  Each builds one matrix per pair
 (a, b) of G^2, and ``module_from_pairs`` stores them by class only after
 checking that all pairs of a class agree.  ``consistency_failures`` checks
 the degree-2 relations one tuple of G^4 at a time.
+
+``h1`` is H1(M) from the library's tensor presentation; the library itself
+only needs H0 and Tor_1 against U(R).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from stabring import modules
 from stabring.modules import GradedModule, ModuleError
+from stabring.zlinalg import chain_homology
 
 
 def pairs(G) -> list:
@@ -222,3 +227,11 @@ def truncate_module(M: GradedModule, k: int) -> GradedModule:
                      else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
                      for n in range(M.n_max)]
     return module_from_pairs(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)
+
+
+def h1(M: GradedModule) -> list:
+    """H1(M) = ker(beta: R_{>0} (x)_R M -> M) degreewise."""
+    rplus = modules.regular_module(M.ring, side="right", name="R>0")
+    return [chain_homology(modules._beta_matrix(rplus, M, n, min_i=1),
+                           modules._tensor_presentation(rplus, M, n, min_i=1))
+            for n in range(M.n_max + 1)]

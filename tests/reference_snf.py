@@ -1,7 +1,8 @@
 """Test-only reference for ``stabring.zlinalg``: the dense Smith normal form
 with unimodular transforms that the library no longer keeps, the kernel-basis
-and image-membership checks built on it, and ``to_dense``, which turns an
-``IntMatrix`` into nested lists for them and for sympy.
+and image-membership checks built on it, ``to_dense``, which turns an
+``IntMatrix`` into nested lists for them and for sympy, and ``from_text``,
+which reads back what ``IntMatrix.to_text`` writes.
 
 Everything here is dense Python-integer arithmetic, cubic in the matrix size;
 keep it to matrices of a few hundred rows and columns.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stabring.zlinalg import IntMatrix
+from stabring.zlinalg import IntMatrix, LinAlgError
 
 
 def to_dense(A: IntMatrix) -> list:
@@ -19,6 +20,28 @@ def to_dense(A: IntMatrix) -> list:
     dense = np.zeros((A.rows, A.cols), dtype=np.int64)
     dense[A.row, A.col] = A.val
     return dense.tolist()
+
+
+def from_text(text: str) -> IntMatrix:
+    """Inverse of ``IntMatrix.to_text``; a duplicate position or a zero value is an error."""
+    lines = [l.split() for l in text.splitlines() if l.strip()]
+    if not lines:
+        raise LinAlgError("empty matrix text")
+    if any(len(l) != 3 for l in lines):
+        raise LinAlgError("every matrix text line must hold three integers")
+    try:
+        (rows, cols, nnz), *triplets = [[int(t) for t in l] for l in lines]
+    except ValueError as exc:
+        raise LinAlgError(f"matrix text holds a non-integer: {exc}") from None
+    if len(triplets) != nnz:
+        raise LinAlgError(f"matrix text declares {nnz} entries, has {len(triplets)}")
+    r, c, v = zip(*triplets) if triplets else ((), (), ())
+    if 0 in v:
+        raise LinAlgError("matrix text stores an explicit zero")
+    out = IntMatrix.from_triplets(rows, cols, r, c, v)
+    if out.nnz != nnz:
+        raise LinAlgError("matrix text repeats a position")
+    return out
 
 
 def snf_dense_transforms(A: IntMatrix):

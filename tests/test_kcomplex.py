@@ -4,12 +4,13 @@ import pytest
 import reference_kcomplex as ref
 from reference_snf import ImageTest, apply, integer_kernel
 from stabring import zlinalg
-from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u, bound_checks,
+from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u,
                                build_kcomplex, h_profile, homotopy_check,
-                               kc_homology, observed_h, right_mult_is_chain_map,
+                               kc_homology, right_mult_is_chain_map,
                                right_mult_matrix, u_commutes_with_d,
                                verify_d_squared)
 from stabring.modules import regular_module, shift_module
+from stabring.pipeline import _bound_verdicts
 from stabring.zlinalg import HomologyGroup, IntMatrix
 
 
@@ -249,11 +250,12 @@ def test_h_profile_and_bounds(complexes, rings):
     K = complexes["C2"]
     rows = h_profile(K)
     prof = rings["C2"].stability_profile()
-    assert observed_h(rows, 0) == 0
+    # h0, the top degree with nonvanishing H_0, is 0
+    assert max(r.n for r in rows if r.p == 0 and not r.homology.is_zero) == 0
     for r in rows:
         if not r.homology.is_zero:
             assert r.n <= r.p + prof.a_r + 1
-    verdicts = bound_checks(prof, rows, K.n_max)
+    verdicts = _bound_verdicts(prof, rows, K.n_max)
     by_name = {v["check"]: v for v in verdicts}
     assert by_name["hp_degree_bound"]["status"] == "pass"
     assert by_name["u_iso_threshold"]["status"] in ("pass", "inconclusive")
@@ -264,7 +266,7 @@ def test_bounds_inconclusive_without_stability(complexes, rings):
     K = complexes["S3"]
     rows = h_profile(K)
     prof = rings["S3"].stability_profile()
-    verdicts = bound_checks(prof, rows, K.n_max)
+    verdicts = _bound_verdicts(prof, rows, K.n_max)
     assert all(v["status"] == "inconclusive" for v in verdicts)
 
 

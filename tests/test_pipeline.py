@@ -9,13 +9,15 @@ from stabring import kcomplex as kc
 from stabring import pipeline
 from stabring import cli
 from stabring.cli import main as cli_main
-from stabring.kcomplex import build_kcomplex
+from stabring.kcomplex import HProfileRow, build_kcomplex
 from stabring.modules import GradedModule, regular_module
-from stabring.ring import GradedRing
+from stabring.ring import GradedRing, StabilityProfile
+from stabring.zlinalg import HomologyGroup
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
-from conftest import BATTERY_SPECS, verdict_of
+from conftest import BATTERY_SPECS, BATTERY_WINDOWS, verdict_of
+from reference_snf import from_text
 
 
 def small_config(**overrides):
@@ -237,10 +239,9 @@ def test_cli_run_exit_codes(tmp_path):
     assert (out / "moves_n1.json").exists()
     dumped = list((out / "matrices").glob("d_p*_n*.txt"))
     assert dumped
-    from stabring.zlinalg import IntMatrix
     for path in dumped:
         text = path.read_text()
-        assert IntMatrix.from_text(text).to_text() == text, path.name
+        assert from_text(text).to_text() == text, path.name
 
 
 def test_cli_dump_moves_writes_one_manifest_per_degree(tmp_path, monkeypatch):
@@ -292,6 +293,18 @@ def run_cli_config(tmp_path, capsys, **fields):
     cfg_path.write_text(json.dumps(cfg))
     code = cli_main(["run", "--config", str(cfg_path)])
     return code, capsys.readouterr().err
+
+
+def test_cli_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    # a list or a number once crashed, and a string was read as its characters
+    for i, data in enumerate(([{"x": 1}], 5, "abc")):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(data))
+        for extra in ([], ["--out", str(tmp_path / "out"), "--dump-matrices"]):
+            assert cli_main(["run", "--config", str(cfg_path), *extra]) == 1
+            err = capsys.readouterr().err
+            assert f"error: config must be a JSON object, got {type(data).__name__}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_refuses_a_non_string_out_dir(tmp_path, capsys):
@@ -351,3 +364,73 @@ def test_well_definedness_fails_on_a_wrong_product_entry(rings):
     verdict = pipeline._well_definedness_verdict(wrong, moves, config)
     assert verdict["status"] == "fail"
     assert verdict["witness"].startswith("product mismatch")
+
+
+def synthetic_profile(n_max: int, a_r: int, stable: bool = True, bad_steps=()):
+    """A stability profile with U bijective except at the steps in bad_steps."""
+    return StabilityProfile(
+        counts=(1,) * (n_max + 1), u_injective=tuple(n not in bad_steps for n in range(n_max)),
+        u_surjective=(True,) * n_max, deg_u=1, deg_r_u=-1, deg_rbar=a_r, a_r=a_r,
+        a_tilde_r=max(1, a_r), stable_within_window=stable)
+
+
+def homology_rows(n_max: int, nonzero=()):
+    """h_profile rows at p <= 1 with H_0(0) = Z and Z at every (p, n) in nonzero."""
+    return [HProfileRow(p=p, n=n, certified=True,
+                        homology=HomologyGroup(free_rank=int((p, n) in {(0, 0), *nonzero})))
+            for p in (0, 1) for n in range(p, n_max + 1)]
+
+
+def bound_verdicts(profile, rows, n_max):
+    return {v["check"]: (v["status"], v["witness"])
+            for v in pipeline._bound_verdicts(profile, rows, n_max)}
+
+
+def test_bound_verdicts_decide_every_branch():
+    uncertified = "window too small to certify A(R)"
+    # the window does not certify stability: nothing is decided
+    assert bound_verdicts(synthetic_profile(6, 0, stable=False), homology_rows(6), 6) == {
+        "hp_degree_bound": ("inconclusive", uncertified),
+        "u_iso_threshold": ("inconclusive", "h0/h1 or A(R) not certified by the window"),
+        "q0_threshold": ("inconclusive", uncertified)}
+    # A(R) = 0: the thresholds are max(h0, h1) + 1 and A~(R) + 2 = 3
+    assert bound_verdicts(synthetic_profile(6, 0), homology_rows(6), 6) == {
+        "hp_degree_bound": ("pass", None),
+        "u_iso_threshold": ("pass", "verified for n in [1, 2, 3, 4, 5]"),
+        "q0_threshold": ("pass", "verified for n in [3, 4, 5]")}
+    assert bound_verdicts(synthetic_profile(6, 0), homology_rows(6, [(1, 2)]), 6) == {
+        "hp_degree_bound": ("pass", None),
+        "u_iso_threshold": ("pass", "verified for n in [3, 4, 5]"),
+        "q0_threshold": ("pass", "verified for n in [3, 4, 5]")}
+    # U fails to be bijective inside the window
+    assert bound_verdicts(synthetic_profile(6, 0, bad_steps=(4,)), homology_rows(6), 6) == {
+        "hp_degree_bound": ("pass", None),
+        "u_iso_threshold": ("fail", "U not bijective at [4]"),
+        "q0_threshold": ("fail", "U not bijective at [4]")}
+    # H_1 nonzero at the window's top degree: h1 is not certified, so only the
+    # q = 0 threshold, which does not read it, is decided
+    assert bound_verdicts(synthetic_profile(6, 0), homology_rows(6, [(1, 6)]), 6) == {
+        "hp_degree_bound": ("fail", "violations at [(1, 6)]"),
+        "u_iso_threshold": ("inconclusive", "h0/h1 or A(R) not certified by the window"),
+        "q0_threshold": ("pass", "verified for n in [3, 4, 5]")}
+    # A(R) = 1: the thresholds 6 and 9 lie past the window's last step
+    assert bound_verdicts(synthetic_profile(6, 1), homology_rows(6), 6) == {
+        "hp_degree_bound": ("pass", None),
+        "u_iso_threshold": ("inconclusive", "threshold 6 exceeds window 6"),
+        "q0_threshold": ("inconclusive", "threshold 9 exceeds window 6")}
+
+
+REPORT_SHA256 = {
+    ("C2", 4, 3): "a29c25e2cd2fef26b1571c8a8fc9774a0de43178e9a0857e223563e084768a09",
+    ("S3", 3, 2): "454a25a9df2e0013d0431d8d79d7d8d755dee3c08ad79c9e2c1ed57d9b996742",
+    ("C4", 12, 1): "420d7772497fc86fcaa4615af3e503239c58f4ada114f276a637c7fe69c68673",
+}
+
+
+def test_report_json_is_pinned(reports):
+    # pins every statement and witness string, not only the statuses
+    for (name, n_max, p_max), want in REPORT_SHA256.items():
+        report = (reports[name] if (n_max, p_max) == BATTERY_WINDOWS[name] else
+                  run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max,
+                                              p_max=p_max)))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == want, name

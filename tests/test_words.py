@@ -11,7 +11,7 @@ from stabring.groups import cyclic_group, load_group
 from stabring.oracle import symplectic_form, transvection_matrix
 from stabring.orbits import enumerate_orbits
 from stabring import words
-from stabring.pipeline import PipelineConfig, run_pipeline
+from stabring.pipeline import PipelineConfig, _well_definedness_verdict, run_pipeline
 from stabring.words import (MarkedAutomorphism, WordError, apply_images,
                             boundary_eval, boundary_word, compile_moves,
                             compose_images,
@@ -116,13 +116,17 @@ def test_compiled_moves_preserve_boundary_value():
             assert boundary_eval(G, m.evaluate(G, v)) == boundary_eval(G, v)
 
 
-def test_compile_moves_spot_checks_the_boundary_value(monkeypatch):
-    # a map that swaps a_1 and b_1 inverts [a_1, b_1], which S3 notices
-    G = load_group({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
+def test_well_definedness_catches_a_broken_evaluate(monkeypatch, rings):
+    # a map that swaps a_1 and b_1 inverts [a_1, b_1], which S3 notices; the
+    # moves themselves fix the boundary word exactly, so only a broken
+    # evaluation can move the boundary value
+    ring = rings["S3"]
+    config = PipelineConfig(group=BATTERY_SPECS["S3"], n_max=ring.n_max, p_max=0)
+    moves = {n: compile_moves(n, ring.G) for n in range(1, ring.n_max + 1)}
+    assert _well_definedness_verdict(ring, moves, config)["status"] == "pass"
     monkeypatch.setattr(MarkedAutomorphism, "evaluate",
                         lambda self, G, v: (v[1], v[0]) + tuple(v[2:]))
-    with pytest.raises(WordError, match="move broke the boundary value"):
-        compile_moves(1, G)
+    assert _well_definedness_verdict(ring, moves, config)["status"] == "fail"
 
 
 def test_every_exported_name_resolves():
