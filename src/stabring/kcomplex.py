@@ -1,7 +1,10 @@
 """The Koszul-type complex of a graded module: explicit differential with
 commutator conjugators, its exact chain checks (d^2 = 0, dU = Ud, the
 prepend chain homotopy, right multiplication as a chain map), and homology
-per spot.  The verdicts built from these live in ``pipeline``."""
+per spot.  The last two checks compose d only with maps that send each basis
+element to one basis element, so they gather columns and relabel rows of d
+instead of multiplying matrices.  The verdicts built from these live in
+``pipeline``."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from .groups import FiniteGroup
 from .modules import GradedModule
 from .ring import GradedRing
 from .words import boundary_eval
-from .zlinalg import HomologyGroup, IntMatrix, chain_homology
+from .zlinalg import INT64_MAX, HomologyGroup, IntMatrix, chain_homology
 
 
 class KComplexError(ValueError):
@@ -177,32 +180,125 @@ def _require_regular(K: KComplex) -> None:
         raise KComplexError("this operation needs the regular module as coefficients")
 
 
-def _basis_map(rows: int, image: np.ndarray) -> IntMatrix:
-    """The 0/1 matrix sending basis column i to basis row image.flat[i]."""
-    return IntMatrix.from_triplets(rows, image.size, image, np.arange(image.size),
-                                   np.ones(image.size, dtype=np.int64))
+# The maps composed with d below (S_(g,h), right multiplication) send each
+# basis element to one basis element, so a batch of B of them is an int64
+# array image[b, i], the basis index of the image of basis element i under
+# the b-th map.  d . B gathers columns of d and B . d relabels rows of d; the
+# entries of either come as (col, row, val) arrays, with column b * cols + i
+# standing for column i of the b-th composite.
+
+def _gather_columns(D: IntMatrix, image: np.ndarray):
+    """Entries of D . B for each map of the batch: column i of the b-th
+    composite is column image[b, i] of D."""
+    ptr, order = D.column_index()
+    col, idx = _ragged_gather(ptr, image.ravel())
+    idx = order[idx]
+    return col, D.row[idx], D.val[idx]
 
 
-def _homotopy_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
-    """S_{(g,h)}: K_p(n) -> K_{p+1}(n+1), one entry 1 per column.
+def _relabel_rows(D: IntMatrix, image: np.ndarray):
+    """Entries of B . D for each map of the batch: row r of D becomes row image[b, r]."""
+    batch = len(image)
+    col = (np.arange(batch, dtype=np.int64)[:, None] * D.cols + D.col).ravel()
+    return col, image[:, D.row].ravel(), np.tile(D.val, batch)
 
-    Basis element (t, j) goes to ((g, h)^{tau^-1}, t) (x) j, where tau is the
-    product of all commutators appearing: the pairs of t, then the evaluated
-    boundary of class j.  That boundary value is an orbit invariant, so any
-    representative gives it.
-    """
-    G = K.G
-    order = G.order
-    rank = K.module.rank(n - p)
-    states = order ** (2 * p)
-    comm, conj = _group_tables(G)
-    tuple_comm = _commutator_products(G, comm, _kernels._decode_all(2 * p, order, states))[0]
-    boundary = np.array([boundary_eval(G, K.ring.rep(n - p, j)) for j in range(rank)],
-                        dtype=np.int64)
-    tau_inv = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
-    prepended = (conj[g, tau_inv] * order + conj[h, tau_inv]) * states
-    prepended += np.arange(states, dtype=np.int64)[:, None]
-    return _basis_map(K.dim(p + 1, n + 1), prepended * rank + np.arange(rank))
+
+def _nonzero_columns(rows: int, parts: list) -> np.ndarray:
+    """Sorted batched columns where the sum of the entry lists in ``parts``
+    is nonzero; ``rows`` is the row count of one composite."""
+    col = np.concatenate([c for c, _, _ in parts])
+    if not len(col):
+        return col
+    if (int(col.max()) + 1) * rows > INT64_MAX:
+        raise KComplexError(f"{int(col.max()) + 1} batched columns of {rows} rows "
+                            "have more positions than int64 indexes")
+    if sum(int(np.abs(v).max()) for _, _, v in parts if len(v)) > INT64_MAX:
+        raise KComplexError("summed entries could leave int64")
+    key = col * rows + np.concatenate([r for _, r, _ in parts])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(np.concatenate([v for _, _, v in parts])[order], first)
+    return np.unique(key[first[sums != 0]] // rows)
+
+
+class _Prepend:
+    """Per-call tables of the prepend map S_(g,h), kept per (p, degree)."""
+
+    def __init__(self, K: KComplex):
+        self.K = K
+        self.comm, self.conj = _group_tables(K.G)
+        self._tau_inv = {}
+
+    def tau_inv(self, p: int, m: int) -> np.ndarray:
+        """tau^-1 for every basis element (t, j) of K_p(p + m), as a states x rank
+        array: tau is the product of every commutator appearing, the pairs
+        of t and then the boundary value of class j.  That value is an orbit
+        invariant, so any representative gives it."""
+        got = self._tau_inv.get((p, m))
+        if got is None:
+            K = self.K
+            G = K.G
+            states = G.order ** (2 * p)
+            tuple_comm = _commutator_products(
+                G, self.comm, _kernels._decode_all(2 * p, G.order, states))[0]
+            boundary = np.array([boundary_eval(G, K.ring.rep(m, j))
+                                 for j in range(K.module.rank(m))], dtype=np.int64)
+            got = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
+            self._tau_inv[p, m] = got
+        return got
+
+    def images(self, gs: np.ndarray, hs: np.ndarray, p: int, n: int) -> np.ndarray:
+        """S_(g,h): K_p(n) -> K_{p+1}(n+1) for each pair of the batch, sending
+        (t, j) to ((g, h)^(tau^-1), t) (x) j."""
+        order = self.K.G.order
+        tau_inv = self.tau_inv(p, n - p)
+        states, rank = tau_inv.shape
+        pair = (self.conj[gs[:, None, None], tau_inv] * order
+                + self.conj[hs[:, None, None], tau_inv])
+        flat = (pair * states + np.arange(states, dtype=np.int64)[:, None]) * rank
+        return (flat + np.arange(rank)).reshape(len(gs), -1)
+
+
+def _right_mult_images(K: KComplex, gs: np.ndarray, hs: np.ndarray, p: int, n: int):
+    """x -> x . [g, h] from K_p(n) to K_p(n+1) for each pair of the batch: (t, j)
+    goes to (t, the class of rep_j ++ (g, h))."""
+    ring = K.ring
+    rank_up = K.module.rank(n - p + 1)
+    states = K.G.order ** (2 * p)
+    append = ring.product(n - p, 1)[:, ring.pair_class[gs * K.G.order + hs]].T
+    flat = np.arange(states, dtype=np.int64)[:, None] * rank_up
+    return (flat[None, :, :] + append[:, None, :]).reshape(len(gs), -1)
+
+
+def _homotopy_failures(K: KComplex, batches: list) -> dict:
+    """The first spot where S d + d S = Rmult fails, and its smallest failing
+    basis element (p, n, tuple rank, class index), for every failing pair of
+    the batches, each batch a pair of arrays (gs, hs); spots run in the order
+    of the loop over p, then n, so a pair's first failure is found first."""
+    _require_regular(K)
+    prepend = _Prepend(K)
+    failures = {}
+    for p in range(0, K.p_max):
+        for n in range(p, K.n_max):
+            rank = K.module.rank(n - p)
+            if rank == 0:
+                continue
+            cols, rows = K.dim(p, n), K.dim(p, n + 1)
+            up = K.d_matrix(p + 1, n + 1)
+            down = K.d_matrix(p, n) if p >= 1 else IntMatrix(0, cols)
+            for gs, hs in batches:
+                parts = [_gather_columns(up, prepend.images(gs, hs, p, n))]
+                if down.nnz:
+                    parts.append(_relabel_rows(down, prepend.images(gs, hs, p - 1, n)))
+                rmult = _right_mult_images(K, gs, hs, p, n).ravel()
+                parts.append((np.arange(len(rmult)), rmult,
+                              np.full(len(rmult), -1, dtype=np.int64)))
+                for c in _nonzero_columns(rows, parts).tolist():
+                    b, i = divmod(c, cols)
+                    failures.setdefault((int(gs[b]), int(hs[b])),
+                                        (p, n, i // rank, i % rank))
+    return failures
 
 
 def homotopy_check(K: KComplex, g: int, h: int):
@@ -210,43 +306,34 @@ def homotopy_check(K: KComplex, g: int, h: int):
     p < p_max and n < n_max; returns (True, None) or (False, witness), the
     witness being the first failing spot and its smallest failing basis
     element (p, n, tuple rank, class index)."""
-    _require_regular(K)
-    s = {}  # S at (p, n) serves again as the S below the differential at (p + 1, n)
-    for p in range(0, K.p_max):
-        for n in range(p, K.n_max):
-            rank = K.module.rank(n - p)
-            if rank == 0:
-                continue
-            s[p, n] = _homotopy_matrix(K, g, h, p, n)
-            lhs = K.d_matrix(p + 1, n + 1).matmul(s[p, n])
-            if p >= 1:
-                s_lo = s.get((p - 1, n)) or _homotopy_matrix(K, g, h, p - 1, n)
-                lhs = lhs + s_lo.matmul(K.d_matrix(p, n))
-            rhs = right_mult_matrix(K, g, h, p, n)
-            if lhs != rhs:
-                col = int((lhs - rhs).col.min())
-                return False, (p, n, col // rank, col % rank)
-    return True, None
+    failures = _homotopy_failures(K, [(np.array([g]), np.array([h]))])
+    return (False, *failures.values()) if failures else (True, None)
 
 
-def right_mult_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
-    """Matrix of x -> x . [g,h] from K_p(n) to K_p(n+1)."""
-    _require_regular(K)
-    ring = K.ring
-    rank_up = K.module.rank(n - p + 1)
-    states = K.G.order ** (2 * p)
-    append = ring.product(n - p, 1)[:, ring.class_index(1, (g, h))]
-    return _basis_map(states * rank_up, np.arange(states, dtype=np.int64)[:, None] * rank_up + append)
+def homotopy_check_all(K: KComplex):
+    """``homotopy_check`` for every pair (g, h) of G^2, one batch of |G| pairs
+    per g; returns (True, None) or (False, (g, h, witness)) for the first
+    failing pair in (g, h) order."""
+    order = K.G.order
+    failures = _homotopy_failures(
+        K, [(np.full(order, g), np.arange(order)) for g in range(order)])
+    if not failures:
+        return True, None
+    g, h = min(failures)
+    return False, (g, h, failures[g, h])
 
 
 def right_mult_is_chain_map(K: KComplex, g: int, h: int):
     """d . Rmult = Rmult . d at every composable spot."""
     _require_regular(K)
+    gs, hs = np.array([g]), np.array([h])
     for p in range(1, K.p_max + 1):
         for n in range(p, K.n_max):
-            lhs = K.d_matrix(p, n + 1).matmul(right_mult_matrix(K, g, h, p, n))
-            rhs = right_mult_matrix(K, g, h, p - 1, n).matmul(K.d_matrix(p, n))
-            if lhs != rhs:
+            up = K.d_matrix(p, n + 1)
+            lhs = _gather_columns(up, _right_mult_images(K, gs, hs, p, n))
+            col, row, val = _relabel_rows(K.d_matrix(p, n),
+                                          _right_mult_images(K, gs, hs, p - 1, n))
+            if len(_nonzero_columns(up.rows, [lhs, (col, row, -val)])):
                 return False, (p, n)
     return True, None
 

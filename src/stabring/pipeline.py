@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import os
 import time
@@ -339,13 +338,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
                 "u_commutes_with_d", "the degree-raising operator commutes with the differential",
                 "pass" if ok_du else "fail", None if ok_du else f"spot {wit_du}"))
 
-            hom_wit = None
-            for g, h in itertools.product(range(G.order), repeat=2):
-                ok, w = kc.homotopy_check(K, g, h)
-                if not ok:
-                    hom_wit = (g, h, w)
-                    break
-            homotopy_ok = hom_wit is None
+            homotopy_ok, hom_wit = kc.homotopy_check_all(K)
             verdicts.append(_verdict(
                 "homotopy_identity",
                 "S d + d S equals right multiplication by the prepended class, exactly",

@@ -10,11 +10,12 @@ A[r_i, c_j] = 0 for distinct pivots, and replace the matrix by its Schur
 complement A22 - A21 D A12, one int64 sparse product (a depth-one acyclic
 matching of algebraic Morse theory, after Skoldberg 2006).  A round whose
 product could leave int64 is refused before it multiplies.  What the rounds
-leave is split into the connected components of its row-column graph, and
-each block is eliminated over Python integers, so entries may grow without
-overflow: that eliminator prefers +-1 pivots with a Markowitz-style fill
-tie-break, and falls back to minimal-absolute-value pivoting on the residual
-core.
+leave, if it still holds ``_ROUND_MIN_NNZ`` nonzeros or more, is split into
+the connected components of its row-column graph; a smaller residual stays
+one block.  Each block is eliminated over Python integers, so entries may
+grow without overflow: that eliminator prefers +-1 pivots with a
+Markowitz-style fill tie-break, and falls back to minimal-absolute-value
+pivoting on the residual core.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ class IntMatrix:
     value has absolute value below 2^63.  Build one with ``from_triplets``,
     or ``from_dense``; ``IntMatrix(rows, cols)`` is the zero
     matrix.  Products are ``scipy.sparse`` int64 products, refused before they
-    start when an entry could leave int64.  The CSR form and the Smith form
-    are computed on first use and kept.
+    start when an entry could leave int64.  The CSR form, the column index and
+    the Smith form are computed on first use and kept.
     """
 
-    __slots__ = ("rows", "cols", "row", "col", "val", "_csr", "_snf")
+    __slots__ = ("rows", "cols", "row", "col", "val", "_csr", "_by_col", "_snf")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -119,6 +120,7 @@ class IntMatrix:
         self.cols = int(cols)
         self.row = self.col = self.val = _frozen(np.zeros(0, dtype=np.int64))
         self._csr = None
+        self._by_col = None
         self._snf = None
 
     @classmethod
@@ -188,6 +190,15 @@ class IntMatrix:
             self._csr = csr_matrix((self.val, self.col.astype(index), indptr),
                                    shape=(self.rows, self.cols))
         return self._csr
+
+    def column_index(self):
+        """(ptr, order), built once and shared: column c holds the entries
+        order[ptr[c]:ptr[c + 1]], in row order."""
+        if self._by_col is None:
+            ptr = np.zeros(self.cols + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.col, minlength=self.cols), out=ptr[1:])
+            self._by_col = (_frozen(ptr), _frozen(np.argsort(self.col, kind="stable")))
+        return self._by_col
 
     @classmethod
     def _from_scipy(cls, mat) -> "IntMatrix":
@@ -483,9 +494,10 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     those two are undone.  A single growing round is kept, because on K(R)
     differentials the first round often grows the matrix and the next ones
     clear it (C2xC2 d_{4,4}: 238,560 -> 281,162 -> 264,908 -> 144,900 nnz).
-    Each block of ``_blocks`` of what is left is then eliminated on its own
-    over Python integers: the diagonals of the rounds and the blocks together
-    are a diagonal form of A, so the factors are those of the whole matrix."""
+    What is left is eliminated over Python integers: under the cutoff as one
+    block in column-major order, else each block of ``_blocks`` on its own.
+    The diagonals of the rounds and the blocks together are a diagonal form
+    of A, so the factors are those of the whole matrix."""
     if A._snf is None:
         units, rest = 0, A
         before_growth = None  # (units, matrix) ahead of a round that grew the matrix
@@ -501,8 +513,14 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             else:
                 before_growth = None
             units, rest = units + len(step[0]), step[2]
+        if rest.nnz < _ROUND_MIN_NNZ:
+            # too small to repay the split's graph set-up: one block
+            order = np.lexsort((rest.row, rest.col))
+            blocks = [(rest.row[order], rest.col[order], rest.val[order])]
+        else:
+            blocks = _blocks(rest)
         diag = [1] * units
-        for block in _blocks(rest):
+        for block in blocks:
             diag += _snf_diagonal_sparse(*block)
         A._snf = SmithForm(factors=_normalize_factors(diag))
     return A._snf

@@ -1,5 +1,6 @@
 """Test-only references for ``stabring.kcomplex``: the per-(tuple, basis)
-loops that the array code replaced.
+loops that the array code replaced, and the per-pair sparse-product
+homotopy check that the batched index gathers replaced.
 
 Matrices are built and multiplied here as dicts ``{(row, col): value}`` over
 Python integers, one basis element at a time, with no stored zeros.  Only the
@@ -14,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from reference_kernels import encode_tuple
-from stabring.kcomplex import KComplex, KComplexError, _require_regular
+from stabring import _kernels
+from stabring.kcomplex import (KComplex, KComplexError, _commutator_products,
+                               _group_tables, _require_regular)
 from stabring.orbits import decode_tuple
 from stabring.words import boundary_eval
 from stabring.zlinalg import IntMatrix
@@ -234,4 +237,75 @@ def right_mult_is_chain_map(K: KComplex, g: int, h: int):
             rhs = matmul(right_mult_matrix(K, g, h, p - 1, n), K.d_matrix(p, n))
             if lhs != rhs:
                 return False, (p, n)
+    return True, None
+
+
+def flip_signs(K: KComplex, key, positions) -> KComplex:
+    """K with the signs of the entries of d[key] at ``positions`` flipped."""
+    d = dict(K.d)
+    mat = d[key]
+    val = mat.val.copy()
+    val[positions] *= -1
+    d[key] = IntMatrix.from_triplets(mat.rows, mat.cols, mat.row, mat.col, val)
+    return KComplex(module=K.module, ring=K.ring, p_max=K.p_max, n_max=K.n_max, d=d)
+
+
+def mutant(K: KComplex, key, flips: int = 1) -> KComplex:
+    """K with the signs of ``flips`` entries of d[key] flipped, spread evenly."""
+    return flip_signs(K, key, K.d[key].nnz * np.arange(1, flips + 1) // (flips + 1))
+
+
+def basis_map(rows: int, image: np.ndarray) -> IntMatrix:
+    """The 0/1 matrix sending basis column i to basis row image.flat[i]."""
+    return IntMatrix.from_triplets(rows, image.size, image, np.arange(image.size),
+                                   np.ones(image.size, dtype=np.int64))
+
+
+def homotopy_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
+    """S_{(g,h)}: K_p(n) -> K_{p+1}(n+1), one entry 1 per column, built from
+    whole-tuple arrays: basis element (t, j) goes to ((g, h)^{tau^-1}, t) (x) j."""
+    G = K.G
+    order = G.order
+    rank = K.module.rank(n - p)
+    states = order ** (2 * p)
+    comm, conj = _group_tables(G)
+    tuple_comm = _commutator_products(G, comm, _kernels._decode_all(2 * p, order, states))[0]
+    boundary = np.array([boundary_eval(G, K.ring.rep(n - p, j)) for j in range(rank)],
+                        dtype=np.int64)
+    tau_inv = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
+    prepended = (conj[g, tau_inv] * order + conj[h, tau_inv]) * states
+    prepended += np.arange(states, dtype=np.int64)[:, None]
+    return basis_map(K.dim(p + 1, n + 1), prepended * rank + np.arange(rank))
+
+
+def product_homotopy_check(K: KComplex, g: int, h: int):
+    """``homotopy_check`` by two sparse products per spot, one pair at a time."""
+    _require_regular(K)
+    s = {}  # S at (p, n) serves again as the S below the differential at (p + 1, n)
+    for p in range(0, K.p_max):
+        for n in range(p, K.n_max):
+            rank = K.module.rank(n - p)
+            if rank == 0:
+                continue
+            s[p, n] = homotopy_matrix(K, g, h, p, n)
+            lhs = K.d_matrix(p + 1, n + 1).matmul(s[p, n])
+            if p >= 1:
+                s_lo = s.get((p - 1, n)) or homotopy_matrix(K, g, h, p - 1, n)
+                lhs = lhs + s_lo.matmul(K.d_matrix(p, n))
+            rhs = right_mult_matrix(K, g, h, p, n)
+            if lhs != rhs:
+                col = int((lhs - rhs).col.min())
+                return False, (p, n, col // rank, col % rank)
+    return True, None
+
+
+def homotopy_loop(K: KComplex, check=product_homotopy_check):
+    """The homotopy identity over every pair of G^2 in (g, h) order, stopping at
+    the first failure: (True, None) or (False, (g, h, witness))."""
+    order = K.G.order
+    for g in range(order):
+        for h in range(order):
+            ok, witness = check(K, g, h)
+            if not ok:
+                return False, (g, h, witness)
     return True, None

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 import reference_kcomplex as ref
+from reference_kcomplex import mutant
 from reference_snf import ImageTest, apply, integer_kernel
 from stabring import zlinalg
-from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u,
-                               build_kcomplex, h_profile, homotopy_check,
-                               kc_homology, right_mult_is_chain_map,
-                               right_mult_matrix, u_commutes_with_d,
+from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u, _Prepend,
+                               _right_mult_images, build_kcomplex, h_profile,
+                               homotopy_check, homotopy_check_all, kc_homology,
+                               right_mult_is_chain_map, u_commutes_with_d,
                                verify_d_squared)
 from stabring.modules import regular_module, shift_module
 from stabring.pipeline import _bound_verdicts
-from stabring.zlinalg import HomologyGroup, IntMatrix
+from stabring.zlinalg import HomologyGroup
 
 
 def column(mat, c: int) -> dict:
@@ -177,7 +178,7 @@ def test_right_mult_sends_small_cycles_to_boundaries(complexes, rings):
                 image = ImageTest(K.d_matrix(p + 1, n + 1))
                 for g in range(order):
                     for h in range(order):
-                        rmat = right_mult_matrix(K, g, h, p, n)
+                        rmat = ref.right_mult_matrix(K, g, h, p, n)
                         for z in kernel:
                             assert apply(rmat, z) in image, (name, p, n, g, h, z)
                             memberships += 1
@@ -302,17 +303,15 @@ def test_maps_match_the_reference_loops(reference_pairs):
             assert _id_tensor_u(K.module, p, n, order ** (2 * p)) == \
                 ref._id_tensor_u(K.module, p, n, order ** (2 * p))
             for g, h in ((0, 0), (1, 2), (5, 3)):
-                assert right_mult_matrix(K, g, h, p, n) == ref.right_mult_matrix(K, g, h, p, n)
-
-
-def mutant(K: KComplex, key, flips: int = 1) -> KComplex:
-    """K with the signs of ``flips`` entries of d[key] flipped, spread evenly."""
-    d = dict(K.d)
-    mat = d[key]
-    val = mat.val.copy()
-    val[len(val) * np.arange(1, flips + 1) // (flips + 1)] *= -1
-    d[key] = IntMatrix.from_triplets(mat.rows, mat.cols, mat.row, mat.col, val)
-    return KComplex(module=K.module, ring=K.ring, p_max=K.p_max, n_max=K.n_max, d=d)
+                gs, hs = np.array([g]), np.array([h])
+                assert ref.basis_map(K.dim(p, n + 1), _right_mult_images(K, gs, hs, p, n)) == \
+                    ref.right_mult_matrix(K, g, h, p, n)
+                prepend = _Prepend(K).images(gs, hs, p, n)
+                assert prepend.tolist() == [[
+                    ref._homotopy_image(K, g, h, p, n, t, j)
+                    for t in range(order ** (2 * p)) for j in range(K.module.rank(n - p))]]
+                assert ref.basis_map(K.dim(p + 1, n + 1), prepend) == \
+                    ref.homotopy_matrix(K, g, h, p, n)
 
 
 def _pairs_to_check(name, order):
@@ -347,3 +346,62 @@ def test_checks_match_the_reference_on_true_and_mutant_complexes(reference_pairs
                 elif name != "trivial":
                     # the flipped entries are seen by every kind of check
                     assert not all(outcomes), (name, kind)
+
+
+def sd_only_mutant(K: KComplex):
+    """K with one sign of d_{p,n} flipped (p >= 1, n < n_max), in a column whose
+    first pair is not (e, e).  For (g, h) = (e, e), d S at the spot (p - 1, n - 1)
+    gathers only columns whose first pair is (e, e), so the flip is first seen
+    at the spot (p, n), whose d S term reads d_{p+1,n+1}: only S d sees it.
+    None when every column of the candidates starts with (e, e)."""
+    for key in ((2, 2), (1, 2)):
+        mat = K.d[key]
+        if mat.is_zero:
+            continue
+        rank = K.module.rank(key[1] - key[0])
+        rest = K.G.order ** (2 * key[0] - 2)  # tuple ranks past the first pair
+        hit = np.flatnonzero(mat.col // rank >= rest)
+        if len(hit):
+            return key, ref.flip_signs(K, key, hit[len(hit) // 2])
+    return None
+
+
+def test_all_pairs_homotopy_check_matches_the_per_pair_loop(reference_pairs):
+    """The batched check over G^2 gives the (ok, witness) of the loop over the
+    pairs in (g, h) order, with each pair checked by two sparse products per
+    spot (the reference) and by the library's one-pair check."""
+    sd_only = 0
+    for name, (K, _) in reference_pairs.items():
+        key = (2, 3) if not K.d[2, 3].is_zero else (3, 3)
+        cases = [("true", K), ("1 flip", mutant(K, key)), ("3 flips", mutant(K, key, flips=3))]
+        found = sd_only_mutant(K)
+        if found is not None:
+            cases.append(("S d only", found[1]))
+        for label, cx in cases:
+            got = homotopy_check_all(cx)
+            assert got == ref.homotopy_loop(cx) == ref.homotopy_loop(cx, homotopy_check), \
+                (name, label, got)
+            assert got[0] == (label == "true") or name == "trivial", (name, label, got)
+            if label == "S d only":
+                g, h, (p, n, _, _) = got[1]
+                assert (g, h, (p, n)) == (0, 0, found[0]), (name, got)
+                sd_only += 1
+    assert sd_only == len(REFERENCE_GROUPS) - 1  # all but the trivial group
+
+
+def test_homotopy_check_stays_within_twice_the_stored_triplets(rings):
+    """On S3 (n <= 3, p <= 2) the check over all of G^2, batched one g at a
+    time, allocates at most twice the 24 bytes per nonzero that K's stored
+    differentials take (the kept column indices included)."""
+    import tracemalloc
+
+    K = build_kcomplex(regular_module(rings["S3"]), 3, 3)  # the pipeline's complex
+    stored = 24 * sum(d.nnz for d in K.d.values())
+    tracemalloc.start()
+    try:
+        ok, _ = homotopy_check_all(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 2 * stored, (peak, stored)

@@ -186,6 +186,29 @@ def test_annihilation_verdict_names_the_first_failing_pair(monkeypatch, rings):
             assert len(calls) == bad + 1
 
 
+def test_homotopy_verdict_names_the_first_failing_pair(monkeypatch):
+    """On S3 (n <= 3, p <= 2) with signs of one differential flipped after the
+    homology stage, the verdicts read the mutant complex.  The witnesses are
+    the ones the loop over every pair in (g, h) order wrote, one homotopy
+    check per pair; the first case fails first at the pair (2, 1)."""
+    from reference_kcomplex import mutant
+
+    real = kc.h_profile
+    for (key, flips), want in {
+            ((1, 3), 1): "(g, h, spot) = (2, 1, (0, 2, 0, 1))",
+            ((2, 3), 3): "(g, h, spot) = (0, 0, (1, 2, 9, 0))"}.items():
+        def flip_after_homology(K):
+            rows = real(K)
+            K.d.update(mutant(K, key, flips).d)
+            return rows
+        monkeypatch.setattr(kc, "h_profile", flip_after_homology)
+        report = run_pipeline(small_config(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
+                                           well_definedness_samples=10))
+        verdict = verdict_of(report, "homotopy_identity")
+        assert (verdict["status"], verdict["witness"]) == ("fail", want), key
+        assert verdict_of(report, "homology_annihilation")["status"] == "fail"
+
+
 def test_order_thirteen_runs_every_stage():
     # the bar oracle stops at the subgroup cap (16), not at order 12
     report = run_pipeline(small_config(group={"kind": "cyclic", "order": 13}, n_max=2,

@@ -307,8 +307,9 @@ def test_blocked_snf_matches_single_block_and_sympy():
     for _ in range(80):
         A = random_block_diagonal(rng)
         whole = _normalize_factors(_snf_diagonal_sparse(A.row, A.col, A.val))
-        blocked = smith_normal_form(A).factors
-        assert blocked == whole == sympy_factors(A)
+        # under the cutoff smith_normal_form keeps one block; split by hand too
+        assert smith_normal_form(A).factors == eliminator_factors(A) == whole == \
+            sympy_factors(A)
         blocks = _blocks(A)
         assert sum(len(b[0]) for b in blocks) == A.nnz
         split += len(blocks) > 1
@@ -503,12 +504,58 @@ def test_rounds_stop_when_fill_grows(monkeypatch):
 
 def test_one_growing_round_is_kept(monkeypatch):
     # the second round grows the matrix and the third shrinks it again, so
-    # the rounds run on to the cutoff
+    # the rounds run on to the cutoff; what they leave is under it, so it goes
+    # to the eliminator as one block
     A = dense_beside_units(random.Random(0), 60, 0.4, 700)
     handed = []
-    monkeypatch.setattr(zlinalg, "_blocks", lambda M: handed.append(M) or _blocks(M))
+    monkeypatch.setattr(zlinalg, "_snf_diagonal_sparse",
+                        lambda *block: handed.append(block) or _snf_diagonal_sparse(*block))
     rounds = unit_rounds(A)
     assert [rest.nnz > M.nnz for M, _, _, rest in rounds[:3]] == [False, True, False]
     factors = smith_normal_form(A).factors
-    assert handed == [rounds[-1][3]] and handed[0].nnz < _ROUND_MIN_NNZ
+    last = rounds[-1][3]
+    assert last.nnz < _ROUND_MIN_NNZ and len(handed) == 1
+    assert IntMatrix.from_triplets(last.rows, last.cols, *handed[0]) == last
     assert factors == eliminator_factors(fresh(A))
+
+
+def test_small_residuals_skip_the_block_split(monkeypatch):
+    """Every Smith normal form the C8 (n <= 3) and S3 (n <= 3, p <= 2)
+    pipelines compute, the lemma battery's included, against the per-block
+    eliminator with no rounds and, where the matrix has at most 40 rows or 40
+    columns, the dense transform SNF.  Only a residual of at least
+    ``_ROUND_MIN_NNZ`` nonzeros is split into blocks; a smaller one is one block."""
+    from stabring import modules
+    from stabring.pipeline import PipelineConfig, run_pipeline
+
+    computed, split = [], []
+    real_snf, real_blocks = zlinalg.smith_normal_form, zlinalg._blocks
+
+    def noted_snf(A):
+        if A._snf is None:
+            computed.append(A)
+        return real_snf(A)
+
+    def noted_blocks(A):
+        split.append(A.nnz)
+        return real_blocks(A)
+
+    for module in (zlinalg, modules):
+        monkeypatch.setattr(module, "smith_normal_form", noted_snf)
+    monkeypatch.setattr(zlinalg, "_blocks", noted_blocks)
+    for group, n_max, p_max in (({"kind": "cyclic", "order": 8}, 3, 0),
+                                ({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]}, 3, 2)):
+        report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
+                                             well_definedness_samples=10))
+        assert report.failure is None
+    assert all(nnz >= _ROUND_MIN_NNZ for nnz in split)
+    monkeypatch.undo()
+    small = dense = 0
+    for A in computed:
+        factors = A._snf.factors
+        assert factors == eliminator_factors(fresh(A)), A
+        if min(A.rows, A.cols) <= 40:
+            assert factors == smith_with_transforms(A)[0], A
+            dense += 1
+        small += A.nnz < _ROUND_MIN_NNZ
+    assert small > 400 and dense > 400, (len(computed), small, dense)
