@@ -17,7 +17,7 @@ from .groups import FiniteGroup
 from .modules import GradedModule
 from .ring import GradedRing
 from .words import boundary_eval
-from .zlinalg import INT64_MAX, HomologyGroup, IntMatrix, chain_homology
+from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 
 
 class KComplexError(ValueError):
@@ -203,23 +203,11 @@ def _relabel_rows(D: IntMatrix, image: np.ndarray):
     return col, image[:, D.row].ravel(), np.tile(D.val, batch)
 
 
-def _nonzero_columns(rows: int, parts: list) -> np.ndarray:
-    """Sorted batched columns where the sum of the entry lists in ``parts``
-    is nonzero; ``rows`` is the row count of one composite."""
-    col = np.concatenate([c for c, _, _ in parts])
-    if not len(col):
-        return col
-    if (int(col.max()) + 1) * rows > INT64_MAX:
-        raise KComplexError(f"{int(col.max()) + 1} batched columns of {rows} rows "
-                            "have more positions than int64 indexes")
-    if sum(int(np.abs(v).max()) for _, _, v in parts if len(v)) > INT64_MAX:
-        raise KComplexError("summed entries could leave int64")
-    key = col * rows + np.concatenate([r for _, r, _ in parts])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sums = np.add.reduceat(np.concatenate([v for _, _, v in parts])[order], first)
-    return np.unique(key[first[sums != 0]] // rows)
+def _nonzero_columns(rows: int, cols: int, parts: list) -> np.ndarray:
+    """Sorted columns of the rows x cols batched matrix, the sum of the entry
+    lists in ``parts``, that hold a nonzero entry."""
+    col, row, val = (np.concatenate([part[k] for part in parts]) for k in range(3))
+    return np.unique(IntMatrix.from_triplets(rows, cols, row, col, val).col)
 
 
 class _Prepend:
@@ -294,7 +282,7 @@ def _homotopy_failures(K: KComplex, batches: list) -> dict:
                 rmult = _right_mult_images(K, gs, hs, p, n).ravel()
                 parts.append((np.arange(len(rmult)), rmult,
                               np.full(len(rmult), -1, dtype=np.int64)))
-                for c in _nonzero_columns(rows, parts).tolist():
+                for c in _nonzero_columns(rows, len(gs) * cols, parts).tolist():
                     b, i = divmod(c, cols)
                     failures.setdefault((int(gs[b]), int(hs[b])),
                                         (p, n, i // rank, i % rank))
@@ -333,7 +321,7 @@ def right_mult_is_chain_map(K: KComplex, g: int, h: int):
             lhs = _gather_columns(up, _right_mult_images(K, gs, hs, p, n))
             col, row, val = _relabel_rows(K.d_matrix(p, n),
                                           _right_mult_images(K, gs, hs, p - 1, n))
-            if len(_nonzero_columns(up.rows, [lhs, (col, row, -val)])):
+            if len(_nonzero_columns(up.rows, K.dim(p, n), [lhs, (col, row, -val)])):
                 return False, (p, n)
     return True, None
 

@@ -497,7 +497,15 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     What is left is eliminated over Python integers: under the cutoff as one
     block in column-major order, else each block of ``_blocks`` on its own.
     The diagonals of the rounds and the blocks together are a diagonal form
-    of A, so the factors are those of the whole matrix."""
+    of A, so the factors are those of the whole matrix.
+
+    A residual at or above the cutoff is one the rounds could not shrink (no
+    unit pivot, a refused round, or growth), and the eliminator scans all of
+    its entries for each pivot without a unit, so it is split first: 512
+    unit-free 3x3 blocks took 0.55 s as one block and 0.02 s split.  Below
+    the cutoff the split's graph set-up costs more than it saves: on every
+    SNF of the eleven reference windows, one block was as fast or faster in
+    each band from 64 to 2048 nonzeros."""
     if A._snf is None:
         units, rest = 0, A
         before_growth = None  # (units, matrix) ahead of a round that grew the matrix
@@ -514,7 +522,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                 before_growth = None
             units, rest = units + len(step[0]), step[2]
         if rest.nnz < _ROUND_MIN_NNZ:
-            # too small to repay the split's graph set-up: one block
             order = np.lexsort((rest.row, rest.col))
             blocks = [(rest.row[order], rest.col[order], rest.val[order])]
         else:

@@ -548,7 +548,8 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
                                              well_definedness_samples=10))
         assert report.failure is None
-    assert all(nnz >= _ROUND_MIN_NNZ for nnz in split)
+    # S3's residual of 3,888 nonzeros, which no round could shrink, is split
+    assert split and all(nnz >= _ROUND_MIN_NNZ for nnz in split), split
     monkeypatch.undo()
     small = dense = 0
     for A in computed:
@@ -559,3 +560,23 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
             dense += 1
         small += A.nnz < _ROUND_MIN_NNZ
     assert small > 400 and dense > 400, (len(computed), small, dense)
+
+
+def test_unit_free_residual_is_split_into_blocks(monkeypatch):
+    # 256 copies of 2U, U unimodular with no zero entry, rows and columns
+    # shuffled: 2,304 nonzeros and no unit, so no round runs and the
+    # eliminator, which scans the whole matrix for each pivot without a unit,
+    # gets one block at a time
+    U = [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+    k = 256
+    rng = np.random.default_rng(0)
+    row_perm, col_perm = rng.permutation(3 * k), rng.permutation(3 * k)
+    r, c, v = zip(*((3 * b + i, 3 * b + j, 2 * U[i][j])
+                    for b in range(k) for i in range(3) for j in range(3)))
+    A = IntMatrix.from_triplets(3 * k, 3 * k, row_perm[list(r)], col_perm[list(c)], v)
+    assert A.nnz >= _ROUND_MIN_NNZ and _unit_round(A) is None
+    handed = []
+    monkeypatch.setattr(zlinalg, "_snf_diagonal_sparse",
+                        lambda *block: handed.append(len(block[0])) or _snf_diagonal_sparse(*block))
+    assert smith_normal_form(A).factors == (2,) * (3 * k)
+    assert handed == [9] * k
