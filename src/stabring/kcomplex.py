@@ -1,10 +1,10 @@
 """The Koszul-type complex of a graded module: explicit differential with
-commutator conjugators, its exact chain checks (d^2 = 0, dU = Ud, the
-prepend chain homotopy, right multiplication as a chain map), and homology
-per spot.  The last two checks compose d only with maps that send each basis
-element to one basis element, so they gather columns and relabel rows of d
-instead of multiplying matrices.  The verdicts built from these live in
-``pipeline``."""
+commutator conjugators, d^2 = 0, the prepend chain homotopy (checked by
+gathering columns and relabelling rows of d, as the maps composed with d send
+basis elements to basis elements), and homology per spot.  The verdicts live in
+``pipeline``, which checks dU = Ud and right multiplication on the ring;
+``u_commutes_with_d``, ``_id_tensor_u`` and ``right_mult_is_chain_map`` check
+them on K, kept only for the benchmark harness and as test references."""
 
 from __future__ import annotations
 
@@ -150,7 +150,7 @@ def verify_d_squared(K: KComplex):
 
 
 def u_commutes_with_d(K: KComplex):
-    """Check d (Id (x) U) = (Id (x) U) d at every spot in the window."""
+    """d (Id (x) U) = (Id (x) U) d at every spot; for the benchmark and tests only."""
     M = K.module
     order = K.G.order
     for p in range(1, K.p_max + 1):
@@ -166,6 +166,7 @@ def u_commutes_with_d(K: KComplex):
 
 
 def _id_tensor_u(M: GradedModule, p: int, n: int, states: int) -> IntMatrix:
+    """Id (x) U: K_p(n) -> K_p(n+1), for ``u_commutes_with_d``."""
     rank_src = M.rank(n - p)
     rank_tgt = M.rank(n + 1 - p)
     u = M.u_matrix(n - p) if rank_src and n - p < M.n_max else np.zeros((rank_tgt, rank_src), dtype=np.int64)
@@ -312,7 +313,7 @@ def homotopy_check_all(K: KComplex):
 
 
 def right_mult_is_chain_map(K: KComplex, g: int, h: int):
-    """d . Rmult = Rmult . d at every composable spot."""
+    """d . Rmult = Rmult . d at every composable spot; for the benchmark and tests only."""
     _require_regular(K)
     gs, hs = np.array([g]), np.array([h])
     for p in range(1, K.p_max + 1):

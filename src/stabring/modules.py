@@ -292,9 +292,9 @@ def h0(M: GradedModule) -> list:
 
 
 def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                 classes: list | None = None) -> IntMatrix:
+                 classes: list) -> IntMatrix:
     """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m;
-    classes[i][u] is that class when N is not R itself."""
+    classes[i][u] is that class, of degree i."""
     offsets, dim = _gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     for i in range(min_i, n + 1):
@@ -302,8 +302,7 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
         if N.rank(i) == 0 or M.rank(k) == 0:
             continue
         for u in range(N.rank(i)):
-            ring_idx = classes[i][u] if classes is not None else u
-            action = M.act_class(i, ring_idx, k)  # M_k -> M_n
+            action = M.act_class(i, classes[i][u], k)  # M_k -> M_n
             r, m = np.nonzero(action)
             rows.append(r)
             cols.append(offsets[i] + u * M.rank(k) + m)

@@ -187,6 +187,8 @@ def sp_orbit_counts(G: FiniteGroup, n_max: int) -> list:
     """
     if not G.is_abelian:
         raise OracleError("symplectic oracle needs an abelian group")
+    if n_max < 0:
+        raise OracleError(f"symplectic oracle needs n_max >= 0, got {n_max}")
     for n in range(1, n_max + 1):
         for v in transvection_vectors(n):
             if not preserves_form(transvection_matrix(v)):

@@ -219,21 +219,6 @@ class IntMatrix:
             raise LinAlgError(f"product entries are bounded only by {bound}, outside int64")
         return IntMatrix._from_scipy(self._to_csr() @ other._to_csr())
 
-    def _combine(self, other: "IntMatrix", sign: int) -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        if self._max_abs() + other._max_abs() > INT64_MAX:
-            raise LinAlgError("sum entries could leave int64")
-        return IntMatrix.from_triplets(
-            self.rows, self.cols, np.concatenate([self.row, other.row]),
-            np.concatenate([self.col, other.col]), np.concatenate([self.val, sign * other.val]))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._combine(other, -1)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and np.array_equal(self.row, other.row)

@@ -261,6 +261,15 @@ def basis_map(rows: int, image: np.ndarray) -> IntMatrix:
                                    np.ones(image.size, dtype=np.int64))
 
 
+def signed_sum(terms: list) -> IntMatrix:
+    """The sum of sign * mat over the (sign, mat) terms, all of one shape."""
+    (_, first), *_ = terms
+    return IntMatrix.from_triplets(
+        first.rows, first.cols, np.concatenate([mat.row for _, mat in terms]),
+        np.concatenate([mat.col for _, mat in terms]),
+        np.concatenate([sign * mat.val for sign, mat in terms]))
+
+
 def homotopy_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
     """S_{(g,h)}: K_p(n) -> K_{p+1}(n+1), one entry 1 per column, built from
     whole-tuple arrays: basis element (t, j) goes to ((g, h)^{tau^-1}, t) (x) j."""
@@ -288,13 +297,14 @@ def product_homotopy_check(K: KComplex, g: int, h: int):
             if rank == 0:
                 continue
             s[p, n] = homotopy_matrix(K, g, h, p, n)
-            lhs = K.d_matrix(p + 1, n + 1).matmul(s[p, n])
+            terms = [(1, K.d_matrix(p + 1, n + 1).matmul(s[p, n])),
+                     (-1, right_mult_matrix(K, g, h, p, n))]
             if p >= 1:
                 s_lo = s.get((p - 1, n)) or homotopy_matrix(K, g, h, p - 1, n)
-                lhs = lhs + s_lo.matmul(K.d_matrix(p, n))
-            rhs = right_mult_matrix(K, g, h, p, n)
-            if lhs != rhs:
-                col = int((lhs - rhs).col.min())
+                terms.append((1, s_lo.matmul(K.d_matrix(p, n))))
+            diff = signed_sum(terms)
+            if not diff.is_zero:
+                col = int(diff.col.min())
                 return False, (p, n, col // rank, col % rank)
     return True, None
 

@@ -65,6 +65,8 @@ def test_sp_oracle_rejects_nonabelian(groups):
 
 def test_sp_oracle_genus_zero(groups):
     assert sp_orbit_oracle(groups["C2"], 0) == 1
+    with pytest.raises(OracleError, match="needs n_max >= 0, got -3"):
+        sp_orbit_counts(groups["C2"], -3)  # once returned [1], as if genus 0
 
 
 def test_orbit_counts_match_sp_oracle_over_window(rings, groups):

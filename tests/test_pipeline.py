@@ -11,8 +11,8 @@ from stabring import cli
 from stabring.cli import main as cli_main
 from stabring.kcomplex import HProfileRow, build_kcomplex
 from stabring.modules import GradedModule, regular_module
-from stabring.ring import GradedRing, StabilityProfile
-from stabring.zlinalg import HomologyGroup
+from stabring.ring import GradedRing, RingError, StabilityProfile
+from stabring.zlinalg import HomologyGroup, IntMatrix
 from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
@@ -158,32 +158,130 @@ def test_dumped_differentials_are_pinned(tmp_path):
         assert got == want, name
 
 
-def test_annihilation_verdict_names_the_first_failing_pair(monkeypatch, rings):
-    # one chain-map check per degree-1 class gives the witness of the loop
-    # over every pair, whichever class fails
-    ring = rings["S3"]
-    K = build_kcomplex(regular_module(ring), 2, 2)
-    order = ring.G.order
-    for bad in [None] + list(range(ring.basis_size(1))):
-        calls = []
+def ring_mutants(ring):
+    """Rings with one entry of product(m, 1) or of product(1, m) changed, for
+    every m >= 1 the window allows: the last entry of each step table and
+    entry [1, 0] of each left product table past product(1, 1).  A
+    step-table change that leaves a class unused is no ring, and is skipped."""
+    for k in range(1, ring.n_max):
+        steps = list(ring.steps)
+        steps[k] = steps[k].copy()
+        steps[k][-1, -1] = (steps[k][-1, -1] + 1) % ring.basis_size(k + 1)
+        try:
+            yield f"product({k}, 1)", GradedRing(ring.G, ring.n_max, ring.pair_class, steps)
+        except RingError:
+            continue
+    for m in range(2, ring.n_max):
+        mutated = GradedRing(ring.G, ring.n_max, ring.pair_class, ring.steps)
+        table = ring.product(1, m).copy()
+        table[1, 0] = (table[1, 0] + 1) % ring.basis_size(m + 1)
+        mutated._products[1, m] = table  # read before any product(1, m + 1) is built
+        yield f"product(1, {m})", mutated
 
-        def fake(K, g, h):
-            calls.append((g, h))
-            return ring.class_index(1, (g, h)) != bad, (g, h)
 
-        first = next(((g, h) for g in range(order) for h in range(order)
-                      if not fake(K, g, h)[0]), None)
-        calls.clear()
-        monkeypatch.setattr(kc, "right_mult_is_chain_map", fake)
-        verdict = pipeline._annihilation_verdict(K, True)
-        if first is None:
-            assert verdict["status"] == "pass"
-            assert len(calls) == ring.basis_size(1)
-        else:
-            assert verdict["status"] == "fail"
-            assert verdict["witness"] == (f"right multiplication by ({first[0]},{first[1]}) "
-                                          f"is not a chain map at {first}")
-            assert len(calls) == bad + 1
+def first_ring_failures(ring):
+    """By loops over m, a, j, c in order: the first (m, a, j, c) with
+    a.(j.c) != (a.j).c and the first (m, a, j) with a.(U j) != U(a.j), or None."""
+    P = ring.product
+    assoc = u = None
+    for m in range(ring.n_max - 1):
+        for a in range(ring.basis_size(1)):
+            for j in range(ring.basis_size(m)):
+                if u is None and P(1, m + 1)[a, P(1, m)[0, j]] != P(1, m + 1)[0, P(1, m)[a, j]]:
+                    u = (m, a, j)
+                for c in range(ring.basis_size(1)):
+                    if assoc is None and (P(1, m + 1)[a, P(m, 1)[j, c]]
+                                          != P(m + 1, 1)[P(1, m)[a, j], c]):
+                        assoc = (m, a, j, c)
+    return assoc, u
+
+
+def test_annihilation_verdict_names_the_first_failing_pair(rings):
+    """The verdict compares product tables of the ring, not maps on K(R).  On
+    one-entry ring mutants of S3 and C4 its witness is the first failing
+    (m, a, j, c) of the loops, and the K-level reference agrees: right
+    multiplication by the class c is first not a chain map at the spot
+    (p, n) = (1, m + 1), which reads R_m."""
+    failed = 0
+    for name in ("S3", "C4"):
+        cases = [("true", rings[name]), *ring_mutants(rings[name])]
+        for label, ring in cases:
+            K = build_kcomplex(regular_module(ring), 2, ring.n_max)
+            chain = [kc.right_mult_is_chain_map(K, *ring.rep(1, c))
+                     for c in range(ring.basis_size(1))]
+            assoc, _ = first_ring_failures(ring)
+            verdict = pipeline._annihilation_verdict(ring, True)
+            if label == "true":
+                assert assoc is None and all(ok for ok, _ in chain), name
+                assert verdict["status"] == "pass", name
+                continue
+            m, _, _, c = assoc
+            assert verdict["status"] == "fail", (name, label)
+            assert verdict["witness"] == ("right multiplication is not a chain map: "
+                                          f"a.(j.c) != (a.j).c at (m, a, j, c) = {assoc}")
+            assert chain[c] == (False, (1, m + 1)), (name, label, assoc)
+            assert all(wit[1] >= m + 1 for ok, wit in chain if not ok), (name, label)
+            failed += 1
+    assert failed == 8  # 3 mutants of S3, 5 of C4
+
+
+def test_u_verdict_fails_with_the_k_level_check_on_ring_mutants(rings):
+    """The U verdict compares product tables of the ring; on the same mutants
+    it fails exactly with ``kcomplex.u_commutes_with_d``, whose first failing
+    spot (1, m + 1) reads the first failing (m, a, j) of the loops.  S3's
+    product(2, 1) mutant leaves every left product table, and so U, as it
+    was; only the annihilation verdict fails there."""
+    failed = 0
+    for name in ("S3", "C4"):
+        for label, ring in [("true", rings[name]), *ring_mutants(rings[name])]:
+            K = build_kcomplex(regular_module(ring), 2, ring.n_max)
+            _, u = first_ring_failures(ring)
+            verdict = pipeline._u_commutes_verdict(ring)
+            if u is None:
+                assert verdict["status"] == "pass" and kc.u_commutes_with_d(K) == (True, None)
+                continue
+            assert (verdict["status"], verdict["witness"]) == (
+                "fail", f"a.(U j) != U(a.j) at (m, a, j) = {u}"), (name, label)
+            assert kc.u_commutes_with_d(K) == (False, (1, u[0] + 1)), (name, label)
+            failed += 1
+    assert failed == 7  # all but S3's product(2, 1)
+
+
+def moved_entry(K, key, pos):
+    """K with entry ``pos`` of d[key] moved to the next row free in its column."""
+    mat = K.d[key]
+    taken = set(mat.row[mat.col == mat.col[pos]].tolist())
+    row = mat.row.copy()
+    row[pos] = next(x % mat.rows for x in range(row[pos] + 1, row[pos] + mat.rows)
+                    if x % mat.rows not in taken)
+    d = {**K.d, key: IntMatrix.from_triplets(mat.rows, mat.cols, row, mat.col, mat.val)}
+    return kc.KComplex(module=K.module, ring=K.ring, p_max=K.p_max, n_max=K.n_max, d=d)
+
+
+def test_top_differential_mutants_fail_without_the_k_level_chain_map_check(rings):
+    """d_{K.p_max} is the one differential where the K-level chain-map check
+    could see what the ring comparison cannot.  Every sign flip and moved
+    entry there fails the homotopy identity, whose spot p = K.p_max - 1
+    gathers every column of d_{K.p_max}, and with it the annihilation
+    verdict; that includes every mutant the chain-map check caught."""
+    from reference_kcomplex import flip_signs
+    mutants = caught = 0
+    for name, p_built in (("S3", 2), ("C4", 2), ("C2xC2", 3)):
+        ring = rings[name]
+        K = build_kcomplex(regular_module(ring), p_built, ring.n_max)
+        for n in range(K.p_max, K.n_max + 1):
+            key = (K.p_max, n)
+            nnz = K.d[key].nnz
+            for pos in sorted({0, nnz // 2, nnz - 1}):
+                for cx in (flip_signs(K, key, pos), moved_entry(K, key, pos)):
+                    mutants += 1
+                    caught += any(not kc.right_mult_is_chain_map(cx, *ring.rep(1, c))[0]
+                                  for c in range(ring.basis_size(1)))
+                    homotopy_ok, _ = kc.homotopy_check_all(cx)
+                    assert not homotopy_ok, (name, key, pos)
+                    verdict = pipeline._annihilation_verdict(ring, homotopy_ok)
+                    assert verdict["status"] == "fail", (name, key, pos)
+    assert mutants == caught == 42, (mutants, caught)
 
 
 def test_homotopy_verdict_names_the_first_failing_pair(monkeypatch):
@@ -301,6 +399,9 @@ def test_cli_orbits_and_oracle(tmp_path, capsys):
     assert cli_main(["oracle", "--group", str(spec_path), "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert "stable orbit-count prediction" in out and ": 2" in out
+    # a negative genus has no symplectic counts to print: an error, not silence
+    assert cli_main(["oracle", "--group", spec, "--n", "-3"]) == 1
+    assert "symplectic oracle needs n_max >= 0, got -3" in capsys.readouterr().err
 
 
 def test_cli_bad_config_returns_one(tmp_path):
@@ -457,3 +558,23 @@ def test_report_json_is_pinned(reports):
                   run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max,
                                               p_max=p_max)))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == want, name
+
+
+def test_pipeline_calls_no_k_level_chain_map_check(monkeypatch):
+    """The U and annihilation verdicts read only the ring: with the K-level
+    checks made to raise, the pinned reports of S3 (n <= 3, p <= 2) and C2
+    (n <= 4, p <= 3) come out unchanged."""
+    def refuse(*args):
+        raise AssertionError("the pipeline called a K-level chain-map check")
+
+    monkeypatch.setattr(kc, "right_mult_is_chain_map", refuse)
+    monkeypatch.setattr(kc, "u_commutes_with_d", refuse)
+    for name in ("S3", "C2"):
+        n_max, p_max = BATTERY_WINDOWS[name]
+        report = run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max,
+                                             p_max=p_max))
+        assert report.failure is None, name
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
+            REPORT_SHA256[name, n_max, p_max], name
+        for check in ("u_commutes_with_d", "homology_annihilation"):
+            assert verdict_of(report, check)["status"] == "pass", (name, check)
