@@ -70,6 +70,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     G = load_group(_load_spec(args.group))
     bh = bar_homology(G)
     print(f"group {G.name} (order {G.order})")

@@ -5,11 +5,14 @@ R is generated in degree 1, so a module is fixed by how the degree-1 classes
 act on it.  A module keeps one int64 array per degree, ``acts[n]`` of shape
 (|R_1|, rank_{n+1}, rank_n): row c is the action of degree-1 class c, and
 row 0, the class of (e, e), is U.  Every construction here is an array
-operation on these arrays."""
+operation on these arrays: the tensor relations are the nonzeros of the
+actions broadcast over the identity factor, and a class of degree i acts
+through one batched product per degree along its least entries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,29 +49,11 @@ class GradedModule:
             raise ModuleError(f"degree {n} beyond module window {self.n_max}")
         return self.ranks[n]
 
-    def act(self, pair, n: int) -> np.ndarray:
-        """Matrix of the (a, b) action M_n -> M_{n+1}."""
+    def u_matrix(self, n: int) -> np.ndarray:
+        """U: M_n -> M_{n+1}, the action of class 0, the class of (e, e)."""
         if not 0 <= n < self.n_max:
             raise ModuleError(f"action at degree {n} beyond window {self.n_max}")
-        return self.acts[n][self.ring.class_index(1, pair)]
-
-    def u_matrix(self, n: int) -> np.ndarray:
-        ident = self.ring.G.identity
-        return self.act((ident, ident), n)
-
-    def act_class(self, deg: int, ring_idx: int, n: int) -> np.ndarray:
-        """Matrix of multiplication by the degree-``deg`` basis class, M_n -> M_{n+deg}."""
-        if n + deg > self.n_max:
-            raise ModuleError(f"class action lands beyond window {self.n_max}")
-        mat = np.eye(self.ranks[n], dtype=np.int64)
-        rep = self.ring.rep(deg, ring_idx)
-        pairs = [(rep[2 * i], rep[2 * i + 1]) for i in range(deg)]
-        cur = n
-        order = reversed(pairs) if self.side == "left" else iter(pairs)
-        for pair in order:
-            mat = self.act(pair, cur) @ mat
-            cur += 1
-        return mat
+        return self.acts[n][0]
 
     def consistency_failures(self) -> list:
         """Degree-2 orbit relations violated by the actions (empty when sound).
@@ -222,14 +207,11 @@ def derive_module(ring: GradedRing, recipe) -> GradedModule:
 
 def _gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
     """Generators of (+)_{i+k=n} N_i x M_k with i >= min_i; returns offsets."""
-    offsets = {}
-    dim = 0
-    for i in range(min_i, n + 1):
-        k = n - i
-        size = N.rank(i) * M.rank(k)
-        offsets[i] = dim
-        dim += size
-    return offsets, dim
+    if N.side != "right" or M.side != "left":
+        raise ModuleError("tensor needs a right module and a left module")
+    splits = range(min_i, n + 1)
+    starts = list(accumulate((N.rank(i) * M.rank(n - i) for i in splits), initial=0))
+    return dict(zip(splits, starts)), starts[-1]
 
 
 def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
@@ -237,29 +219,39 @@ def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 
 
     Generators u (x) m over splits i + k = n (i >= min_i), numbered as in
     ``_gen_offsets``; relations move one degree-1 class c across the tensor
-    sign: (u . c) (x) m - u (x) (c m).  Per split i + 1 + k = n they are one
-    block per class, -kron(I, lambda_c) on the N_i x M_{k+1} generators
-    stacked on kron(rho_c, I) on the N_{i+1} x M_k generators right after them.
+    sign: (u . c) (x) m - u (x) (c m).  Per split i + 1 + k = n the relation
+    of (c, u, m) is column (c N_i + u) M_k + m of the split's block.  Each
+    nonzero lambda_c[r, m] of M gives -lambda_c[r, m] at generator u (x) r of
+    N_i x M_{k+1}, for every u; each nonzero rho_c[v, u] of N gives
+    rho_c[v, u] at generator v (x) m of N_{i+1} x M_k, for every m.
     """
-    if N.side != "right" or M.side != "left":
-        raise ModuleError("tensor needs a right module and a left module")
     offsets, dim = _gen_offsets(N, M, n, min_i)
+    classes = M.ring.basis_size(1)
     rows, cols, vals = [], [], []
     n_rel = 0
     for i in range(min_i, n):
         k = n - 1 - i
-        block = np.concatenate(
-            [-np.kron(np.eye(N.rank(i), dtype=np.int64), M.acts[k]),
-             np.kron(N.acts[i], np.eye(M.rank(k), dtype=np.int64))], axis=1)
-        cls, r, c = np.nonzero(block)
-        rows.append(offsets[i] + r)
-        cols.append(n_rel + cls * block.shape[2] + c)
-        vals.append(block[cls, r, c])
-        n_rel += block.shape[0] * block.shape[2]
-    if not rows:
-        return IntMatrix(dim, n_rel)
-    return IntMatrix.from_triplets(dim, n_rel, np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
+        n_i, m_k = N.rank(i), M.rank(k)
+        lam, rho = M.acts[k], N.acts[i]
+        c, r, m = np.nonzero(lam)
+        u = np.arange(n_i)[:, None]
+        rows.append(offsets[i] + u * M.rank(k + 1) + r)
+        cols.append(n_rel + (c * n_i + u) * m_k + m)
+        vals.append(np.broadcast_to(-lam[c, r, m], rows[-1].shape))
+        c, v, u = np.nonzero(rho)
+        m = np.arange(m_k)[:, None]
+        rows.append(offsets[i + 1] + v * m_k + m)
+        cols.append(n_rel + (c * n_i + u) * m_k + m)
+        vals.append(np.broadcast_to(rho[c, v, u], rows[-1].shape))
+        n_rel += classes * n_i * m_k
+    return _from_blocks(dim, n_rel, rows, cols, vals)
+
+
+def _from_blocks(n_rows: int, n_cols: int, rows: list, cols: list, vals: list) -> IntMatrix:
+    """One ``from_triplets`` call on lists of triplet arrays, any shapes."""
+    flat = (np.concatenate([np.zeros(0, dtype=np.int64)] + [a.ravel() for a in part])
+            for part in (rows, cols, vals))
+    return IntMatrix.from_triplets(n_rows, n_cols, *flat)
 
 
 def graded_tensor(N: GradedModule, M: GradedModule) -> list:
@@ -297,20 +289,30 @@ def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
     classes[i][u] is that class, of degree i."""
     offsets, dim = _gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
-    for i in range(min_i, n + 1):
-        k = n - i
-        if N.rank(i) == 0 or M.rank(k) == 0:
+    for i, acting in enumerate(_class_actions(M, n)):
+        if i < min_i:
             continue
-        for u in range(N.rank(i)):
-            action = M.act_class(i, classes[i][u], k)  # M_k -> M_n
-            r, m = np.nonzero(action)
-            rows.append(r)
-            cols.append(offsets[i] + u * M.rank(k) + m)
-            vals.append(action[r, m])
-    if not rows:
-        return IntMatrix(M.rank(n), dim)
-    return IntMatrix.from_triplets(M.rank(n), dim, np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
+        gathered = acting[np.asarray(classes[i], dtype=np.int64)]
+        u, r, m = np.nonzero(gathered)
+        rows.append(r)
+        cols.append(offsets[i] + u * M.rank(n - i) + m)
+        vals.append(gathered[u, r, m])
+    return _from_blocks(M.rank(n), dim, rows, cols, vals)
+
+
+def _class_actions(M: GradedModule, n: int):
+    """Per degree i = 0..n, the actions M_{n-i} -> M_n of every class of R_i
+    on the left module M, stacked by class.  Class j of degree i, whose least
+    entry in product(i - 1, 1) is (p, y), acts as p . (y . m): one batched
+    product per degree."""
+    ring = M.ring
+    acting = np.eye(M.rank(n), dtype=np.int64)[None]
+    yield acting
+    for i in range(1, n + 1):
+        _, least = np.unique(ring.steps[i - 1], return_index=True)
+        p, y = np.divmod(least, ring.basis_size(1))
+        acting = np.matmul(acting[p], M.acts[n - i][y])
+        yield acting
 
 
 def deg_of(groups: list) -> int:
@@ -337,21 +339,14 @@ class DeltaBounds:
 def delta_and_bounds(M: GradedModule) -> DeltaBounds:
     """delta(M), A(M), and the two degree-bound verdicts, within the window."""
     ring = M.ring
+    # U: M_n -> M_{n+1} once per degree; its Smith form serves tor0 and ker U
+    u = [IntMatrix.from_dense(M.u_matrix(n), rows=M.rank(n + 1), cols=M.rank(n))
+         for n in range(M.n_max)]
     # tor0 = M/UM: coker of U degreewise (degree 0 piece is M_0 itself)
-    tor0 = []
-    deg_m_u = -1
-    for n in range(M.n_max + 1):
-        if n == 0:
-            tor0.append(HomologyGroup(free_rank=M.rank(0)))
-        else:
-            u = M.u_matrix(n - 1)
-            mat = IntMatrix.from_dense(u, rows=M.rank(n), cols=M.rank(n - 1))
-            tor0.append(chain_homology(IntMatrix(0, M.rank(n)), mat))
-    for n in range(M.n_max):
-        u = M.u_matrix(n)
-        mat = IntMatrix.from_dense(u, rows=M.rank(n + 1), cols=M.rank(n))
-        if smith_normal_form(mat).rank < M.rank(n):
-            deg_m_u = n
+    tor0 = [HomologyGroup(free_rank=M.rank(0))] + [
+        chain_homology(IntMatrix(0, M.rank(n + 1)), u[n]) for n in range(M.n_max)]
+    deg_m_u = max((n for n in range(M.n_max) if smith_normal_form(u[n]).rank < M.rank(n)),
+                  default=-1)
     # tor1 = ker(U(R) (x)_R M -> M) via the four-term exact sequence
     ur = ur_ideal_module(ring, side="right")
     ur_classes = _u_image(ring)

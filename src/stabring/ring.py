@@ -58,6 +58,8 @@ class GradedRing:
         c1 = len(values)
         if len(pair_class) != G.order ** 2 or not np.array_equal(values, np.arange(c1)):
             raise RingError("pair classes must number every pair of G^2 by 0..k-1")
+        if pair_class[0] != 0:
+            raise RingError("the pair (e, e) must be class 0, the class that acts as U")
         if not np.array_equal(steps[0], np.arange(c1)[None, :]):
             raise RingError("product(0, 1) must be the identity on degree-1 classes")
         counts, least = [1], []

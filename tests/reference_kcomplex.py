@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from reference_kernels import encode_tuple
+import reference_modules
 from stabring import _kernels
 from stabring.kcomplex import (KComplex, KComplexError, _commutator_products,
                                _group_tables, _require_regular)
@@ -97,7 +98,7 @@ def build_kcomplex(M, p_max: int, n_max: int) -> KComplex:
                         pair_k = (conjugate(G, pairs[k][0], ck), conjugate(G, pairs[k][1], ck))
                         act = acts.get(pair_k)
                         if act is None:
-                            act = M.act(pair_k, n - p)
+                            act = reference_modules.act(M, pair_k, n - p)
                             acts[pair_k] = act
                         rest = [e for i, pr in enumerate(pairs) if i != k for e in pr]
                         t2 = encode_tuple(rest, order)

@@ -12,6 +12,13 @@ of them reads ``GradedRing.product``.  Each builds one matrix per pair
 checking that all pairs of a class agree.  ``consistency_failures`` checks
 the degree-2 relations one tuple of G^4 at a time.
 
+``act`` is the action of one pair, ``act_class`` the action of one ring
+class as the product of its representative's pair actions.
+``tensor_presentation`` builds each split's relations as dense
+``np.kron`` blocks and scans them with ``np.nonzero``, and ``beta_matrix``
+multiplies the pair actions out for one generator at a time; the library
+reads both off the nonzeros of the action arrays.
+
 ``h1`` is H1(M) from the library's tensor presentation; the library itself
 only needs H0 and Tor_1 against U(R).
 """
@@ -22,11 +29,31 @@ import numpy as np
 
 from stabring import modules
 from stabring.modules import GradedModule, ModuleError
-from stabring.zlinalg import chain_homology
+from stabring.zlinalg import IntMatrix, chain_homology
 
 
 def pairs(G) -> list:
     return [(a, b) for a in range(G.order) for b in range(G.order)]
+
+
+def act(M: GradedModule, pair, n: int) -> np.ndarray:
+    """Matrix of the (a, b) action M_n -> M_{n+1}."""
+    if not 0 <= n < M.n_max:
+        raise ModuleError(f"action at degree {n} beyond window {M.n_max}")
+    return M.acts[n][M.ring.class_index(1, pair)]
+
+
+def act_class(M: GradedModule, deg: int, ring_idx: int, n: int) -> np.ndarray:
+    """Matrix of multiplication by the degree-``deg`` basis class, M_n -> M_{n+deg}:
+    the pair actions of its representative, last pair first on the left."""
+    if n + deg > M.n_max:
+        raise ModuleError(f"class action lands beyond window {M.n_max}")
+    mat = np.eye(M.ranks[n], dtype=np.int64)
+    rep = M.ring.rep(deg, ring_idx)
+    handles = [(rep[2 * i], rep[2 * i + 1]) for i in range(deg)]
+    for cur, pair in enumerate(reversed(handles) if M.side == "left" else handles, start=n):
+        mat = act(M, pair, cur) @ mat
+    return mat
 
 
 def module_from_pairs(name, ring, side, ranks, lam: dict, n_max: int) -> GradedModule:
@@ -69,9 +96,9 @@ def consistency_failures(M: GradedModule) -> list:
             ref = None
             for (a, b, c, d) in members:
                 if M.side == "left":
-                    comp = M.act((a, b), n + 1) @ M.act((c, d), n)
+                    comp = act(M, (a, b), n + 1) @ act(M, (c, d), n)
                 else:
-                    comp = M.act((c, d), n + 1) @ M.act((a, b), n)
+                    comp = act(M, (c, d), n + 1) @ act(M, (a, b), n)
                 if ref is None:
                     ref = comp
                 elif not np.array_equal(ref, comp):
@@ -122,7 +149,7 @@ def quotient_u_module(M: GradedModule) -> GradedModule:
     ranks = tuple(len(k) for k in kept)
     lam = {}
     for pair in pairs(M.ring.G):
-        lam[pair] = [M.act(pair, n)[np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
+        lam[pair] = [act(M, pair, n)[np.ix_(kept[n + 1], kept[n])] for n in range(M.n_max)]
     name = "Rbar" if M.name == "R" else f"{M.name}/U"
     return module_from_pairs(name, M.ring, M.side, ranks, lam, M.n_max)
 
@@ -166,7 +193,7 @@ def u_kernel_module(M: GradedModule) -> GradedModule:
             basis_n, _, _ = fibers[n]
             _, rep_next, pos_next = fibers[n + 1]
             mat = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-            lam_n = M.act(pair, n)
+            lam_n = act(M, pair, n)
             for col, (j, rep) in enumerate(basis_n):
                 image = {}
                 for src, sign in ((j, 1), (rep, -1)):
@@ -223,7 +250,7 @@ def truncate_module(M: GradedModule, k: int) -> GradedModule:
     ranks = tuple(r if n <= k else 0 for n, r in enumerate(M.ranks))
     lam = {}
     for pair in pairs(M.ring.G):
-        lam[pair] = [M.act(pair, n) if n + 1 <= k
+        lam[pair] = [act(M, pair, n) if n + 1 <= k
                      else np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
                      for n in range(M.n_max)]
     return module_from_pairs(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)
@@ -236,3 +263,47 @@ def h1(M: GradedModule) -> list:
     return [chain_homology(modules._beta_matrix(rplus, M, n, min_i=1, classes=identity),
                            modules._tensor_presentation(rplus, M, n, min_i=1))
             for n in range(M.n_max + 1)]
+
+
+def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
+    """``modules._tensor_presentation`` from dense blocks: per split
+    i + 1 + k = n, -kron(I, lambda_c) on the N_i x M_{k+1} generators stacked
+    on kron(rho_c, I) on the N_{i+1} x M_k generators right after them."""
+    offsets, dim = modules._gen_offsets(N, M, n, min_i)
+    rows, cols, vals = [], [], []
+    n_rel = 0
+    for i in range(min_i, n):
+        k = n - 1 - i
+        block = np.concatenate(
+            [-np.kron(np.eye(N.rank(i), dtype=np.int64), M.acts[k]),
+             np.kron(N.acts[i], np.eye(M.rank(k), dtype=np.int64))], axis=1)
+        cls, r, c = np.nonzero(block)
+        rows.append(offsets[i] + r)
+        cols.append(n_rel + cls * block.shape[2] + c)
+        vals.append(block[cls, r, c])
+        n_rel += block.shape[0] * block.shape[2]
+    if not rows:
+        return IntMatrix(dim, n_rel)
+    return IntMatrix.from_triplets(dim, n_rel, np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))
+
+
+def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
+                classes: list) -> IntMatrix:
+    """``modules._beta_matrix`` by one ``act_class`` product per generator."""
+    offsets, dim = modules._gen_offsets(N, M, n, min_i)
+    rows, cols, vals = [], [], []
+    for i in range(min_i, n + 1):
+        k = n - i
+        if N.rank(i) == 0 or M.rank(k) == 0:
+            continue
+        for u in range(N.rank(i)):
+            action = act_class(M, i, classes[i][u], k)  # M_k -> M_n
+            r, m = np.nonzero(action)
+            rows.append(r)
+            cols.append(offsets[i] + u * M.rank(k) + m)
+            vals.append(action[r, m])
+    if not rows:
+        return IntMatrix(M.rank(n), dim)
+    return IntMatrix.from_triplets(M.rank(n), dim, np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference_modules as ref
-from stabring.modules import (GradedModule, ModuleError, _u_image, delta_and_bounds,
+from stabring.modules import (GradedModule, ModuleError, _beta_matrix, _class_actions,
+                              _tensor_presentation, _u_image, delta_and_bounds,
                               deg_of, derive_module, generated_in_degrees_upto,
                               graded_tensor, h0, module_deg,
                               quotient_u_module, regular_module, shift_module,
@@ -91,7 +92,7 @@ def assert_same_module(M: GradedModule, N: GradedModule) -> None:
     assert len(M.acts) == len(N.acts) == M.n_max
     for n in range(M.n_max):
         for pair in ref.pairs(M.ring.G):
-            a, b = M.act(pair, n), N.act(pair, n)
+            a, b = ref.act(M, pair, n), ref.act(N, pair, n)
             assert a.dtype == b.dtype and a.shape == b.shape, (M.name, pair, n)
             assert np.array_equal(a, b), (M.name, pair, n)
 
@@ -283,20 +284,63 @@ def test_delta_and_bounds_derived_battery(rings):
 
 
 def test_act_class_respects_factorization(rings):
-    # multiplication by [v] equals the composite along the first-pair splitting
-    ring = rings["S3"]
-    R = regular_module(ring)
-    for n in (1, 2):
-        for idx in range(ring.basis_size(n)):
-            rep = ring.rep(n, idx)
-            whole = R.act_class(n, idx, 0)
-            head = (rep[0], rep[1])
-            if n == 1:
-                assert np.array_equal(whole, R.act(head, 0))
-            else:
-                tail_idx = ring.class_index(n - 1, rep[2:])
-                assert np.array_equal(whole,
-                                      R.act(head, n - 1) @ R.act_class(n - 1, tail_idx, 0))
+    # the batched action of a degree-i class on M_{n-i} is the product of the
+    # pair actions of its representative, last pair first; on a mutant too
+    for name in ("S3", "C2xC2"):
+        ring = rings[name]
+        R = regular_module(ring)
+        for M in (R, mutant(R, 1, 1)):
+            for n in range(ring.n_max + 1):
+                for i, acting in enumerate(_class_actions(M, n)):
+                    assert acting.shape == (ring.basis_size(i), M.rank(n), M.rank(n - i))
+                    for idx in range(ring.basis_size(i)):
+                        rep = ring.rep(i, idx)
+                        want = np.eye(M.rank(n - i), dtype=np.int64)
+                        for h in range(i):
+                            want = ref.act(M, rep[2 * (i - 1 - h):2 * (i - h)], n - i + h) @ want
+                        assert np.array_equal(acting[idx], want), (name, n, i, idx)
+
+
+def raised(M: GradedModule) -> GradedModule:
+    """M with its first nonzero action entry raised by one (1 becomes 2)."""
+    for n, act in enumerate(M.acts):
+        hit = np.argwhere(act)
+        if len(hit):
+            acts = [a.copy() for a in M.acts]
+            acts[n][tuple(hit[0])] += 1
+            assert acts[n][tuple(hit[0])] == 2
+            return dataclasses.replace(M, name=f"{M.name}+", acts=acts)
+    raise AssertionError(f"{M.name} has no nonzero action")
+
+
+def test_tensor_and_beta_match_the_dense_references(rings):
+    # the triplets read off the action arrays equal the dense kron blocks and
+    # the per-generator class products, split by split
+    calls = 0
+    for name in ("C2", "C4", "C2xC2", "S3"):
+        ring = rings[name]
+        lefts = [derive_module(ring, recipe) for recipe in
+                 (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1))]
+        lefts.append(raised(lefts[0]))
+        # each right module with the ring class behind each of its basis vectors
+        image = _u_image(ring)
+        rights = [(regular_module(ring, "right"), [range(c) for c in ring.counts]),
+                  (quotient_u_module(ring, "right"),
+                   [np.setdiff1d(np.arange(c), k) for c, k in zip(ring.counts, image)]),
+                  (ur_ideal_module(ring, "right"), image)]
+        rights.append((raised(rights[0][0]), rights[0][1]))
+        for N, classes in rights:
+            for M in lefts:
+                for n in range(min(N.n_max, M.n_max) + 1):
+                    for min_i in (0, 1):
+                        got = _tensor_presentation(N, M, n, min_i)
+                        assert got == ref.tensor_presentation(N, M, n, min_i), \
+                            (name, N.name, M.name, n, min_i)
+                        got = _beta_matrix(N, M, n, min_i, classes)
+                        assert got == ref.beta_matrix(N, M, n, min_i, classes), \
+                            (name, N.name, M.name, n, min_i)
+                        calls += 2
+    assert calls > 1000
 
 
 def test_unknown_recipe(rings):
@@ -308,6 +352,6 @@ def test_window_guard(rings):
     R = regular_module(rings["C2"])
     for n in (-1, R.n_max):
         with pytest.raises(ModuleError):
-            R.act((0, 0), n)
+            R.u_matrix(n)
     with pytest.raises(ModuleError):
         R.rank(R.n_max + 1)

@@ -399,9 +399,12 @@ def test_cli_orbits_and_oracle(tmp_path, capsys):
     assert cli_main(["oracle", "--group", str(spec_path), "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert "stable orbit-count prediction" in out and ": 2" in out
-    # a negative genus has no symplectic counts to print: an error, not silence
-    assert cli_main(["oracle", "--group", spec, "--n", "-3"]) == 1
-    assert "symplectic oracle needs n_max >= 0, got -3" in capsys.readouterr().err
+    # a negative genus is refused before any output, abelian or not
+    s3 = json.dumps({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]})
+    for group in (spec, s3):
+        assert cli_main(["oracle", "--group", group, "--n", "-3"]) == 1
+        out, err = capsys.readouterr()
+        assert "H1 =" not in out and "--n must be >= 0, got -3" in err
 
 
 def test_cli_bad_config_returns_one(tmp_path):

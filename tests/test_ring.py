@@ -7,7 +7,7 @@ import reference_kernels as ref
 from conftest import BATTERY_SPECS, EXTRA_SPECS
 from stabring.groups import load_group
 from stabring.orbits import OrbitError, step_table
-from stabring.ring import RingError, build_ring
+from stabring.ring import GradedRing, RingError, build_ring
 from stabring.words import compile_moves
 
 
@@ -137,6 +137,14 @@ def test_degree_overflow_raises(rings):
         ring.u_map(ring.n_max)
     with pytest.raises(RingError, match="negative"):
         ring.product(-1, 1)
+
+
+def test_ring_refuses_a_pair_class_numbering_without_u_first(rings):
+    # U and every module's u_matrix read class 0 of degree 1 as the class of (e, e)
+    ring = rings["C2"]
+    swap = np.array([1, 0] + list(range(2, ring.basis_size(1))))
+    with pytest.raises(RingError, match=r"\(e, e\) must be class 0"):
+        GradedRing(ring.G, ring.n_max, swap[ring.pair_class], ring.steps)
 
 
 def test_class_index_refuses_wrong_tuple_length(rings):
