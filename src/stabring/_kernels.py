@@ -1,11 +1,13 @@
-"""Orbit kernel: the partition of G^(2n) under a family of maps.
+"""Orbit kernel: the partition of G^(2n) under a family of maps, and the
+two array primitives the library builds on, ``components`` and
+``ragged_gather``.
 
 States are ranks in [0, order^(2n)), mixed radix with entry 0 most
 significant.  ``labels[v]`` holds the minimum rank in v's class so far.  For
 each map, the image of every state is computed at once, the classes it joins
-are merged with one ``connected_components`` call on the graph whose edges
-are the pairs ``(labels[v], labels[img[v]])`` that differ, and every label
-moves to the minimum of its merged class.  One label array and one image are
+are merged with one ``components`` call on the graph whose edges are the
+pairs ``(labels[v], labels[img[v]])`` that differ, and every label moves to
+the least node of its merged class.  One label array and one image are
 alive at a time, so memory is O(states), not O(maps x states).
 
 ``word_orbit_parents`` takes each map as its image words, one per entry,
@@ -23,11 +25,9 @@ import os
 import resource
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 # Peak bytes per state of one kernel call, with margin: tracemalloc measures
-# about 80 (C8 at n = 3, moves and transvections).
+# about 92 (C8 at n = 3, moves and transvections).
 BYTES_PER_STATE = 128
 
 
@@ -62,21 +62,55 @@ def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
     return digits
 
 
+def components(n_nodes: int, src, dst) -> np.ndarray:
+    """The least node of each node's component in the undirected graph on
+    [0, n_nodes) with edges (src[i], dst[i]).
+
+    Min-label hooking with pointer jumping: every node points at a node no
+    greater than itself, and each pass hooks the larger root of every edge
+    whose ends have different roots under the least root it meets, then
+    jumps pointers until every node points at its root.  Edges whose ends
+    share a root are dropped for good.  A component's root is then its least
+    node."""
+    label = np.arange(n_nodes, dtype=np.int64)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    while True:
+        a, b = np.take(label, src), np.take(label, dst)
+        apart = a != b
+        if not apart.any():
+            return label
+        src, dst = np.compress(apart, src), np.compress(apart, dst)
+        hi = np.compress(apart, np.maximum(a, b))
+        lo = np.compress(apart, np.minimum(a, b, out=a))
+        del a, b, apart
+        np.minimum.at(label, hi, lo)
+        del hi, lo
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def ragged_gather(ptr: np.ndarray, key: np.ndarray):
+    """For the segments ptr[key[i]]:ptr[key[i] + 1], laid end to end in the
+    order of key: the length of each, and the index of every element."""
+    start = np.take(ptr, key)
+    count = np.take(ptr, key + 1) - start
+    # segment i begins at place first[i] of the output
+    first = np.cumsum(count) - count
+    return count, np.repeat(start - first, count) + np.arange(int(count.sum()))
+
+
 def _orbit_labels(n_states: int, n_maps: int, image) -> np.ndarray:
     """Min-rank labels of the classes joined by v ~ image(m)[v] over all m."""
-    ranks = np.arange(n_states, dtype=np.int64)
-    labels = ranks.copy()
+    labels = np.arange(n_states, dtype=np.int64)
     for m in range(n_maps):
         joined = labels[image(m)]
         diff = labels != joined
-        graph = coo_matrix((np.ones(int(diff.sum()), dtype=np.int8),
-                            (labels[diff], joined[diff])), shape=(n_states, n_states))
+        src, dst = labels[diff], joined[diff]
         del joined, diff
-        n_comp, comp = connected_components(graph, directed=False)
-        del graph
-        comp_min = np.full(n_comp, n_states, dtype=np.int64)
-        np.minimum.at(comp_min, comp, ranks)
-        labels = comp_min[comp[labels]]
+        labels = components(n_states, src, dst)[labels]
     return labels
 
 

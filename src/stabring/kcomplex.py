@@ -74,16 +74,6 @@ def _commutator_products(G: FiniteGroup, comm: np.ndarray, digits: np.ndarray) -
     return out
 
 
-def _ragged_gather(ptr: np.ndarray, key: np.ndarray):
-    """For segments ptr[key[i]]:ptr[key[i] + 1], the owning position i and the
-    index of every element, segments in the order of key."""
-    start = ptr[key]
-    count = ptr[key + 1] - start
-    owner = np.repeat(np.arange(len(key)), count)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
-    return owner, start[owner] + offset
-
-
 def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     """Materialize the differentials d_{p,n} for 1 <= p <= p_max, n <= n_max.
 
@@ -128,8 +118,9 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             ptr = np.searchsorted(nz_cls * rank_hi + nz_col, np.arange(len(acts) * rank_hi + 1))
             rows, cols, vals = [], [], []
             for sign, class_k, rest in terms:
-                col, idx = _ragged_gather(
+                count, idx = _kernels.ragged_gather(
                     ptr, (class_k[:, None] * rank_hi + np.arange(rank_hi)).ravel())
+                col = np.repeat(np.arange(len(count)), count)
                 rows.append(rest[col // rank_hi] * rank_lo + nz_row[idx])
                 cols.append(col)
                 vals.append(sign * nz_val[idx])
@@ -140,7 +131,9 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
 
 def verify_d_squared(K: KComplex):
     """True iff every composable composite is the zero matrix; else the first
-    offending (p, n, basis column)."""
+    offending (p, n, basis column).  ``h_profile`` multiplies out the same
+    composites in ``chain_homology``, so the pipeline does not call this; the
+    benchmark harness times it."""
     for p in range(2, K.p_max + 1):
         for n in range(p, K.n_max + 1):
             comp = K.d_matrix(p - 1, n).matmul(K.d_matrix(p, n))
@@ -192,7 +185,8 @@ def _gather_columns(D: IntMatrix, image: np.ndarray):
     """Entries of D . B for each map of the batch: column i of the b-th
     composite is column image[b, i] of D."""
     ptr, order = D.column_index()
-    col, idx = _ragged_gather(ptr, image.ravel())
+    count, idx = _kernels.ragged_gather(ptr, image.ravel())
+    col = np.repeat(np.arange(len(count)), count)
     idx = order[idx]
     return col, D.row[idx], D.val[idx]
 

@@ -11,8 +11,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .groups import FiniteGroup
@@ -195,11 +193,6 @@ def local_steps(step2: np.ndarray, n_max: int) -> list:
         src = (prev[:, :, None] * c1 + tail).ravel()
         dst = (prev[:, first_y1] * c1 + first_y2).ravel()
         moved = src != dst
-        graph = coo_matrix((np.ones(int(moved.sum()), dtype=np.int8),
-                            (src[moved], dst[moved])), shape=(n_nodes, n_nodes))
-        _, comp = connected_components(graph, directed=False)
-        _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
-        ids = np.empty(len(first), dtype=np.int64)
-        ids[np.argsort(first)] = np.arange(len(first))
-        steps.append(ids[comp].reshape(-1, c1))
+        least = _kernels.components(n_nodes, src[moved], dst[moved])
+        steps.append(np.unique(least, return_inverse=True)[1].reshape(-1, c1))
     return steps

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  (a plain np.unique reads np.ma; load it here, not mid-run)
 
 from . import _kernels
 from .groups import FiniteGroup

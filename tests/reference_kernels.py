@@ -21,6 +21,8 @@ orbit, like the kernel.
   gives, which the local construction of ``stabring.ring`` replaced above
   degree 2.  ``kernel_product`` gathers the class of rep_i ++ rep_j from the
   degree m + n orbit table at its rank.
+* ``csgraph_least_nodes``: scipy's ``connected_components`` as least-node
+  labels, the reference for ``_kernels.components``.
 * ``encode_tuple``, ``class_of`` and ``n_states``: lookups of a tuple's rank
   and orbit in a full-state ``OrbitTable``.  The library folds handle classes
   through the ring's step tables instead (``GradedRing.class_index``).
@@ -94,18 +96,23 @@ def _transvection_image(table, inv, digits, order, vec) -> np.ndarray:
     return out
 
 
+def csgraph_least_nodes(n_nodes: int, src, dst) -> np.ndarray:
+    """The least node of each node's component in the undirected graph with
+    edges (src[i], dst[i]), by scipy's ``connected_components``."""
+    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
+                       shape=(n_nodes, n_nodes))
+    _, labels = connected_components(graph, directed=False)
+    reps = np.full(int(labels.max()) + 1, n_nodes, dtype=np.int64)
+    np.minimum.at(reps, labels, np.arange(n_nodes, dtype=np.int64))
+    return reps[labels]
+
+
 def _components_from_images(images: list, n_states: int) -> np.ndarray:
     ranks = np.arange(n_states, dtype=np.int64)
     if not images:
         return ranks
-    rows = np.concatenate([ranks] * len(images))
-    cols = np.concatenate(images)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(n_states, n_states))
-    _, labels = connected_components(graph, directed=False)
-    reps = np.full(int(labels.max()) + 1, n_states, dtype=np.int64)
-    np.minimum.at(reps, labels, ranks)
-    return reps[labels]
+    return csgraph_least_nodes(n_states, np.concatenate([ranks] * len(images)),
+                               np.concatenate(images))
 
 
 def csgraph_move_parents(G, n: int, moves) -> np.ndarray:

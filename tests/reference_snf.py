@@ -4,13 +4,22 @@ and image-membership checks built on it, ``to_dense``, which turns an
 ``IntMatrix`` into nested lists for them and for sympy, and ``from_text``,
 which reads back what ``IntMatrix.to_text`` writes.
 
+``unit_pivots`` and ``normalize_factors`` are the sequential loops that
+``zlinalg._unit_pivots`` (rounds of local minima) and
+``zlinalg._normalize_factors`` (one pass over a coprime base) replaced, and
+``scipy_matmul`` and ``scipy_schur`` the ``scipy.sparse`` products that
+``IntMatrix.matmul`` and ``zlinalg._unit_round`` replaced.
+
 Everything here is dense Python-integer arithmetic, cubic in the matrix size;
 keep it to matrices of a few hundred rows and columns.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from stabring.zlinalg import IntMatrix, LinAlgError
 
@@ -163,3 +172,87 @@ class ImageTest:
             if i >= len(self.factors) and uw:
                 return False
         return True
+
+
+def unit_pivots(A: IntMatrix):
+    """Row and column arrays of the +-1 pivots the greedy pass takes: the +-1
+    entries in increasing Markowitz cost (row count - 1) * (column count - 1),
+    ties in (row, col) order, one at a time; taking (r, c) blocks every row
+    of column c and every column of row r."""
+    unit = np.flatnonzero(np.abs(A.val) == 1)
+    row_count = np.bincount(A.row, minlength=A.rows)
+    col_count = np.bincount(A.col, minlength=A.cols)
+    cost = (row_count[A.row[unit]] - 1) * (col_count[A.col[unit]] - 1)
+    unit = unit[np.argsort(cost, kind="stable")]
+    # A.row is sorted, so row r's entries are A.col[row_ptr[r]:row_ptr[r + 1]]
+    row_ptr = np.concatenate(([0], np.cumsum(row_count))).tolist()
+    by_col = np.argsort(A.col, kind="stable")
+    col_ptr = np.concatenate(([0], np.cumsum(col_count))).tolist()
+    row_of_col, col_of_row = A.row[by_col].tolist(), A.col.tolist()
+    row_blocked, col_blocked = bytearray(A.rows), bytearray(A.cols)
+    prow, pcol = [], []
+    for r, c in zip(A.row[unit].tolist(), A.col[unit].tolist()):
+        if row_blocked[r] or col_blocked[c]:
+            continue
+        prow.append(r)
+        pcol.append(c)
+        for r2 in row_of_col[col_ptr[c]:col_ptr[c + 1]]:
+            row_blocked[r2] = 1
+        for c2 in col_of_row[row_ptr[r]:row_ptr[r + 1]]:
+            col_blocked[c2] = 1
+    return np.array(prow, dtype=np.int64), np.array(pcol, dtype=np.int64)
+
+
+def normalize_factors(diag) -> tuple:
+    """Fold a diagonal multiset into the d1 | d2 | ... divisibility chain by
+    replacing pairs (a, b) with b % a != 0 by (gcd, lcm) until none is left."""
+    factors = sorted(abs(d) for d in diag if d)
+    hard = [d for d in factors if d != 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(hard)):
+            for j in range(i + 1, len(hard)):
+                a, b = hard[i], hard[j]
+                if b % a:
+                    g = gcd(a, b)
+                    hard[i], hard[j] = g, a * b // g
+                    changed = True
+        hard.sort()
+    ones = len(factors) - len(hard)
+    return tuple([1] * ones + hard)
+
+
+def _from_scipy(mat) -> IntMatrix:
+    mat = mat.tocoo()
+    return IntMatrix.from_triplets(mat.shape[0], mat.shape[1], mat.row, mat.col,
+                                   mat.data.astype(np.int64))
+
+
+def _csr(A: IntMatrix) -> csr_matrix:
+    return csr_matrix((A.val, (A.row, A.col)), shape=(A.rows, A.cols))
+
+
+def scipy_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A . B as an int64 ``scipy.sparse`` product, with no overflow check."""
+    return _from_scipy(_csr(A) @ _csr(B))
+
+
+def scipy_schur(A: IntMatrix, prow, pcol) -> IntMatrix:
+    """A22 - A21 D A12 at A's shape, for pivots (prow, pcol) with D = A[prow,
+    pcol] a signed identity, as three ``scipy.sparse`` matrices and one int64
+    product, with no overflow check."""
+    k = len(prow)
+    pivot_of_row = np.full(A.rows, -1, dtype=np.int64)
+    pivot_of_row[prow] = np.arange(k)
+    pivot_of_col = np.full(A.cols, -1, dtype=np.int64)
+    pivot_of_col[pcol] = np.arange(k)
+    i, j = pivot_of_row[A.row], pivot_of_col[A.col]
+    in12, in21, in22 = (i >= 0) & (j < 0), (i < 0) & (j >= 0), (i < 0) & (j < 0)
+    d = np.zeros(k, dtype=np.int64)
+    pivot = (i >= 0) & (j >= 0)
+    d[i[pivot]] = A.val[pivot]
+    a21d = csr_matrix((A.val[in21] * d[j[in21]], (A.row[in21], j[in21])), shape=(A.rows, k))
+    a12 = csr_matrix((A.val[in12], (i[in12], A.col[in12])), shape=(k, A.cols))
+    a22 = csr_matrix((A.val[in22], (A.row[in22], A.col[in22])), shape=(A.rows, A.cols))
+    return _from_scipy(a22 - a21d @ a12)

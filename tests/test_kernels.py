@@ -83,7 +83,7 @@ def test_transvection_orbits_match_csgraph_reference_at_genus_three(name):
 
 
 def test_kernel_memory_is_linear_in_states():
-    """One label array and one image at a time: about 80 B/state, where
+    """One label array and one image at a time: about 92 B/state, where
     keeping every image and an all-moves edge list took about 1.2 KB."""
     G = load_group(KERNEL_GROUPS["C8"])
     moves = compile_moves(3, G)
@@ -150,3 +150,29 @@ def test_transvection_images_evaluate_to_the_reference_transvection(name):
             for x, rank in zip(digits.T, want):
                 got = [ref._evaluate(G, w, tuple(int(e) for e in x)) for w in words]
                 assert ref.encode_tuple(got, G.order) == rank, (name, n, tuple(v), tuple(x))
+
+
+def _graphs(n: int):
+    """Edge lists (src, dst) on n nodes that stress hooking and pointer jumping."""
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(n)
+    loops = rng.integers(0, n, n // 10)
+    return {
+        "path": (np.arange(n - 1), np.arange(1, n)),
+        "permuted path": (perm[:-1], perm[1:]),
+        "reversed path": (np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)),
+        "reversed star": (np.full(n - 1, n - 1), np.arange(n - 1)),
+        "random": (rng.integers(0, n, n // 2), rng.integers(0, n, n // 2)),
+        "edgeless": (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+        "self-loops": (np.concatenate((loops, [0, n - 1])), np.concatenate((loops, [n - 1, 1]))),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 50_000])
+def test_components_match_csgraph(n):
+    for name, (src, dst) in _graphs(n).items():
+        if n == 1 and name == "self-loops":
+            src = dst = np.zeros(3, dtype=np.int64)
+        got = _kernels.components(n, src, dst)
+        assert np.array_equal(got, ref.csgraph_least_nodes(n, src, dst)), (name, n)
+        assert got.dtype == np.int64 and len(got) == n

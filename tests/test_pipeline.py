@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -305,6 +307,49 @@ def test_homotopy_verdict_names_the_first_failing_pair(monkeypatch):
         verdict = verdict_of(report, "homotopy_identity")
         assert (verdict["status"], verdict["witness"]) == ("fail", want), key
         assert verdict_of(report, "homology_annihilation")["status"] == "fail"
+
+
+def test_a_d_squared_mutant_fails_the_run_at_the_homology_stage(monkeypatch):
+    """The homology stage multiplies out every composite d_{p-1} d_p of the
+    run once and fails the run on a nonzero one, naming its first entry, so
+    the d_squared_zero verdict is not reached; kc.verify_d_squared finds the
+    same composite.  One sign flipped in d_{1,3}, d_{2,3} or d_{2,2} of S3
+    (n <= 3, p <= 2) gives this failure, as it did when the verdict
+    multiplied the composites again."""
+    from reference_kcomplex import mutant
+
+    real = kc.build_kcomplex
+    for key, want in {(1, 3): "d_out . d_in != 0: entry (6,92) = -2",
+                      (2, 3): "d_out . d_in != 0: entry (3,126) = -2",
+                      (2, 2): "d_out . d_in != 0: entry (3,18) = -2"}.items():
+        built = []
+        monkeypatch.setattr(kc, "build_kcomplex",
+                            lambda M, p, n: built.append(mutant(real(M, p, n), key)) or built[-1])
+        report = run_pipeline(small_config(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
+                                           well_definedness_samples=10))
+        assert report.failure == {"stage": "homology", "error": want}, key
+        assert report.verdicts == [] and report.homology == [] and report.exit_code == 1
+        assert not kc.verify_d_squared(built[0])[0], key
+
+
+def test_import_and_run_load_no_scipy_and_no_new_module():
+    """``import stabring`` leaves scipy unloaded, and a run imports nothing:
+    numpy.random and numpy.ma, which numpy loads on first use, load with the
+    library, so their import cost stays out of the timed stages."""
+    code = ("import sys\n"
+            "import stabring\n"
+            "from stabring.pipeline import PipelineConfig, run_pipeline\n"
+            "before = set(sys.modules)\n"
+            "report = run_pipeline(PipelineConfig(group={'kind': 'cyclic', 'order': 2}, "
+            "n_max=2, p_max=1))\n"
+            "assert report.failure is None, report.failure\n"
+            "print(sorted(set(sys.modules) - before))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"], proc.stdout
 
 
 def test_order_thirteen_runs_every_stage():

@@ -5,14 +5,15 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
-from reference_snf import from_text, smith_with_transforms, to_dense
+from reference_snf import (from_text, normalize_factors, scipy_matmul, scipy_schur,
+                           smith_with_transforms, to_dense, unit_pivots)
 from stabring import zlinalg
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import regular_module
 from stabring.zlinalg import (INT64_MAX, HomologyGroup, IntMatrix, LinAlgError,
                               _ROUND_MIN_NNZ, _blocks, _normalize_factors,
-                              _snf_diagonal_sparse, _unit_round, chain_homology,
-                              smith_normal_form)
+                              _snf_diagonal_sparse, _unit_pivots, _unit_round,
+                              chain_homology, smith_normal_form)
 
 
 def random_triplets(rng, m, n, count, values):
@@ -580,3 +581,155 @@ def test_unit_free_residual_is_split_into_blocks(monkeypatch):
                         lambda *block: handed.append(len(block[0])) or _snf_diagonal_sparse(*block))
     assert smith_normal_form(A).factors == (2,) * (3 * k)
     assert handed == [9] * k
+
+
+def is_canonical(A: IntMatrix) -> bool:
+    key = A.row * A.cols + A.col
+    return bool((np.diff(key) > 0).all() and (A.val != 0).all())
+
+
+def dense_product(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A . B over Python integers."""
+    a, b = to_dense(A), to_dense(B)
+    out = [[sum(a[i][k] * b[k][j] for k in range(A.cols)) for j in range(B.cols)]
+           for i in range(A.rows)]
+    return IntMatrix.from_dense(out, A.rows, B.cols)
+
+
+def test_matmul_matches_dense_and_scipy_products():
+    rng = random.Random(53)
+    cancelled = 0
+    for _ in range(300):
+        m, k, n = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        # few distinct values, so that products often cancel
+        A = IntMatrix.from_triplets(m, k, *random_triplets(
+            rng, m, k, rng.randint(0, m * k), lambda: rng.choice((-1, 1, 2))))
+        B = IntMatrix.from_triplets(k, n, *random_triplets(
+            rng, k, n, rng.randint(0, k * n), lambda: rng.choice((-1, 1))))
+        got = A.matmul(B)
+        assert is_canonical(got) and got == dense_product(A, B)
+        if m and k and n:
+            assert got == scipy_matmul(A, B)
+        reached = {(i, j) for i, k1 in zip(A.row.tolist(), A.col.tolist())
+                   for k2, j in zip(B.row.tolist(), B.col.tolist()) if k1 == k2}
+        cancelled += got.nnz < len(reached)
+    assert cancelled > 30
+    # the bound max|A| max|B| inner is INT64_MAX = 7^2 73 127 . 337 92737 649657
+    a, b = 7 ** 2 * 73 * 127, 337 * 92737 * 649657
+    assert a * b == INT64_MAX
+    assert to_dense(IntMatrix.from_dense([[a]]).matmul(IntMatrix.from_dense([[b]]))) == [[INT64_MAX]]
+    with pytest.raises(LinAlgError, match="int64"):
+        IntMatrix.from_dense([[a + 1]]).matmul(IntMatrix.from_dense([[b]]))
+    # a zero factor gives the zero product before any bound is read
+    huge = IntMatrix.from_dense([[2 ** 62]])
+    assert huge.matmul(IntMatrix(1, 3)) == IntMatrix(1, 3)
+    with pytest.raises(LinAlgError, match="cannot multiply"):
+        huge.matmul(IntMatrix(2, 1))
+
+
+def random_pm1_heavy(rng, m: int, n: int, count: int) -> IntMatrix:
+    return IntMatrix.from_triplets(m, n, *random_triplets(
+        rng, m, n, count, lambda: rng.choice((1, -1, 1, -1, 1, -1, 2, -3))))
+
+
+def hub_matrix(rng, rows: int, cols: int) -> IntMatrix:
+    """Each column holds two +-1 entries in random rows, so every row is a
+    hub that conflicts with many others: the shape of the lemma battery's
+    tensor relations, whose pivot rounds form long chains."""
+    r = [rng.randrange(rows) for _ in range(2 * cols)]
+    c = [j for j in range(cols) for _ in range(2)]
+    return IntMatrix.from_triplets(rows, cols, r, c, [rng.choice((1, -1)) for _ in r])
+
+
+def test_unit_pivots_match_the_greedy_loop_on_random_matrices():
+    rng = random.Random(59)
+    mats = [random_pm1_heavy(rng, rng.randint(1, 12), rng.randint(1, 12), rng.randint(0, 60))
+            for _ in range(300)]
+    mats += [random_unit_rich(rng) for _ in range(4)]
+    mats += [hub_matrix(rng, rng.randint(20, 300), rng.randint(200, 3000)) for _ in range(6)]
+    mats += [IntMatrix(3, 4), IntMatrix.from_dense([[2, 4], [0, -6]])]
+    for A in mats:
+        got, want = _unit_pivots(A), unit_pivots(A)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), A
+        assert got[0].dtype == got[1].dtype == np.int64
+
+
+def test_unit_round_matches_dense_and_scipy_schur_complements():
+    rng = random.Random(61)
+    for _ in range(200):
+        A = random_pm1_heavy(rng, rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 40))
+        step = _unit_round(A)
+        if step is None:
+            assert not (np.abs(A.val) == 1).any()
+            continue
+        prow, pcol, S = step
+        assert is_canonical(S) and S == scipy_schur(A, prow, pcol)
+        # the dense formula A22 - A21 D A12 at every non-pivot position
+        a = to_dense(A)
+        want = [[0] * A.cols for _ in range(A.rows)]
+        rest_r = sorted(set(range(A.rows)) - set(prow.tolist()))
+        rest_c = sorted(set(range(A.cols)) - set(pcol.tolist()))
+        for r in rest_r:
+            for c in rest_c:
+                want[r][c] = a[r][c] - sum(a[r][pc] * a[pr][pc] * a[pr][c]
+                                           for pr, pc in zip(prow.tolist(), pcol.tolist()))
+        assert to_dense(S) == want
+    for _ in range(4):
+        A = random_unit_rich(rng)
+        prow, pcol, S = _unit_round(A)
+        assert S == scipy_schur(A, prow, pcol)
+    # the complement cancels to the zero matrix
+    prow, pcol, S = _unit_round(IntMatrix.from_dense([[1, 1], [1, 1]]))
+    assert S.is_zero and S.nnz == 0 and (S.rows, S.cols) == (2, 2)
+
+
+def test_unit_pivots_and_schur_match_on_the_pipeline_rounds(monkeypatch):
+    """Every unit-pivot round of the reference windows that run any: the
+    battery's C3, C4, C2xC2 and S3 at their acceptance windows, S3 (n <= 4,
+    p <= 1) and D4 (n <= 3, p <= 2).  The pivots equal the greedy loop's and
+    the Schur complement the scipy product's."""
+    from conftest import BATTERY_SPECS, BATTERY_WINDOWS
+    from stabring.pipeline import PipelineConfig, run_pipeline
+
+    checked = []
+    real_round = zlinalg._unit_round
+
+    def checked_round(A):
+        step = real_round(A)
+        want = unit_pivots(A)
+        if step is None:
+            assert not len(want[0])
+        else:
+            prow, pcol, S = step
+            assert np.array_equal(prow, want[0]) and np.array_equal(pcol, want[1])
+            assert S == scipy_schur(A, prow, pcol)
+            checked.append(A.nnz)
+        return step
+
+    monkeypatch.setattr(zlinalg, "_unit_round", checked_round)
+    windows = [(BATTERY_SPECS[name], *BATTERY_WINDOWS[name])
+               for name in ("C3", "C4", "C2xC2", "S3")]
+    windows += [(BATTERY_SPECS["S3"], 4, 1),
+                ({"kind": "perm", "generators": [[[1, 2, 3, 4]], [[1, 3]]]}, 3, 2)]
+    for group, n_max, p_max in windows:
+        report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
+                                             well_definedness_samples=2))
+        assert report.failure is None
+    assert len(checked) >= 45 and max(checked) > 800_000, checked
+
+
+def test_normalize_factors_matches_the_pairwise_fold():
+    rng = random.Random(67)
+    primes = (2, 3, 5, 7, 11)
+    for _ in range(400):
+        diag = []
+        for _ in range(rng.randint(0, 12)):
+            v = 1
+            for p in rng.sample(primes, rng.randint(0, 3)):
+                v *= p ** rng.randint(1, 4)
+            diag.append(rng.choice((v, -v, 0, 1, v)))
+        assert _normalize_factors(diag) == normalize_factors(diag), diag
+    big = [3 * 2 ** 62 - 1, 2 ** 124, 6 * (3 * 2 ** 62 - 1), 4, -9]
+    assert _normalize_factors(big) == normalize_factors(big)
+    # 3,072 equal factors, where the pairwise fold takes seconds
+    assert _normalize_factors([2, -2, 2] * 1024 + [1] * 5) == (1,) * 5 + (2,) * 3072
