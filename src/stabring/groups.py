@@ -66,13 +66,10 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
-    def commutator(self, x: int, y: int) -> int:
-        """[x, y] := x y x^-1 y^-1."""
+    def commutator(self, x, y):
+        """[x, y] := x y x^-1 y^-1, elementwise on integer arrays."""
         t = self.table
-        return int(t[t[t[x, y], self.inverse[x]], self.inverse[y]])
+        return t[t[t[x, y], self.inverse[x]], self.inverse[y]]
 
     @property
     def is_abelian(self) -> bool:
@@ -235,6 +232,24 @@ def subgroup_closure(G: FiniteGroup, gens) -> frozenset:
                         nxt.append(c)
         frontier = nxt
     return frozenset(seen)
+
+
+def generated_subgroups(G: FiniteGroup, entries) -> np.ndarray:
+    """Membership masks of the subgroups generated by the rows of ``entries``,
+    shape (k, l): out[s, c] says whether c lies in the subgroup of row s.  From
+    the identity and the entries, each round takes all products a b of members,
+    as c with a and a^-1 c both members, until nothing changes."""
+    entries = np.asarray(entries, dtype=np.int64)
+    mask = np.zeros((len(entries), G.order), dtype=bool)
+    mask[:, G.identity] = True
+    mask[np.arange(len(entries))[:, None], entries] = True
+    # ldiv[c, a] = a^-1 c, so the reduction over a runs along contiguous memory
+    ldiv = G.table[G.inverse[None, :], np.arange(G.order)[:, None]]
+    while True:
+        grown = (mask[:, None, :] & mask[:, ldiv]).any(2)
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def _group_tables(G: FiniteGroup):
     t, inv = G.table, G.inverse
     x = np.arange(G.order)[:, None]
     y = np.arange(G.order)[None, :]
-    return t[t[t[x, y], inv[x]], inv[y]], t[t[inv[y], x], y]
+    return G.commutator(x, y), t[t[inv[y], x], y]
 
 
 def _commutator_products(G: FiniteGroup, comm: np.ndarray, digits: np.ndarray) -> list:
@@ -225,8 +225,9 @@ class _Prepend:
             states = G.order ** (2 * p)
             tuple_comm = _commutator_products(
                 G, self.comm, _kernels._decode_all(2 * p, G.order, states))[0]
-            boundary = np.array([boundary_eval(G, K.ring.rep(m, j))
-                                 for j in range(K.module.rank(m))], dtype=np.int64)
+            rank = K.module.rank(m)
+            reps = np.array([K.ring.rep(m, j) for j in range(rank)], dtype=np.int64)
+            boundary = boundary_eval(G, reps.reshape(rank, 2 * m))
             got = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
             self._tau_inv[p, m] = got
         return got

@@ -5,7 +5,6 @@ product tables; the oracles; the paper's degree bounds), and report emission."""
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import kcomplex as kc
-from .groups import _is_int, load_group, subgroup_closure
+from .groups import _is_int, generated_subgroups, load_group
 from .modules import (deg_of, delta_and_bounds, derive_module,
                       generated_in_degrees_upto, h0, regular_module)
 from .oracle import (abelianization_invariants, bar_homology,
@@ -116,42 +115,64 @@ def _verdict(check, statement, status, witness=None):
             "witness": witness}
 
 
+# Samples per chunk of the well-definedness verdict: its arrays, at most the
+# (2 chunk, |G|, |G|) booleans of a closure round, grow with this, not the sample count.
+WELL_DEFINEDNESS_CHUNK = 1024
+
+
+def _moved_samples(rng, G, moves, k: int, deg: int):
+    """k random G-tuples of degree deg, and their images under one random move
+    each, evaluated per move on all the rows that drew it."""
+    v = rng.integers(0, G.order, size=(k, 2 * deg))
+    pick = rng.integers(0, len(moves), size=k)
+    v2 = np.empty_like(v)
+    for i in np.unique(pick).tolist():
+        v2[pick == i] = moves[i].evaluate(G, v[pick == i])
+    return v, v2
+
+
 def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> dict:
     """Randomized representative independence of the product and the homotopy
     prepend map: different orbit representatives give identical classes.
-    ``moves_at[n]`` is the move set of degree n."""
+    ``moves_at[n]`` is the move set of degree n.  Per chunk of samples, the
+    degrees (m, n) of every sample are drawn first, then each (m, n) bucket's
+    tuples and moves as arrays; a failure names the bucket's first failing sample."""
     G = ring.G
     rng = default_rng(config.seed)
-    # the generated subgroup depends only on the set of entries
-    closure = functools.lru_cache(maxsize=None)(lambda entries: subgroup_closure(G, entries))
     samples = config.well_definedness_samples
     statement = "product and homotopy classes are independent of representatives"
-    for _ in range(samples):
+    for start in range(0, samples, WELL_DEFINEDNESS_CHUNK):
+        size = min(WELL_DEFINEDNESS_CHUNK, samples - start)
         if ring.n_max >= 2:
-            m_deg = int(rng.integers(1, ring.n_max))
-            n_deg = int(rng.integers(1, ring.n_max - m_deg + 1))
-        else:
-            m_deg, n_deg = 1, 0  # window too small for a two-factor product
-        v = tuple(int(x) for x in rng.integers(0, G.order, size=2 * m_deg))
-        w = tuple(int(x) for x in rng.integers(0, G.order, size=2 * n_deg))
-        mv = moves_at[m_deg][int(rng.integers(0, len(moves_at[m_deg])))]
-        v2 = mv.evaluate(G, v)
-        if n_deg:
-            mw = moves_at[n_deg][int(rng.integers(0, len(moves_at[n_deg])))]
-            w2 = mw.evaluate(G, w)
-            base = ring.class_index(m_deg + n_deg, v + w)
-            alt = ring.class_index(m_deg + n_deg, v2 + w2)
-            if base != alt:
-                return _verdict("well_definedness", statement, "fail",
-                                f"product mismatch for v={v}, w={w}, move images v'={v2}, w'={w2}")
-        # the homotopy conjugator only sees the evaluated boundary, which must
-        # be constant on orbits (same for the generated subgroup)
-        if boundary_eval(G, v2) != boundary_eval(G, v):
-            return _verdict("well_definedness", "boundary value is orbit-constant",
-                            "fail", f"boundary changed along a move at v={v}")
-        if closure(frozenset(v2)) != closure(frozenset(v)):
-            return _verdict("well_definedness", "generated subgroup is orbit-constant",
-                            "fail", f"generated subgroup changed along a move at v={v}")
+            m_deg = rng.integers(1, ring.n_max, size=size)
+            n_deg = rng.integers(1, ring.n_max - m_deg + 1)
+        else:  # window too small for a two-factor product
+            m_deg, n_deg = np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        buckets, counts = np.unique(m_deg * ring.n_max + n_deg, return_counts=True)
+        for bucket, k in zip(buckets.tolist(), counts.tolist()):
+            m, n = divmod(bucket, ring.n_max)
+            v, v2 = _moved_samples(rng, G, moves_at[m], k, m)
+            if n:
+                w, w2 = _moved_samples(rng, G, moves_at[n], k, n)
+                base = ring.class_index(m + n, np.concatenate([v, w], axis=1))
+                alt = ring.class_index(m + n, np.concatenate([v2, w2], axis=1))
+                bad = np.flatnonzero(base != alt)
+                if len(bad):
+                    v, w, v2, w2 = (tuple(x[bad[0]].tolist()) for x in (v, w, v2, w2))
+                    return _verdict("well_definedness", statement, "fail",
+                                    f"product mismatch for v={v}, w={w}, move images v'={v2}, w'={w2}")
+            # the homotopy conjugator only sees the evaluated boundary, which must
+            # be constant on orbits (same for the generated subgroup)
+            bad = np.flatnonzero(boundary_eval(G, v2) != boundary_eval(G, v))
+            if len(bad):
+                return _verdict("well_definedness", "boundary value is orbit-constant", "fail",
+                                f"boundary changed along a move at v={tuple(v[bad[0]].tolist())}")
+            masks = generated_subgroups(G, np.concatenate([v, v2]))
+            bad = np.flatnonzero((masks[:k] != masks[k:]).any(axis=1))
+            if len(bad):
+                return _verdict("well_definedness", "generated subgroup is orbit-constant",
+                                "fail", "generated subgroup changed along a move at "
+                                f"v={tuple(v[bad[0]].tolist())}")
     return _verdict("well_definedness", statement, "pass",
                     f"{samples} randomized representative pairs")
 

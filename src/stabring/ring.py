@@ -93,17 +93,21 @@ class GradedRing:
     def counts(self) -> tuple:
         return self._counts
 
-    def class_index(self, n: int, entries) -> int:
-        """Class of a tuple: the handle classes folded through product(k, 1)."""
-        if len(entries) != 2 * n:
-            raise RingError(f"tuple length {len(entries)} != 2n = {2 * n}")
+    def class_index(self, n: int, entries) -> np.ndarray:
+        """Classes of G-tuples, ``entries`` of shape (..., 2n): the handle
+        classes of every row folded through product(k, 1) at once."""
+        entries = np.atleast_1d(entries)
+        if entries.shape[-1] != 2 * n:
+            raise RingError(f"tuple length {entries.shape[-1]} != 2n = {2 * n}")
         order = self.G.order
-        cls = 0
+        bad = (entries < 0) | (entries >= order)
+        if bad.any():
+            row = entries[tuple(np.argwhere(bad)[0, :-1])]
+            raise RingError(f"entry out of range for order {order} in {tuple(row.tolist())}")
+        cls = np.zeros(entries.shape[:-1], dtype=np.int64)
         for k in range(n):
-            a, b = entries[2 * k], entries[2 * k + 1]
-            if not (0 <= a < order and 0 <= b < order):
-                raise RingError(f"entry out of range for order {order} in {tuple(entries)}")
-            cls = int(self.steps[k][cls, self.pair_class[a * order + b]])
+            pair = entries[..., 2 * k].astype(np.int64) * order + entries[..., 2 * k + 1]
+            cls = self.steps[k][cls, self.pair_class[pair]]
         return cls
 
     def rep(self, n: int, idx: int) -> tuple:
@@ -190,17 +194,6 @@ def local_ring(G: FiniteGroup, n_max: int, tables: dict) -> GradedRing:
     return GradedRing(G, n_max, pair_class, steps)
 
 
-def _state_classes(ring: GradedRing, n: int) -> np.ndarray:
-    """Class of every state of G^(2n) in rank order, by folding its handles."""
-    order = ring.G.order
-    digits = _kernels._decode_all(2 * n, order, order ** (2 * n))
-    cls = np.zeros(digits.shape[1], dtype=np.int64)
-    for k in range(n):
-        pair = digits[2 * k].astype(np.int64) * order + digits[2 * k + 1]
-        cls = ring.steps[k][cls, ring.pair_class[pair]]
-    return cls
-
-
 def build_ring(G: FiniteGroup, n_max: int, tables: dict | None = None) -> GradedRing:
     """Assemble the graded ring up to degree n_max.
 
@@ -227,7 +220,8 @@ def build_ring(G: FiniteGroup, n_max: int, tables: dict | None = None) -> Graded
         if got.count != ring.basis_size(n):
             raise RingError(f"supplied orbit table for degree {n} has {got.count} "
                             f"orbits, the local ring {ring.basis_size(n)}")
-        if not np.array_equal(got.orbit_id, _state_classes(ring, n)):
+        states = _kernels._decode_all(2 * n, G.order, G.order ** (2 * n)).T
+        if not np.array_equal(got.orbit_id, ring.class_index(n, states)):
             raise RingError(f"supplied orbit table for degree {n} partitions "
                             f"G^{2 * n} differently from the local ring")
     return ring

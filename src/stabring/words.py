@@ -4,8 +4,8 @@ Words are tuples of nonzero signed integers: letter k stands for the k-th
 generator, -k for its inverse.  Generator 2i-1 plays the a_i role of handle i,
 generator 2i the b_i role.  All words are kept freely reduced.  A map of
 G^(2n) is given by its image words, one per generator; a move
-(``MarkedAutomorphism``) evaluates them on a G-tuple, and the orbit kernel
-(``_kernels.word_orbit_parents``) on every tuple at once.
+(``MarkedAutomorphism``) evaluates them on an array of G-tuples, and the orbit
+kernel (``_kernels.word_orbit_parents``) on every tuple of G^(2n) at once.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .groups import FiniteGroup
 
@@ -81,15 +83,18 @@ class MarkedAutomorphism:
     inverse_images: tuple
     provenance: str
 
-    def evaluate(self, G: FiniteGroup, entries) -> tuple:
-        """The image of a G-tuple: each image word evaluated on its entries."""
+    def evaluate(self, G: FiniteGroup, entries) -> np.ndarray:
+        """The images of G-tuples, ``entries`` of shape (..., 2n): each image word
+        folded one letter at a time over every row at once."""
+        entries = np.asarray(entries, dtype=np.int64)
         out = []
         for w in self.images:
-            acc = G.identity
+            acc = np.full(entries.shape[:-1], G.identity, dtype=np.int64)
             for l in w:
-                acc = G.mul(acc, entries[l - 1] if l > 0 else G.inv(entries[-l - 1]))
+                acc = G.table[acc, entries[..., l - 1] if l > 0
+                              else G.inverse[entries[..., -l - 1]]]
             out.append(acc)
-        return tuple(out)
+        return np.stack(out, axis=-1)
 
     def __post_init__(self):
         W = boundary_word(self.n)
@@ -155,11 +160,13 @@ def enumerate_stabilizing_automorphisms(n: int) -> tuple:
     return tuple(sorted(moves, key=lambda a: a.images))
 
 
-def boundary_eval(G: FiniteGroup, entries) -> int:
-    """Evaluate prod_i [a_i, b_i] in G; an orbit invariant of the move action."""
-    acc = G.identity
-    for i in range(0, len(entries), 2):
-        acc = G.mul(acc, G.commutator(entries[i], entries[i + 1]))
+def boundary_eval(G: FiniteGroup, entries) -> np.ndarray:
+    """prod_i [a_i, b_i] in G for each row of ``entries``, shape (..., 2n); an
+    orbit invariant of the move action."""
+    entries = np.asarray(entries, dtype=np.int64)
+    acc = np.full(entries.shape[:-1], G.identity, dtype=np.int64)
+    for i in range(0, entries.shape[-1], 2):
+        acc = G.table[acc, G.commutator(entries[..., i], entries[..., i + 1])]
     return acc
 
 

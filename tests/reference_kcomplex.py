@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from reference_kernels import encode_tuple
+from reference_kernels import boundary_eval_tuple, encode_tuple
 import reference_modules
 from stabring import _kernels
 from stabring.kcomplex import (KComplex, KComplexError, _commutator_products,
                                _group_tables, _require_regular)
 from stabring.orbits import decode_tuple
-from stabring.words import boundary_eval
 from stabring.zlinalg import IntMatrix
 
 
 def conjugate(G, x: int, y: int) -> int:
     """x^y := y^-1 x y."""
-    return G.mul(G.mul(G.inv(y), x), y)
+    return G.mul(G.mul(int(G.inverse[y]), x), y)
 
 
 def entries(mat: IntMatrix) -> dict:
@@ -151,7 +150,7 @@ def _tau(K: KComplex, pairs, ring_idx: int, n_class: int) -> int:
     for a, b in pairs:
         acc = G.mul(acc, G.commutator(a, b))
     rep = K.ring.rep(n_class, ring_idx)
-    return G.mul(acc, boundary_eval(G, rep))
+    return G.mul(acc, boundary_eval_tuple(G, rep))
 
 
 def _homotopy_image(K: KComplex, g: int, h: int, p: int, n: int, t: int, j: int) -> int:
@@ -160,7 +159,7 @@ def _homotopy_image(K: KComplex, g: int, h: int, p: int, n: int, t: int, j: int)
     order = G.order
     flat = decode_tuple(t, order, 2 * p)
     pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(p)]
-    tau_inv = G.inv(_tau(K, pairs, j, n - p))
+    tau_inv = int(G.inverse[_tau(K, pairs, j, n - p)])
     g2 = conjugate(G, g, tau_inv)
     h2 = conjugate(G, h, tau_inv)
     t2 = encode_tuple((g2, h2) + tuple(flat), order)
@@ -280,7 +279,7 @@ def homotopy_matrix(K: KComplex, g: int, h: int, p: int, n: int) -> IntMatrix:
     states = order ** (2 * p)
     comm, conj = _group_tables(G)
     tuple_comm = _commutator_products(G, comm, _kernels._decode_all(2 * p, order, states))[0]
-    boundary = np.array([boundary_eval(G, K.ring.rep(n - p, j)) for j in range(rank)],
+    boundary = np.array([boundary_eval_tuple(G, K.ring.rep(n - p, j)) for j in range(rank)],
                         dtype=np.int64)
     tau_inv = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
     prepended = (conj[g, tau_inv] * order + conj[h, tau_inv]) * states

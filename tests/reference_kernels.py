@@ -26,6 +26,10 @@ orbit, like the kernel.
 * ``encode_tuple``, ``class_of`` and ``n_states``: lookups of a tuple's rank
   and orbit in a full-state ``OrbitTable``.  The library folds handle classes
   through the ring's step tables instead (``GradedRing.class_index``).
+* ``evaluate_tuple``, ``class_index_tuple`` and ``boundary_eval_tuple``: one
+  G-tuple at a time with ``G.mul``, the references for the array forms
+  ``MarkedAutomorphism.evaluate``, ``GradedRing.class_index`` and
+  ``words.boundary_eval``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from scipy.sparse.csgraph import connected_components
 
 from stabring.oracle import transvection_matrix
 from stabring.orbits import OrbitError, decode_tuple, enumerate_orbits
+from stabring.ring import RingError
 from stabring.words import apply_images, compile_moves
 
 
@@ -152,8 +157,38 @@ def _bfs_parents(n_states: int, maps) -> np.ndarray:
 def _evaluate(G, word, entries) -> int:
     acc = G.identity
     for l in word:
-        acc = G.mul(acc, entries[l - 1] if l > 0 else G.inv(entries[-l - 1]))
+        acc = G.mul(acc, entries[l - 1] if l > 0 else int(G.inverse[entries[-l - 1]]))
     return acc
+
+
+def evaluate_tuple(G, phi, entries) -> tuple:
+    """The image of one G-tuple under the move phi, word by word."""
+    return tuple(_evaluate(G, w, entries) for w in phi.images)
+
+
+def boundary_eval_tuple(G, entries) -> int:
+    """prod_i [a_i, b_i] of one G-tuple, one commutator at a time."""
+    acc = G.identity
+    for i in range(0, len(entries), 2):
+        a, b = entries[i], entries[i + 1]
+        comm = G.mul(G.mul(G.mul(a, b), int(G.inverse[a])), int(G.inverse[b]))
+        acc = G.mul(acc, comm)
+    return acc
+
+
+def class_index_tuple(ring, n: int, entries) -> int:
+    """The class of one G-tuple: its handle classes folded through
+    product(k, 1) one handle at a time."""
+    if len(entries) != 2 * n:
+        raise RingError(f"tuple length {len(entries)} != 2n = {2 * n}")
+    order = ring.G.order
+    cls = 0
+    for k in range(n):
+        a, b = entries[2 * k], entries[2 * k + 1]
+        if not (0 <= a < order and 0 <= b < order):
+            raise RingError(f"entry out of range for order {order} in {tuple(entries)}")
+        cls = int(ring.steps[k][cls, ring.pair_class[a * order + b]])
+    return cls
 
 
 def bfs_move_parents(G, n: int, automorphisms) -> np.ndarray:
@@ -178,7 +213,7 @@ def bfs_transvection_parents(G, n: int, vecs) -> np.ndarray:
 
     def power(g, e):
         if e < 0:
-            g, e = G.inv(g), -e
+            g, e = int(G.inverse[g]), -e
         acc = G.identity
         for _ in range(e):
             acc = G.mul(acc, g)

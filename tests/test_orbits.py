@@ -22,7 +22,7 @@ def brute_force_orbits(G, n, moves):
             nxt = []
             for v in frontier:
                 for m in moves:
-                    w = m.evaluate(G, v)
+                    w = tuple(m.evaluate(G, v).tolist())
                     if w not in seen:
                         seen[w] = count
                         nxt.append(w)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -536,6 +537,38 @@ def test_well_definedness_fails_on_a_wrong_product_entry(rings):
     verdict = pipeline._well_definedness_verdict(wrong, moves, config)
     assert verdict["status"] == "fail"
     assert verdict["witness"].startswith("product mismatch")
+
+
+def test_well_definedness_spans_chunks_in_bounded_memory(rings):
+    # more samples than one chunk: S3 still passes, the wrong product(2, 1)
+    # entry still fails, and the allocation peak stays that of one chunk
+    ring = rings["S3"]
+    moves = {n: words.compile_moves(n, ring.G) for n in (1, 2, 3)}
+    chunk = pipeline.WELL_DEFINEDNESS_CHUNK
+    assert PipelineConfig.well_definedness_samples <= chunk <= 10_000
+
+    def verdict(ring, samples):
+        config = PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=0,
+                                well_definedness_samples=samples)
+        tracemalloc.start()
+        try:
+            return (pipeline._well_definedness_verdict(ring, moves, config),
+                    tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    one, one_peak = verdict(ring, chunk)
+    many, many_peak = verdict(ring, 4 * chunk + 100)
+    assert one["status"] == many["status"] == "pass"
+    assert many["witness"] == f"{4 * chunk + 100} randomized representative pairs"
+    assert many_peak < 1.25 * one_peak
+    steps = list(ring.steps)
+    steps[2] = steps[2].copy()
+    steps[2][-1, -1] = (steps[2][-1, -1] + 1) % ring.basis_size(3)
+    wrong = GradedRing(ring.G, ring.n_max, ring.pair_class, steps)
+    failed = verdict(wrong, 2 * chunk + 100)[0]
+    assert failed["status"] == "fail"
+    assert failed["witness"].startswith("product mismatch")
 
 
 def synthetic_profile(n_max: int, a_r: int, stable: bool = True, bad_steps=()):

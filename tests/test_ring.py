@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -98,8 +99,8 @@ def test_product_well_defined_across_representatives(rings, groups):
         w = tuple(int(x) for x in rng.integers(0, G.order, size=2))
         mv = moves1[int(rng.integers(0, len(moves1)))]
         mw = moves1[int(rng.integers(0, len(moves1)))]
-        assert ring.class_index(2, mv.evaluate(G, v) + mw.evaluate(G, w)) == \
-            ring.class_index(2, v + w)
+        moved = np.concatenate([mv.evaluate(G, v), mw.evaluate(G, w)])
+        assert ring.class_index(2, moved) == ring.class_index(2, v + w)
 
 
 def test_u_commutes_with_degree_one_classes(rings, groups):
@@ -151,6 +152,21 @@ def test_class_index_refuses_wrong_tuple_length(rings):
     ring = rings["C2"]
     with pytest.raises(RingError, match="length"):
         ring.class_index(1, (0, 0, 0))
+
+
+def test_class_index_refuses_a_bad_row_of_a_batch(rings):
+    # checked before any gather: a negative entry would otherwise wrap around
+    ring = rings["C4"]
+    batch = np.zeros((2, 5, 4), dtype=np.int64)
+    with pytest.raises(RingError, match="tuple length 4 != 2n = 6"):
+        ring.class_index(3, batch)
+    batch[1, 2, 3] = -1
+    batch[1, 4, 0] = 4
+    with pytest.raises(RingError, match=re.escape("order 4 in (0, 0, 0, -1)")):
+        ring.class_index(2, batch)
+    batch[1, 2, 3] = 0
+    with pytest.raises(RingError, match=re.escape("order 4 in (4, 0, 0, 0)")):
+        ring.class_index(2, batch)
 
 
 def test_stability_profile_c2(rings):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BATTERY_SPECS
+from conftest import BATTERY_SPECS, EXTRA_SPECS
+from reference_kernels import boundary_eval_tuple, class_index_tuple, evaluate_tuple
 from reference_moves import (abelianized_matrix, image_ranks, mixes_handles,
                              reference_moves, whitehead_stabilizers)
-from stabring.groups import cyclic_group, load_group
+from stabring.groups import cyclic_group, generated_subgroups, load_group, subgroup_closure
 from stabring.oracle import symplectic_form, transvection_matrix
 from stabring.orbits import enumerate_orbits
 from stabring import words
 from stabring.pipeline import PipelineConfig, _well_definedness_verdict, run_pipeline
+from stabring.ring import build_ring
 from stabring.words import (MarkedAutomorphism, WordError, apply_images,
                             boundary_eval, boundary_word, compile_moves,
                             compose_images,
@@ -87,14 +89,14 @@ def test_depth_two_finds_handle_mixer_at_genus_two():
 def test_compiled_identity_is_identity_map():
     G = cyclic_group(3)
     ident = MarkedAutomorphism(1, identity_images(1), identity_images(1), "identity")
-    assert ident.evaluate(G, (1, 2)) == (1, 2)
+    assert ident.evaluate(G, (1, 2)).tolist() == [1, 2]
 
 
 def test_compiled_t1_on_order_two_group():
     G = cyclic_group(2)
     t1 = next(m for m in enumerate_stabilizing_automorphisms(1)
               if m.images == ((1, 2), (2,)))
-    assert t1.evaluate(G, (0, 1)) == (1, 1)  # a=1_G, b=g maps to (ab, b) = (g, g)
+    assert t1.evaluate(G, (0, 1)).tolist() == [1, 1]  # a=1_G, b=g maps to (ab, b) = (g, g)
 
 
 def test_compiled_move_inverse_round_trip():
@@ -104,7 +106,7 @@ def test_compiled_move_inverse_round_trip():
         inv = MarkedAutomorphism(2, m.inverse_images, m.images, f"{m.provenance}^-1")
         for _ in range(10):
             v = tuple(int(x) for x in rng.integers(0, G.order, size=4))
-            assert inv.evaluate(G, m.evaluate(G, v)) == v
+            assert inv.evaluate(G, m.evaluate(G, v)).tolist() == list(v)
 
 
 def test_compiled_moves_preserve_boundary_value():
@@ -125,8 +127,51 @@ def test_well_definedness_catches_a_broken_evaluate(monkeypatch, rings):
     moves = {n: compile_moves(n, ring.G) for n in range(1, ring.n_max + 1)}
     assert _well_definedness_verdict(ring, moves, config)["status"] == "pass"
     monkeypatch.setattr(MarkedAutomorphism, "evaluate",
-                        lambda self, G, v: (v[1], v[0]) + tuple(v[2:]))
+                        lambda self, G, v: v[..., [1, 0, *range(2, v.shape[-1])]])
     assert _well_definedness_verdict(ring, moves, config)["status"] == "fail"
+
+
+def test_well_definedness_catches_a_move_that_forgets_the_generated_subgroup(monkeypatch):
+    # on abelian C4 every boundary value is e, and at n_max = 1 no product is
+    # sampled, so only the generated-subgroup check sees a map to (e, e)
+    G = cyclic_group(4)
+    ring = build_ring(G, 1)
+    config = PipelineConfig(group={"kind": "cyclic", "order": 4}, n_max=1, p_max=0)
+    moves = {1: compile_moves(1, G)}
+    assert _well_definedness_verdict(ring, moves, config)["status"] == "pass"
+    monkeypatch.setattr(MarkedAutomorphism, "evaluate", lambda self, G, v: np.zeros_like(v))
+    verdict = _well_definedness_verdict(ring, moves, config)
+    assert (verdict["status"], verdict["statement"]) == ("fail", "generated subgroup is orbit-constant")
+    assert verdict["witness"].startswith("generated subgroup changed along a move at v=(")
+    assert not verdict["witness"].endswith("v=(0, 0)")
+
+
+@pytest.mark.parametrize("name", [*BATTERY_SPECS, "C8", "A4"])
+def test_array_maps_match_the_per_tuple_references(name, rings):
+    # 512 random tuples per degree <= 3: moves, classes, boundary values and
+    # generated subgroups, each against its one-tuple-at-a-time reference
+    if name in rings:
+        ring = rings[name]
+    else:
+        spec = EXTRA_SPECS.get(name, {"kind": "cyclic", "order": 8})
+        ring = build_ring(load_group(spec), 3)
+    G = ring.G
+    rng = np.random.default_rng(17)
+    for deg in range(4):
+        v = rng.integers(0, G.order, size=(512, 2 * deg))
+        rows = [tuple(r) for r in v.tolist()]
+        assert ring.class_index(deg, v).tolist() == [class_index_tuple(ring, deg, r) for r in rows]
+        assert boundary_eval(G, v).tolist() == [boundary_eval_tuple(G, r) for r in rows]
+        closures = [frozenset(np.flatnonzero(m).tolist()) for m in generated_subgroups(G, v)]
+        assert closures == [subgroup_closure(G, r) for r in rows]
+        for phi in compile_moves(deg, G) if deg else ():
+            images = phi.evaluate(G, v)
+            assert images.tolist() == [list(evaluate_tuple(G, phi, r)) for r in rows]
+            # any leading shape: (..., 2n) maps row by row
+            assert np.array_equal(phi.evaluate(G, v.reshape(8, 64, -1)),
+                                  images.reshape(8, 64, -1))
+        assert np.array_equal(ring.class_index(deg, v.reshape(8, 64, -1)),
+                              ring.class_index(deg, v).reshape(8, 64))
 
 
 def test_every_exported_name_resolves():
