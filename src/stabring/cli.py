@@ -13,7 +13,7 @@ import os
 import sys
 
 from .groups import load_group
-from .oracle import bar_homology, sp_orbit_counts, stable_count_prediction
+from .oracle import sp_orbit_counts, subgroup_bar_homology, subgroup_h2_sum
 from .orbits import enumerate_orbits
 from .pipeline import (ConfigError, PipelineConfig, emit_report, render_summary,
                        run_pipeline)
@@ -73,12 +73,13 @@ def _cmd_oracle(args) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     G = load_group(_load_spec(args.group))
-    bh = bar_homology(G)
+    homology = subgroup_bar_homology(G)
+    bh = homology[-1]  # G's own
     print(f"group {G.name} (order {G.order})")
     print(f"  H1 = {bh['H1']}")
     print(f"  H2 = {bh['H2']}")
     print(f"  stable orbit-count prediction (sum of |H2| over subgroups): "
-          f"{stable_count_prediction(G)}")
+          f"{subgroup_h2_sum(homology)}")
     if G.is_abelian and args.n:
         for n, count in enumerate(sp_orbit_counts(G, args.n)[1:], start=1):
             print(f"  symplectic orbit count at n = {n}: {count}")

@@ -1,4 +1,8 @@
-"""Finite groups as validated Cayley tables over dense 0-based element indices."""
+"""Finite groups as validated Cayley tables over dense 0-based element indices.
+
+All arithmetic is gathers on ``FiniteGroup.table``.  Subgroups are boolean
+membership masks closed by one routine, ``_closure``, which both
+``generated_subgroups`` and ``enumerate_subgroups`` call."""
 
 from __future__ import annotations
 
@@ -63,9 +67,6 @@ class FiniteGroup:
 
     identity: int = 0
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def commutator(self, x, y):
         """[x, y] := x y x^-1 y^-1, elementwise on integer arrays."""
         t = self.table
@@ -81,9 +82,6 @@ class FiniteGroup:
         h.update(self.table.astype(np.int64).tobytes())
         return h.hexdigest()
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -98,12 +96,12 @@ def _validate(table: np.ndarray, name: str) -> FiniteGroup:
     if not np.array_equal(left, right):
         a, b, c = (int(i) for i in np.argwhere(left != right)[0])
         raise GroupError(f"table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
-    inverse = np.full(order, -1, dtype=np.int64)
-    for a in range(order):
-        hits = np.flatnonzero(table[a] == 0)
-        if len(hits) != 1 or table[hits[0], a] != 0:
-            raise GroupError(f"element {a} has no two-sided inverse")
-        inverse[a] = hits[0]
+    # a's inverse is the one b with a b = e, and then b a = e too
+    is_identity = table == 0
+    inverse = is_identity.argmax(1)
+    bad = (is_identity.sum(1) != 1) | (table[inverse, np.arange(order)] != 0)
+    if bad.any():
+        raise GroupError(f"element {int(np.flatnonzero(bad)[0])} has no two-sided inverse")
     return FiniteGroup(order=order, table=table, inverse=inverse, name=name)
 
 
@@ -155,14 +153,14 @@ def perm_group(generators) -> FiniteGroup:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    elems = sorted(seen)  # identity is the lexicographic minimum
-    index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(q[p[k]] for k in range(degree))]
-    return _validate(table, f"Perm{n}")
+    perms = np.array(sorted(seen), dtype=np.int64)  # identity is the lexicographic minimum
+    n = len(perms)
+    # product[i, j] is p_i then p_j, point k going to p_j[p_i[k]]; its rows
+    # are the group again, so np.unique's sorted rows are perms and its
+    # inverse indexes them
+    product = perms[np.arange(n)[None, :, None], perms[:, None, :]]
+    table = np.unique(product.reshape(n * n, degree), axis=0, return_inverse=True)[1]
+    return _validate(table.reshape(n, n), f"Perm{n}")
 
 
 def _is_int(value) -> bool:
@@ -217,32 +215,10 @@ def load_group(spec: dict) -> FiniteGroup:
     raise GroupError(f"unknown group spec kind {kind!r}")
 
 
-def subgroup_closure(G: FiniteGroup, gens) -> frozenset:
-    """Subgroup generated by gens, as a frozenset of element indices."""
-    seen = {G.identity}
-    frontier = list(set(gens) - seen)
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def generated_subgroups(G: FiniteGroup, entries) -> np.ndarray:
-    """Membership masks of the subgroups generated by the rows of ``entries``,
-    shape (k, l): out[s, c] says whether c lies in the subgroup of row s.  From
-    the identity and the entries, each round takes all products a b of members,
-    as c with a and a^-1 c both members, until nothing changes."""
-    entries = np.asarray(entries, dtype=np.int64)
-    mask = np.zeros((len(entries), G.order), dtype=bool)
-    mask[:, G.identity] = True
-    mask[np.arange(len(entries))[:, None], entries] = True
+def _closure(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
+    """Close each row of a (k, |G|) membership mask under products: each
+    round adds every product a b of members, as c with a and a^-1 c both
+    members, until nothing changes.  Rows must contain the identity."""
     # ldiv[c, a] = a^-1 c, so the reduction over a runs along contiguous memory
     ldiv = G.table[G.inverse[None, :], np.arange(G.order)[:, None]]
     while True:
@@ -252,6 +228,16 @@ def generated_subgroups(G: FiniteGroup, entries) -> np.ndarray:
         mask = grown
 
 
+def generated_subgroups(G: FiniteGroup, entries) -> np.ndarray:
+    """Membership masks of the subgroups generated by the rows of ``entries``,
+    shape (k, l): out[s, c] says whether c lies in the subgroup of row s."""
+    entries = np.asarray(entries, dtype=np.int64)
+    mask = np.zeros((len(entries), G.order), dtype=bool)
+    mask[:, G.identity] = True
+    mask[np.arange(len(entries))[:, None], entries] = True
+    return _closure(G, mask)
+
+
 @dataclass(frozen=True)
 class Subgroup:
     elements: tuple
@@ -259,39 +245,35 @@ class Subgroup:
 
 
 def _restrict(G: FiniteGroup, elems: tuple) -> FiniteGroup:
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[G.mul(a, b)]
-    return _validate(table, f"{G.name}|{{{','.join(map(str, elems))}}}")
+    index = np.zeros(G.order, dtype=np.int64)
+    index[list(elems)] = np.arange(len(elems))
+    return _validate(index[G.table[np.ix_(elems, elems)]],
+                     f"{G.name}|{{{','.join(map(str, elems))}}}")
 
 
 def enumerate_subgroups(G: FiniteGroup) -> tuple:
     """All subgroups as a tuple of ``Subgroup``, each tagged with its
     re-indexed Cayley table, ordered by order and then elements.
 
-    Grows closures one generator at a time, so every subgroup is reached.
+    Each round closes every H + g (g not in H) of the last round's new
+    subgroups H in one ``_closure`` call, so every subgroup is reached.
     """
     if G.order > SUBGROUP_ORDER_CAP:
         raise GroupError(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}, "
                          f"group has {G.order}")
-    found = {frozenset({G.identity})}
-    frontier = [frozenset({G.identity})]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in G.elements():
-                if g in H:
-                    continue
-                K = subgroup_closure(G, set(H) | {g})
-                if K not in found:
-                    found.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    subs = []
-    for H in sorted(found, key=lambda s: (len(s), tuple(sorted(s)))):
-        elems = tuple(sorted(H))
-        subs.append(Subgroup(elements=elems, group=_restrict(G, elems)))
-    return tuple(subs)
+    bits = np.int64(1) << np.arange(G.order, dtype=np.int64)  # mask codes; order <= 16
+    frontier = np.zeros((1, G.order), dtype=bool)
+    frontier[0, G.identity] = True
+    found, codes = [frontier], frontier @ bits
+    while len(frontier):
+        rows, g = np.nonzero(~frontier)
+        grown = frontier[rows]
+        grown[np.arange(len(rows)), g] = True
+        grown = _closure(G, grown)
+        new, first = np.unique(grown @ bits, return_index=True)
+        fresh = ~np.isin(new, codes)
+        frontier, codes = grown[first[fresh]], np.concatenate([codes, new[fresh]])
+        found.append(frontier)
+    subsets = (tuple(np.flatnonzero(m).tolist()) for m in np.concatenate(found))
+    return tuple(Subgroup(elements=elems, group=_restrict(G, elems))
+                 for elems in sorted(subsets, key=lambda s: (len(s), s)))

@@ -95,7 +95,7 @@ class GradedModule:
         return bad
 
 
-def regular_module(ring: GradedRing, side: str = "left", name: str | None = None) -> GradedModule:
+def regular_module(ring: GradedRing, side: str = "left") -> GradedModule:
     """R itself; every action sends a basis class to a single basis class."""
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
     classes = np.arange(ranks[1])[:, None]
@@ -105,7 +105,7 @@ def regular_module(ring: GradedRing, side: str = "left", name: str | None = None
         act = np.zeros((ranks[1], ranks[n + 1], ranks[n]), dtype=np.int64)
         act[classes, image, np.arange(ranks[n])] = 1
         acts.append(act)
-    return GradedModule(name or "R", ring, side, ranks, acts, ring.n_max)
+    return GradedModule("R", ring, side, ranks, acts, ring.n_max)
 
 
 def shift_module(M: GradedModule, p: int) -> GradedModule:

@@ -1,5 +1,9 @@
 """Independent oracles: bar-complex group homology, stable orbit-count
-prediction, and symplectic transvection orbits for abelian groups."""
+prediction, and symplectic transvection orbits for abelian groups.
+
+The bar differentials are built from broadcast index arrays over the Cayley
+table.  One pass, ``subgroup_bar_homology``, computes the bar homology of every
+subgroup once; G's own H1 and H2 and the stable-count sum both read it."""
 
 from __future__ import annotations
 
@@ -16,57 +20,49 @@ class OracleError(ValueError):
     non-abelian input to the symplectic oracle."""
 
 
-def _bar_index(G: FiniteGroup):
-    """Index map for normalized chains: nonidentity elements only."""
-    elems = [g for g in G.elements() if g != G.identity]
-    return elems, {g: i for i, g in enumerate(elems)}
-
-
 def bar_differentials(G: FiniteGroup):
     """Normalized bar differentials d2: C2 -> C1 and d3: C3 -> C2.
 
     d2[g|h] = [h] - [gh] + [g];  d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h];
-    brackets containing the identity are zero.
+    brackets containing the identity are zero.  The identity is element 0,
+    so [x1|...|xp] has index sum_i (x_i - 1) m^(p-i) with m = |G| - 1.
     """
-    elems, idx = _bar_index(G)
-    m = len(elems)
-    t2, t3 = [], []  # (row, col, sign) triplets of d2 and d3
+    m, t = G.order - 1, G.table
 
-    def c1(g):
-        return None if g == G.identity else idx[g]
+    def bar(*xs):  # index of [x1|...|xp], -1 where some x_i is the identity
+        index = np.zeros_like(xs[0])
+        for x in xs:
+            index = index * m + x - 1
+        return np.where(np.logical_and.reduce([x != 0 for x in xs]), index, -1)
 
-    def c2(g, h):
-        if g == G.identity or h == G.identity:
-            return None
-        return idx[g] * m + idx[h]
+    def boundary(n_rows, terms):  # terms: (sign, row index per column)
+        rows = np.concatenate([r for _, r in terms])
+        n_cols = len(terms[0][1])
+        cols = np.tile(np.arange(n_cols), len(terms))
+        signs = np.repeat([s for s, _ in terms], n_cols)
+        keep = rows >= 0
+        return IntMatrix.from_triplets(n_rows, n_cols, rows[keep], cols[keep], signs[keep])
 
-    for g in elems:
-        for h in elems:
-            col = idx[g] * m + idx[h]
-            for sign, row in ((1, c1(h)), (-1, c1(G.mul(g, h))), (1, c1(g))):
-                if row is not None:
-                    t2.append((row, col, sign))
-    for g in elems:
-        for h in elems:
-            for k in elems:
-                col = (idx[g] * m + idx[h]) * m + idx[k]
-                terms = ((1, c2(h, k)), (-1, c2(G.mul(g, h), k)),
-                         (1, c2(g, G.mul(h, k))), (-1, c2(g, h)))
-                for sign, row in terms:
-                    if row is not None:
-                        t3.append((row, col, sign))
-    return (IntMatrix.from_triplets(m, m * m, *np.array(t2, dtype=np.int64).reshape(-1, 3).T),
-            IntMatrix.from_triplets(m * m, m ** 3, *np.array(t3, dtype=np.int64).reshape(-1, 3).T))
+    g, h = np.indices((m, m)).reshape(2, -1) + 1
+    d2 = boundary(m, [(1, bar(h)), (-1, bar(t[g, h])), (1, bar(g))])
+    g, h, k = np.indices((m, m, m)).reshape(3, -1) + 1
+    d3 = boundary(m * m, [(1, bar(h, k)), (-1, bar(t[g, h], k)),
+                          (1, bar(g, t[h, k])), (-1, bar(g, h))])
+    return d2, d3
+
+
+def _check_bar_order(G: FiniteGroup) -> None:
+    if G.order > SUBGROUP_ORDER_CAP:
+        raise OracleError(f"bar complex capped at order {SUBGROUP_ORDER_CAP}, "
+                          f"group has {G.order}")
 
 
 def bar_homology(G: FiniteGroup) -> dict:
     """H1 and H2 of G with integer coefficients, from the normalized bar complex.
 
     Orders above ``groups.SUBGROUP_ORDER_CAP`` are refused, the cap at which
-    ``stable_count_prediction`` stops too; d3 has (|G| - 1)^3 columns."""
-    if G.order > SUBGROUP_ORDER_CAP:
-        raise OracleError(f"bar complex capped at order {SUBGROUP_ORDER_CAP}, "
-                          f"group has {G.order}")
+    ``enumerate_subgroups`` stops too; d3 has (|G| - 1)^3 columns."""
+    _check_bar_order(G)
     d2, d3 = bar_differentials(G)
     m = G.order - 1
     h1 = chain_homology(IntMatrix(0, m), d2)
@@ -87,20 +83,31 @@ def abelianization_invariants(G: FiniteGroup) -> tuple:
     return h.torsion
 
 
-def stable_count_prediction(G: FiniteGroup) -> int:
-    """Sum over all subgroups H <= G of |H2(H, Z)|.
+def subgroup_bar_homology(G: FiniteGroup) -> tuple:
+    """``bar_homology`` of every subgroup, in ``enumerate_subgroups`` order,
+    so G's own is last.  Over the cap it refuses as ``bar_homology`` does."""
+    _check_bar_order(G)
+    return tuple(bar_homology(sub.group) for sub in enumerate_subgroups(G))
+
+
+def subgroup_h2_sum(homology) -> int:
+    """Sum of |H2(H, Z)| over the subgroups H of ``subgroup_bar_homology``.
 
     The image subgroup of a tuple is an orbit invariant, and tuples surjecting
     onto H contribute one stable class per element of H2(H).
     """
     total = 0
-    for sub in enumerate_subgroups(G):
-        h2 = bar_homology(sub.group)["H2"]
-        size = h2.order()
+    for bh in homology:
+        size = bh["H2"].order()
         if size is None:
             raise OracleError("H2 of a finite group came out infinite")
         total += size
     return total
+
+
+def stable_count_prediction(G: FiniteGroup) -> int:
+    """Sum over all subgroups H <= G of |H2(H, Z)|."""
+    return subgroup_h2_sum(subgroup_bar_homology(G))
 
 
 def _twist_vectors(n: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from . import kcomplex as kc
 from .groups import _is_int, generated_subgroups, load_group
 from .modules import (deg_of, delta_and_bounds, derive_module,
                       generated_in_degrees_upto, h0, regular_module)
-from .oracle import (abelianization_invariants, bar_homology,
-                     sp_orbit_counts, stable_count_prediction)
+from .oracle import (abelianization_invariants, sp_orbit_counts, subgroup_bar_homology,
+                     subgroup_h2_sum)
 from .orbits import enumerate_orbits
 from .ring import local_ring
 from .words import boundary_eval, compile_moves, moveset_hash
@@ -352,11 +352,12 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
         def _oracles():
             out = {}
-            bh = bar_homology(G)
+            homology = subgroup_bar_homology(G)
+            bh = homology[-1]  # G's own
             out["bar_h1"] = {"free_rank": bh["H1"].free_rank, "torsion": list(bh["H1"].torsion)}
             out["bar_h2"] = {"free_rank": bh["H2"].free_rank, "torsion": list(bh["H2"].torsion)}
             out["abelianization"] = list(abelianization_invariants(G))
-            out["stable_count_prediction"] = stable_count_prediction(G)
+            out["stable_count_prediction"] = subgroup_h2_sum(homology)
             if G.is_abelian:
                 out["sp_counts"] = sp_orbit_counts(G, config.n_max)
             return out

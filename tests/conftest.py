@@ -89,3 +89,10 @@ EXTRA_SPECS = {
                                           [[1, 5, 2, 6], [3, 8, 4, 7]]]},
     "A4": {"kind": "perm", "generators": [[[1, 2, 3]], [[1, 2], [3, 4]]]},
 }
+
+# The group layer's cross-checks against its loop references: the battery,
+# the groups above, and the largest abelian groups under the subgroup cap.
+CROSS_CHECK_SPECS = {**BATTERY_SPECS, **EXTRA_SPECS,
+                     "C8": {"kind": "cyclic", "order": 8},
+                     "C16": {"kind": "cyclic", "order": 16},
+                     "C2^4": {"kind": "product", "factors": [{"kind": "cyclic", "order": 2}] * 4}}

@@ -25,7 +25,7 @@ from stabring.zlinalg import IntMatrix
 
 def conjugate(G, x: int, y: int) -> int:
     """x^y := y^-1 x y."""
-    return G.mul(G.mul(int(G.inverse[y]), x), y)
+    return int(G.table[G.table[G.inverse[y], x], y])
 
 
 def entries(mat: IntMatrix) -> dict:
@@ -67,7 +67,7 @@ def _conjugators(G, pairs) -> list:
     out = [G.identity] * (p + 1)
     for k in range(p - 1, -1, -1):
         a, b = pairs[k]
-        out[k] = G.mul(G.commutator(a, b), out[k + 1])
+        out[k] = int(G.table[G.commutator(a, b), out[k + 1]])
     return out
 
 
@@ -148,9 +148,9 @@ def _tau(K: KComplex, pairs, ring_idx: int, n_class: int) -> int:
     G = K.G
     acc = G.identity
     for a, b in pairs:
-        acc = G.mul(acc, G.commutator(a, b))
+        acc = int(G.table[acc, G.commutator(a, b)])
     rep = K.ring.rep(n_class, ring_idx)
-    return G.mul(acc, boundary_eval_tuple(G, rep))
+    return int(G.table[acc, boundary_eval_tuple(G, rep)])
 
 
 def _homotopy_image(K: KComplex, g: int, h: int, p: int, n: int, t: int, j: int) -> int:

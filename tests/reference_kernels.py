@@ -157,7 +157,7 @@ def _bfs_parents(n_states: int, maps) -> np.ndarray:
 def _evaluate(G, word, entries) -> int:
     acc = G.identity
     for l in word:
-        acc = G.mul(acc, entries[l - 1] if l > 0 else int(G.inverse[entries[-l - 1]]))
+        acc = int(G.table[acc, entries[l - 1] if l > 0 else G.inverse[entries[-l - 1]]])
     return acc
 
 
@@ -171,8 +171,8 @@ def boundary_eval_tuple(G, entries) -> int:
     acc = G.identity
     for i in range(0, len(entries), 2):
         a, b = entries[i], entries[i + 1]
-        comm = G.mul(G.mul(G.mul(a, b), int(G.inverse[a])), int(G.inverse[b]))
-        acc = G.mul(acc, comm)
+        comm = int(G.table[G.table[G.table[a, b], G.inverse[a]], G.inverse[b]])
+        acc = int(G.table[acc, comm])
     return acc
 
 
@@ -216,7 +216,7 @@ def bfs_transvection_parents(G, n: int, vecs) -> np.ndarray:
             g, e = int(G.inverse[g]), -e
         acc = G.identity
         for _ in range(e):
-            acc = G.mul(acc, g)
+            acc = int(G.table[acc, g])
         return acc
 
     def as_map(vec):
@@ -228,7 +228,7 @@ def bfs_transvection_parents(G, n: int, vecs) -> np.ndarray:
             for j in range(two_n):
                 acc = G.identity
                 for k in range(two_n):
-                    acc = G.mul(acc, power(entries[k], int(M[j, k])))
+                    acc = int(G.table[acc, power(entries[k], int(M[j, k]))])
                 out.append(acc)
             return encode_tuple(out, G.order)
         return f

@@ -25,6 +25,8 @@ only needs H0 and Tor_1 against U(R).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from stabring import modules
@@ -258,7 +260,7 @@ def truncate_module(M: GradedModule, k: int) -> GradedModule:
 
 def h1(M: GradedModule) -> list:
     """H1(M) = ker(beta: R_{>0} (x)_R M -> M) degreewise."""
-    rplus = modules.regular_module(M.ring, side="right", name="R>0")
+    rplus = dataclasses.replace(modules.regular_module(M.ring, side="right"), name="R>0")
     identity = [range(rank) for rank in rplus.ranks]
     return [chain_homology(modules._beta_matrix(rplus, M, n, min_i=1, classes=identity),
                            modules._tensor_presentation(rplus, M, n, min_i=1))

@@ -1,14 +1,18 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_groups as ref
+from conftest import CROSS_CHECK_SPECS, EXTRA_SPECS
 from reference_kcomplex import conjugate
 from stabring import _kernels
 from stabring.groups import (FiniteGroup, GroupError, cyclic_group,
                              enumerate_subgroups, load_group, max_order, perm_group,
-                             product_group, subgroup_closure)
+                             product_group)
 from stabring.kcomplex import _group_tables
 
 
@@ -20,7 +24,7 @@ def brute_force_subgroups(G):
             s = set(cand)
             if 0 not in s:
                 continue
-            closed = all(G.mul(a, b) in s for a in s for b in s) and \
+            closed = all(int(G.table[a, b]) in s for a in s for b in s) and \
                 all(int(G.inverse[a]) in s for a in s)
             if closed:
                 subs.add(frozenset(s))
@@ -31,7 +35,7 @@ def test_cyclic_order_two():
     G = load_group({"kind": "cyclic", "order": 2})
     assert G.order == 2
     assert G.identity == 0
-    assert G.mul(1, 1) == 0
+    assert int(G.table[1, 1]) == 0
 
 
 def test_explicit_cayley_table_accepted():
@@ -101,14 +105,14 @@ def test_product_identity_packing():
                                                    {"kind": "cyclic", "order": 3}]})
     assert G.order == 6
     assert G.is_abelian
-    assert G.mul(0, 5) == 5
+    assert int(G.table[0, 5]) == 5
 
 
 def test_conjugate_by_identity_and_abelian():
     G = cyclic_group(6)
-    for x in G.elements():
+    for x in range(G.order):
         assert conjugate(G, x, 0) == x
-        for y in G.elements():
+        for y in range(G.order):
             assert conjugate(G, x, y) == x
             assert G.commutator(x, y) == 0
 
@@ -172,7 +176,7 @@ def test_commutator_trivial_iff_commuting(data):
     G = perm_group([[[1, 2]], [[1, 2, 3]]])
     x = data.draw(st.integers(0, G.order - 1))
     y = data.draw(st.integers(0, G.order - 1))
-    assert (G.commutator(x, y) == 0) == (G.mul(x, y) == G.mul(y, x))
+    assert (G.commutator(x, y) == 0) == (G.table[x, y] == G.table[y, x])
 
 
 def test_subgroups_of_order_two_group():
@@ -232,5 +236,38 @@ def test_subgroup_enumeration_cap():
 
 def test_subgroup_closure():
     G = perm_group([[[1, 2]], [[1, 2, 3]]])
-    assert subgroup_closure(G, []) == frozenset({0})
-    assert len(subgroup_closure(G, range(G.order))) == 6
+    assert ref.subgroup_closure(G, []) == frozenset({0})
+    assert len(ref.subgroup_closure(G, range(G.order))) == 6
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_SPECS)
+def test_subgroups_match_the_closure_loop_reference(name):
+    # same subgroups in the same order, with equal re-indexed tables: the
+    # array enumeration and _restrict against the closure and restriction loops
+    G = load_group(CROSS_CHECK_SPECS[name])
+    subs, want = enumerate_subgroups(G), ref.enumerate_subgroups(G)
+    assert [s.elements for s in subs] == [s.elements for s in want]
+    for s, w in zip(subs, want):
+        assert np.array_equal(s.group.table, w.group.table), s.elements
+        assert np.array_equal(s.group.inverse, w.group.inverse), s.elements
+        assert s.group.name == w.group.name
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "A4"])
+def test_subgroups_match_brute_force(name):
+    G = load_group(EXTRA_SPECS[name])
+    assert {frozenset(s.elements) for s in enumerate_subgroups(G)} == brute_force_subgroups(G)
+
+
+def test_subgroups_of_c2_4_are_pinned():
+    # too many subsets for brute force: 1 trivial subgroup, 15 of order 2,
+    # 35 of order 4, 15 of order 8 and the group itself
+    subs = enumerate_subgroups(load_group(CROSS_CHECK_SPECS["C2^4"]))
+    assert len(subs) == 67
+    assert Counter(len(s.elements) for s in subs) == {1: 1, 2: 15, 4: 35, 8: 15, 16: 1}
+
+
+def test_missing_inverse_is_named():
+    # a unital, associative monoid table ({0, 1} under max) has no inverse of 1
+    with pytest.raises(GroupError, match="element 1 has no two-sided inverse"):
+        load_group({"kind": "cayley", "table": [[0, 1], [1, 1]]})

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import HOPF_H2_FIXTURES
+import reference_groups as ref
+from conftest import CROSS_CHECK_SPECS, HOPF_H2_FIXTURES
 from stabring import _kernels, oracle
 from stabring.groups import cyclic_group, load_group
 from stabring.oracle import (OracleError, abelianization_invariants,
-                             bar_homology, preserves_form, sp_orbit_counts,
+                             bar_differentials, bar_homology, preserves_form, sp_orbit_counts,
                              sp_orbit_oracle, stable_count_prediction,
                              transvection_images, transvection_matrix,
                              transvection_vectors)
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_SPECS)
+def test_bar_differentials_match_the_loop_reference(name):
+    G = load_group(CROSS_CHECK_SPECS[name])
+    d2, d3 = bar_differentials(G)
+    want2, want3 = ref.bar_differentials(G)
+    assert d2 == want2
+    assert d3 == want3
 
 
 def test_bar_homology_trivial(groups):

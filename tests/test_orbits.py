@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_groups import subgroup_closure
 from reference_kernels import class_of, encode_tuple, n_states
-from stabring.groups import cyclic_group, load_group, subgroup_closure
+from stabring.groups import cyclic_group, load_group
 from stabring.orbits import OrbitError, cache_load, cache_store, decode_tuple, enumerate_orbits
 from stabring.words import boundary_eval, compile_moves
 

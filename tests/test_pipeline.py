@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from stabring import _kernels, words
+from stabring import _kernels, oracle, words
 from stabring import kcomplex as kc
 from stabring import pipeline
 from stabring import cli
@@ -373,6 +373,26 @@ def test_orbit_stage_runs_the_kernel_at_degrees_one_and_two(monkeypatch):
     assert report.counts == [1, 2, 2, 2, 2]
     # perfbench/run.py reads these stage names from Report.timings
     assert {"orbits", "ring"} <= set(report.timings)
+
+
+def test_oracles_run_the_bar_complex_once_per_subgroup(monkeypatch):
+    # C8 has 4 subgroups; G's own H1 and H2 come from the same pass that
+    # sums |H2| over the subgroups, so G is not computed twice
+    calls, bar = [], oracle.bar_homology
+
+    def counted(G):
+        calls.append(G.order)
+        return bar(G)
+
+    monkeypatch.setattr(oracle, "bar_homology", counted)
+    if hasattr(pipeline, "bar_homology"):  # a pipeline that imports it calls it directly
+        monkeypatch.setattr(pipeline, "bar_homology", counted)
+    report = run_pipeline(small_config(group={"kind": "cyclic", "order": 8}, n_max=3,
+                                       p_max=0, well_definedness_samples=10))
+    assert report.failure is None
+    assert len(calls) == 4
+    assert sorted(calls) == [1, 2, 4, 8]
+    assert report.oracle["stable_count_prediction"] == 4
 
 
 def test_emit_report_files(tmp_path, reports):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import BATTERY_SPECS, EXTRA_SPECS
+from reference_groups import subgroup_closure
 from reference_kernels import boundary_eval_tuple, class_index_tuple, evaluate_tuple
 from reference_moves import (abelianized_matrix, image_ranks, mixes_handles,
                              reference_moves, whitehead_stabilizers)
-from stabring.groups import cyclic_group, generated_subgroups, load_group, subgroup_closure
+from stabring.groups import cyclic_group, generated_subgroups, load_group
 from stabring.oracle import symplectic_form, transvection_matrix
 from stabring.orbits import enumerate_orbits
 from stabring import words
