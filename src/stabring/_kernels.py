@@ -1,6 +1,7 @@
 """Orbit kernel: the partition of G^(2n) under a family of maps, and the
-two array primitives the library builds on, ``components`` and
-``ragged_gather``.
+array primitives the library builds on, ``components`` and
+``ragged_gather``, whole or a piece of ``CHUNK`` entries at a time
+(``pieces``, ``gathered``).
 
 States are ranks in [0, order^(2n)), mixed radix with entry 0 most
 significant.  ``labels[v]`` holds the minimum rank in v's class so far.  For
@@ -25,6 +26,11 @@ import os
 import resource
 
 import numpy as np
+
+# Entries per piece of a gather cut into pieces (``pieces``): the unit-pivot
+# rounds, the Schur products, the sums of entries and the K-complex build
+# hold the index arrays of one piece at a time, not of all at once.
+CHUNK = 1 << 16
 
 # Peak bytes per state of one kernel call, with margin: tracemalloc measures
 # about 92 (C8 at n = 3, moves and transvections).
@@ -99,7 +105,28 @@ def ragged_gather(ptr: np.ndarray, key: np.ndarray):
     count = np.take(ptr, key + 1) - start
     # segment i begins at place first[i] of the output
     first = np.cumsum(count) - count
-    return count, np.repeat(start - first, count) + np.arange(int(count.sum()))
+    at = np.repeat(start - first, count)
+    at += np.arange(len(at))
+    return count, at
+
+
+def pieces(ptr: np.ndarray, lines: np.ndarray) -> list:
+    """(start, stop) bounds that cut ``lines`` into consecutive pieces whose
+    segments ptr[l]:ptr[l + 1] hold about ``CHUNK`` entries together; a
+    longer line is a piece of its own."""
+    ends = np.cumsum(np.take(ptr, lines + 1) - np.take(ptr, lines))
+    if not len(ends) or ends[-1] <= CHUNK:
+        return [(0, len(lines))] if len(lines) else []
+    cuts = np.searchsorted(ends, np.arange(CHUNK, int(ends[-1]), CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(lines)]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def gathered(ptr: np.ndarray, lines: np.ndarray):
+    """``ragged_gather(ptr, lines)`` a piece of ``pieces`` at a time: yields
+    (start, stop, count, at) for lines[start:stop]."""
+    for start, stop in pieces(ptr, lines):
+        yield (start, stop) + ragged_gather(ptr, lines[start:stop])
 
 
 def _orbit_labels(n_states: int, n_maps: int, image) -> np.ndarray:

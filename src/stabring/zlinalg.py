@@ -3,7 +3,11 @@
 ``IntMatrix`` stores canonical int64 triplet arrays, and multiplies them
 directly under an explicit overflow bound: every entry of the left factor is
 expanded over a row of the right one, and the products are summed into
-canonical form.
+canonical form.  Every sum of entries (``_summed``) sorts one key array in
+place and carries one value array along, and the arrays it sums are counted
+before they are allocated and filled a piece of ``_kernels.CHUNK`` entries
+at a time, so no step holds more than about three int64 arrays of its
+length.
 
 The Smith normal form runs in two stages.  While a matrix holds at least
 ``_ROUND_MIN_NNZ`` nonzeros, batched unit-pivot rounds split off a signed
@@ -12,10 +16,14 @@ A[r_i, c_j] = 0 for distinct pivots (found by rounds of local minima, which
 pick what the greedy pass picks), and replace the matrix by its Schur
 complement A22 - A21 D A12, one int64 sparse product (a depth-one acyclic
 matching of algebraic Morse theory, after Skoldberg 2006).  A round whose
-product could leave int64 is refused before it multiplies.  What the rounds
-leave, if it still holds ``_ROUND_MIN_NNZ`` nonzeros or more, is split into
-the connected components of its row-column graph; a smaller residual stays
-one block.  Each block is eliminated over Python integers, so entries may
+product could leave int64 is refused before it multiplies, and one that
+would not fit ``BYTES_PER_ROUND_ENTRY`` per nonzero, product and line in
+``_kernels.memory_budget()`` raises a LinAlgError before it allocates.  On
+S3's d_{3,3} (n <= 3) a round peaks at about 65 bytes per nonzero and the
+whole Smith form at 91.  What the rounds leave, if it still holds
+``_ROUND_MIN_NNZ`` nonzeros or more or holds no +-1 entry, is split into the
+connected components of its row-column graph; a smaller residual with a
+unit stays one block.  Each block is eliminated over Python integers, so entries may
 grow without overflow: that eliminator prefers +-1 pivots with a
 Markowitz-style fill tie-break, and falls back to minimal-absolute-value
 pivoting on the residual core.
@@ -29,7 +37,8 @@ from math import gcd
 
 import numpy as np
 
-from ._kernels import components, ragged_gather
+from . import _kernels
+from ._kernels import CHUNK, components, gathered
 
 
 class LinAlgError(ValueError):
@@ -72,6 +81,7 @@ class HomologyGroup:
 
 
 INT64_MAX = 2 ** 63 - 1
+INT32_MAX = 2 ** 31 - 1
 
 
 def _as_int64(values) -> np.ndarray:
@@ -142,7 +152,19 @@ class IntMatrix:
         if row.min() < 0 or row.max() >= rows or col.min() < 0 or col.max() >= cols:
             raise LinAlgError(f"triplet index out of bounds for {rows}x{cols}")
         _check_positions(rows, cols)
-        return _summed(rows, cols, row * cols + col, val, checked=True)
+        return _summed(rows, cols, row * cols + col, val.copy(), checked=True)
+
+    @classmethod
+    def from_keys(cls, rows: int, cols: int, key: np.ndarray, val: np.ndarray) -> "IntMatrix":
+        """Entries val[i] at positions key[i] = row * cols + col, for int64
+        arrays that the call may overwrite: duplicates are summed under the
+        same overflow check as ``from_triplets``, zeros dropped."""
+        _check_positions(rows, cols)
+        if len(key) != len(val):
+            raise LinAlgError("key and value arrays differ in length")
+        if len(key) and (key.min() < 0 or key.max() >= rows * cols):
+            raise LinAlgError(f"position out of bounds for {rows}x{cols}")
+        return _summed(rows, cols, key, val, checked=True)
 
     @classmethod
     def from_dense(cls, rows_list, rows: int | None = None, cols: int | None = None):
@@ -195,10 +217,10 @@ class IntMatrix:
         if bound > INT64_MAX:
             raise LinAlgError(f"product entries are bounded only by {bound}, outside int64")
         _check_positions(self.rows, other.cols)
-        count, at = ragged_gather(other.row_ptr(), self.col)
-        return _summed(self.rows, other.cols,
-                       np.repeat(self.row * other.cols, count) + np.take(other.col, at),
-                       np.repeat(self.val, count) * np.take(other.val, at))
+        ptr = other.row_ptr()
+        key, val = _product_entries(0, _segment_total(ptr, self.col), ptr, self.col, self.row,
+                                    self.val, other.cols, other.col, other.val)
+        return _summed(self.rows, other.cols, key, val)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -216,14 +238,36 @@ class IntMatrix:
 
 
 def _stable_order(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for a non-negative int64 key.  Where
-    key * 2^b + position fits in int64, b the bits of a position, it sorts
-    those values instead: a plain value sort, two to five times faster from
-    a few hundred keys on (2 cores, numpy 2.4), and slower below."""
-    shift = max(len(key) - 1, 1).bit_length()
-    if len(key) < 256 or int(key.max()) >= 1 << (63 - shift):
-        return np.argsort(key, kind="stable")
-    return np.sort((key << shift) | np.arange(len(key))) & ((1 << shift) - 1)
+    """``np.argsort(key, kind="stable")`` for a non-negative int64 key."""
+    order = np.arange(len(key))
+    _sort_by_key(key.copy(), order)
+    return order
+
+
+def _sort_by_key(key: np.ndarray, val: np.ndarray) -> None:
+    """Sort the non-negative int64 key in place, stably, and val along with
+    it.  Where key * 2^b + position fits in int64, b the bits of a position,
+    it sorts those values instead: a plain value sort, two to five times
+    faster than a stable argsort from a few hundred keys on (2 cores, numpy
+    2.4), and slower below.  The sorted keys come out of the packed values
+    themselves and val is permuted a piece at a time, so the sort holds one
+    array more than key and val."""
+    n = len(key)
+    shift = max(n - 1, 1).bit_length()
+    if n < 256 or int(key.max()) >= 1 << (63 - shift):
+        order = np.argsort(key, kind="stable")
+        key[:], val[:] = np.take(key, order), np.take(val, order)
+        return
+    key <<= shift
+    for start in range(0, n, CHUNK):
+        key[start:start + CHUNK] |= np.arange(start, min(start + CHUNK, n))
+    key.sort()
+    sorted_val, low = np.empty_like(val), (1 << shift) - 1
+    for start in range(0, n, CHUNK):
+        part = key[start:start + CHUNK]
+        sorted_val[start:start + CHUNK] = np.take(val, part & low)
+        part >>= shift
+    val[:] = sorted_val
 
 
 def _check_positions(rows: int, cols: int) -> None:
@@ -232,25 +276,60 @@ def _check_positions(rows: int, cols: int) -> None:
         raise LinAlgError(f"shape {rows}x{cols} has more positions than int64 indexes")
 
 
-def _summed(rows: int, cols: int, key, val, checked: bool = False) -> IntMatrix:
+def _segment_total(ptr: np.ndarray, lines: np.ndarray) -> int:
+    """The number of entries in the segments ptr[l]:ptr[l + 1] of all lines."""
+    return int((np.take(ptr, lines + 1) - np.take(ptr, lines)).sum())
+
+
+def _product_entries(head: int, products: int, ptr, lines, row, weight, cols, b_col, b_val):
+    """Key and value arrays of head + products slots for ``_summed``: the
+    first head are left to the caller, then, for each i in turn, the products
+    weight[i] * b_val[j] at positions row[i] * cols + b_col[j] for the places
+    j in ptr[lines[i]]:ptr[lines[i] + 1], written a piece at a time."""
+    key = np.empty(head + products, dtype=np.int64)
+    val = np.empty(head + products, dtype=np.int64)
+    done = head
+    for start, stop, count, at in gathered(ptr, lines):
+        part = slice(done, done + len(at))
+        key[part] = np.repeat(row[start:stop] * cols, count)
+        key[part] += np.take(b_col, at)
+        val[part] = np.repeat(weight[start:stop], count)
+        val[part] *= np.take(b_val, at)
+        done += len(at)
+    return key, val
+
+
+def _summed(rows: int, cols: int, key: np.ndarray, val: np.ndarray,
+            checked: bool = False) -> IntMatrix:
     """The canonical matrix with val[i] added at position key[i] = row * cols
-    + col: duplicates summed, zeros dropped.  The sums wrap modulo 2^64, so
-    they are exact whenever the true sum is within int64: the caller bounds
-    it, or asks for ``checked``, which refuses the sum when max|val| times
-    the most values at one position could leave int64."""
-    if not len(val):
+    + col: duplicates summed, zeros dropped.  key and val are int64 scratch
+    the call overwrites; the result shares no memory with them.  The sums
+    wrap modulo 2^64, so they are exact whenever the true sum is within
+    int64: the caller bounds it, or asks for ``checked``, which refuses the
+    sum when max|val| times the most values at one position could leave
+    int64."""
+    n = len(val)
+    if not n:
         return IntMatrix(rows, cols)
-    order = _stable_order(key)
-    key, val = np.take(key, order), np.take(val, order)
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # runs of one key
-    if len(first) < len(val):
-        if checked and (int(np.abs(val).max()) * int(np.diff(first, append=len(val)).max())
-                        > INT64_MAX):
+    _sort_by_key(key, val)
+    starts = np.empty(n, dtype=bool)  # the first place of each run of one key
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    del starts
+    if len(first) < n:
+        if checked and (max(int(val.max()), -int(val.min()))
+                        * int(np.diff(first, append=n).max()) > INT64_MAX):
             raise LinAlgError("summing duplicate triplets could leave int64")
-        key, val = np.take(key, first), np.add.reduceat(val, first)
+        key[:len(first)] = np.take(key, first)
+        val[:len(first)] = np.add.reduceat(val, first)
+        key, val = key[:len(first)], val[:len(first)]
+    del first
     keep = val != 0
-    key, val = np.compress(keep, key), np.compress(keep, val)
-    return IntMatrix._canonical(rows, cols, key // cols, key % cols, val)
+    val, key = np.compress(keep, val), np.compress(keep, key)
+    row = key // cols
+    np.remainder(key, cols, out=key)
+    return IntMatrix._canonical(rows, cols, row, key, val)
 
 
 def _coprime_base(values) -> list:
@@ -443,14 +522,23 @@ class SmithForm:
 _ROUND_MIN_NNZ = 2048
 
 
+# Peak bytes of one unit-pivot round per nonzero, Schur product and line
+# (row or column) of its matrix, with margin: tracemalloc measures about 30
+# on the rounds of 100,000 nonzeros or more of S3, D4, C2xC2 and A4, and up
+# to 46 on smaller ones.
+BYTES_PER_ROUND_ENTRY = 64
+
+
 def _segment_min(ptr: np.ndarray, lines: np.ndarray, values: np.ndarray,
                  through: np.ndarray | None = None) -> np.ndarray:
     """The least of values[ptr[l]:ptr[l + 1]] for each line l (none empty), or
     of values[through[ptr[l]:ptr[l + 1]]] when ``through`` is given."""
-    count, at = ragged_gather(ptr, lines)
-    if through is not None:
-        at = np.take(through, at)
-    return np.minimum.reduceat(np.take(values, at), np.cumsum(count) - count)
+    out = np.empty(len(lines), dtype=values.dtype)
+    for start, stop, count, at in gathered(ptr, lines):
+        if through is not None:
+            at = np.take(through, at)
+        out[start:stop] = np.minimum.reduceat(np.take(values, at), np.cumsum(count) - count)
+    return out
 
 
 def _unit_pivots(A: IntMatrix):
@@ -476,33 +564,52 @@ def _unit_pivots(A: IntMatrix):
     battery's long chains of conflicts (C2^3 at n <= 18: hundreds of winners
     per round, 20 rounds) that keeps it level with the sequential loop, where
     rounds over all live nonzeros took twice as long.  np.take and
-    np.compress do what fancy and mask indexing do, several times faster."""
+    np.compress do what fancy and mask indexing do, several times faster.
+
+    Lines, places and priorities are int32 (a LinAlgError refuses a matrix
+    they cannot number, before anything is allocated), the set-up arrays
+    are freed once read, and every gather over lines runs a piece of
+    ``_kernels.pieces`` at a time: on the rounds of S3's d_{3,3} (n <= 3)
+    that keeps the search at 61 to 67 bytes per nonzero, not 171 to 184."""
+    if 2 * A.nnz > INT32_MAX or A.rows + A.cols > INT32_MAX:
+        raise LinAlgError(f"unit-pivot search on {A.rows}x{A.cols} with {A.nnz} nonzeros "
+                          "is past int32 line and place numbers")
     unit = np.flatnonzero(np.abs(A.val) == 1)
     if not len(unit):
         return unit, unit
+    # none: the priority of no live candidate
+    nnz, n_lines, none = A.nnz, A.rows + A.cols, len(unit)
     row_count = np.bincount(A.row, minlength=A.rows)
     col_count = np.bincount(A.col, minlength=A.cols)
-    cost = (row_count[A.row[unit]] - 1) * (col_count[A.col[unit]] - 1)
-    by_priority = unit[_stable_order(cost)]
-    row_of, col_of = A.row[by_priority], A.col[by_priority] + A.rows
-    n_lines, none = A.rows + A.cols, len(unit)  # none: the priority of no live candidate
-    entry_priority = np.full(A.nnz, none, dtype=np.int64)
-    entry_priority[by_priority] = np.arange(len(unit))
-    by_col = _stable_order(A.col)  # not column_index(), which A would keep
-    other = np.concatenate((A.col + A.rows, np.take(A.row, by_col)))
-    priority = np.concatenate((entry_priority, np.take(entry_priority, by_col)))
     ptr = np.zeros(n_lines + 1, dtype=np.int64)
     np.cumsum(np.concatenate((row_count, col_count)), out=ptr[1:])
-    col_place = np.empty(A.nnz, dtype=np.int64)
-    col_place[by_col] = np.arange(A.nnz, 2 * A.nnz)
-    row_place, col_place = by_priority, col_place[by_priority]  # each candidate's two places
-    least = np.full(n_lines, none, dtype=np.int64)
+    cost = ((np.take(row_count, np.take(A.row, unit)) - 1)
+            * (np.take(col_count, np.take(A.col, unit)) - 1))
+    del row_count, col_count
+    # each candidate's place in the rows' half, in priority order
+    row_place = np.take(unit, _stable_order(cost)).astype(np.int32)
+    del unit, cost
+    row_of = np.take(A.row, row_place).astype(np.int32)
+    col_of = (np.take(A.col, row_place) + A.rows).astype(np.int32)
+    by_col = _stable_order(A.col)  # not column_index(), which A would keep
+    other = np.empty(2 * nnz, dtype=np.int32)  # the line crossing each place
+    np.add(A.col, A.rows, out=other[:nnz], casting="unsafe")
+    other[nnz:] = np.take(A.row, by_col)
+    priority = np.full(2 * nnz, none, dtype=np.int32)
+    priority[row_place] = np.arange(none, dtype=np.int32)
+    priority[nnz:] = np.take(priority[:nnz], by_col)
+    col_place = np.empty(nnz, dtype=np.int32)
+    col_place[by_col] = np.arange(nnz, 2 * nnz, dtype=np.int32)
+    del by_col
+    col_place = np.take(col_place, row_place)  # each candidate's place in the columns' half
+    least = np.full(n_lines, none, dtype=np.int32)
     lines = np.flatnonzero(ptr[1:] > ptr[:-1])
     least[lines] = np.minimum.reduceat(priority, np.take(ptr, lines))
+    del lines
     died = np.zeros(none + 1, dtype=bool)
     # candidates least on both lines, looked up from the side with fewer lines
-    side, far = ((np.arange(A.rows), col_of) if A.rows <= A.cols
-                 else (np.arange(A.rows, n_lines), row_of))
+    side, far = ((np.arange(A.rows, dtype=np.int32), col_of) if A.rows <= A.cols
+                 else (np.arange(A.rows, n_lines, dtype=np.int32), row_of))
     taken = []
     while True:
         first = np.take(least, side)
@@ -513,25 +620,30 @@ def _unit_pivots(A: IntMatrix):
         reach = _segment_min(ptr, np.concatenate((np.take(row_of, first), np.take(col_of, first))),
                              least, other)
         win = np.compress((reach[:len(first)] == first) & (reach[len(first):] == first), first)
+        del first, reach
         taken.append(win)
-        _, at = ragged_gather(ptr, np.concatenate((np.take(row_of, win), np.take(col_of, win))))
         hit = np.zeros(n_lines, dtype=bool)
-        hit[np.take(other, at)] = True
+        for _, _, _, at in gathered(ptr, np.concatenate((np.take(row_of, win),
+                                                          np.take(col_of, win)))):
+            hit[np.take(other, at)] = True
         blocked = np.flatnonzero(hit & (least < none))
+        del hit
         least[blocked] = none
-        _, at = ragged_gather(ptr, blocked)
-        dead = np.take(priority, at)
-        dead = np.compress(dead < none, dead)
+        dead = []
+        for _, _, _, at in gathered(ptr, blocked):
+            got = np.take(priority, at)
+            dead.append(np.compress(got < none, got))
+        dead = np.concatenate(dead) if dead else np.zeros(0, dtype=np.int32)
         died[dead] = True
         priority[np.take(row_place, dead)] = none
         priority[np.take(col_place, dead)] = none
+        del dead
         # the lines whose least candidate died look for the next one
-        hurt = np.concatenate((np.take(row_of, dead), np.take(col_of, dead)))
-        hurt = np.unique(np.compress(np.take(died, np.take(least, hurt)), hurt))
+        hurt = np.flatnonzero(np.take(died, least))
         if len(hurt):
             least[hurt] = _segment_min(ptr, hurt, priority)
-    pivots = by_priority[np.sort(np.concatenate(taken))]
-    return A.row[pivots], A.col[pivots]
+    pivots = np.take(row_place, np.sort(np.concatenate(taken)))
+    return np.take(A.row, pivots), np.take(A.col, pivots)
 
 
 def _unit_round(A: IntMatrix):
@@ -545,33 +657,65 @@ def _unit_round(A: IntMatrix):
     2^63 by max|A22| + max|A21| * max|A12| * len(P).
 
     A21 D A12 is summed from A's own arrays: entry (r, pcol[t], a) of A21
-    meets every entry of A's row prow[t] outside the pivot columns, which is
-    row t of A12."""
+    meets every entry of row t of A12, the entries of A's row prow[t]
+    outside the pivot columns.  The number of those products is known before
+    any is formed, so a round that would not fit ``BYTES_PER_ROUND_ENTRY``
+    per nonzero, product and line in ``_kernels.memory_budget()`` is refused
+    with a LinAlgError; the others write A22's entries and the products, a piece
+    at a time, into one key array and one value array for ``_summed``."""
     prow, pcol = _unit_pivots(A)
     k = len(prow)
     if not k:
         return None
-    pivot_of_row = np.full(A.rows, -1, dtype=np.int64)
-    pivot_of_row[prow] = np.arange(k)
-    pivot_of_col = np.full(A.cols, -1, dtype=np.int64)
-    pivot_of_col[pcol] = np.arange(k)
-    i, j = np.take(pivot_of_row, A.row), np.take(pivot_of_col, A.col)
-    in12, in21, in22 = (i >= 0) & (j < 0), (i < 0) & (j >= 0), (i < 0) & (j < 0)
-    m12, m21, m22 = (int(np.abs(np.compress(m, A.val)).max()) if m.any() else 0
-                     for m in (in12, in21, in22))
+    is_prow = np.zeros(A.rows, dtype=bool)
+    is_prow[prow] = True
+    is_pcol = np.zeros(A.cols, dtype=bool)
+    is_pcol[pcol] = True
+    in_prow, in_pcol = np.take(is_prow, A.row), np.take(is_pcol, A.col)
+    in12, in21 = in_prow & ~in_pcol, in_pcol & ~in_prow
+    pivot = in_prow & in_pcol
+    in22 = ~(in_prow | in_pcol)
+    del in_prow, in_pcol
+    size = np.abs(A.val)
+    m12, m21, m22 = (int(size.max(where=m, initial=0)) for m in (in12, in21, in22))
+    del size
     if m22 + m21 * m12 * k > INT64_MAX:
         return None
+    pivot_of_col = np.full(A.cols, -1, dtype=np.int64)
+    pivot_of_col[pcol] = np.arange(k)
     d = np.zeros(k, dtype=np.int64)
-    pivot = (i >= 0) & (j >= 0)
-    d[i[pivot]] = A.val[pivot]
-    row21, t21, val21 = (np.compress(in21, x) for x in (A.row, j, A.val))
-    count, at = ragged_gather(A.row_ptr(), prow[t21])
-    col = np.take(A.col, at)
-    keep = np.take(pivot_of_col, col) < 0
-    key = np.concatenate((np.compress(in22, A.row * A.cols + A.col),
-                          np.compress(keep, np.repeat(row21 * A.cols, count) + col)))
-    val = np.concatenate((np.compress(in22, A.val),
-                          np.compress(keep, np.repeat(-val21 * d[t21], count) * np.take(A.val, at))))
+    d[np.take(pivot_of_col, np.compress(pivot, A.col))] = np.compress(pivot, A.val)
+    del pivot
+    # A21 D: row, pivot and value -a * d[t] of each entry (r, pcol[t], a)
+    row21 = np.compress(in21, A.row)
+    t21 = np.take(pivot_of_col, np.compress(in21, A.col))
+    val21 = np.compress(in21, A.val)
+    val21 *= np.take(d, t21)
+    np.negative(val21, out=val21)
+    del in21, pivot_of_col, d
+    # A12, row by row of A: the entries of the pivot rows outside the pivot columns
+    ptr12 = np.zeros(A.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.compress(in12, A.row), minlength=A.rows), out=ptr12[1:])
+    col12, val12 = np.compress(in12, A.col), np.compress(in12, A.val)
+    del in12
+    lines = np.take(prow, t21)
+    del t21
+    n22 = int(np.count_nonzero(in22))
+    products = _segment_total(ptr12, lines)
+    need = (A.nnz + products + A.rows + A.cols) * BYTES_PER_ROUND_ENTRY
+    budget = _kernels.memory_budget()
+    if need > budget:
+        raise LinAlgError(
+            f"Schur round on {A.rows}x{A.cols} with {A.nnz} nonzeros and {products} "
+            f"products needs about {need / 2 ** 20:.1f} MiB ({BYTES_PER_ROUND_ENTRY} B per "
+            f"nonzero, product and line), over the memory budget of {budget / 2 ** 20:.1f} MiB")
+    key, val = _product_entries(n22, products, ptr12, lines, row21, val21, A.cols, col12, val12)
+    del row21, val21, col12, val12, lines, ptr12
+    np.compress(in22, A.row, out=key[:n22])
+    key[:n22] *= A.cols
+    key[:n22] += np.compress(in22, A.col)
+    np.compress(in22, A.val, out=val[:n22])
+    del in22
     return prow, pcol, _summed(A.rows, A.cols, key, val)
 
 
@@ -585,18 +729,22 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     those two are undone.  A single growing round is kept, because on K(R)
     differentials the first round often grows the matrix and the next ones
     clear it (C2xC2 d_{4,4}: 238,560 -> 281,162 -> 264,908 -> 144,900 nnz).
-    What is left is eliminated over Python integers: under the cutoff as one
-    block in column-major order, else each block of ``_blocks`` on its own.
-    The diagonals of the rounds and the blocks together are a diagonal form
-    of A, so the factors are those of the whole matrix.
+    What is left is eliminated over Python integers: as one block in
+    column-major order when it is under the cutoff and holds a +-1 entry,
+    else each block of ``_blocks`` on its own.  The diagonals of the rounds
+    and the blocks together are a diagonal form of A, so the factors are
+    those of the whole matrix.
 
-    A residual at or above the cutoff is one the rounds could not shrink (no
-    unit pivot, a refused round, or growth), and the eliminator scans all of
-    its entries for each pivot without a unit, so it is split first: 512
-    unit-free 3x3 blocks took 0.55 s as one block and 0.02 s split.  Below
-    the cutoff the split's graph set-up costs more than it saves: on every
-    SNF of the eleven reference windows, one block was as fast or faster in
-    each band from 64 to 2048 nonzeros."""
+    The eliminator scans all of its entries for each pivot without a unit,
+    so a residual with no +-1 entry is split whatever its size (128
+    unit-free 3x3 blocks: 0.027 s as one block, 0.005 s split), and so is
+    one at or above the cutoff, which the rounds could not shrink (no unit
+    pivot, a refused round, or growth): 512 unit-free 3x3 blocks took 0.55 s
+    as one block and 0.02 s split.  Below the cutoff, with a unit, the
+    split's graph set-up costs more than it saves: on every SNF of the
+    eleven reference windows, one block was as fast or faster in each band
+    from 64 to 2048 nonzeros.  A Schur round that would not fit the memory
+    budget raises a LinAlgError (see ``_unit_round``)."""
     if A._snf is None:
         units, rest = 0, A
         before_growth = None  # (units, matrix) ahead of a round that grew the matrix
@@ -612,7 +760,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             else:
                 before_growth = None
             units, rest = units + len(step[0]), step[2]
-        if rest.nnz < _ROUND_MIN_NNZ:
+        if rest.nnz < _ROUND_MIN_NNZ and (np.abs(rest.val) == 1).any():
             order = np.lexsort((rest.row, rest.col))
             blocks = [(rest.row[order], rest.col[order], rest.val[order])]
         else:

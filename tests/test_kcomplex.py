@@ -415,3 +415,33 @@ def test_homotopy_check_stays_within_twice_the_stored_triplets(rings):
         tracemalloc.stop()
     assert ok
     assert peak <= 2 * stored, (peak, stored)
+
+
+def test_kcomplex_over_the_memory_budget_fails_before_allocating(monkeypatch, rings):
+    """With an 8 MiB budget the S3 (n <= 3, p <= 2) run builds d_{2,3}
+    (18,144 entries, about 1.7 MiB) and refuses d_{3,3} (139,968 entries,
+    about 12.8 MiB) at the kcomplex stage, from the entry count alone."""
+    import tracemalloc
+
+    from conftest import BATTERY_SPECS
+    from stabring import _kernels
+    from stabring.pipeline import PipelineConfig, run_pipeline
+
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 8 * 2 ** 20)
+    report = run_pipeline(PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
+                                         well_definedness_samples=2))
+    assert report.failure["stage"] == "kcomplex"
+    error = report.failure["error"]
+    assert "d_{3,3} (9072x46656) has 139968 entries" in error
+    assert "memory budget of 8.0 MiB" in error
+    need = float(error.split("about ")[1].split(" MiB")[0])
+    assert need > 8
+    assert report.counts and not report.homology  # the stages before it kept their results
+    tracemalloc.start()
+    try:
+        with pytest.raises(KComplexError, match=r"d_\{3,3\}"):
+            build_kcomplex(regular_module(rings["S3"]), 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need * 2 ** 20 / 2, (peak, need)

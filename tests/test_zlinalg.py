@@ -525,7 +525,8 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
     pipelines compute, the lemma battery's included, against the per-block
     eliminator with no rounds and, where the matrix has at most 40 rows or 40
     columns, the dense transform SNF.  Only a residual of at least
-    ``_ROUND_MIN_NNZ`` nonzeros is split into blocks; a smaller one is one block."""
+    ``_ROUND_MIN_NNZ`` nonzeros or one with no +-1 entry is split into
+    blocks; a smaller one with a unit is one block."""
     from stabring import modules
     from stabring.pipeline import PipelineConfig, run_pipeline
 
@@ -538,7 +539,7 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         return real_snf(A)
 
     def noted_blocks(A):
-        split.append(A.nnz)
+        split.append(A)
         return real_blocks(A)
 
     for module in (zlinalg, modules):
@@ -550,7 +551,8 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
                                              well_definedness_samples=10))
         assert report.failure is None
     # S3's residual of 3,888 nonzeros, which no round could shrink, is split
-    assert split and all(nnz >= _ROUND_MIN_NNZ for nnz in split), split
+    assert any(A.nnz >= _ROUND_MIN_NNZ for A in split)
+    assert all(A.nnz >= _ROUND_MIN_NNZ or not (np.abs(A.val) == 1).any() for A in split)
     monkeypatch.undo()
     small = dense = 0
     for A in computed:
@@ -581,6 +583,32 @@ def test_unit_free_residual_is_split_into_blocks(monkeypatch):
                         lambda *block: handed.append(len(block[0])) or _snf_diagonal_sparse(*block))
     assert smith_normal_form(A).factors == (2,) * (3 * k)
     assert handed == [9] * k
+
+
+def test_unit_free_residual_under_the_cutoff_is_split_into_blocks(monkeypatch):
+    # 128 copies of sU, U unimodular with no zero entry and s in {2, 3, 4, 6},
+    # rows and columns shuffled: 1,152 nonzeros, under the cutoff, and no
+    # unit, so the eliminator, which would scan the whole residual for each
+    # pivot, gets one block at a time
+    U = [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+    k = 128
+    scale = [(2, 3, 4, 6)[b % 4] for b in range(k)]
+    rng = np.random.default_rng(1)
+    row_perm, col_perm = rng.permutation(3 * k), rng.permutation(3 * k)
+    r, c, v = zip(*((3 * b + i, 3 * b + j, scale[b] * U[i][j])
+                    for b in range(k) for i in range(3) for j in range(3)))
+    A = IntMatrix.from_triplets(3 * k, 3 * k, row_perm[list(r)], col_perm[list(c)], v)
+    assert A.nnz < _ROUND_MIN_NNZ and not (np.abs(A.val) == 1).any()
+    calls = []
+    monkeypatch.setattr(zlinalg, "_snf_diagonal_sparse",
+                        lambda *block: calls.append(len(block[0])) or _snf_diagonal_sparse(*block))
+    factors = smith_normal_form(A).factors
+    assert calls == [9] * k
+    # the dense transform SNF of each block, folded by the pairwise reference
+    blocks = [smith_with_transforms(IntMatrix.from_dense([[s * x for x in row] for row in U]))[0]
+              for s in scale]
+    assert factors == normalize_factors([f for block in blocks for f in block])
+    assert factors == (1,) * 96 + (2,) * 96 + (6,) * 96 + (12,) * 96
 
 
 def is_canonical(A: IntMatrix) -> bool:
@@ -652,6 +680,21 @@ def test_unit_pivots_match_the_greedy_loop_on_random_matrices():
         got, want = _unit_pivots(A), unit_pivots(A)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), A
         assert got[0].dtype == got[1].dtype == np.int64
+
+
+def test_unit_pivots_refuse_what_int32_cannot_number(monkeypatch):
+    # the search numbers lines (rows + cols) and places (2 nnz) in int32; with
+    # the limit lowered, a matrix just past it is refused before any array
+    A = IntMatrix.from_dense([[1, 0, 2], [0, -1, 0]])  # 5 lines, 6 places
+    monkeypatch.setattr(zlinalg, "INT32_MAX", 5)
+    with pytest.raises(LinAlgError, match="int32"):
+        _unit_pivots(A)
+    monkeypatch.setattr(zlinalg, "INT32_MAX", 6)
+    got, want = _unit_pivots(A), unit_pivots(A)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    monkeypatch.setattr(zlinalg, "INT32_MAX", 4)
+    with pytest.raises(LinAlgError, match="int32"):
+        _unit_pivots(IntMatrix.from_dense([[1, 0, 0, 0]]))  # 5 lines, 2 places
 
 
 def test_unit_round_matches_dense_and_scipy_schur_complements():
@@ -733,3 +776,75 @@ def test_normalize_factors_matches_the_pairwise_fold():
     assert _normalize_factors(big) == normalize_factors(big)
     # 3,072 equal factors, where the pairwise fold takes seconds
     assert _normalize_factors([2, -2, 2] * 1024 + [1] * 5) == (1,) * 5 + (2,) * 3072
+
+
+def test_s3_d33_rounds_match_the_references_within_memory_bounds(rings):
+    """S3's d_{3,3} at n <= 3, p <= 3 (9072 x 46656, 134,856 nonzeros), the
+    largest differential of the s3-n3p2 benchmark window: each round of its
+    chain takes the greedy loop's pivots and leaves the scipy Schur
+    complement.  tracemalloc bounds, per stored nonzero: ``build_kcomplex``
+    measures 63.3 bytes over the 155,592 nonzeros of the differentials it
+    stores (the bound leaves a quarter more; 131.9 before its triplets were
+    written a piece at a time into one key array), and ``smith_normal_form``
+    90.9 bytes over d_{3,3}'s nonzeros (a fifth more; 217.6 before the
+    rounds gathered in pieces and freed their set-up arrays)."""
+    import tracemalloc
+
+    R = regular_module(rings["S3"])
+    tracemalloc.start()
+    try:
+        K = build_kcomplex(R, 3, 3)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(d.nnz for d in K.d.values())
+    d33 = K.d[3, 3]
+    assert (d33.rows, d33.cols, d33.nnz) == (9072, 46656, 134856)
+    rounds = unit_rounds(fresh(d33))
+    assert [A.nnz for A, _, _, _ in rounds] == [134856, 140705, 102265, 33901, 6176]
+    for A, prow, pcol, rest in rounds:
+        want = unit_pivots(A)
+        assert np.array_equal(prow, want[0]) and np.array_equal(pcol, want[1])
+        assert np.array_equal(_unit_pivots(A)[0], prow)
+        assert rest == scipy_schur(A, prow, pcol)
+    A = fresh(d33)
+    tracemalloc.start()
+    try:
+        factors = smith_normal_form(A).factors
+        snf_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(factors) == 8268
+    assert stored == 155592
+    assert build_peak <= 80 * stored, build_peak / stored
+    assert snf_peak <= 110 * d33.nnz, snf_peak / d33.nnz
+
+
+def test_schur_round_over_the_memory_budget_fails_before_allocating(monkeypatch, rings):
+    """With a 15 MiB budget the S3 (n <= 3, p <= 2) K-complex is built (its
+    largest differential needs about 12.8 MiB), and the first round on
+    d_{3,3} (about 17.7 MiB) is refused at the homology stage before it
+    forms a product."""
+    import tracemalloc
+
+    from conftest import BATTERY_SPECS
+    from stabring import _kernels
+    from stabring.kcomplex import h_profile
+    from stabring.pipeline import PipelineConfig, run_pipeline
+
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 15 * 2 ** 20)
+    report = run_pipeline(PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
+                                         well_definedness_samples=2))
+    assert report.failure["stage"] == "homology"
+    assert "Schur round on 9072x46656 with 134856 nonzeros" in report.failure["error"]
+    need = float(report.failure["error"].split("about ")[1].split(" MiB")[0])
+    assert need > 15 and "memory budget of 15.0 MiB" in report.failure["error"]
+    K = build_kcomplex(regular_module(rings["S3"]), 3, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LinAlgError, match="Schur round"):
+            h_profile(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need * 2 ** 20 / 2, (peak, need)
