@@ -1,11 +1,17 @@
 """The Koszul-type complex of a graded module: explicit differential with
 commutator conjugators (each built into one key array after its entry count
-is checked against the memory budget), d^2 = 0, the prepend chain homotopy (checked by
+is checked against the memory budget, and shared between degrees n whose
+module action repeats), d^2 = 0, the prepend chain homotopy (checked by
 gathering columns and relabelling rows of d, as the maps composed with d send
-basis elements to basis elements), and homology per spot.  The verdicts live in
-``pipeline``, which checks dU = Ud and right multiplication on the ring;
-``u_commutes_with_d``, ``_id_tensor_u`` and ``right_mult_is_chain_map`` check
-them on K, kept only for the benchmark harness and as test references."""
+basis elements to basis elements, in batches sized by entries), and homology
+per spot.  Each differential is eliminated from a closed-form unit matching
+(``unit_matching``): row s (x) y goes to column (s, t_y) (x) j_y, whose
+last-pair term is its only entry on a matched row, so the block is a signed
+identity and ``zlinalg`` eliminates it in one Schur step before any pivot
+search.  The verdicts live in ``pipeline``, which checks dU = Ud and right
+multiplication on the ring; ``u_commutes_with_d``, ``_id_tensor_u`` and
+``right_mult_is_chain_map`` check them on K, kept only for the benchmark
+harness and as test references."""
 
 from __future__ import annotations
 
@@ -25,6 +31,19 @@ from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 # included, with margin: tracemalloc measures 44 to 73 on every d_{p,n} of
 # 20,000 entries or more of S3, D4, C2xC2 and A4 (n <= 4, p <= 3).
 BYTES_PER_KENTRY = 96
+
+# Peak bytes per tuple and pair of the per-p index arrays of the build (the
+# tuples' digits, suffix commutator products and pair classes), with margin:
+# tracemalloc measures 30 to 43 on S3, C2xC2, D4 and A4 at p = 2 and 3, in
+# builds refused at their first differential.
+BYTES_PER_KTUPLE = 48
+
+
+# Entries of one batch of the homotopy check's pairs at a spot, bounded per
+# pair before its images are formed (see ``_homotopy_failures``).  Of 2^12
+# to 2^20, 2^15 ran fastest on S3 (n <= 3, p <= 2), at a tracemalloc peak of
+# 0.75 times K's stored triplets; on D8 (n <= 12) 2^15 to 2^18 were level.
+HOMOTOPY_BATCH = 1 << 15
 
 
 class KComplexError(ValueError):
@@ -88,14 +107,21 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     sum over k of (-1)^(k-1) (pairs minus k-th) (x) [a_k^{d_k}, b_k^{d_k}] m
     with d_k the product of the commutators of the later pairs.  Each term is
     an index gather over all tuples at once: the class of the conjugated pair
-    picks the nonzeros of its row of the module's action array.
+    picks the nonzeros of its row of the module's action array.  So n enters
+    only through ``M.acts[n - p]``: where that array equals ``M.acts[n - p - 1]``
+    in shape and entries, d_{p,n} is the same ``IntMatrix`` object as
+    d_{p,n-1}, and the two share one Smith form.
 
-    The entry count of each d_{p,n} is summed from the class of every
-    tuple's pair before anything is allocated; a KComplexError refuses a
-    differential whose ``BYTES_PER_KENTRY`` per entry would not fit in
-    ``_kernels.memory_budget()``.  Each term writes the positions
-    row * cols + col and the values of its entries, a few tuples at a time,
-    into one key and one value array, which ``IntMatrix.from_keys`` sums.
+    Each p with entries to compute first holds per-tuple index arrays,
+    ``BYTES_PER_KTUPLE`` per tuple and pair; a KComplexError refuses them
+    before any is allocated when they would not fit in
+    ``_kernels.memory_budget()``.  The entry count of each d_{p,n} is then
+    summed from the class of every tuple's pair, and a differential whose
+    ``BYTES_PER_KENTRY`` per entry would not fit is refused the same way
+    (that figure was measured with the tuple arrays alive).  Each term writes the
+    positions row * cols + col and the values of its entries, a few tuples
+    at a time, into one key and one value array, which
+    ``IntMatrix.from_keys`` sums.
     """
     if M.side != "left":
         raise KComplexError("K-complex coefficients must form a left module")
@@ -106,24 +132,36 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     order = G.order
     comm, conj = _group_tables(G)
     d = {}
-    for p in range(1, p_max + 1):
+    for p in range(1, min(p_max, n_max) + 1):
         states = order ** (2 * p)
-        digits = _kernels._decode_all(2 * p, order, states)
-        suffix = _commutator_products(G, comm, digits)
-        ranks = np.arange(states, dtype=np.int64)
-        terms = []  # per k: sign, class of the conjugated pair, tuple without pair k
-        for k in range(p):
-            low = order ** (2 * (p - k - 1))
-            pair_k = (conj[digits[2 * k], suffix[k + 1]] * order
-                      + conj[digits[2 * k + 1], suffix[k + 1]])
-            rest = ranks // (low * order * order) * low + ranks % low
-            terms.append((1 if k % 2 == 0 else -1, ring.pair_class[pair_k], rest))
-        del digits, suffix, ranks
-        for n in range(p, n_max + 1):
+        degrees = range(p, n_max + 1)
+        same = [n > p and np.array_equal(M.acts[n - p], M.acts[n - p - 1]) for n in degrees]
+        built = [n for n, shared in zip(degrees, same)
+                 if not shared and M.rank(n - p) and M.rank(n - p + 1)]
+        if built:
+            held = states * p * BYTES_PER_KTUPLE
+            budget = _kernels.memory_budget()
+            if held > budget:
+                raise KComplexError(
+                    f"the {states} tuples of G^{2 * p} need about {held / 2 ** 20:.1f} MiB of "
+                    f"index arrays ({BYTES_PER_KTUPLE} B per tuple and pair), over the memory "
+                    f"budget of {budget / 2 ** 20:.1f} MiB")
+            digits = _kernels._decode_all(2 * p, order, states)
+            suffix = _commutator_products(G, comm, digits)
+            classes = []  # per k: class of the conjugated pair k of every tuple
+            for k in range(p):
+                pair_k = (conj[digits[2 * k], suffix[k + 1]] * order
+                          + conj[digits[2 * k + 1], suffix[k + 1]])
+                classes.append(ring.pair_class[pair_k])
+            del digits, suffix, pair_k
+        for n, shared in zip(degrees, same):
             rank_lo = M.rank(n - p + 1)
             rank_hi = M.rank(n - p)
             shape = (order ** (2 * p - 2) * rank_lo, states * rank_hi)
-            if rank_hi == 0 or rank_lo == 0:
+            if shared:
+                d[p, n] = d[p, n - 1]
+                continue
+            if n not in built:
                 d[p, n] = IntMatrix(*shape)
                 continue
             # nonzeros of every class's action, ordered by (class, column, row)
@@ -132,9 +170,8 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             nz_val = acts[nz_cls, nz_col, nz_row]
             ptr = np.searchsorted(nz_cls * rank_hi + nz_col, np.arange(len(acts) * rank_hi + 1))
             per_class = np.diff(ptr[::rank_hi])  # entries of each class's action
-            total = sum(int(per_class[class_k].sum()) for _, class_k, _ in terms)
+            total = sum(int(per_class[class_k].sum()) for class_k in classes)
             need = total * BYTES_PER_KENTRY
-            budget = _kernels.memory_budget()
             if need > budget:
                 raise KComplexError(
                     f"d_{{{p},{n}}} ({shape[0]}x{shape[1]}) has {total} entries and needs "
@@ -143,14 +180,17 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             key = np.empty(total, dtype=np.int64)
             val = np.empty(total, dtype=np.int64)
             done = 0
-            for sign, class_k, rest in terms:
+            for k, class_k in enumerate(classes):
+                sign, low = (1 if k % 2 == 0 else -1), order ** (2 * (p - k - 1))
                 tuple_ptr = np.zeros(states + 1, dtype=np.int64)
                 np.cumsum(per_class[class_k], out=tuple_ptr[1:])
                 for t0, t1 in _kernels.pieces(tuple_ptr, np.arange(states)):
                     count, idx = _kernels.ragged_gather(
                         ptr, (class_k[t0:t1, None] * rank_hi + np.arange(rank_hi)).ravel())
+                    ranks = np.arange(t0, t1, dtype=np.int64)
+                    rest = ranks // (low * order * order) * low + ranks % low  # tuple without pair k
                     part = slice(done, done + len(idx))
-                    key[part] = np.repeat(rest[t0:t1] * rank_lo, np.take(per_class, class_k[t0:t1]))
+                    key[part] = np.repeat(rest * rank_lo, np.take(per_class, class_k[t0:t1]))
                     key[part] += np.take(nz_row, idx)
                     key[part] *= shape[1]
                     key[part] += np.repeat(np.arange(t0 * rank_hi, t1 * rank_hi), count)
@@ -287,11 +327,14 @@ def _right_mult_images(K: KComplex, gs: np.ndarray, hs: np.ndarray, p: int, n: i
     return (flat[None, :, :] + append[:, None, :]).reshape(len(gs), -1)
 
 
-def _homotopy_failures(K: KComplex, batches: list) -> dict:
+def _homotopy_failures(K: KComplex, gs: np.ndarray, hs: np.ndarray) -> dict:
     """The first spot where S d + d S = Rmult fails, and its smallest failing
-    basis element (p, n, tuple rank, class index), for every failing pair of
-    the batches, each batch a pair of arrays (gs, hs); spots run in the order
-    of the loop over p, then n, so a pair's first failure is found first."""
+    basis element (p, n, tuple rank, class index), for every failing pair
+    (gs[i], hs[i]); spots run in the order of the loop over p, then n, so a
+    pair's first failure is found first.  At each spot the pairs go in
+    batches of consecutive pairs whose entries (each pair: the gathered
+    columns of d at their longest, the relabelled rows and the right
+    multiplication) stay within ``HOMOTOPY_BATCH``, or one pair at a time."""
     _require_regular(K)
     prepend = _Prepend(K)
     failures = {}
@@ -303,17 +346,19 @@ def _homotopy_failures(K: KComplex, batches: list) -> dict:
             cols, rows = K.dim(p, n), K.dim(p, n + 1)
             up = K.d_matrix(p + 1, n + 1)
             down = K.d_matrix(p, n) if p >= 1 else IntMatrix(0, cols)
-            for gs, hs in batches:
-                parts = [_gather_columns(up, prepend.images(gs, hs, p, n))]
+            longest = int(np.diff(up.column_index()[0]).max()) if up.nnz else 0
+            step = max(1, HOMOTOPY_BATCH // (cols * (longest + 1) + down.nnz))
+            for start in range(0, len(gs), step):
+                g, h = gs[start:start + step], hs[start:start + step]
+                parts = [_gather_columns(up, prepend.images(g, h, p, n))]
                 if down.nnz:
-                    parts.append(_relabel_rows(down, prepend.images(gs, hs, p - 1, n)))
-                rmult = _right_mult_images(K, gs, hs, p, n).ravel()
+                    parts.append(_relabel_rows(down, prepend.images(g, h, p - 1, n)))
+                rmult = _right_mult_images(K, g, h, p, n).ravel()
                 parts.append((np.arange(len(rmult)), rmult,
                               np.full(len(rmult), -1, dtype=np.int64)))
-                for c in _nonzero_columns(rows, len(gs) * cols, parts).tolist():
+                for c in _nonzero_columns(rows, len(g) * cols, parts).tolist():
                     b, i = divmod(c, cols)
-                    failures.setdefault((int(gs[b]), int(hs[b])),
-                                        (p, n, i // rank, i % rank))
+                    failures.setdefault((int(g[b]), int(h[b])), (p, n, i // rank, i % rank))
     return failures
 
 
@@ -322,17 +367,17 @@ def homotopy_check(K: KComplex, g: int, h: int):
     p < p_max and n < n_max; returns (True, None) or (False, witness), the
     witness being the first failing spot and its smallest failing basis
     element (p, n, tuple rank, class index)."""
-    failures = _homotopy_failures(K, [(np.array([g]), np.array([h]))])
+    failures = _homotopy_failures(K, np.array([g]), np.array([h]))
     return (False, *failures.values()) if failures else (True, None)
 
 
 def homotopy_check_all(K: KComplex):
-    """``homotopy_check`` for every pair (g, h) of G^2, one batch of |G| pairs
-    per g; returns (True, None) or (False, (g, h, witness)) for the first
+    """``homotopy_check`` for every pair (g, h) of G^2, in batches sized by
+    entries; returns (True, None) or (False, (g, h, witness)) for the first
     failing pair in (g, h) order."""
     order = K.G.order
-    failures = _homotopy_failures(
-        K, [(np.full(order, g), np.arange(order)) for g in range(order)])
+    failures = _homotopy_failures(K, np.repeat(np.arange(order), order),
+                                  np.tile(np.arange(order), order))
     if not failures:
         return True, None
     g, h = min(failures)
@@ -354,15 +399,50 @@ def right_mult_is_chain_map(K: KComplex, g: int, h: int):
     return True, None
 
 
+def unit_matching(M: GradedModule, p: int, n: int):
+    """Pivots (prow, pcol) of d_{p,n} whose block is a signed identity, from
+    the module action in the last pair (Joellenbeck and Welker 2009).
+
+    For each basis element y of M_{n-p+1} take the least degree-1 class
+    x_y (class 0, the U class, first) and then the least j_y such that
+    lambda(x_y)[y, j_y] = +-1 is the only nonzero of column j_y; let t_y be
+    the least pair of class x_y, and T the set of the t_y.  Row s (x) y is
+    matched to column (s, t_y) (x) j_y for every s in (G^2)^(p-1) whose last
+    pair is not in T (every s when p = 1).  The k = p term of that column
+    is the entry +-lambda(x_y)[y, j_y] on row s (x) y, since the conjugator
+    of the last pair is trivial; every k < p term keeps the last pair t_y,
+    so it lands on an unmatched row.  The block is thus a signed identity,
+    and distinct rows get distinct columns, as y is the only nonzero row of
+    column j_y of lambda(x_y)."""
+    G = M.ring.G
+    pairs = G.order ** 2
+    acts = M.acts[n - p]  # acts[x][y, j] = lambda(x)[y, j]
+    single = (np.count_nonzero(acts, axis=1) == 1) & (np.abs(acts.sum(axis=1)) == 1)
+    x, j = np.nonzero(single)  # in (class, column) order
+    y = np.argmax(acts[x, :, j] != 0, axis=1)
+    y, first = np.unique(y, return_index=True)
+    x, j = x[first], j[first]
+    t = np.unique(M.ring.pair_class, return_index=True)[1][x]  # least pair of each class
+    s = np.arange(pairs ** (p - 1), dtype=np.int64)
+    if p > 1:
+        s = s[~np.isin(s % pairs, t)]
+    prow = (s[:, None] * M.rank(n - p + 1) + y).ravel()
+    pcol = (((s[:, None] * pairs + t) * M.rank(n - p)) + j).ravel()
+    return prow, pcol
+
+
 def kc_homology(K: KComplex, p: int, n: int) -> HomologyGroup:
-    """H_p of the complex at total degree n (needs d_{p+1} in the window)."""
+    """H_p of the complex at total degree n (needs d_{p+1} in the window);
+    each differential is eliminated from its ``unit_matching`` on."""
     if p + 1 > K.p_max:
         raise KComplexError(f"homology at p={p} needs differentials to p={p + 1}")
     if p < 0 or n > K.n_max:
         raise KComplexError(f"spot ({p}, {n}) outside window")
     d_out = K.d_matrix(p, n) if p >= 1 else IntMatrix(0, K.dim(0, n))
     d_in = K.d_matrix(p + 1, n)
-    return chain_homology(d_out, d_in)
+    return chain_homology(d_out, d_in,
+                          (lambda: unit_matching(K.module, p, n)) if p >= 1 and d_out.nnz else None,
+                          (lambda: unit_matching(K.module, p + 1, n)) if d_in.nnz else None)
 
 
 @dataclass(frozen=True)

@@ -9,35 +9,38 @@ before they are allocated and filled a piece of ``_kernels.CHUNK`` entries
 at a time, so no step holds more than about three int64 arrays of its
 length.
 
-The Smith normal form runs in two stages.  While a matrix holds at least
-``_ROUND_MIN_NNZ`` nonzeros, batched unit-pivot rounds split off a signed
-identity D, chosen greedily among the +-1 entries in Markowitz order so that
-A[r_i, c_j] = 0 for distinct pivots (found by rounds of local minima, which
-pick what the greedy pass picks), and replace the matrix by its Schur
-complement A22 - A21 D A12, one int64 sparse product (a depth-one acyclic
-matching of algebraic Morse theory, after Skoldberg 2006).  A round whose
-product could leave int64 is refused before it multiplies, and one that
-would not fit ``BYTES_PER_ROUND_ENTRY`` per nonzero, product and line in
-``_kernels.memory_budget()`` raises a LinAlgError before it allocates.  On
-S3's d_{3,3} (n <= 3) a round peaks at about 65 bytes per nonzero and the
-whole Smith form at 91.  What the rounds leave, if it still holds
-``_ROUND_MIN_NNZ`` nonzeros or more or holds no +-1 entry, is split into the
-connected components of its row-column graph; a smaller residual with a
-unit stays one block.  Each block is eliminated over Python integers, so entries may
-grow without overflow: that eliminator prefers +-1 pivots with a
-Markowitz-style fill tie-break, and falls back to minimal-absolute-value
-pivoting on the residual core.
+The Smith normal form runs in stages.  Each stage splits off a signed
+identity D = A[prow, pcol] and replaces the matrix by its Schur complement
+A22 - A21 D A12, one int64 sparse product (``_schur``; a depth-one acyclic
+matching of algebraic Morse theory, after Skoldberg 2006).  A caller that
+knows such pivots from the matrix's construction hands them in first, as
+``kcomplex.unit_matching`` does for every K(R) differential; they are
+checked exactly (``_check_matching``) and eliminated in one step before any
+search.  Then, while the matrix holds at least ``_ROUND_MIN_NNZ`` nonzeros,
+batched unit-pivot rounds choose D greedily among the +-1 entries in
+Markowitz order so that A[r_i, c_j] = 0 for distinct pivots (found by
+rounds of local minima, which pick what the greedy pass picks).  After the
+first step and after every round, each column equal up to sign to an
+earlier column is emptied (``_distinct_columns``), a unimodular column
+operation.  A step whose product could leave int64 is refused before it
+multiplies, and one that would not fit ``BYTES_PER_ROUND_ENTRY`` per
+nonzero, product and line in ``_kernels.memory_budget()`` raises a
+LinAlgError before it allocates.  On S3's d_{3,3} (n <= 3) the whole Smith
+form peaks at about 80 bytes per nonzero.  What the rounds leave, if it
+still holds ``_ROUND_MIN_NNZ`` nonzeros or more or holds no +-1 entry, is
+split into the connected components of its row-column graph; a smaller
+residual with a unit stays one block.  Each block is eliminated over Python
+integers by ``_eliminator``, so entries may grow without overflow.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from . import _kernels
+from ._eliminator import _normalize_factors, _snf_diagonal_sparse
 from ._kernels import CHUNK, components, gathered
 
 
@@ -238,7 +241,11 @@ class IntMatrix:
 
 
 def _stable_order(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for a non-negative int64 key."""
+    """``np.argsort(key, kind="stable")`` for a non-negative int64 key; keys
+    under 2^16 take numpy's radix sort on uint16, twice as fast as
+    ``_sort_by_key`` on 163,244 keys (2 cores, numpy 2.4)."""
+    if len(key) and int(key.max()) < 1 << 16:
+        return np.argsort(key.astype(np.uint16), kind="stable")
     order = np.arange(len(key))
     _sort_by_key(key.copy(), order)
     return order
@@ -332,48 +339,6 @@ def _summed(rows: int, cols: int, key: np.ndarray, val: np.ndarray,
     return IntMatrix._canonical(rows, cols, row, key, val)
 
 
-def _coprime_base(values) -> list:
-    """Pairwise coprime integers > 1 of which every value is a product of
-    powers: a value that shares a factor g with a base element b is split
-    into g and value / g, and b into g and b / g, until none does."""
-    base, todo = [], list(values)
-    while todo:
-        x = todo.pop()
-        if x == 1:
-            continue
-        for i, b in enumerate(base):
-            g = gcd(x, b)
-            if g > 1:
-                del base[i]
-                todo += [b // g, g, x // g]
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def _normalize_factors(diag) -> tuple:
-    """Fold a diagonal multiset into the d1 | d2 | ... divisibility chain.
-
-    Over a coprime base of the distinct values, each value is a product of
-    base powers; the largest invariant factor takes every base element to
-    its largest exponent, the next one to the next largest, and so on."""
-    factors = [abs(d) for d in diag if d]
-    counts = Counter(f for f in factors if f != 1)
-    chain = [1] * sum(counts.values())  # the non-unit entries' factors, ascending
-    for b in _coprime_base(counts):
-        exponents = []
-        for value, count in counts.items():
-            e = 0
-            while value % b == 0:
-                value, e = value // b, e + 1
-            exponents += [e] * count
-        exponents.sort()
-        for i, e in enumerate(exponents):
-            chain[i] *= b ** e
-    return tuple([1] * (len(factors) - len(chain)) + chain)
-
-
 def _blocks(A: IntMatrix):
     """(row, col, val) arrays of each connected block of A's row-column graph,
     each in column-major order.  The eliminator meets its unit pivots in that
@@ -384,119 +349,6 @@ def _blocks(A: IntMatrix):
     order = np.lexsort((A.row, A.col, block))
     cuts = np.flatnonzero(np.diff(block[order])) + 1
     return [(A.row[idx], A.col[idx], A.val[idx]) for idx in np.split(order, cuts)]
-
-
-def _snf_diagonal_sparse(row, col, val) -> list:
-    """Diagonal entries of a diagonal matrix equivalent to the triplets (order arbitrary)."""
-    triplets = list(zip(np.asarray(row).tolist(), np.asarray(col).tolist(),
-                        np.asarray(val).tolist()))
-    rows = {}
-    cols = {}
-    for r, c, v in triplets:
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    units = deque((r, c) for r, c, v in triplets if abs(v) == 1)
-    diag = []
-
-    def row_sub(r2, r, q):
-        """rows[r2] -= q * rows[r]; keep the column index in sync."""
-        tgt = rows[r2]
-        for c, v in rows[r].items():
-            nv = tgt.get(c, 0) - q * v
-            if nv:
-                if c not in tgt:
-                    cols.setdefault(c, set()).add(r2)
-                tgt[c] = nv
-                if abs(nv) == 1:
-                    units.append((r2, c))
-            elif c in tgt:
-                del tgt[c]
-                cols[c].discard(r2)
-        if not tgt:
-            del rows[r2]
-
-    def drop(r, c):
-        for c2 in rows[r]:
-            if c2 != c:
-                cols[c2].discard(r)
-        del rows[r]
-        cols.pop(c, None)
-
-    def pick_unit():
-        best = None
-        tried = []
-        for _ in range(min(len(units), 16)):
-            r, c = units.popleft()
-            v = rows.get(r, {}).get(c)
-            if v is None or abs(v) != 1:
-                continue
-            cost = (len(rows[r]) - 1) * (len(cols[c]) - 1)
-            tried.append((cost, r, c))
-            if cost == 0:
-                break
-        if not tried:
-            return None
-        tried.sort()
-        best = tried[0]
-        for cost, r, c in tried[1:]:
-            units.append((r, c))
-        return best[1], best[2]
-
-    while True:
-        pos = None
-        while units:
-            pos = pick_unit()
-            if pos:
-                break
-        if pos is None:
-            # residual core: minimal |value| pivot, Euclidean reduction
-            r0, c0, v0 = None, None, None
-            for r, row in rows.items():
-                for c, v in row.items():
-                    if v0 is None or abs(v) < abs(v0):
-                        r0, c0, v0 = r, c, v
-            if v0 is None:
-                break
-            # clear the pivot column; remainders become smaller pivots next round
-            while True:
-                others = [r2 for r2 in cols[c0] if r2 != r0]
-                if not others:
-                    break
-                for r2 in others:
-                    q = rows[r2][c0] // v0
-                    row_sub(r2, r0, q)
-                rem = [r2 for r2 in cols[c0] if r2 != r0]
-                if rem:  # nonzero remainders: switch pivot to a smaller entry
-                    r0 = min(rem, key=lambda r2: abs(rows[r2][c0]))
-                    v0 = rows[r0][c0]
-                    continue
-                break
-            # clearing the pivot row only touches the pivot row now
-            row = rows[r0]
-            leftovers = {c: v % v0 for c, v in row.items() if c != c0 and v % v0}
-            if leftovers:
-                for c, v in list(row.items()):
-                    if c == c0:
-                        continue
-                    rv = v % v0
-                    if rv:
-                        row[c] = rv
-                        if abs(rv) == 1:
-                            units.append((r0, c))
-                    else:
-                        del row[c]
-                        cols[c].discard(r0)
-                continue  # pivot row now holds smaller entries; re-pivot
-            diag.append(v0)
-            drop(r0, c0)
-            continue
-        r0, c0 = pos
-        v0 = rows[r0][c0]
-        for r2 in [r for r in cols[c0] if r != r0]:
-            row_sub(r2, r0, rows[r2][c0] * v0)  # v0 = +-1 so q = entry * v0
-        diag.append(v0)
-        drop(r0, c0)
-    return diag
 
 
 @dataclass(frozen=True)
@@ -647,26 +499,50 @@ def _unit_pivots(A: IntMatrix):
 
 
 def _unit_round(A: IntMatrix):
-    """One batched elimination round: ``(prow, pcol, S)`` or None.
+    """One batched elimination round on the pivots of ``_unit_pivots``:
+    ``_schur``'s ``(prow, pcol, S)``, or None when A holds no +-1 entry."""
+    prow, pcol = _unit_pivots(A)
+    return _schur(A, prow, pcol) if len(prow) else None
 
-    With P the pivots of ``_unit_pivots``, A is, up to row and column order,
-    [[D, A12], [A21, A22]] with D = A[prow, pcol] a signed identity.  So A is
+
+def _check_matching(A: IntMatrix, prow: np.ndarray, pcol: np.ndarray) -> None:
+    """Refuse, with a LinAlgError, pivots (prow, pcol) whose block
+    A[prow, pcol] is not a signed identity: distinct rows, distinct
+    columns, A[prow[i], pcol[i]] = +-1 and no other entry in the block."""
+    k = len(prow)
+    if k != len(pcol) or k and (min(prow.min(), pcol.min()) < 0 or prow.max() >= A.rows
+                                or pcol.max() >= A.cols):
+        raise LinAlgError(f"the {k} pivots given for {A.rows}x{A.cols} are not a unit matching")
+    at_row = np.full(A.rows, -1, dtype=np.int32)
+    at_row[prow] = np.arange(k, dtype=np.int32)
+    at_col = np.full(A.cols, -1, dtype=np.int32)
+    at_col[pcol] = np.arange(k, dtype=np.int32)
+    i, j = np.take(at_row, A.row), np.take(at_col, A.col)
+    block = (i >= 0) & (j >= 0)
+    if (np.count_nonzero(at_row >= 0) != k or np.count_nonzero(at_col >= 0) != k
+            or np.count_nonzero(block) != k or (np.compress(block, i) != np.compress(block, j)).any()
+            or (np.abs(np.compress(block, A.val)) != 1).any()):
+        raise LinAlgError(f"the {k} pivots given for {A.rows}x{A.cols} are not a unit matching")
+
+
+def _schur(A: IntMatrix, prow: np.ndarray, pcol: np.ndarray):
+    """``(prow, pcol, S)`` for pivots whose block D = A[prow, pcol] is a
+    signed identity, or None.
+
+    A is, up to row and column order, [[D, A12], [A21, A22]], so it is
     unimodularly equivalent to D (+) S with S = A22 - A21 D A12, as D is its
-    own inverse.  S keeps A's shape, with the pivot rows and columns empty.  None
-    when there is no +-1 entry, or when an entry of S is not bounded below
-    2^63 by max|A22| + max|A21| * max|A12| * len(P).
+    own inverse.  S keeps A's shape, with the pivot rows and columns empty.
+    None when an entry of S is not bounded below 2^63 by max|A22| + max|A21|
+    * max|A12| * len(prow).
 
     A21 D A12 is summed from A's own arrays: entry (r, pcol[t], a) of A21
     meets every entry of row t of A12, the entries of A's row prow[t]
     outside the pivot columns.  The number of those products is known before
-    any is formed, so a round that would not fit ``BYTES_PER_ROUND_ENTRY``
+    any is formed, so a step that would not fit ``BYTES_PER_ROUND_ENTRY``
     per nonzero, product and line in ``_kernels.memory_budget()`` is refused
     with a LinAlgError; the others write A22's entries and the products, a piece
     at a time, into one key array and one value array for ``_summed``."""
-    prow, pcol = _unit_pivots(A)
     k = len(prow)
-    if not k:
-        return None
     is_prow = np.zeros(A.rows, dtype=bool)
     is_prow[prow] = True
     is_pcol = np.zeros(A.cols, dtype=bool)
@@ -719,8 +595,79 @@ def _unit_round(A: IntMatrix):
     return prow, pcol, _summed(A.rows, A.cols, key, val)
 
 
-def smith_normal_form(A: IntMatrix) -> SmithForm:
+def _entry_hash(row: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """A uint64 mix of each entry's row and value; a column's hash in
+    ``_distinct_columns`` is the wrapping sum over its entries."""
+    h = row.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h ^= val.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    h ^= h >> np.uint64(31)
+    h *= np.uint64(0x94D049BB133111EB)
+    return h
+
+
+def _distinct_columns(A: IntMatrix) -> IntMatrix:
+    """A with every column that equals an earlier column up to sign emptied:
+    the unimodular column operation c -= +-c' leaves the Smith form as it is.
+
+    The entries are read in column-major order with each column's sign
+    normalized (first entry positive), and columns of equal hash and length
+    are compared entry by entry with the least of them; only an exact match
+    is emptied, so a hash collision costs a missed duplicate, never a wrong
+    one.  The step holds three int64 arrays of A's length at most."""
+    ptr = np.zeros(A.cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(A.col, minlength=A.cols), out=ptr[1:])
+    lines = np.flatnonzero(ptr[1:] > ptr[:-1])
+    if len(lines) < 2:
+        return A
+    order = _stable_order(A.col)
+    row, val = np.take(A.row, order), np.take(A.val, order)
+    del order
+    start = np.take(ptr, lines)
+    length = np.take(ptr, lines + 1) - start
+    val *= np.repeat(np.sign(np.take(val, start)), length)
+    code = np.add.reduceat(_entry_hash(row, val), start)
+    code += length.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93)
+    # hashes with the low bits replaced by the column's place, so a plain
+    # sort puts equal hashes together, least column first
+    shift = np.uint64(max(len(lines) - 1, 1).bit_length())
+    code >>= shift
+    code <<= shift
+    code |= np.arange(len(lines), dtype=np.uint64)
+    code.sort()
+    by = (code & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.int64)
+    code >>= shift
+    same = code[1:] == code[:-1]
+    del code
+    if not same.any():
+        return A
+    # each column against the least column of its run of equal hashes
+    head = np.maximum.accumulate(np.where(np.concatenate(([True], ~same)), np.arange(len(by)), 0))
+    dup = np.flatnonzero(same) + 1
+    cand, first = np.take(by, dup), np.take(by, np.take(head, dup))
+    del head, dup, by, same
+    alike = np.take(length, cand) == np.take(length, first)
+    cand, first = np.take(lines, np.compress(alike, cand)), np.take(lines, np.compress(alike, first))
+    equal = np.empty(len(cand), dtype=bool)
+    for (start, stop, count, at), (_, _, _, at0) in zip(gathered(ptr, cand), gathered(ptr, first)):
+        differ = np.take(row, at) != np.take(row, at0)
+        differ |= np.take(val, at) != np.take(val, at0)
+        equal[start:stop] = ~np.logical_or.reduceat(differ, np.cumsum(count) - count)
+    gone = np.zeros(A.cols, dtype=bool)
+    gone[np.compress(equal, cand)] = True
+    keep = ~np.take(gone, A.col)
+    return IntMatrix._canonical(A.rows, A.cols, np.compress(keep, A.row),
+                                np.compress(keep, A.col), np.compress(keep, A.val))
+
+
+def smith_normal_form(A: IntMatrix, matching=None) -> SmithForm:
     """Invariant factors of A, computed once per matrix and kept on it.
+
+    ``matching``, when given, is called (only if no form is kept yet) for
+    pivots (prow, pcol) that A's construction makes a signed identity, such
+    as ``kcomplex.unit_matching``; ``_check_matching`` refuses them with a
+    LinAlgError otherwise, and one ``_schur`` step eliminates them before
+    any pivot search.  After that step and after every round,
+    ``_distinct_columns`` empties the duplicate columns.
 
     While A holds at least ``_ROUND_MIN_NNZ`` nonzeros, ``_unit_round`` splits
     off a signed identity and leaves its Schur complement; each round's pivots
@@ -743,23 +690,31 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     as one block and 0.02 s split.  Below the cutoff, with a unit, the
     split's graph set-up costs more than it saves: on every SNF of the
     eleven reference windows, one block was as fast or faster in each band
-    from 64 to 2048 nonzeros.  A Schur round that would not fit the memory
-    budget raises a LinAlgError (see ``_unit_round``)."""
+    from 64 to 2048 nonzeros.  A Schur step that would not fit the memory
+    budget raises a LinAlgError (see ``_schur``)."""
     if A._snf is None:
         units, rest = 0, A
+        if matching is not None:
+            prow, pcol = matching()
+            _check_matching(A, prow, pcol)
+            step = _schur(A, prow, pcol) if len(prow) else None
+            if step is not None:
+                units, rest = len(prow), _distinct_columns(step[2])
         before_growth = None  # (units, matrix) ahead of a round that grew the matrix
         while rest.nnz >= _ROUND_MIN_NNZ:
             step = _unit_round(rest)
             if step is None:
                 break
-            if step[2].nnz > rest.nnz:
+            prow, _, S = step
+            S = _distinct_columns(S)
+            if S.nnz > rest.nnz:
                 if before_growth:  # the second growing round in a row: undo both
                     units, rest = before_growth
                     break
                 before_growth = (units, rest)
             else:
                 before_growth = None
-            units, rest = units + len(step[0]), step[2]
+            units, rest = units + len(prow), S
         if rest.nnz < _ROUND_MIN_NNZ and (np.abs(rest.val) == 1).any():
             order = np.lexsort((rest.row, rest.col))
             blocks = [(rest.row[order], rest.col[order], rest.val[order])]
@@ -772,8 +727,11 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return A._snf
 
 
-def chain_homology(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
-    """Structure of ker(d_out)/im(d_in) for a two-step chain spot C2 -> C1 -> C0."""
+def chain_homology(d_out: IntMatrix, d_in: IntMatrix, match_out=None,
+                   match_in=None) -> HomologyGroup:
+    """Structure of ker(d_out)/im(d_in) for a two-step chain spot C2 -> C1 -> C0.
+    d_out d_in = 0 is checked before either is eliminated; the matchings go
+    to ``smith_normal_form``."""
     if d_out.cols != d_in.rows:
         raise LinAlgError(
             f"chain dimension mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
@@ -781,8 +739,8 @@ def chain_homology(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
     if not composite.is_zero:
         r, c, v = int(composite.row[0]), int(composite.col[0]), int(composite.val[0])
         raise LinAlgError(f"d_out . d_in != 0: entry ({r},{c}) = {v}")
-    snf_in = smith_normal_form(d_in)
-    free = d_in.rows - smith_normal_form(d_out).rank - snf_in.rank
+    snf_in = smith_normal_form(d_in, match_in)
+    free = d_in.rows - smith_normal_form(d_out, match_out).rank - snf_in.rank
     if free < 0:
         raise LinAlgError("negative free rank; input is not a chain spot")
     return HomologyGroup(free_rank=free, torsion=snf_in.torsion)

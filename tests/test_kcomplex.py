@@ -9,11 +9,12 @@ from stabring import zlinalg
 from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u, _Prepend,
                                _right_mult_images, build_kcomplex, h_profile,
                                homotopy_check, homotopy_check_all, kc_homology,
-                               right_mult_is_chain_map, u_commutes_with_d,
+                               right_mult_is_chain_map, u_commutes_with_d, unit_matching,
                                verify_d_squared)
-from stabring.modules import regular_module, shift_module
+from stabring.modules import (GradedModule, quotient_u_module, regular_module, shift_module,
+                              truncate_module)
 from stabring.pipeline import _bound_verdicts
-from stabring.zlinalg import HomologyGroup
+from stabring.zlinalg import HomologyGroup, IntMatrix
 
 
 def column(mat, c: int) -> dict:
@@ -192,25 +193,31 @@ def test_right_mult_sends_small_cycles_to_boundaries(complexes, rings):
 def test_h_profile_eliminates_each_differential_once(rings, monkeypatch):
     # d_{p,n} is d_in at spot (p - 1, n) and d_out at (p, n); its Smith form
     # is computed once and kept on the matrix.  A computation is a call that
-    # finds no kept form; its work is the unit-pivot rounds and the
-    # eliminator, which see residual matrices rather than the differential.
-    # Every computation that leaves entries after its rounds, even one that no
-    # round touched, ends in one eliminator call, so a second pass that calls
-    # neither redid no elimination.
+    # finds no kept form; its work is the Schur steps (the unit matching's
+    # and every round's) and the eliminator, which see the differential or
+    # residual matrices.  Every computation either ends in one eliminator
+    # call or leaves no entries after its Schur steps, so a second pass that
+    # calls neither redid no elimination.
     K = build_kcomplex(regular_module(rings["C2xC2"]), 3, 3)
-    nonzero = [d for d in K.d.values() if not d.is_zero]
+    nonzero = list({id(d): d for d in K.d.values() if not d.is_zero}.values())
     assert any(d.nnz >= zlinalg._ROUND_MIN_NNZ for d in nonzero)  # rounds run too
-    computed, work = [], []
-    real_snf, real_round, real_eliminate = (zlinalg.smith_normal_form, zlinalg._unit_round,
+    computed, work, matched = [], [], []
+    real_snf, real_schur, real_eliminate = (zlinalg.smith_normal_form, zlinalg._schur,
                                             zlinalg._snf_diagonal_sparse)
 
     def note(seen, A):
         if not A.is_zero:
             seen.append(A)
 
-    monkeypatch.setattr(zlinalg, "smith_normal_form",
-                        lambda A: (A._snf is None and note(computed, A)) or real_snf(A))
-    monkeypatch.setattr(zlinalg, "_unit_round", lambda A: note(work, A) or real_round(A))
+    def snf(A, matching=None):
+        if A._snf is None and not A.is_zero:
+            note(computed, A)
+            matched.append(matching is not None)
+        return real_snf(A, matching)
+
+    monkeypatch.setattr(zlinalg, "smith_normal_form", snf)
+    monkeypatch.setattr(zlinalg, "_schur", lambda A, prow, pcol: note(work, A) or
+                        real_schur(A, prow, pcol))
 
     def eliminate(row, col, val):
         if len(val):  # the fresh zero matrices at the window edge cost nothing
@@ -220,7 +227,7 @@ def test_h_profile_eliminates_each_differential_once(rings, monkeypatch):
     monkeypatch.setattr(zlinalg, "_snf_diagonal_sparse", eliminate)
     rows = h_profile(K)
     assert sorted(map(id, computed)) == sorted(map(id, nonzero))
-    assert work
+    assert all(matched) and work  # every differential came with its matching
     done = (len(computed), len(work))
     assert h_profile(K) == rows
     assert (len(computed), len(work)) == done
@@ -445,3 +452,163 @@ def test_kcomplex_over_the_memory_budget_fails_before_allocating(monkeypatch, ri
     finally:
         tracemalloc.stop()
     assert peak < need * 2 ** 20 / 2, (peak, need)
+
+
+@pytest.fixture(scope="module")
+def matching_complexes(rings):
+    """K at small windows: S3 (n <= 4, p <= 3), C2xC2 (n <= 4, p <= 3), D4
+    (n <= 3, p <= 2), A4 (n <= 2, p <= 2), and the shifted regular module,
+    R/UR (on which U acts as zero) and a truncation of C2's ring."""
+    from conftest import BATTERY_SPECS, EXTRA_SPECS
+    from stabring.groups import load_group
+    from stabring.ring import build_ring
+
+    S3 = build_ring(load_group(BATTERY_SPECS["S3"]), 4)
+    D4 = build_ring(load_group(EXTRA_SPECS["D4"]), 3)
+    A4 = build_ring(load_group(EXTRA_SPECS["A4"]), 2)
+    C2 = rings["C2"]
+    return {"S3": build_kcomplex(regular_module(S3), 3, 4),
+            "C2xC2": build_kcomplex(regular_module(rings["C2xC2"]), 3, 4),
+            "D4": build_kcomplex(regular_module(D4), 2, 3),
+            "A4": build_kcomplex(regular_module(A4), 2, 2),
+            "C2[1]": build_kcomplex(shift_module(regular_module(C2), 1), 3, 4),
+            "C2/U": build_kcomplex(quotient_u_module(C2), 3, 3),
+            "C2<=2": build_kcomplex(truncate_module(regular_module(C2), 2), 3, 4)}
+
+
+def test_unit_matching_is_a_signed_identity_on_every_differential(matching_complexes):
+    checked = 0
+    for name, K in matching_complexes.items():
+        pairs = K.G.order ** 2
+        for (p, n), d in K.d.items():
+            if d.is_zero:
+                continue
+            prow, pcol = unit_matching(K.module, p, n)
+            zlinalg._check_matching(d, prow, pcol)
+            checked += 1
+            if K.module.name == "R":  # every y of R_{n-p+1} is matched
+                t_count = len(np.unique(pcol // K.module.rank(n - p) % pairs))
+                free = 1 if p == 1 else (pairs - t_count) * pairs ** (p - 2)
+                assert len(prow) == free * K.module.rank(n - p + 1), (name, p, n)
+    assert checked >= 40, checked
+
+
+def test_a_matching_with_a_cross_entry_is_refused(matching_complexes):
+    K = matching_complexes["S3"]
+    d = K.d[2, 3]
+    prow, pcol = unit_matching(K.module, 2, 3)
+    # one more entry inside the block, off the diagonal of the signed identity
+    r, c = int(prow[0]), int(pcol[1])
+    assert not ((d.row == r) & (d.col == c)).any()
+    crossed = IntMatrix.from_triplets(d.rows, d.cols, np.append(d.row, r), np.append(d.col, c),
+                                      np.append(d.val, 1))
+    with pytest.raises(zlinalg.LinAlgError, match="not a unit matching"):
+        zlinalg._check_matching(crossed, prow, pcol)
+    with pytest.raises(zlinalg.LinAlgError, match="not a unit matching"):
+        zlinalg.smith_normal_form(crossed, lambda: (prow, pcol))
+    # a pivot entry that is not +-1 is refused too
+    doubled = IntMatrix.from_triplets(d.rows, d.cols, np.append(d.row, prow[0]),
+                                      np.append(d.col, pcol[0]), np.append(d.val, d.val[0]))
+    # so are a repeated row and rows out of range, as -1 would wrap around
+    for bad, rows in ((doubled, prow), (d, np.append(prow[:-1], prow[0])),
+                      (d, np.append(prow[:-1], -1)), (d, np.append(prow[:-1], d.rows))):
+        with pytest.raises(zlinalg.LinAlgError, match="not a unit matching"):
+            zlinalg._check_matching(bad, rows, pcol)
+    zlinalg._check_matching(d, prow, pcol)
+
+
+def test_smith_forms_agree_with_and_without_the_matching(matching_complexes):
+    from reference_snf import smith_with_transforms
+
+    dense = 0
+    for name, K in matching_complexes.items():
+        for (p, n), d in K.d.items():
+            if d.is_zero or d.nnz > 200_000:
+                continue
+            fresh = [IntMatrix.from_triplets(d.rows, d.cols, d.row, d.col, d.val) for _ in "ab"]
+            got = zlinalg.smith_normal_form(fresh[0], lambda: unit_matching(K.module, p, n))
+            assert got == zlinalg.smith_normal_form(fresh[1]), (name, p, n)
+            if min(d.rows, d.cols) <= 40:
+                assert got.factors == smith_with_transforms(d)[0], (name, p, n)
+                dense += 1
+    assert dense >= 15, dense
+
+
+def test_d_squared_is_checked_before_the_spot_is_eliminated(reference_pairs, monkeypatch):
+    """On a mutant d_{2,3}, the spot (1, 3) fails its d^2 check before any
+    Smith form or matching of that spot is computed, so h_profile still
+    raises the d^2 error, not the matching check's."""
+    called = []
+    real = zlinalg.smith_normal_form
+    monkeypatch.setattr(zlinalg, "smith_normal_form",
+                        lambda A, matching=None: called.append(A) or real(A, matching))
+    for name in ("S3", "C2xC2"):
+        K, _ = reference_pairs[name]
+        cx = mutant(K, (2, 3))
+        called.clear()
+        with pytest.raises(zlinalg.LinAlgError, match=r"d_out \. d_in != 0"):
+            kc_homology(cx, 1, 3)
+        assert not called, name
+        with pytest.raises(zlinalg.LinAlgError, match=r"d_out \. d_in != 0"):
+            h_profile(cx)
+        assert cx.d[2, 3]._snf is None, name
+
+
+def test_equal_actions_share_one_differential(tmp_path):
+    """S3 at n <= 6, p <= 3: d_{p,n} is the object d_{p,n-1} exactly where
+    M.acts[n - p] repeats M.acts[n - p - 1]; each differential equals the
+    loop reference (p <= 2) or its own build from a module that holds only
+    its action (p = 3, where the reference takes minutes), and the files of
+    ``--dump-matrices`` at p <= 2 are the reference's text."""
+    from conftest import BATTERY_SPECS
+    from stabring.groups import load_group
+    from stabring.pipeline import PipelineConfig, run_pipeline
+    from stabring.ring import build_ring
+
+    ring = build_ring(load_group(BATTERY_SPECS["S3"]), 6)
+    R = regular_module(ring)
+    K = build_kcomplex(R, 3, 6)
+    shared = {key for key in K.d if key[1] > key[0] and K.d[key] is K.d[key[0], key[1] - 1]}
+    repeated = {(p, n) for p, n in K.d
+                if n > p and np.array_equal(R.acts[n - p], R.acts[n - p - 1])}
+    assert shared == repeated and {(3, 6), (2, 5), (1, 4)} <= shared
+    K_ref = ref.build_kcomplex(R, 2, 6)
+    classes = ring.basis_size(1)
+    for (p, n), d in K.d.items():
+        if p <= 2:
+            assert d == K_ref.d[p, n], (p, n)
+            continue
+        alone = GradedModule("R", ring, "left", (R.rank(n - p), R.rank(n - p + 1)) + (0,) * p,
+                             [R.acts[n - p]] + [np.zeros((classes, 0, R.rank(n - p + 1)),
+                                                         dtype=np.int64)]
+                             + [np.zeros((classes, 0, 0), dtype=np.int64)] * (p - 1), p + 1)
+        assert build_kcomplex(alone, p, p).d[p, p] == d, (p, n)
+    report = run_pipeline(PipelineConfig(group=BATTERY_SPECS["S3"], n_max=6, p_max=1,
+                                         out_dir=str(tmp_path), dump_matrices=True,
+                                         well_definedness_samples=2))
+    assert report.failure is None
+    files = sorted(path.name for path in (tmp_path / "matrices").iterdir())
+    assert files == sorted(f"d_p{p}_n{n}.txt" for p, n in K_ref.d)
+    for p, n in K_ref.d:
+        assert (tmp_path / "matrices" / f"d_p{p}_n{n}.txt").read_text() == K_ref.d[p, n].to_text()
+
+
+def test_tuple_arrays_over_the_memory_budget_are_refused_before_allocating(monkeypatch, rings):
+    """On R_{<=1} of S3 the differentials at p <= 2 are small, and p = 3
+    would hold index arrays for 46,656 tuples of G^6: with a 1 MiB budget
+    the build is refused there, from the tuple count alone."""
+    import tracemalloc
+
+    from stabring import _kernels
+
+    M = truncate_module(regular_module(rings["S3"]), 1)
+    assert not build_kcomplex(M, 3, 3).d[3, 3].is_zero
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(KComplexError, match=r"46656 tuples of G\^6 need about [0-9.]+ MiB"):
+            build_kcomplex(M, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak

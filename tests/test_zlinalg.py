@@ -526,17 +526,20 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
     eliminator with no rounds and, where the matrix has at most 40 rows or 40
     columns, the dense transform SNF.  Only a residual of at least
     ``_ROUND_MIN_NNZ`` nonzeros or one with no +-1 entry is split into
-    blocks; a smaller one with a unit is one block."""
+    blocks; a smaller one with a unit is one block.  No pipeline residual
+    reaches the cutoff any more (S3's 3,888 nonzeros that no round could
+    shrink now lose their duplicate columns), so the split at the cutoff is
+    exercised on 512 unit-free 3x3 blocks, which no step can shrink."""
     from stabring import modules
     from stabring.pipeline import PipelineConfig, run_pipeline
 
     computed, split = [], []
     real_snf, real_blocks = zlinalg.smith_normal_form, zlinalg._blocks
 
-    def noted_snf(A):
+    def noted_snf(A, matching=None):
         if A._snf is None:
             computed.append(A)
-        return real_snf(A)
+        return real_snf(A, matching)
 
     def noted_blocks(A):
         split.append(A)
@@ -550,8 +553,18 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
                                              well_definedness_samples=10))
         assert report.failure is None
-    # S3's residual of 3,888 nonzeros, which no round could shrink, is split
-    assert any(A.nnz >= _ROUND_MIN_NNZ for A in split)
+    # 512 copies of 2U, U unimodular with no zero entry, rows and columns
+    # shuffled: 4,608 nonzeros and no unit, so it is split whole
+    U = [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+    k = 512
+    rng = np.random.default_rng(2)
+    row_perm, col_perm = rng.permutation(3 * k), rng.permutation(3 * k)
+    r, c, v = zip(*((3 * b + i, 3 * b + j, 2 * U[i][j])
+                    for b in range(k) for i in range(3) for j in range(3)))
+    stuck = IntMatrix.from_triplets(3 * k, 3 * k, row_perm[list(r)], col_perm[list(c)], v)
+    assert zlinalg._distinct_columns(stuck) is stuck
+    assert smith_normal_form(stuck).factors == (2,) * (3 * k)
+    assert split[-1] is stuck and stuck.nnz >= _ROUND_MIN_NNZ
     assert all(A.nnz >= _ROUND_MIN_NNZ or not (np.abs(A.val) == 1).any() for A in split)
     monkeypatch.undo()
     small = dense = 0
@@ -727,38 +740,43 @@ def test_unit_round_matches_dense_and_scipy_schur_complements():
 
 
 def test_unit_pivots_and_schur_match_on_the_pipeline_rounds(monkeypatch):
-    """Every unit-pivot round of the reference windows that run any: the
-    battery's C3, C4, C2xC2 and S3 at their acceptance windows, S3 (n <= 4,
-    p <= 1) and D4 (n <= 3, p <= 2).  The pivots equal the greedy loop's and
-    the Schur complement the scipy product's."""
+    """Every Schur step of the reference windows: the unit matching's on
+    each K(R) differential and every unit-pivot round's, on the battery's
+    C3, C4, C2xC2 and S3 at their acceptance windows, S3 (n <= 4, p <= 1
+    and p <= 2) and D4 (n <= 3, p <= 2).  The rounds' pivots equal the
+    greedy loop's, and every step's Schur complement the scipy product's.
+    S3 at p <= 2 brings d_{3,4} (943,992 nonzeros), the one step above
+    800,000: the rounds that once passed that mark on the other windows now
+    follow the unit matching, on smaller residuals."""
     from conftest import BATTERY_SPECS, BATTERY_WINDOWS
     from stabring.pipeline import PipelineConfig, run_pipeline
 
-    checked = []
-    real_round = zlinalg._unit_round
+    checked, rounds = [], []
+    real_pivots, real_schur = zlinalg._unit_pivots, zlinalg._schur
 
-    def checked_round(A):
-        step = real_round(A)
-        want = unit_pivots(A)
-        if step is None:
-            assert not len(want[0])
-        else:
-            prow, pcol, S = step
-            assert np.array_equal(prow, want[0]) and np.array_equal(pcol, want[1])
-            assert S == scipy_schur(A, prow, pcol)
-            checked.append(A.nnz)
+    def checked_pivots(A):
+        got, want = real_pivots(A), unit_pivots(A)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        rounds.append(A.nnz)
+        return got
+
+    def checked_schur(A, prow, pcol):
+        step = real_schur(A, prow, pcol)
+        assert step is not None and step[2] == scipy_schur(A, prow, pcol)
+        checked.append(A.nnz)
         return step
 
-    monkeypatch.setattr(zlinalg, "_unit_round", checked_round)
+    monkeypatch.setattr(zlinalg, "_unit_pivots", checked_pivots)
+    monkeypatch.setattr(zlinalg, "_schur", checked_schur)
     windows = [(BATTERY_SPECS[name], *BATTERY_WINDOWS[name])
                for name in ("C3", "C4", "C2xC2", "S3")]
-    windows += [(BATTERY_SPECS["S3"], 4, 1),
+    windows += [(BATTERY_SPECS["S3"], 4, 1), (BATTERY_SPECS["S3"], 4, 2),
                 ({"kind": "perm", "generators": [[[1, 2, 3, 4]], [[1, 3]]]}, 3, 2)]
     for group, n_max, p_max in windows:
         report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
                                              well_definedness_samples=2))
         assert report.failure is None
-    assert len(checked) >= 45 and max(checked) > 800_000, checked
+    assert rounds and len(checked) >= 45 and max(checked) > 800_000, checked
 
 
 def test_normalize_factors_matches_the_pairwise_fold():
@@ -781,14 +799,20 @@ def test_normalize_factors_matches_the_pairwise_fold():
 def test_s3_d33_rounds_match_the_references_within_memory_bounds(rings):
     """S3's d_{3,3} at n <= 3, p <= 3 (9072 x 46656, 134,856 nonzeros), the
     largest differential of the s3-n3p2 benchmark window: each round of its
-    chain takes the greedy loop's pivots and leaves the scipy Schur
-    complement.  tracemalloc bounds, per stored nonzero: ``build_kcomplex``
-    measures 63.3 bytes over the 155,592 nonzeros of the differentials it
-    stores (the bound leaves a quarter more; 131.9 before its triplets were
-    written a piece at a time into one key array), and ``smith_normal_form``
-    90.9 bytes over d_{3,3}'s nonzeros (a fifth more; 217.6 before the
-    rounds gathered in pieces and freed their set-up arrays)."""
+    greedy chain takes the greedy loop's pivots and leaves the scipy Schur
+    complement, and so does the unit matching's one step, which the pipeline
+    takes first (7,308 pivots, where the first greedy round finds 5,655).
+    tracemalloc bounds, per stored nonzero: ``build_kcomplex`` measures 58.5
+    bytes over the 155,592 nonzeros of the differentials it stores (the
+    bound leaves a third more; 63.3 while it kept each term's tuple ranks,
+    131.9 before its triplets were written a piece at a time into one key
+    array), and ``smith_normal_form`` 80 bytes
+    over d_{3,3}'s nonzeros with the matching and 82 without, duplicate
+    columns dropped after every step (the bound leaves a third more; 217.6
+    before the rounds gathered in pieces and freed their set-up arrays)."""
     import tracemalloc
+
+    from stabring.kcomplex import unit_matching
 
     R = regular_module(rings["S3"])
     tracemalloc.start()
@@ -807,17 +831,27 @@ def test_s3_d33_rounds_match_the_references_within_memory_bounds(rings):
         assert np.array_equal(prow, want[0]) and np.array_equal(pcol, want[1])
         assert np.array_equal(_unit_pivots(A)[0], prow)
         assert rest == scipy_schur(A, prow, pcol)
-    A = fresh(d33)
-    tracemalloc.start()
-    try:
-        factors = smith_normal_form(A).factors
-        snf_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(factors) == 8268
+    prow, pcol = unit_matching(R, 3, 3)
+    assert len(prow) == 7308 and len(rounds[0][1]) == 5655
+    rest = zlinalg._schur(d33, prow, pcol)[2]
+    assert rest.nnz == 163244 and rest == scipy_schur(d33, prow, pcol)
+    assert zlinalg._distinct_columns(rest).nnz == 56627
+    peaks, forms = [], []
+    for matching in (None, lambda: (prow, pcol)):
+        A = fresh(d33)
+        tracemalloc.start()
+        try:
+            forms.append(smith_normal_form(A, matching))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert forms[0] == forms[1] and forms[0].rank == 8268 and forms[0].torsion == (3,)
     assert stored == 155592
     assert build_peak <= 80 * stored, build_peak / stored
-    assert snf_peak <= 110 * d33.nnz, snf_peak / d33.nnz
+    assert max(peaks) <= 110 * d33.nnz, [peak / d33.nnz for peak in peaks]
+    # the pipeline's path stays under the 90.9 bytes per nonzero (11.7 MiB)
+    # that the greedy rounds alone peaked at before duplicate columns went
+    assert peaks[1] <= 91 * d33.nnz, peaks[1] / d33.nnz
 
 
 def test_schur_round_over_the_memory_budget_fails_before_allocating(monkeypatch, rings):
@@ -848,3 +882,89 @@ def test_schur_round_over_the_memory_budget_fails_before_allocating(monkeypatch,
     finally:
         tracemalloc.stop()
     assert peak < need * 2 ** 20 / 2, (peak, need)
+
+
+def signed_columns(A: IntMatrix) -> dict:
+    """Each nonzero column as its (row, value) tuple with the first value
+    made positive, keyed by column."""
+    out = {}
+    for r, c, v in zip(A.row.tolist(), A.col.tolist(), A.val.tolist()):
+        out.setdefault(c, []).append((r, v))
+    return {c: tuple((r, v if ents[0][1] > 0 else -v) for r, v in ents)
+            for c, ents in out.items()}
+
+
+def without_columns(A: IntMatrix, gone: set) -> IntMatrix:
+    keep = ~np.isin(A.col, sorted(gone))
+    return IntMatrix.from_triplets(A.rows, A.cols, A.row[keep], A.col[keep], A.val[keep])
+
+
+def columns_with_duplicates(rng) -> tuple:
+    """A random matrix whose columns are fresh, copies of an earlier column
+    times +-1, or near copies (one value changed, one sign flipped or one
+    row moved), and the number of copies times -1."""
+    m, n = rng.randint(2, 12), rng.randint(2, 40)
+    cols, flipped = [], 0
+    for _ in range(n):
+        kind = rng.random() if cols else 0
+        if kind < 0.3:
+            rows = sorted(rng.sample(range(m), rng.randint(0, m)))
+            col = {r: rng.choice((1, -1, 2, -3)) for r in rows}
+        else:
+            col = dict(rng.choice(cols))
+            if col and kind >= 0.8:  # a near copy
+                r = rng.choice(sorted(col))
+                change = rng.randrange(3)
+                if change == 0:
+                    col[r] += 1 if col[r] != -1 else 2
+                elif change == 1:
+                    col[r] = -col[r]
+                elif len(col) < m:
+                    col[rng.choice(sorted(set(range(m)) - set(col)))] = col.pop(r)
+            elif kind >= 0.55:
+                col = {r: -v for r, v in col.items()}
+                flipped += 1
+        cols.append(col)
+    r, c, v = [], [], []
+    for j, col in enumerate(cols):
+        for row, val in col.items():
+            r.append(row)
+            c.append(j)
+            v.append(val)
+    return IntMatrix.from_triplets(m, n, r, c, v), flipped
+
+
+def test_distinct_columns_empty_exactly_the_signed_duplicates(monkeypatch):
+    rng = random.Random(71)
+    flipped = dropped = collided = 0
+    for _ in range(150):
+        A, f = columns_with_duplicates(rng)
+        flipped += f
+        forms = signed_columns(A)
+        seen, gone = set(), set()
+        for c in sorted(forms):
+            if forms[c] in seen:
+                gone.add(c)
+            else:
+                seen.add(forms[c])
+        want = without_columns(A, gone)
+        got = zlinalg._distinct_columns(A)
+        assert got == want and is_canonical(got)
+        dropped += len(gone)
+        # a forced collision: every column of one length hashes alike, so
+        # each is compared with the least column of its length, and only
+        # the exact signed copies of that column go
+        monkeypatch.setattr(zlinalg, "_entry_hash",
+                            lambda row, val: np.zeros(len(row), dtype=np.uint64))
+        least = {}
+        for c in sorted(forms):
+            least.setdefault(len(forms[c]), forms[c])
+        gone_least = {c for c in forms if forms[c] == least[len(forms[c])]
+                      and c != min(k for k in forms if forms[k] == forms[c])}
+        colliding = zlinalg._distinct_columns(A)
+        monkeypatch.undo()
+        assert colliding == without_columns(A, gone_least)
+        collided += len(gone) - len(gone_least)
+        assert smith_normal_form(fresh(got)) == smith_normal_form(fresh(colliding)) \
+            == smith_normal_form(fresh(A))
+    assert flipped > 50 and dropped > 200 and collided > 50, (flipped, dropped, collided)
