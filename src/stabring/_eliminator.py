@@ -4,8 +4,10 @@ overflow, and the fold of a diagonal into invariant factors.
 
 The eliminator prefers +-1 pivots with a Markowitz-style fill tie-break, and
 falls back to minimal-absolute-value pivoting on the residual core.  It is a
-module of its own so that no module of the library is long to compile:
-compiling the largest one sets the peak memory of ``import stabring``.
+module of its own so that no module of the library is long to compile.
+Compiling is no longer what sets a run's peak memory: ``import stabring``
+reaches the same RSS with and without cached bytecode, and a run ends above
+it (C8, n <= 3, p = 0: 30.2 and 32.6 MB on Python 3.11 and numpy 2.4).
 """
 
 from __future__ import annotations

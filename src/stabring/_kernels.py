@@ -18,14 +18,30 @@ and evaluates them in the Cayley table; surface moves
 ``memory_shortfall`` estimates the peak before anything is allocated, so a
 caller can refuse a state space this machine cannot hold instead of being
 killed for it.
+
+The library's digests, seeded draws, distinct values and membership tests
+come from here too (``sha256``, ``Draws``, ``distinct``, ``member``), so that
+no run loads OpenSSL's libcrypto (``hashlib``), ``numpy.random`` or
+``numpy.ma`` (which a plain ``np.unique``, ``np.setdiff1d`` or ``np.isin``
+reads): the three add about 7 MB to every process and compute nothing here.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import random
 import resource
 
 import numpy as np
+
+try:  # CPython's own SHA-256, the one hashlib falls back to, without OpenSSL
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # Entries per piece of a gather cut into pieces (``pieces``): the unit-pivot
 # rounds, the Schur products, the sums of entries and the K-complex build
@@ -56,6 +72,63 @@ def memory_shortfall(n_states: int) -> str | None:
     return (f"orbit kernel on {n_states} states needs about {need / 2 ** 20:.1f} MiB "
             f"({BYTES_PER_STATE} B/state), over the memory budget of "
             f"{budget / 2 ** 20:.1f} MiB")
+
+
+class Draws:
+    """Seeded integer draws: ``integers(lo, hi, size=None)`` is an int64 array
+    of draws from [lo, hi), of shape ``size`` or else that of lo and hi
+    broadcast, like numpy's ``Generator.integers``.  Each draw is a uint64
+    from ``random.Random(seed).randbytes``, mapped into its range by
+    multiply-shift on its top 32 bits, so a range must hold 1 to 2^32 - 1
+    values."""
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def integers(self, lo, hi, size=None) -> np.ndarray:
+        lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        if size is None:
+            shape = np.broadcast_shapes(lo.shape, hi.shape)
+        else:
+            shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        span = np.broadcast_to(hi - lo, shape)
+        if span.size and (span.min() <= 0 or span.max() >= 1 << 32):
+            raise ValueError(f"draws need 1 <= hi - lo < 2^32, got hi - lo in "
+                             f"[{span.min()}, {span.max()}]")
+        count = int(np.prod(shape, dtype=np.int64))
+        top = np.frombuffer(self._random.randbytes(8 * count), dtype="<u8") >> np.uint64(32)
+        top *= span.astype(np.uint64).ravel()
+        top >>= np.uint64(32)
+        return lo + top.astype(np.int64).reshape(shape)
+
+
+def distinct(x, axis: int | None = None) -> np.ndarray:
+    """``np.unique(x, axis=axis)``: the sorted distinct values of x, or with
+    ``axis`` its distinct slices along that axis, in lexicographic order."""
+    x = np.asarray(x)
+    if axis is None:
+        x = np.sort(x, axis=None)
+        keep = np.empty(len(x), dtype=bool)
+        keep[:1] = True
+        np.not_equal(x[1:], x[:-1], out=keep[1:])
+        return x[keep]
+    rows = np.moveaxis(x, axis, 0)
+    flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    order = np.lexsort(flat.T[::-1]) if flat.shape[1] else np.arange(len(flat))
+    flat = flat[order]
+    keep = np.empty(len(flat), dtype=bool)
+    keep[:1] = True
+    (flat[1:] != flat[:-1]).any(axis=1, out=keep[1:])
+    return np.moveaxis(rows[order[keep]], 0, axis)
+
+
+def member(x, values) -> np.ndarray:
+    """``np.isin(x, values)``: whether each entry of x is one of values."""
+    x, values = np.asarray(x), np.sort(values, axis=None)
+    if not len(values):
+        return np.zeros(x.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(values, x), len(values) - 1)
+    return values[at] == x
 
 
 def _decode_all(two_n: int, order: int, n_states: int) -> np.ndarray:
@@ -118,7 +191,7 @@ def pieces(ptr: np.ndarray, lines: np.ndarray) -> list:
     if not len(ends) or ends[-1] <= CHUNK:
         return [(0, len(lines))] if len(lines) else []
     cuts = np.searchsorted(ends, np.arange(CHUNK, int(ends[-1]), CHUNK), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(lines)]))).tolist()
+    bounds = distinct(np.concatenate(([0], cuts, [len(lines)]))).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
 
 

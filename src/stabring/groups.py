@@ -6,7 +6,6 @@ membership masks closed by one routine, ``_closure``, which both
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
     def hash(self) -> str:
-        h = hashlib.sha256()
+        h = _kernels.sha256()
         h.update(str(self.order).encode())
         h.update(self.table.astype(np.int64).tobytes())
         return h.hexdigest()
@@ -271,7 +270,7 @@ def enumerate_subgroups(G: FiniteGroup) -> tuple:
         grown[np.arange(len(rows)), g] = True
         grown = _closure(G, grown)
         new, first = np.unique(grown @ bits, return_index=True)
-        fresh = ~np.isin(new, codes)
+        fresh = ~_kernels.member(new, codes)
         frontier, codes = grown[first[fresh]], np.concatenate([codes, new[fresh]])
         found.append(frontier)
     subsets = (tuple(np.flatnonzero(m).tolist()) for m in np.concatenate(found))

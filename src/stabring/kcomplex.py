@@ -274,7 +274,7 @@ def _nonzero_columns(rows: int, cols: int, parts: list) -> np.ndarray:
     """Sorted columns of the rows x cols batched matrix, the sum of the entry
     lists in ``parts``, that hold a nonzero entry."""
     col, row, val = (np.concatenate([part[k] for part in parts]) for k in range(3))
-    return np.unique(IntMatrix.from_triplets(rows, cols, row, col, val).col)
+    return _kernels.distinct(IntMatrix.from_triplets(rows, cols, row, col, val).col)
 
 
 class _Prepend:
@@ -425,7 +425,7 @@ def unit_matching(M: GradedModule, p: int, n: int):
     t = np.unique(M.ring.pair_class, return_index=True)[1][x]  # least pair of each class
     s = np.arange(pairs ** (p - 1), dtype=np.int64)
     if p > 1:
-        s = s[~np.isin(s % pairs, t)]
+        s = s[~_kernels.member(s % pairs, t)]
     prow = (s[:, None] * M.rank(n - p + 1) + y).ravel()
     pcol = (((s[:, None] * pairs + t) * M.rank(n - p)) + j).ravel()
     return prow, pcol

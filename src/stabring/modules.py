@@ -16,6 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import _kernels
 from .orbits import decode_tuple
 from .ring import GradedRing
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
@@ -138,12 +139,12 @@ def truncate_module(M: GradedModule, k: int) -> GradedModule:
 
 def _u_image(ring: GradedRing) -> list:
     """Per degree n, the sorted classes of R_n in U(R_{n-1}); none in degree 0."""
-    return [np.arange(0)] + [np.unique(ring.u_map(n)) for n in range(ring.n_max)]
+    return [np.arange(0)] + [_kernels.distinct(ring.u_map(n)) for n in range(ring.n_max)]
 
 
 def quotient_u_module(ring: GradedRing, side: str = "left") -> GradedModule:
     """R/UR: the classes outside the image of U."""
-    kept = [np.setdiff1d(np.arange(ring.basis_size(n)), image)
+    kept = [np.flatnonzero(~_kernels.member(np.arange(ring.basis_size(n)), image))
             for n, image in enumerate(_u_image(ring))]
     return _basis_restriction(regular_module(ring, side), kept, "Rbar")
 
@@ -331,14 +332,36 @@ class DeltaBounds:
     delta: int
     deg_m_u: int           # deg ker(U on M)
     deg_m_mod_u: int       # deg coker(U on M)
+    deg_h0: int            # deg H0(M)
     a_m: int
     a_bound_ok: bool
     tensor_bound_ok: bool
 
 
-def delta_and_bounds(M: GradedModule) -> DeltaBounds:
-    """delta(M), A(M), and the two degree-bound verdicts, within the window."""
-    ring = M.ring
+@dataclass(frozen=True)
+class RingParts:
+    """What ``delta_and_bounds`` reads of the ring alone, the same for every
+    module M: U(R) and R/UR as right modules, the classes of U(R), the
+    degrees of R/UR and of its H0, and A(R)."""
+    ur: GradedModule
+    ur_classes: list
+    rbar: GradedModule
+    rbar_deg: int
+    rbar_h0_deg: int
+    a_r: int
+
+
+def ring_parts(ring: GradedRing) -> RingParts:
+    rbar = quotient_u_module(ring, side="right")
+    return RingParts(ur=ur_ideal_module(ring, side="right"), ur_classes=_u_image(ring),
+                     rbar=rbar, rbar_deg=module_deg(rbar), rbar_h0_deg=deg_of(h0(rbar)),
+                     a_r=ring.stability_profile().a_r)
+
+
+def delta_and_bounds(M: GradedModule, parts: RingParts | None = None) -> DeltaBounds:
+    """delta(M), A(M), and the two degree-bound verdicts, within the window.
+    ``parts`` is ``ring_parts(M.ring)``, built here when not given."""
+    parts = parts or ring_parts(M.ring)
     # U: M_n -> M_{n+1} once per degree; its Smith form serves tor0 and ker U
     u = [IntMatrix.from_dense(M.u_matrix(n), rows=M.rank(n + 1), cols=M.rank(n))
          for n in range(M.n_max)]
@@ -348,28 +371,24 @@ def delta_and_bounds(M: GradedModule) -> DeltaBounds:
     deg_m_u = max((n for n in range(M.n_max) if smith_normal_form(u[n]).rank < M.rank(n)),
                   default=-1)
     # tor1 = ker(U(R) (x)_R M -> M) via the four-term exact sequence
-    ur = ur_ideal_module(ring, side="right")
-    ur_classes = _u_image(ring)
-    budget = min(ur.n_max, M.n_max)
+    budget = min(parts.ur.n_max, M.n_max)
     tor1 = []
     for n in range(budget + 1):
-        rel = _tensor_presentation(ur, M, n, min_i=1)
-        beta = _beta_matrix(ur, M, n, min_i=1, classes=ur_classes)
+        rel = _tensor_presentation(parts.ur, M, n, min_i=1)
+        beta = _beta_matrix(parts.ur, M, n, min_i=1, classes=parts.ur_classes)
         tor1.append(chain_homology(beta, rel))
     deg_tor0 = deg_of(tor0)
     deg_tor1 = deg_of(tor1)
     delta = max(deg_tor0, deg_tor1)
     a_m = max(deg_m_u, deg_tor0)
-    a_r = ring.stability_profile().a_r
-    a_bound = a_m <= delta + a_r
+    a_bound = a_m <= delta + parts.a_r
     # tensor degree bound at (Rbar, M): deg(Rbar (x) M) <= min(...)
-    rbar_right = quotient_u_module(ring, side="right")
-    tensor_deg = deg_of(graded_tensor(rbar_right, M))
-    lhs_bound = min(module_deg(rbar_right) + deg_of(h0(M)),
-                    deg_of(h0(rbar_right)) + module_deg(M))
+    tensor_deg = deg_of(graded_tensor(parts.rbar, M))
+    deg_h0 = deg_of(h0(M))
+    lhs_bound = min(parts.rbar_deg + deg_h0, parts.rbar_h0_deg + module_deg(M))
     tensor_bound = tensor_deg <= lhs_bound
     return DeltaBounds(tor0=tuple(tor0), tor1=tuple(tor1), delta=delta,
-                       deg_m_u=deg_m_u, deg_m_mod_u=deg_tor0, a_m=a_m,
+                       deg_m_u=deg_m_u, deg_m_mod_u=deg_tor0, deg_h0=deg_h0, a_m=a_m,
                        a_bound_ok=a_bound, tensor_bound_ok=tensor_bound)
 
 
@@ -390,7 +409,7 @@ def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
         gens = (np.concatenate(cols, axis=1) if cols
                 else np.zeros((M.rank(n), 0), dtype=np.int64))
         if gens.shape[1]:
-            gens = np.unique(gens, axis=1)  # duplicate columns add nothing to the span
+            gens = _kernels.distinct(gens, axis=1)  # duplicate columns add nothing to the span
         if M.rank(n):
             mat = IntMatrix.from_dense(gens, rows=M.rank(n), cols=gens.shape[1])
             snf = smith_normal_form(mat)

@@ -4,7 +4,6 @@ partitions."""
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from contextlib import suppress
@@ -96,7 +95,7 @@ def cache_store(table: OrbitTable, path) -> None:
     pipeline keeps no cache; ``perfbench/child.py`` times this round trip."""
     reps = table.reps.astype("<u8").tobytes()
     orbit_id = table.orbit_id.astype("<u4").tobytes()
-    digest = hashlib.sha256(reps)
+    digest = _kernels.sha256(reps)
     digest.update(orbit_id)
     header = struct.pack(
         HEADER, MAGIC, VERSION,
@@ -137,7 +136,7 @@ def cache_load(path, expect_group_hash: str | None = None,
     want = head_len + 8 * count + 4 * n_states
     if len(blob) != want:
         raise OrbitError(f"orbit cache: payload length {len(blob)} != expected {want}")
-    if hashlib.sha256(memoryview(blob)[head_len:]).digest() != digest:
+    if _kernels.sha256(memoryview(blob)[head_len:]).digest() != digest:
         raise OrbitError("orbit cache: payload checksum mismatch")
     reps = np.frombuffer(blob, dtype="<u8", count=count, offset=head_len)
     orbit_id = np.frombuffer(blob, dtype="<u4", count=n_states, offset=head_len + 8 * count)

@@ -12,12 +12,12 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.random import default_rng
 
+from . import _kernels
 from . import kcomplex as kc
 from .groups import _is_int, generated_subgroups, load_group
-from .modules import (deg_of, delta_and_bounds, derive_module,
-                      generated_in_degrees_upto, h0, regular_module)
+from .modules import (delta_and_bounds, derive_module, generated_in_degrees_upto,
+                      regular_module, ring_parts)
 from .oracle import (abelianization_invariants, sp_orbit_counts, subgroup_bar_homology,
                      subgroup_h2_sum)
 from .orbits import enumerate_orbits
@@ -126,7 +126,7 @@ def _moved_samples(rng, G, moves, k: int, deg: int):
     v = rng.integers(0, G.order, size=(k, 2 * deg))
     pick = rng.integers(0, len(moves), size=k)
     v2 = np.empty_like(v)
-    for i in np.unique(pick).tolist():
+    for i in _kernels.distinct(pick).tolist():
         v2[pick == i] = moves[i].evaluate(G, v[pick == i])
     return v, v2
 
@@ -138,7 +138,7 @@ def _well_definedness_verdict(ring, moves_at: dict, config: PipelineConfig) -> d
     degrees (m, n) of every sample are drawn first, then each (m, n) bucket's
     tuples and moves as arrays; a failure names the bucket's first failing sample."""
     G = ring.G
-    rng = default_rng(config.seed)
+    rng = _kernels.Draws(config.seed)
     samples = config.well_definedness_samples
     statement = "product and homotopy classes are independent of representatives"
     for start in range(0, samples, WELL_DEFINEDNESS_CHUNK):
@@ -218,9 +218,10 @@ def _lemma_battery_verdict(ring) -> dict:
     statement = ("generation lemma, tensor degree bound and A <= delta + A(R) "
                  "hold on derived modules")
     recipes = [("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1)]
+    parts = ring_parts(ring)
     for recipe in recipes:
         M = derive_module(ring, recipe)
-        db = delta_and_bounds(M)
+        db = delta_and_bounds(M, parts)
         if not db.a_bound_ok:
             return _verdict("lemma_battery", statement, "fail",
                             f"A(M) > delta(M) + A(R) for {M.name}")
@@ -228,7 +229,7 @@ def _lemma_battery_verdict(ring) -> dict:
             return _verdict("lemma_battery", statement, "fail",
                             f"tensor degree bound fails for {M.name}")
         # H0 is top in degree a iff M is generated up to degree a, not below it
-        a = deg_of(h0(M))
+        a = db.deg_h0
         if a >= 0 and (not generated_in_degrees_upto(M, a)
                        or generated_in_degrees_upto(M, a - 1)):
             return _verdict("lemma_battery", statement, "fail",
@@ -282,12 +283,18 @@ def _bound_verdicts(profile, rows: list, n_max: int) -> list:
 
 
 def _dump_matrices(K, out_dir: str) -> None:
-    """Write every differential as text triplets to out_dir/matrices."""
+    """Write every differential as text triplets to out_dir/matrices.  A
+    matrix that several keys share is formatted once and written to each."""
     mat_dir = os.path.join(out_dir, "matrices")
     os.makedirs(mat_dir, exist_ok=True)
-    for (p, n), mat in sorted(K.d.items()):
-        with open(os.path.join(mat_dir, f"d_p{p}_n{n}.txt"), "w") as fh:
-            fh.write(mat.to_text())
+    shared = {}
+    for key, mat in K.d.items():
+        shared.setdefault(id(mat), []).append(key)
+    for keys in shared.values():
+        text = K.d[keys[0]].to_text()
+        for p, n in keys:
+            with open(os.path.join(mat_dir, f"d_p{p}_n{n}.txt"), "w") as fh:
+                fh.write(text)
 
 
 def run_pipeline(config: PipelineConfig) -> Report:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  (a plain np.unique reads np.ma; load it here, not mid-run)
 
 from . import _kernels
 from .groups import FiniteGroup
@@ -155,8 +154,9 @@ class GradedRing:
         inj, surj = [], []
         for n in range(self.n_max):
             umap = self.u_map(n)
-            inj.append(len(np.unique(umap)) == len(umap))
-            surj.append(len(np.unique(umap)) == counts[n + 1])
+            hit = len(_kernels.distinct(umap))
+            inj.append(hit == len(umap))
+            surj.append(hit == counts[n + 1])
         deg_r_u = max((n for n in range(self.n_max) if not inj[n]), default=-1)
         deg_rbar = max(n for n in range(self.n_max + 1)
                        if n == 0 or not surj[n - 1])

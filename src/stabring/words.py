@@ -11,12 +11,12 @@ kernel (``_kernels.word_orbit_parents``) on every tuple of G^(2n) at once.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .groups import FiniteGroup
 
 
@@ -218,7 +218,7 @@ def moveset_hash(moves) -> str:
     """Content hash over the sorted image-word tuples."""
     payload = sorted(m.images for m in moves)
     blob = json.dumps(payload, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _kernels.sha256(blob).hexdigest()
 
 
 def moveset_manifest(n: int, moves) -> dict:

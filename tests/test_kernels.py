@@ -1,17 +1,22 @@
+import hashlib
+import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_kernels as ref
-from conftest import BATTERY_SPECS
+from conftest import BATTERY_SPECS, EXTRA_SPECS
 from reference_moves import pairwise_transvection_vectors
 from stabring import _kernels
 from stabring.groups import load_group
 from stabring.oracle import (OracleError, sp_orbit_oracle, transvection_images,
                              transvection_vectors)
 from stabring.orbits import OrbitError, decode_tuple, enumerate_orbits
-from stabring.words import compile_moves, enumerate_stabilizing_automorphisms
+from stabring.words import compile_moves, enumerate_stabilizing_automorphisms, moveset_hash
 
 KERNEL_GROUPS = {**BATTERY_SPECS, "C5": {"kind": "cyclic", "order": 5},
                  "C8": {"kind": "cyclic", "order": 8}}
@@ -176,3 +181,100 @@ def test_components_match_csgraph(n):
         got = _kernels.components(n, src, dst)
         assert np.array_equal(got, ref.csgraph_least_nodes(n, src, dst)), (name, n)
         assert got.dtype == np.int64 and len(got) == n
+
+
+# -- digests, draws, distinct values and membership --------------------------
+
+small_ints = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                   max_side=6),
+                        elements=st.integers(-4, 4))
+
+
+@given(small_ints)
+def test_distinct_matches_np_unique(x):
+    for axis in (None, *range(x.ndim)):
+        got, want = _kernels.distinct(x, axis=axis), np.unique(x, axis=axis)
+        assert got.dtype == want.dtype and got.shape == want.shape, axis
+        assert np.array_equal(got, want), axis
+
+
+@given(small_ints, small_ints)
+def test_member_matches_np_isin(x, values):
+    got, want = _kernels.member(x, values), np.isin(x, values)
+    assert got.dtype == bool and got.shape == x.shape
+    assert np.array_equal(got, want)
+    assert not _kernels.member(x, np.zeros(0, dtype=np.int64)).any()
+
+
+@given(st.lists(st.binary(max_size=200), max_size=4))
+def test_sha256_matches_hashlib(chunks):
+    got, want = _kernels.sha256(), hashlib.sha256()
+    for chunk in chunks:
+        got.update(chunk)
+        want.update(chunk)
+    assert got.hexdigest() == want.hexdigest() and got.digest() == want.digest()
+    blob = np.arange(len(chunks) * 7, dtype=np.int64)
+    assert _kernels.sha256(blob).digest() == hashlib.sha256(blob).digest()
+    assert (_kernels.sha256(memoryview(b"".join(chunks))[1:]).digest()
+            == hashlib.sha256(b"".join(chunks)[1:]).digest())
+
+
+# the groups of the reference windows; their move sets reach degree 12 (C4)
+REFERENCE_GROUPS = {**BATTERY_SPECS, "C8": {"kind": "cyclic", "order": 8},
+                    "D4": EXTRA_SPECS["D4"]}
+
+
+def test_group_and_moveset_hashes_match_hashlib():
+    for name, spec in REFERENCE_GROUPS.items():
+        G = load_group(spec)
+        want = hashlib.sha256(str(G.order).encode())
+        want.update(G.table.astype(np.int64).tobytes())
+        assert G.hash() == want.hexdigest(), name
+    for n in range(1, 13):  # the moves are the same for every group
+        moves = compile_moves(n, load_group(BATTERY_SPECS["C2"]))
+        blob = json.dumps(sorted(m.images for m in moves), separators=(",", ":")).encode()
+        assert moveset_hash(moves) == hashlib.sha256(blob).hexdigest(), n
+
+
+def _draws(seed):
+    rng = _kernels.Draws(seed)
+    return [rng.integers(0, 6, size=(40, 4)), rng.integers(1, np.arange(2, 50)),
+            rng.integers(-3, 9, size=7), rng.integers(5, 6)]
+
+
+def test_draws_repeat_for_a_seed_and_differ_between_seeds():
+    first, again, other = _draws(5), _draws(5), _draws(6)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert [a.shape for a in first] == [(40, 4), (48,), (7,), ()]
+    assert all(a.dtype == np.int64 for a in first)
+    assert not all(np.array_equal(a, b) for a, b in zip(first, other))
+
+
+def test_draws_are_the_multiply_shift_of_the_seeded_bytes():
+    raw = random.Random(3).randbytes(8 * 12)
+    words = [int.from_bytes(raw[8 * i:8 * i + 8], "little") for i in range(12)]
+    want = [2 + ((w >> 32) * 7 >> 32) for w in words]
+    assert _kernels.Draws(3).integers(2, 9, size=(3, 4)).ravel().tolist() == want
+
+
+@given(st.integers(0, 2 ** 32), st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 32 - 1),
+       st.integers(0, 50))
+def test_draws_lie_in_their_range(seed, lo, span, size):
+    got = _kernels.Draws(seed).integers(lo, lo + span, size=size)
+    assert got.shape == (size,) and got.dtype == np.int64
+    assert ((lo <= got) & (got < lo + span)).all()
+
+
+@given(st.integers(0, 2 ** 32),
+       hnp.arrays(np.int64, st.integers(0, 30), elements=st.integers(1, 2 ** 32 - 1)))
+def test_draws_lie_in_their_range_with_array_valued_hi(seed, span):
+    got = _kernels.Draws(seed).integers(1, 1 + span)
+    assert got.shape == span.shape and ((1 <= got) & (got < 1 + span)).all()
+
+
+def test_draws_refuse_empty_and_too_wide_ranges():
+    rng = _kernels.Draws(0)
+    for lo, hi in [(3, 3), (4, 3), (0, 2 ** 32), (-1, 2 ** 32 - 1), (0, np.array([5, 0, 3]))]:
+        with pytest.raises(ValueError, match="hi - lo"):
+            rng.integers(lo, hi, size=3)
+    assert rng.integers(0, 2 ** 32 - 1, size=4).max() < 2 ** 32 - 1

@@ -8,7 +8,7 @@ from stabring.modules import (GradedModule, ModuleError, _beta_matrix, _class_ac
                               _tensor_presentation, _u_image, delta_and_bounds,
                               deg_of, derive_module, generated_in_degrees_upto,
                               graded_tensor, h0, module_deg,
-                              quotient_u_module, regular_module, shift_module,
+                              quotient_u_module, regular_module, ring_parts, shift_module,
                               truncate_module, u_kernel_module, ur_ideal_module)
 from stabring.ring import GradedRing
 from stabring.zlinalg import HomologyGroup
@@ -275,12 +275,17 @@ def test_delta_and_bounds_trivial(rings):
 
 
 def test_delta_and_bounds_derived_battery(rings):
+    # the ring's parts, built once and passed in, give what each call builds alone
     for name in ("C2", "C3", "C4", "C2xC2", "S3"):
         ring = rings[name]
+        parts = ring_parts(ring)
         for recipe in (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1)):
-            db = delta_and_bounds(derive_module(ring, recipe))
+            M = derive_module(ring, recipe)
+            db = delta_and_bounds(M)
             assert db.a_bound_ok, (name, recipe)
             assert db.tensor_bound_ok, (name, recipe)
+            assert db.deg_h0 == deg_of(h0(M)), (name, recipe)
+            assert delta_and_bounds(M, parts) == db, (name, recipe)
 
 
 def test_act_class_respects_factorization(rings):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -333,24 +334,45 @@ def test_a_d_squared_mutant_fails_the_run_at_the_homology_stage(monkeypatch):
         assert not kc.verify_d_squared(built[0])[0], key
 
 
-def test_import_and_run_load_no_scipy_and_no_new_module():
-    """``import stabring`` leaves scipy unloaded, and a run imports nothing:
-    numpy.random and numpy.ma, which numpy loads on first use, load with the
-    library, so their import cost stays out of the timed stages."""
-    code = ("import sys\n"
-            "import stabring\n"
-            "from stabring.pipeline import PipelineConfig, run_pipeline\n"
-            "before = set(sys.modules)\n"
-            "report = run_pipeline(PipelineConfig(group={'kind': 'cyclic', 'order': 2}, "
-            "n_max=2, p_max=1))\n"
-            "assert report.failure is None, report.failure\n"
-            "print(sorted(set(sys.modules) - before))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+def test_import_and_run_load_no_scipy_and_no_new_module(tmp_path):
+    """``import stabring`` leaves scipy, OpenSSL's ``_hashlib``, ``numpy.random``
+    and ``numpy.ma`` unloaded, pipeline runs import nothing, and the ``run``
+    (with both dumps), ``orbits`` and ``oracle`` commands load none of those
+    four either (argparse may load ``locale`` for its messages)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent("""\
+        import contextlib, io, sys
+
+        def unwanted():
+            return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
+                          or m in ('_hashlib', 'numpy.random', 'numpy.ma'))
+
+        import stabring
+        from stabring.cli import main
+        from stabring.pipeline import PipelineConfig, run_pipeline
+        print(unwanted())
+        before = set(sys.modules)
+        S3 = {'kind': 'perm', 'generators': [[[1, 2]], [[1, 2, 3]]]}
+        for group, n_max, p_max in (({'kind': 'cyclic', 'order': 2}, 2, 1),
+                                    ({'kind': 'cyclic', 'order': 8}, 3, 0), (S3, 3, 2)):
+            report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max))
+            assert report.failure is None, report.failure
+        print(sorted(set(sys.modules) - before))
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(['run', '--config', sys.argv[1], '--dump-moves', '--dump-matrices']),
+                     main(['orbits', '--group', '{"kind": "cyclic", "order": 3}', '--n', '2']),
+                     main(['oracle', '--group', '{"kind": "cyclic", "order": 4}', '--n', '2'])]
+        assert codes[0] in (0, 2) and codes[1:] == [0, 0], codes  # 2: inconclusive
+        print(unwanted())
+        """)
+    config = os.path.join(root, "configs", "klein-four.json")
+    proc = subprocess.run([sys.executable, "-c", code, config], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"], proc.stdout
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stdout
+    assert (tmp_path / "out" / "matrices" / "d_p1_n1.txt").is_file()
+    assert (tmp_path / "out" / "moves_n1.json").is_file()
 
 
 def test_order_thirteen_runs_every_stage():

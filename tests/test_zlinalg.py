@@ -521,8 +521,9 @@ def test_one_growing_round_is_kept(monkeypatch):
 
 
 def test_small_residuals_skip_the_block_split(monkeypatch):
-    """Every Smith normal form the C8 (n <= 3) and S3 (n <= 3, p <= 2)
-    pipelines compute, the lemma battery's included, against the per-block
+    """Every Smith normal form the C8 (n <= 3), S3 (n <= 3, p <= 2) and C3
+    (n <= 4, p <= 3) pipelines compute, the lemma battery's included (it
+    builds what it reads of the ring once), against the per-block
     eliminator with no rounds and, where the matrix has at most 40 rows or 40
     columns, the dense transform SNF.  Only a residual of at least
     ``_ROUND_MIN_NNZ`` nonzeros or one with no +-1 entry is split into
@@ -549,7 +550,8 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         monkeypatch.setattr(module, "smith_normal_form", noted_snf)
     monkeypatch.setattr(zlinalg, "_blocks", noted_blocks)
     for group, n_max, p_max in (({"kind": "cyclic", "order": 8}, 3, 0),
-                                ({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]}, 3, 2)):
+                                ({"kind": "perm", "generators": [[[1, 2]], [[1, 2, 3]]]}, 3, 2),
+                                ({"kind": "cyclic", "order": 3}, 4, 3)):
         report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
                                              well_definedness_samples=10))
         assert report.failure is None
