@@ -43,9 +43,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-# Entries per piece of a gather cut into pieces (``pieces``): the unit-pivot
-# rounds, the Schur products, the sums of entries and the K-complex build
-# hold the index arrays of one piece at a time, not of all at once.
+# Entries per piece of a gather cut into pieces (``pieces``): the matrix and
+# Schur products, the duplicate-column check, the sums of entries and the
+# K-complex build hold the index arrays of one piece at a time, not of all
+# at once.
 CHUNK = 1 << 16
 
 # Peak bytes per state of one kernel call, with margin: tracemalloc measures

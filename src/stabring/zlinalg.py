@@ -17,20 +17,20 @@ knows such pivots from the matrix's construction hands them in first, as
 ``kcomplex.unit_matching`` does for every K(R) differential; they are
 checked exactly (``_check_matching``) and eliminated in one step before any
 search.  Then, while the matrix holds at least ``_ROUND_MIN_NNZ`` nonzeros,
-batched unit-pivot rounds choose D greedily among the +-1 entries in
-Markowitz order so that A[r_i, c_j] = 0 for distinct pivots (found by
-rounds of local minima, which pick what the greedy pass picks).  After the
-first step and after every round, each column equal up to sign to an
-earlier column is emptied (``_distinct_columns``), a unimodular column
-operation.  A step whose product could leave int64 is refused before it
-multiplies, and one that would not fit ``BYTES_PER_ROUND_ENTRY`` per
-nonzero, product and line in ``_kernels.memory_budget()`` raises a
-LinAlgError before it allocates.  On S3's d_{3,3} (n <= 3) the whole Smith
-form peaks at about 80 bytes per nonzero.  What the rounds leave, if it
-still holds ``_ROUND_MIN_NNZ`` nonzeros or more or holds no +-1 entry, is
-split into the connected components of its row-column graph; a smaller
-residual with a unit stays one block.  Each block is eliminated over Python
-integers by ``_eliminator``, so entries may grow without overflow.
+unit-pivot rounds choose D by one greedy pass over the +-1 entries in
+Markowitz order, so that A[r_i, c_j] = 0 for distinct pivots
+(``_unit_pivots``).  After the first step and after every round, each
+column equal up to sign to an earlier column is emptied
+(``_distinct_columns``), a unimodular column operation.  A step whose
+product could leave int64 is refused before it multiplies, and a search or
+step that would not fit ``BYTES_PER_ROUND_ENTRY`` per nonzero, product and
+line in ``_kernels.memory_budget()`` raises a LinAlgError before it
+allocates.  On S3's d_{3,3} (n <= 3) the whole Smith form peaks at about 80
+bytes per nonzero.  What the rounds leave, if it still holds
+``_ROUND_MIN_NNZ`` nonzeros or more or holds no +-1 entry, is split into the
+connected components of its row-column graph; a smaller residual with a unit
+stays one block.  Each block is eliminated over Python integers by
+``_eliminator``, so entries may grow without overflow.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class HomologyGroup:
 
 
 INT64_MAX = 2 ** 63 - 1
-INT32_MAX = 2 ** 31 - 1
 
 
 def _as_int64(values) -> np.ndarray:
@@ -367,139 +366,77 @@ class SmithForm:
 
 
 # Unit-pivot rounds run only while a matrix holds at least this many nonzeros.
-# Measured on every SNF of the C8 (n <= 3) and battery pipelines: under 512
-# nnz the rounds' fixed cost made SNFs up to 2x slower, from 512 to 2048 nnz
-# the two paths were within 25% of each other, and above 2048 nnz the rounds
-# were 2-9x faster.  So the tie range stays on the per-block eliminator.
+# Measured on every SNF with a +-1 entry of the C8 (n <= 3) and battery
+# pipelines, rounds from 1 nonzero on against the per-block eliminator (best
+# of 5, 2 cores): under 512 nnz the rounds made 438 SNFs 7x slower at the
+# median (121 against 38 ms), from 512 to 2048 nnz they took 5 against 8 ms
+# on 2 SNFs, too few to move the cutoff, and above 2048 nnz 0.3 against 1.8 s.
 _ROUND_MIN_NNZ = 2048
 
 
 # Peak bytes of one unit-pivot round per nonzero, Schur product and line
 # (row or column) of its matrix, with margin: tracemalloc measures about 30
-# on the rounds of 100,000 nonzeros or more of S3, D4, C2xC2 and A4, and up
-# to 46 on smaller ones.
+# on the rounds of 100,000 nonzeros or more of S3, D4, C2xC2 and A4, up to
+# 46 on smaller ones, and 40 to 52 per nonzero for the pivot search alone.
 BYTES_PER_ROUND_ENTRY = 64
 
-
-def _segment_min(ptr: np.ndarray, lines: np.ndarray, values: np.ndarray,
-                 through: np.ndarray | None = None) -> np.ndarray:
-    """The least of values[ptr[l]:ptr[l + 1]] for each line l (none empty), or
-    of values[through[ptr[l]:ptr[l + 1]]] when ``through`` is given."""
-    out = np.empty(len(lines), dtype=values.dtype)
-    for start, stop, count, at in gathered(ptr, lines):
-        if through is not None:
-            at = np.take(through, at)
-        out[start:stop] = np.minimum.reduceat(np.take(values, at), np.cumsum(count) - count)
-    return out
+# Candidates per piece of the unit-pivot search: on the searches of C2^3 and
+# A4 (n <= 18), 1024 took 1.3 and 0.47 s, 256 1.8 and 0.68 s (2 cores).
+_PIVOT_PIECE = 1024
 
 
 def _unit_pivots(A: IntMatrix):
     """Row and column arrays of +-1 pivots (r_i, c_i) of A with
-    A[r_i, c_j] = 0 for i != j, in the order they are taken.
-
-    The pivots are those of the greedy pass that takes the +-1 entries in
-    increasing Markowitz cost (row count - 1) * (column count - 1), ties in
-    (row, col) order, where taking (r, c) blocks every row of column c and
-    every column of row r.  Two candidates (r, c) and (r', c') conflict when
-    A[r', c] != 0 or A[r, c'] != 0, so greedy takes exactly the candidates
-    that come first among the live candidates they conflict with, round by
-    round (Blelloch, Fineman and Shun 2012): each round takes every such
-    candidate at once, blocks their lines and drops the blocked candidates.
-
-    Rows and columns are lines, and every nonzero is listed under each of
-    its two lines, line l owning the places ptr[l]:ptr[l + 1].  A line's
-    ``least`` is its first live candidate, so a candidate can win only when
-    it is the least of its row and of its column, and then wins when no line
-    crossing either holds an earlier one.  A round reads only the lines of
-    those candidates, of the winners, of the lines the winners block and of
-    the lines whose least candidate died, never all nonzeros: on the lemma
-    battery's long chains of conflicts (C2^3 at n <= 18: hundreds of winners
-    per round, 20 rounds) that keeps it level with the sequential loop, where
-    rounds over all live nonzeros took twice as long.  np.take and
-    np.compress do what fancy and mask indexing do, several times faster.
-
-    Lines, places and priorities are int32 (a LinAlgError refuses a matrix
-    they cannot number, before anything is allocated), the set-up arrays
-    are freed once read, and every gather over lines runs a piece of
-    ``_kernels.pieces`` at a time: on the rounds of S3's d_{3,3} (n <= 3)
-    that keeps the search at 61 to 67 bytes per nonzero, not 171 to 184."""
-    if 2 * A.nnz > INT32_MAX or A.rows + A.cols > INT32_MAX:
-        raise LinAlgError(f"unit-pivot search on {A.rows}x{A.cols} with {A.nnz} nonzeros "
-                          "is past int32 line and place numbers")
+    A[r_i, c_j] = 0 for i != j, in the order the greedy pass takes them:
+    the +-1 entries in increasing Markowitz cost (row count - 1) * (column
+    count - 1), ties in (row, col) order, one at a time, where taking (r, c)
+    blocks every row of column c and every column of row r.  Each piece of
+    ``_PIVOT_PIECE`` candidates first drops, in one gather, those whose row
+    or column is already blocked.  A search that would not fit
+    ``BYTES_PER_ROUND_ENTRY`` per nonzero and line in
+    ``_kernels.memory_budget()`` raises a LinAlgError before it allocates."""
+    need = (A.nnz + A.rows + A.cols) * BYTES_PER_ROUND_ENTRY
+    budget = _kernels.memory_budget()
+    if need > budget:
+        raise LinAlgError(
+            f"unit-pivot search on {A.rows}x{A.cols} with {A.nnz} nonzeros needs about "
+            f"{need / 2 ** 20:.1f} MiB ({BYTES_PER_ROUND_ENTRY} B per nonzero and line), "
+            f"over the memory budget of {budget / 2 ** 20:.1f} MiB")
     unit = np.flatnonzero(np.abs(A.val) == 1)
     if not len(unit):
         return unit, unit
-    # none: the priority of no live candidate
-    nnz, n_lines, none = A.nnz, A.rows + A.cols, len(unit)
     row_count = np.bincount(A.row, minlength=A.rows)
     col_count = np.bincount(A.col, minlength=A.cols)
-    ptr = np.zeros(n_lines + 1, dtype=np.int64)
-    np.cumsum(np.concatenate((row_count, col_count)), out=ptr[1:])
     cost = ((np.take(row_count, np.take(A.row, unit)) - 1)
             * (np.take(col_count, np.take(A.col, unit)) - 1))
+    unit = np.take(unit, _stable_order(cost))
+    del cost
+    cand_row, cand_col = np.take(A.row, unit), np.take(A.col, unit)
+    del unit
+    # row r holds A.col[row_start[r]:row_start[r + 1]], column c row_of_col[col_start[c]:...]
+    row_start = memoryview(np.concatenate(([0], np.cumsum(row_count))))
+    col_start = memoryview(np.concatenate(([0], np.cumsum(col_count))))
     del row_count, col_count
-    # each candidate's place in the rows' half, in priority order
-    row_place = np.take(unit, _stable_order(cost)).astype(np.int32)
-    del unit, cost
-    row_of = np.take(A.row, row_place).astype(np.int32)
-    col_of = (np.take(A.col, row_place) + A.rows).astype(np.int32)
-    by_col = _stable_order(A.col)  # not column_index(), which A would keep
-    other = np.empty(2 * nnz, dtype=np.int32)  # the line crossing each place
-    np.add(A.col, A.rows, out=other[:nnz], casting="unsafe")
-    other[nnz:] = np.take(A.row, by_col)
-    priority = np.full(2 * nnz, none, dtype=np.int32)
-    priority[row_place] = np.arange(none, dtype=np.int32)
-    priority[nnz:] = np.take(priority[:nnz], by_col)
-    col_place = np.empty(nnz, dtype=np.int32)
-    col_place[by_col] = np.arange(nnz, 2 * nnz, dtype=np.int32)
-    del by_col
-    col_place = np.take(col_place, row_place)  # each candidate's place in the columns' half
-    least = np.full(n_lines, none, dtype=np.int32)
-    lines = np.flatnonzero(ptr[1:] > ptr[:-1])
-    least[lines] = np.minimum.reduceat(priority, np.take(ptr, lines))
-    del lines
-    died = np.zeros(none + 1, dtype=bool)
-    # candidates least on both lines, looked up from the side with fewer lines
-    side, far = ((np.arange(A.rows, dtype=np.int32), col_of) if A.rows <= A.cols
-                 else (np.arange(A.rows, n_lines, dtype=np.int32), row_of))
-    taken = []
-    while True:
-        first = np.take(least, side)
-        first = np.compress(first < none, first)
-        first = np.compress(np.take(least, np.take(far, first)) == first, first)
-        if not len(first):
-            break
-        reach = _segment_min(ptr, np.concatenate((np.take(row_of, first), np.take(col_of, first))),
-                             least, other)
-        win = np.compress((reach[:len(first)] == first) & (reach[len(first):] == first), first)
-        del first, reach
-        taken.append(win)
-        hit = np.zeros(n_lines, dtype=bool)
-        for _, _, _, at in gathered(ptr, np.concatenate((np.take(row_of, win),
-                                                          np.take(col_of, win)))):
-            hit[np.take(other, at)] = True
-        blocked = np.flatnonzero(hit & (least < none))
-        del hit
-        least[blocked] = none
-        dead = []
-        for _, _, _, at in gathered(ptr, blocked):
-            got = np.take(priority, at)
-            dead.append(np.compress(got < none, got))
-        dead = np.concatenate(dead) if dead else np.zeros(0, dtype=np.int32)
-        died[dead] = True
-        priority[np.take(row_place, dead)] = none
-        priority[np.take(col_place, dead)] = none
-        del dead
-        # the lines whose least candidate died look for the next one
-        hurt = np.flatnonzero(np.take(died, least))
-        if len(hurt):
-            least[hurt] = _segment_min(ptr, hurt, priority)
-    pivots = np.take(row_place, np.sort(np.concatenate(taken)))
-    return np.take(A.row, pivots), np.take(A.col, pivots)
+    row_of_col = np.take(A.row, _stable_order(A.col))  # not column_index(), which A would keep
+    row_blocked, col_blocked = np.zeros(A.rows, dtype=bool), np.zeros(A.cols, dtype=bool)
+    row_done, col_done = memoryview(row_blocked), memoryview(col_blocked)
+    taken = np.zeros(len(cand_row), dtype=bool)
+    row_at, col_at, took = memoryview(cand_row), memoryview(cand_col), memoryview(taken)
+    for start in range(0, len(cand_row), _PIVOT_PIECE):
+        live = ~(np.take(row_blocked, cand_row[start:start + _PIVOT_PIECE])
+                 | np.take(col_blocked, cand_col[start:start + _PIVOT_PIECE]))
+        for i in (np.flatnonzero(live) + start).tolist():
+            r, c = row_at[i], col_at[i]
+            if row_done[r] or col_done[c]:
+                continue
+            took[i] = True
+            row_blocked[row_of_col[col_start[c]:col_start[c + 1]]] = True
+            col_blocked[A.col[row_start[r]:row_start[r + 1]]] = True
+    return np.compress(taken, cand_row), np.compress(taken, cand_col)
 
 
 def _unit_round(A: IntMatrix):
-    """One batched elimination round on the pivots of ``_unit_pivots``:
+    """One elimination round on the pivots of ``_unit_pivots``:
     ``_schur``'s ``(prow, pcol, S)``, or None when A holds no +-1 entry."""
     prow, pcol = _unit_pivots(A)
     return _schur(A, prow, pcol) if len(prow) else None
@@ -670,7 +607,8 @@ def smith_normal_form(A: IntMatrix, matching=None) -> SmithForm:
     ``_distinct_columns`` empties the duplicate columns.
 
     While A holds at least ``_ROUND_MIN_NNZ`` nonzeros, ``_unit_round`` splits
-    off a signed identity and leaves its Schur complement; each round's pivots
+    off the signed identity that one greedy Markowitz pass picks
+    (``_unit_pivots``) and leaves its Schur complement; each round's pivots
     are factors 1.  The rounds stop when a round is refused, when the matrix
     falls below the cutoff, or when two rounds in a row grow its nonzeros:
     those two are undone.  A single growing round is kept, because on K(R)
@@ -690,8 +628,9 @@ def smith_normal_form(A: IntMatrix, matching=None) -> SmithForm:
     as one block and 0.02 s split.  Below the cutoff, with a unit, the
     split's graph set-up costs more than it saves: on every SNF of the
     eleven reference windows, one block was as fast or faster in each band
-    from 64 to 2048 nonzeros.  A Schur step that would not fit the memory
-    budget raises a LinAlgError (see ``_schur``)."""
+    from 64 to 2048 nonzeros.  A pivot search or Schur step that would not
+    fit the memory budget raises a LinAlgError (see ``_unit_pivots`` and
+    ``_schur``)."""
     if A._snf is None:
         units, rest = 0, A
         if matching is not None:

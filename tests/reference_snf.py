@@ -4,11 +4,13 @@ and image-membership checks built on it, ``to_dense``, which turns an
 ``IntMatrix`` into nested lists for them and for sympy, and ``from_text``,
 which reads back what ``IntMatrix.to_text`` writes.
 
-``unit_pivots`` and ``normalize_factors`` are the sequential loops that
-``zlinalg._unit_pivots`` (rounds of local minima) and
-``zlinalg._normalize_factors`` (one pass over a coprime base) replaced, and
-``scipy_matmul`` and ``scipy_schur`` the ``scipy.sparse`` products that
-``IntMatrix.matmul`` and ``zlinalg._unit_round`` replaced.
+``unit_pivots`` is the plain greedy loop, one candidate at a time over
+Python lists, that ``zlinalg._unit_pivots`` (the same loop over pieces of
+candidates filtered in bulk) must agree with; ``normalize_factors`` is the
+pairwise fold that ``zlinalg._normalize_factors`` (one pass over a coprime
+base) replaced, and ``scipy_matmul`` and ``scipy_schur`` the
+``scipy.sparse`` products that ``IntMatrix.matmul`` and
+``zlinalg._unit_round`` replaced.
 
 Everything here is dense Python-integer arithmetic, cubic in the matrix size;
 keep it to matrices of a few hundred rows and columns.

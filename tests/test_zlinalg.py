@@ -684,7 +684,11 @@ def hub_matrix(rng, rows: int, cols: int) -> IntMatrix:
     return IntMatrix.from_triplets(rows, cols, r, c, [rng.choice((1, -1)) for _ in r])
 
 
-def test_unit_pivots_match_the_greedy_loop_on_random_matrices():
+@pytest.mark.parametrize("piece", [1, 7, zlinalg._PIVOT_PIECE], ids=["1", "7", "default"])
+def test_unit_pivots_match_the_greedy_loop_on_random_matrices(monkeypatch, piece):
+    # pieces of 1 and 7 put many candidates at a piece edge, where a blocked
+    # flag read before the piece's pivots were taken would show
+    monkeypatch.setattr(zlinalg, "_PIVOT_PIECE", piece)
     rng = random.Random(59)
     mats = [random_pm1_heavy(rng, rng.randint(1, 12), rng.randint(1, 12), rng.randint(0, 60))
             for _ in range(300)]
@@ -697,19 +701,29 @@ def test_unit_pivots_match_the_greedy_loop_on_random_matrices():
         assert got[0].dtype == got[1].dtype == np.int64
 
 
-def test_unit_pivots_refuse_what_int32_cannot_number(monkeypatch):
-    # the search numbers lines (rows + cols) and places (2 nnz) in int32; with
-    # the limit lowered, a matrix just past it is refused before any array
-    A = IntMatrix.from_dense([[1, 0, 2], [0, -1, 0]])  # 5 lines, 6 places
-    monkeypatch.setattr(zlinalg, "INT32_MAX", 5)
-    with pytest.raises(LinAlgError, match="int32"):
-        _unit_pivots(A)
-    monkeypatch.setattr(zlinalg, "INT32_MAX", 6)
+def test_unit_pivot_search_over_the_memory_budget_fails_before_allocating(monkeypatch):
+    """The search needs about BYTES_PER_ROUND_ENTRY bytes per nonzero and
+    line; under a budget below that it refuses, stating the estimate, and
+    allocates far less than it."""
+    import tracemalloc
+
+    from stabring import _kernels
+
+    A = random_unit_rich(random.Random(71))
+    need = (A.nnz + A.rows + A.cols) * zlinalg.BYTES_PER_ROUND_ENTRY
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LinAlgError, match="unit-pivot search") as refusal:
+            _unit_pivots(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"about {need / 2 ** 20:.1f} MiB" in str(refusal.value)
+    assert peak < need / 10, (peak, need)
+    monkeypatch.setattr(_kernels, "memory_budget", lambda: need)
     got, want = _unit_pivots(A), unit_pivots(A)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    monkeypatch.setattr(zlinalg, "INT32_MAX", 4)
-    with pytest.raises(LinAlgError, match="int32"):
-        _unit_pivots(IntMatrix.from_dense([[1, 0, 0, 0]]))  # 5 lines, 2 places
 
 
 def test_unit_round_matches_dense_and_scipy_schur_complements():
