@@ -4,22 +4,26 @@ constructions and degree-bound battery built on them.
 R is generated in degree 1, so a module is fixed by how the degree-1 classes
 act on it.  A module keeps one int64 array per degree, ``acts[n]`` of shape
 (|R_1|, rank_{n+1}, rank_n): row c is the action of degree-1 class c, and
-row 0, the class of (e, e), is U.  Every construction here is an array
-operation on these arrays: the tensor relations are the nonzeros of the
-actions broadcast over the identity factor, and a class of degree i acts
-through one batched product per degree along its least entries."""
+row 0, the class of (e, e), is U.
+
+Every module the library builds is monomial: an action sends a basis vector
+to a basis vector or to 0.  The battery reads the actions as image arrays
+and refuses any other module.  Its relation matrices are then incidence
+matrices of graphs, totally unimodular (Schrijver, Theory of Linear and
+Integer Programming, 1986, ch. 19), so every group it reads is free, of a
+rank that counts basis vectors no action hits or live components of a
+generator graph; ``tests/reference_modules.py`` takes them from Smith forms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from . import _kernels
 from .orbits import decode_tuple
 from .ring import GradedRing
-from .zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
+from .zlinalg import HomologyGroup
 
 
 class ModuleError(ValueError):
@@ -203,117 +207,123 @@ def derive_module(ring: GradedRing, recipe) -> GradedModule:
     raise ModuleError(f"unknown module recipe {recipe!r}")
 
 
-# -- tensor, H0/H1, and the degree battery ---------------------------------
+# -- H0, tensor products and the degree battery, by counts ------------------
 
 
-def _gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
-    """Generators of (+)_{i+k=n} N_i x M_k with i >= min_i; returns offsets."""
+def _images(M: GradedModule) -> list:
+    """Per degree n < n_max, M's action as an image array: [c, j] is the index
+    of c . e_j in M_{n+1}, or -1 for 0.  A ModuleError naming the module and
+    the degree refuses an action that is not monomial, as the counts need."""
+    out = []
+    for n, act in enumerate(M.acts):
+        c, r, j = np.nonzero(act)
+        image = np.full((act.shape[0], act.shape[2]), -1, dtype=np.int64)
+        image[c, j] = r
+        if (act[c, r, j] != 1).any() or np.count_nonzero(image >= 0) < len(c):
+            raise ModuleError(f"{M.name}: the action at degree {n} is not monomial (an entry "
+                              "outside {0, 1} or two nonzeros in one column)")
+        out.append(image)
+    return out
+
+
+def _hits(image: np.ndarray) -> int:
+    """How many distinct basis vectors an image array reaches."""
+    return len(_kernels.distinct(image[image >= 0]))
+
+
+def _free(ranks) -> list:
+    return [HomologyGroup(free_rank=int(r)) for r in ranks]
+
+
+def _h0(M: GradedModule, images: list) -> list:
+    return _free([M.rank(0)] + [M.rank(n + 1) - _hits(image) for n, image in enumerate(images)])
+
+
+def h0(M: GradedModule) -> list:
+    """H0(M) = M / R_{>0} M degreewise, free on the basis vectors no degree-1
+    action hits; for either side, which the act matrices already encode."""
+    return _h0(M, _images(M))
+
+
+def _tensor_graph(N: GradedModule, M: GradedModule, n_images: list, m_images: list,
+                  top: int, min_i: int = 0):
+    """The generator graph of N (x)_R M in degrees n <= top, splits i >= min_i:
+    u (x) m of N_i x M_k is generator start[n, i] + u * rank M_k + m.  The
+    relation (u . c) (x) m - u (x) (c . m) of a degree-1 class c joins its
+    ends when both are nonzero, else kills its nonzero end's component, and
+    degree n is free on its live components.  One ``_kernels.components``
+    call takes each of ``_kernels.pieces`` of about ``_kernels.CHUNK``
+    relations, |R_1| per generator of the degree below.  Returns start, each
+    generator's degree and component root, and whether it is a live root."""
     if N.side != "right" or M.side != "left":
         raise ModuleError("tensor needs a right module and a left module")
-    splits = range(min_i, n + 1)
-    starts = list(accumulate((N.rank(i) * M.rank(n - i) for i in splits), initial=0))
-    return dict(zip(splits, starts)), starts[-1]
-
-
-def _tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
-    """Relation matrix of the degree-n piece of N (x)_R M.
-
-    Generators u (x) m over splits i + k = n (i >= min_i), numbered as in
-    ``_gen_offsets``; relations move one degree-1 class c across the tensor
-    sign: (u . c) (x) m - u (x) (c m).  Per split i + 1 + k = n the relation
-    of (c, u, m) is column (c N_i + u) M_k + m of the split's block.  Each
-    nonzero lambda_c[r, m] of M gives -lambda_c[r, m] at generator u (x) r of
-    N_i x M_{k+1}, for every u; each nonzero rho_c[v, u] of N gives
-    rho_c[v, u] at generator v (x) m of N_{i+1} x M_k, for every m.
-    """
-    offsets, dim = _gen_offsets(N, M, n, min_i)
-    classes = M.ring.basis_size(1)
-    rows, cols, vals = [], [], []
-    n_rel = 0
-    for i in range(min_i, n):
-        k = n - 1 - i
-        n_i, m_k = N.rank(i), M.rank(k)
-        lam, rho = M.acts[k], N.acts[i]
-        c, r, m = np.nonzero(lam)
-        u = np.arange(n_i)[:, None]
-        rows.append(offsets[i] + u * M.rank(k + 1) + r)
-        cols.append(n_rel + (c * n_i + u) * m_k + m)
-        vals.append(np.broadcast_to(-lam[c, r, m], rows[-1].shape))
-        c, v, u = np.nonzero(rho)
-        m = np.arange(m_k)[:, None]
-        rows.append(offsets[i + 1] + v * m_k + m)
-        cols.append(n_rel + (c * n_i + u) * m_k + m)
-        vals.append(np.broadcast_to(rho[c, v, u], rows[-1].shape))
-        n_rel += classes * n_i * m_k
-    return _from_blocks(dim, n_rel, rows, cols, vals)
-
-
-def _from_blocks(n_rows: int, n_cols: int, rows: list, cols: list, vals: list) -> IntMatrix:
-    """One ``from_triplets`` call on lists of triplet arrays, any shapes."""
-    flat = (np.concatenate([np.zeros(0, dtype=np.int64)] + [a.ravel() for a in part])
-            for part in (rows, cols, vals))
-    return IntMatrix.from_triplets(n_rows, n_cols, *flat)
+    start, first = {}, [0]  # first[n]: degree n's first generator
+    for n in range(top + 1):
+        at = first[n]
+        for i in range(min_i, n + 1):
+            start[n, i], at = at, at + N.rank(i) * M.rank(n - i)
+        first.append(at)
+    labels, live = np.arange(first[-1]), np.ones(first[-1], dtype=bool)
+    relations = len(n_images[0]) * np.array([0] + first[:-1])
+    for lo, hi in _kernels.pieces(relations, np.arange(top + 1)):
+        src, dst, dead = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+        for n, i in ((n, i) for n in range(lo, hi) for i in range(min_i, n)):
+            k = n - 1 - i
+            v, r = n_images[i][:, :, None], m_images[k][:, None, :]  # u . c and c . m
+            left = start[n, i + 1] - first[lo] + v * M.rank(k) + np.arange(M.rank(k))
+            right = start[n, i] - first[lo] + np.arange(N.rank(i))[:, None] * M.rank(k + 1) + r
+            src.append(left[(v >= 0) & (r >= 0)])
+            dst.append(right[(v >= 0) & (r >= 0)])
+            dead += [left[(v >= 0) & (r < 0)], right[(v < 0) & (r >= 0)]]
+        piece = _kernels.components(first[hi] - first[lo], np.concatenate(src), np.concatenate(dst))
+        live[first[lo] + piece[np.concatenate(dead)]] = False
+        labels[first[lo]:first[hi]] = first[lo] + piece
+    live &= labels == np.arange(first[-1])
+    return start, np.repeat(np.arange(top + 1), np.diff(first)), labels, live
 
 
 def graded_tensor(N: GradedModule, M: GradedModule) -> list:
     """(N (x)_R M)_n as abelian groups, degree by degree within the window."""
-    budget = min(N.n_max, M.n_max)
-    out = []
-    for n in range(budget + 1):
-        rel = _tensor_presentation(N, M, n)
-        out.append(chain_homology(IntMatrix(0, rel.rows), rel))
-    return out
+    top = min(N.n_max, M.n_max)
+    _, degree, _, live = _tensor_graph(N, M, _images(N), _images(M), top)
+    return _free(np.bincount(degree[live], minlength=top + 1))
 
 
-def h0(M: GradedModule) -> list:
-    """H0(M) = M / R_{>0} M degreewise: coker of all degree-1 actions.
-
-    Works for either side; the act matrices already encode the side.
-    """
-    out = []
-    for n in range(M.n_max + 1):
-        rows = M.rank(n)
-        if n == 0:
-            out.append(HomologyGroup(free_rank=rows))
-            continue
-        # the degree-1 actions side by side, one block of columns per class
-        act = M.acts[n - 1]
-        stack = act.transpose(1, 0, 2).reshape(rows, act.shape[0] * act.shape[2])
-        out.append(chain_homology(IntMatrix(0, rows),
-                                  IntMatrix.from_dense(stack, rows=rows, cols=stack.shape[1])))
-    return out
+def _class_images(M: GradedModule, images: list, top: int) -> dict:
+    """[i, k][j, m]: the index of (class j of R_i) . e_m in M_{k+i}, or -1,
+    for i + k <= top.  Class j, whose least entry in product(i - 1, 1) is
+    (p, y), acts as p . (y . m); a last column of -1 keeps 0 at 0."""
+    acting = {(0, k): np.arange(M.rank(k))[None] for k in range(top + 1)}
+    for i in range(1, top + 1):
+        _, least = np.unique(M.ring.steps[i - 1], return_index=True)
+        p, y = np.divmod(least, M.ring.basis_size(1))
+        for k in range(top + 1 - i):
+            before = acting[i - 1, k + 1]
+            before = np.concatenate((before, np.full((len(before), 1), -1)), axis=1)
+            acting[i, k] = before[p[:, None], images[k][y]]
+    return acting
 
 
-def _beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                 classes: list) -> IntMatrix:
-    """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m;
-    classes[i][u] is that class, of degree i."""
-    offsets, dim = _gen_offsets(N, M, n, min_i)
-    rows, cols, vals = [], [], []
-    for i, acting in enumerate(_class_actions(M, n)):
-        if i < min_i:
-            continue
-        gathered = acting[np.asarray(classes[i], dtype=np.int64)]
-        u, r, m = np.nonzero(gathered)
-        rows.append(r)
-        cols.append(offsets[i] + u * M.rank(n - i) + m)
-        vals.append(gathered[u, r, m])
-    return _from_blocks(M.rank(n), dim, rows, cols, vals)
-
-
-def _class_actions(M: GradedModule, n: int):
-    """Per degree i = 0..n, the actions M_{n-i} -> M_n of every class of R_i
-    on the left module M, stacked by class.  Class j of degree i, whose least
-    entry in product(i - 1, 1) is (p, y), acts as p . (y . m): one batched
-    product per degree."""
-    ring = M.ring
-    acting = np.eye(M.rank(n), dtype=np.int64)[None]
-    yield acting
-    for i in range(1, n + 1):
-        _, least = np.unique(ring.steps[i - 1], return_index=True)
-        p, y = np.divmod(least, ring.basis_size(1))
-        acting = np.matmul(acting[p], M.acts[n - i][y])
-        yield acting
+def _tor1(parts: "RingParts", M: GradedModule, images: list) -> list:
+    """Tor_1 = ker(beta: U(R) (x)_R M -> M), beta(u (x) m) = (class of u) . m,
+    degreewise.  beta sends a generator to a basis vector or to 0; it must
+    be constant on each component and 0 on the dead ones (else ModuleError),
+    and the rank is the live components less their distinct nonzero images."""
+    top = min(parts.ur.n_max, M.n_max)
+    start, degree, labels, live = _tensor_graph(parts.ur, M, parts.ur_images, images, top, min_i=1)
+    acting = _class_images(M, images, top)
+    beta = np.full(len(labels), -1, dtype=np.int64)
+    for (n, i), at in start.items():
+        image = acting[i, n - i][parts.ur_classes[i]]
+        beta[at:at + image.size] = image.ravel()
+    dead = (labels == np.arange(len(labels))) & ~live
+    if (beta != beta[labels]).any() or (beta[dead] >= 0).any():
+        raise ModuleError(f"{M.name}: beta: U(R) (x) M -> M does not vanish on the "
+                          "tensor relations")
+    width = max(M.ranks) + 1
+    hit_degree = _kernels.distinct((degree * width + beta)[live & (beta >= 0)]) // width
+    return _free(np.bincount(degree[live], minlength=top + 1)
+                 - np.bincount(hit_degree, minlength=top + 1))
 
 
 def deg_of(groups: list) -> int:
@@ -341,80 +351,61 @@ class DeltaBounds:
 @dataclass(frozen=True)
 class RingParts:
     """What ``delta_and_bounds`` reads of the ring alone, the same for every
-    module M: U(R) and R/UR as right modules, the classes of U(R), the
-    degrees of R/UR and of its H0, and A(R)."""
+    module M: U(R) and R/UR as right modules with their image arrays, the
+    classes of U(R), the degrees of R/UR and of its H0, and A(R)."""
     ur: GradedModule
+    ur_images: list
     ur_classes: list
     rbar: GradedModule
+    rbar_images: list
     rbar_deg: int
     rbar_h0_deg: int
     a_r: int
 
 
 def ring_parts(ring: GradedRing) -> RingParts:
-    rbar = quotient_u_module(ring, side="right")
-    return RingParts(ur=ur_ideal_module(ring, side="right"), ur_classes=_u_image(ring),
-                     rbar=rbar, rbar_deg=module_deg(rbar), rbar_h0_deg=deg_of(h0(rbar)),
-                     a_r=ring.stability_profile().a_r)
+    ur, rbar = ur_ideal_module(ring, side="right"), quotient_u_module(ring, side="right")
+    return RingParts(ur=ur, ur_images=_images(ur), ur_classes=_u_image(ring),
+                     rbar=rbar, rbar_images=_images(rbar), rbar_deg=module_deg(rbar),
+                     rbar_h0_deg=deg_of(h0(rbar)), a_r=ring.stability_profile().a_r)
 
 
 def delta_and_bounds(M: GradedModule, parts: RingParts | None = None) -> DeltaBounds:
     """delta(M), A(M), and the two degree-bound verdicts, within the window.
     ``parts`` is ``ring_parts(M.ring)``, built here when not given."""
     parts = parts or ring_parts(M.ring)
-    # U: M_n -> M_{n+1} once per degree; its Smith form serves tor0 and ker U
-    u = [IntMatrix.from_dense(M.u_matrix(n), rows=M.rank(n + 1), cols=M.rank(n))
-         for n in range(M.n_max)]
-    # tor0 = M/UM: coker of U degreewise (degree 0 piece is M_0 itself)
-    tor0 = [HomologyGroup(free_rank=M.rank(0))] + [
-        chain_homology(IntMatrix(0, M.rank(n + 1)), u[n]) for n in range(M.n_max)]
-    deg_m_u = max((n for n in range(M.n_max) if smith_normal_form(u[n]).rank < M.rank(n)),
-                  default=-1)
-    # tor1 = ker(U(R) (x)_R M -> M) via the four-term exact sequence
-    budget = min(parts.ur.n_max, M.n_max)
-    tor1 = []
-    for n in range(budget + 1):
-        rel = _tensor_presentation(parts.ur, M, n, min_i=1)
-        beta = _beta_matrix(parts.ur, M, n, min_i=1, classes=parts.ur_classes)
-        tor1.append(chain_homology(beta, rel))
+    images = _images(M)
+    # U: M_n -> M_{n+1} hits u_hits[n] basis vectors; M/UM is free on the rest
+    u_hits = [_hits(image[0]) for image in images]
+    tor0 = _free([M.rank(0)] + [M.rank(n + 1) - hits for n, hits in enumerate(u_hits)])
+    deg_m_u = max((n for n, hits in enumerate(u_hits) if hits < M.rank(n)), default=-1)
+    tor1 = _tor1(parts, M, images)
     deg_tor0 = deg_of(tor0)
-    deg_tor1 = deg_of(tor1)
-    delta = max(deg_tor0, deg_tor1)
+    delta = max(deg_tor0, deg_of(tor1))
     a_m = max(deg_m_u, deg_tor0)
-    a_bound = a_m <= delta + parts.a_r
     # tensor degree bound at (Rbar, M): deg(Rbar (x) M) <= min(...)
-    tensor_deg = deg_of(graded_tensor(parts.rbar, M))
-    deg_h0 = deg_of(h0(M))
+    _, degree, _, live = _tensor_graph(parts.rbar, M, parts.rbar_images, images,
+                                       min(parts.rbar.n_max, M.n_max))
+    tensor_deg = int(degree[live].max(initial=-1))
+    deg_h0 = deg_of(_h0(M, images))
     lhs_bound = min(parts.rbar_deg + deg_h0, parts.rbar_h0_deg + module_deg(M))
-    tensor_bound = tensor_deg <= lhs_bound
     return DeltaBounds(tor0=tuple(tor0), tor1=tuple(tor1), delta=delta,
                        deg_m_u=deg_m_u, deg_m_mod_u=deg_tor0, deg_h0=deg_h0, a_m=a_m,
-                       a_bound_ok=a_bound, tensor_bound_ok=tensor_bound)
+                       a_bound_ok=a_m <= delta + parts.a_r,
+                       tensor_bound_ok=tensor_deg <= lhs_bound)
 
 
 def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
-    """Whether components up to degree a generate M over the ring (in window).
-
-    Tracks the integer span: the submodule generated by degrees <= a fills
-    M_n iff the accumulated image lattice is all of Z^{rank}.
-    """
-    prev_gens = None
-    for n in range(M.n_max + 1):
-        cols = []
-        if n <= a:
-            cols.append(np.eye(M.rank(n), dtype=np.int64))
-        if n > 0 and prev_gens is not None and prev_gens.shape[1]:
-            image = M.acts[n - 1] @ prev_gens  # one block of columns per class
-            cols.append(image.transpose(1, 0, 2).reshape(M.rank(n), image.shape[0] * image.shape[2]))
-        gens = (np.concatenate(cols, axis=1) if cols
-                else np.zeros((M.rank(n), 0), dtype=np.int64))
-        if gens.shape[1]:
-            gens = _kernels.distinct(gens, axis=1)  # duplicate columns add nothing to the span
-        if M.rank(n):
-            mat = IntMatrix.from_dense(gens, rows=M.rank(n), cols=gens.shape[1])
-            snf = smith_normal_form(mat)
-            full = snf.rank == M.rank(n) and all(f == 1 for f in snf.factors)
-            if not full:
-                return False
-        prev_gens = gens
-    return True
+    """Whether components up to degree a generate M over the ring (in window):
+    whether they reach every basis vector, all of M_n for n <= a and above a
+    those that a degree-1 action hits from the ones reached in degree n - 1,
+    as an action sends a basis vector to a basis vector or to 0."""
+    images = _images(M)
+    reached = np.full(M.rank(0), a >= 0)
+    for n in range(1, M.n_max + 1):
+        if not reached.all():
+            return False
+        hit = images[n - 1][:, reached]
+        reached = np.full(M.rank(n), n <= a)
+        reached[hit[hit >= 0]] = True
+    return bool(reached.all())

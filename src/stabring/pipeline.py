@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -282,19 +283,41 @@ def _bound_verdicts(profile, rows: list, n_max: int) -> list:
     return verdicts
 
 
+def _triplet_lines(row, col, val) -> bytes:
+    """The lines "row col val" of int64 arrays as ASCII, by arithmetic on whole
+    arrays: a column of characters per sign, digit place and separator."""
+    chars, kept = [], []
+    for x, end in ((row, " "), (col, " "), (val, "\n")):
+        q, places = np.abs(x), [(ord(end), True)]
+        for place in range(len(str(int(q.max(initial=0))))):  # units first, which 0 fills
+            rest = q // 10
+            places.append((q - rest * 10 + ord("0"), (q > 0) | (place == 0)))
+            q = rest
+        for char, keep in [(ord("-"), x < 0)] + places[::-1]:
+            chars.append(np.broadcast_to(np.asarray(char).astype(np.uint8), len(x)))
+            kept.append(np.broadcast_to(keep, len(x)))
+    return np.compress(np.stack(kept, axis=1).ravel(), np.stack(chars, axis=1).ravel()).tobytes()
+
+
 def _dump_matrices(K, out_dir: str) -> None:
-    """Write every differential as text triplets to out_dir/matrices.  A
-    matrix that several keys share is formatted once and written to each."""
+    """Write every differential to out_dir/matrices as the line "rows cols
+    nnz", then "row col value" per entry, ``_kernels.CHUNK`` entries at a
+    time.  A matrix that several keys share is written once and copied."""
     mat_dir = os.path.join(out_dir, "matrices")
     os.makedirs(mat_dir, exist_ok=True)
     shared = {}
     for key, mat in K.d.items():
         shared.setdefault(id(mat), []).append(key)
     for keys in shared.values():
-        text = K.d[keys[0]].to_text()
-        for p, n in keys:
-            with open(os.path.join(mat_dir, f"d_p{p}_n{n}.txt"), "w") as fh:
-                fh.write(text)
+        mat = K.d[keys[0]]
+        first, *rest = (os.path.join(mat_dir, f"d_p{p}_n{n}.txt") for p, n in keys)
+        with open(first, "wb") as fh:
+            fh.write(f"{mat.rows} {mat.cols} {mat.nnz}\n".encode())
+            for at in range(0, mat.nnz, _kernels.CHUNK):
+                fh.write(_triplet_lines(*(a[at:at + _kernels.CHUNK]
+                                          for a in (mat.row, mat.col, mat.val))))
+        for path in rest:
+            shutil.copyfile(first, path)
 
 
 def run_pipeline(config: PipelineConfig) -> Report:

@@ -119,14 +119,14 @@ class IntMatrix:
 
     ``row``, ``col`` and ``val`` list the nonzero entries sorted by (row, col),
     with no duplicates and no stored zeros, as read-only int64 arrays; every
-    value has absolute value below 2^63.  Build one with ``from_triplets``,
-    or ``from_dense``; ``IntMatrix(rows, cols)`` is the zero
-    matrix.  Products are computed on these arrays in int64, refused before
-    they start when an entry could leave int64.  The column index and the
-    Smith form are computed on first use and kept.
+    value has absolute value below 2^63.  Build one with ``from_triplets``;
+    ``IntMatrix(rows, cols)`` is the zero matrix.  Products are computed on
+    these arrays in int64, refused before they start when an entry could
+    leave int64.  The column index and the Smith form are computed on first
+    use and kept, and so is each d_in of ``chain_homology`` with self . d_in = 0.
     """
 
-    __slots__ = ("rows", "cols", "row", "col", "val", "_by_col", "_snf")
+    __slots__ = ("rows", "cols", "row", "col", "val", "_by_col", "_snf", "_zero_after")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -136,6 +136,7 @@ class IntMatrix:
         self.row = self.col = self.val = _frozen(np.zeros(0, dtype=np.int64))
         self._by_col = None
         self._snf = None
+        self._zero_after = []
 
     @classmethod
     def _canonical(cls, rows: int, cols: int, row, col, val) -> "IntMatrix":
@@ -167,20 +168,6 @@ class IntMatrix:
         if len(key) and (key.min() < 0 or key.max() >= rows * cols):
             raise LinAlgError(f"position out of bounds for {rows}x{cols}")
         return _summed(rows, cols, key, val, checked=True)
-
-    @classmethod
-    def from_dense(cls, rows_list, rows: int | None = None, cols: int | None = None):
-        dense = _as_int64(rows_list)
-        if dense.size == 0:
-            m = dense.shape[0] if rows is None else rows
-            n = (dense.shape[1] if dense.ndim == 2 else 0) if cols is None else cols
-            return cls(m, n)
-        if dense.ndim != 2:
-            raise LinAlgError(f"dense matrix must be two-dimensional, got {dense.ndim}")
-        m = dense.shape[0] if rows is None else rows
-        n = dense.shape[1] if cols is None else cols
-        r, c = np.nonzero(dense)
-        return cls.from_triplets(m, n, r, c, dense[r, c])
 
     @property
     def nnz(self) -> int:
@@ -228,12 +215,6 @@ class IntMatrix:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and np.array_equal(self.row, other.row)
                 and np.array_equal(self.col, other.col) and np.array_equal(self.val, other.val))
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        lines += [f"{r} {c} {v}" for r, c, v in
-                  zip(self.row.tolist(), self.col.tolist(), self.val.tolist())]
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -366,11 +347,11 @@ class SmithForm:
 
 
 # Unit-pivot rounds run only while a matrix holds at least this many nonzeros.
-# Measured on every SNF with a +-1 entry of the C8 (n <= 3) and battery
-# pipelines, rounds from 1 nonzero on against the per-block eliminator (best
-# of 5, 2 cores): under 512 nnz the rounds made 438 SNFs 7x slower at the
-# median (121 against 38 ms), from 512 to 2048 nnz they took 5 against 8 ms
-# on 2 SNFs, too few to move the cutoff, and above 2048 nnz 0.3 against 1.8 s.
+# Measured on the 72 SNFs with a +-1 entry of the K(R) and bar complexes of
+# C8 (n <= 3), S3 (n <= 3, p <= 2) and the battery windows, per nnz band,
+# cutoffs 1 to 8192 and none, best of 5, two runs, 2 cores: under 512 nnz
+# rounds took 22-26 ms on 52 SNFs against 8-12 ms; from 512 to 8192 every
+# cutoff read 7-13 ms on 9 SNFs; above, 0.31-0.39 s on 11 against 1.9 s.
 _ROUND_MIN_NNZ = 2048
 
 
@@ -669,15 +650,18 @@ def smith_normal_form(A: IntMatrix, matching=None) -> SmithForm:
 def chain_homology(d_out: IntMatrix, d_in: IntMatrix, match_out=None,
                    match_in=None) -> HomologyGroup:
     """Structure of ker(d_out)/im(d_in) for a two-step chain spot C2 -> C1 -> C0.
-    d_out d_in = 0 is checked before either is eliminated; the matchings go
-    to ``smith_normal_form``."""
+    d_out d_in = 0 is checked before either is eliminated, once per pair of
+    objects, as spots share differentials: d_out keeps each d_in it passed
+    with.  The matchings go to ``smith_normal_form``."""
     if d_out.cols != d_in.rows:
         raise LinAlgError(
             f"chain dimension mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
-    composite = d_out.matmul(d_in)
-    if not composite.is_zero:
-        r, c, v = int(composite.row[0]), int(composite.col[0]), int(composite.val[0])
-        raise LinAlgError(f"d_out . d_in != 0: entry ({r},{c}) = {v}")
+    if not any(d is d_in for d in d_out._zero_after):
+        composite = d_out.matmul(d_in)
+        if not composite.is_zero:
+            r, c, v = int(composite.row[0]), int(composite.col[0]), int(composite.val[0])
+            raise LinAlgError(f"d_out . d_in != 0: entry ({r},{c}) = {v}")
+        d_out._zero_after.append(d_in)
     snf_in = smith_normal_form(d_in, match_in)
     free = d_in.rows - smith_normal_form(d_out, match_out).rank - snf_in.rank
     if free < 0:

@@ -14,24 +14,33 @@ the degree-2 relations one tuple of G^4 at a time.
 
 ``act`` is the action of one pair, ``act_class`` the action of one ring
 class as the product of its representative's pair actions.
-``tensor_presentation`` builds each split's relations as dense
-``np.kron`` blocks and scans them with ``np.nonzero``, and ``beta_matrix``
-multiplies the pair actions out for one generator at a time; the library
-reads both off the nonzeros of the action arrays.
 
-``h1`` is H1(M) from the library's tensor presentation; the library itself
-only needs H0 and Tor_1 against U(R).
+The lemma battery by Smith normal forms, which the library's counts on
+image arrays replaced: ``tensor_presentation`` reads the relations of
+N (x)_R M off the nonzeros of the action arrays, ``beta_matrix`` the map
+U(R) (x)_R M -> M off the classes' actions (``class_actions``, one batched
+product per degree), and ``graded_tensor``, ``h0``, ``delta_and_bounds``
+and ``generated_in_degrees_upto`` take every group from ``chain_homology``
+or ``smith_normal_form``.  These work on any module, monomial or not.
+``kron_tensor_presentation`` builds each split's relations as dense
+``np.kron`` blocks instead, and ``generator_beta_matrix`` multiplies the
+pair actions out for one generator at a time.
+
+``h1`` is H1(M) from the tensor presentation; the library itself only needs
+H0 and Tor_1 against U(R).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import accumulate
 
 import numpy as np
 
-from stabring import modules
-from stabring.modules import GradedModule, ModuleError
-from stabring.zlinalg import IntMatrix, chain_homology
+from reference_snf import from_dense
+from stabring import _kernels, modules
+from stabring.modules import DeltaBounds, GradedModule, ModuleError, deg_of, module_deg
+from stabring.zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
 
 
 def pairs(G) -> list:
@@ -262,16 +271,17 @@ def h1(M: GradedModule) -> list:
     """H1(M) = ker(beta: R_{>0} (x)_R M -> M) degreewise."""
     rplus = dataclasses.replace(modules.regular_module(M.ring, side="right"), name="R>0")
     identity = [range(rank) for rank in rplus.ranks]
-    return [chain_homology(modules._beta_matrix(rplus, M, n, min_i=1, classes=identity),
-                           modules._tensor_presentation(rplus, M, n, min_i=1))
+    return [chain_homology(beta_matrix(rplus, M, n, min_i=1, classes=identity),
+                           tensor_presentation(rplus, M, n, min_i=1))
             for n in range(M.n_max + 1)]
 
 
-def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
-    """``modules._tensor_presentation`` from dense blocks: per split
+def kron_tensor_presentation(N: GradedModule, M: GradedModule, n: int,
+                             min_i: int = 0) -> IntMatrix:
+    """``tensor_presentation`` from dense blocks: per split
     i + 1 + k = n, -kron(I, lambda_c) on the N_i x M_{k+1} generators stacked
     on kron(rho_c, I) on the N_{i+1} x M_k generators right after them."""
-    offsets, dim = modules._gen_offsets(N, M, n, min_i)
+    offsets, dim = gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     n_rel = 0
     for i in range(min_i, n):
@@ -290,10 +300,10 @@ def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0
                                    np.concatenate(cols), np.concatenate(vals))
 
 
-def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                classes: list) -> IntMatrix:
-    """``modules._beta_matrix`` by one ``act_class`` product per generator."""
-    offsets, dim = modules._gen_offsets(N, M, n, min_i)
+def generator_beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
+                          classes: list) -> IntMatrix:
+    """``beta_matrix`` by one ``act_class`` product per generator."""
+    offsets, dim = gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     for i in range(min_i, n + 1):
         k = n - i
@@ -309,3 +319,165 @@ def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
         return IntMatrix(M.rank(n), dim)
     return IntMatrix.from_triplets(M.rank(n), dim, np.concatenate(rows),
                                    np.concatenate(cols), np.concatenate(vals))
+
+
+# -- the lemma battery by Smith normal forms ---------------------------------
+
+
+def gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
+    """Generators of (+)_{i+k=n} N_i x M_k with i >= min_i; returns offsets."""
+    if N.side != "right" or M.side != "left":
+        raise ModuleError("tensor needs a right module and a left module")
+    splits = range(min_i, n + 1)
+    starts = list(accumulate((N.rank(i) * M.rank(n - i) for i in splits), initial=0))
+    return dict(zip(splits, starts)), starts[-1]
+
+
+def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
+    """Relation matrix of the degree-n piece of N (x)_R M.
+
+    Generators u (x) m over splits i + k = n (i >= min_i), numbered as in
+    ``gen_offsets``; relations move one degree-1 class c across the tensor
+    sign: (u . c) (x) m - u (x) (c m).  Per split i + 1 + k = n the relation
+    of (c, u, m) is column (c N_i + u) M_k + m of the split's block.  Each
+    nonzero lambda_c[r, m] of M gives -lambda_c[r, m] at generator u (x) r of
+    N_i x M_{k+1}, for every u; each nonzero rho_c[v, u] of N gives
+    rho_c[v, u] at generator v (x) m of N_{i+1} x M_k, for every m.
+    """
+    offsets, dim = gen_offsets(N, M, n, min_i)
+    classes = M.ring.basis_size(1)
+    rows, cols, vals = [], [], []
+    n_rel = 0
+    for i in range(min_i, n):
+        k = n - 1 - i
+        n_i, m_k = N.rank(i), M.rank(k)
+        lam, rho = M.acts[k], N.acts[i]
+        c, r, m = np.nonzero(lam)
+        u = np.arange(n_i)[:, None]
+        rows.append(offsets[i] + u * M.rank(k + 1) + r)
+        cols.append(n_rel + (c * n_i + u) * m_k + m)
+        vals.append(np.broadcast_to(-lam[c, r, m], rows[-1].shape))
+        c, v, u = np.nonzero(rho)
+        m = np.arange(m_k)[:, None]
+        rows.append(offsets[i + 1] + v * m_k + m)
+        cols.append(n_rel + (c * n_i + u) * m_k + m)
+        vals.append(np.broadcast_to(rho[c, v, u], rows[-1].shape))
+        n_rel += classes * n_i * m_k
+    return from_blocks(dim, n_rel, rows, cols, vals)
+
+
+def from_blocks(n_rows: int, n_cols: int, rows: list, cols: list, vals: list) -> IntMatrix:
+    """One ``from_triplets`` call on lists of triplet arrays, any shapes."""
+    flat = (np.concatenate([np.zeros(0, dtype=np.int64)] + [a.ravel() for a in part])
+            for part in (rows, cols, vals))
+    return IntMatrix.from_triplets(n_rows, n_cols, *flat)
+
+
+def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
+                classes: list) -> IntMatrix:
+    """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m;
+    classes[i][u] is that class, of degree i."""
+    offsets, dim = gen_offsets(N, M, n, min_i)
+    rows, cols, vals = [], [], []
+    for i, acting in enumerate(class_actions(M, n)):
+        if i < min_i:
+            continue
+        gathered = acting[np.asarray(classes[i], dtype=np.int64)]
+        u, r, m = np.nonzero(gathered)
+        rows.append(r)
+        cols.append(offsets[i] + u * M.rank(n - i) + m)
+        vals.append(gathered[u, r, m])
+    return from_blocks(M.rank(n), dim, rows, cols, vals)
+
+
+def class_actions(M: GradedModule, n: int):
+    """Per degree i = 0..n, the actions M_{n-i} -> M_n of every class of R_i
+    on the left module M, stacked by class.  Class j of degree i, whose least
+    entry in product(i - 1, 1) is (p, y), acts as p . (y . m): one batched
+    product per degree."""
+    ring = M.ring
+    acting = np.eye(M.rank(n), dtype=np.int64)[None]
+    yield acting
+    for i in range(1, n + 1):
+        _, least = np.unique(ring.steps[i - 1], return_index=True)
+        p, y = np.divmod(least, ring.basis_size(1))
+        acting = np.matmul(acting[p], M.acts[n - i][y])
+        yield acting
+
+
+def graded_tensor(N: GradedModule, M: GradedModule) -> list:
+    """(N (x)_R M)_n as abelian groups, degree by degree within the window."""
+    out = []
+    for n in range(min(N.n_max, M.n_max) + 1):
+        rel = tensor_presentation(N, M, n)
+        out.append(chain_homology(IntMatrix(0, rel.rows), rel))
+    return out
+
+
+def h0(M: GradedModule) -> list:
+    """H0(M) = M / R_{>0} M degreewise: coker of all degree-1 actions."""
+    out = [HomologyGroup(free_rank=M.rank(0))]
+    for n in range(1, M.n_max + 1):
+        rows = M.rank(n)
+        # the degree-1 actions side by side, one block of columns per class
+        act = M.acts[n - 1]
+        stack = act.transpose(1, 0, 2).reshape(rows, act.shape[0] * act.shape[2])
+        out.append(chain_homology(IntMatrix(0, rows),
+                                  from_dense(stack, rows=rows, cols=stack.shape[1])))
+    return out
+
+
+def ring_parts(ring) -> modules.RingParts:
+    """``modules.ring_parts`` with deg H0(R/UR) by Smith normal forms."""
+    parts = modules.ring_parts(ring)
+    return dataclasses.replace(parts, rbar_h0_deg=deg_of(h0(parts.rbar)))
+
+
+def delta_and_bounds(M: GradedModule, parts=None) -> DeltaBounds:
+    """``modules.delta_and_bounds`` with every group a ``chain_homology``
+    Smith form: M/UM and ker U from U's matrices, Tor_1 from the tensor
+    presentation and beta."""
+    parts = parts or ring_parts(M.ring)
+    u = [from_dense(M.u_matrix(n), rows=M.rank(n + 1), cols=M.rank(n))
+         for n in range(M.n_max)]
+    tor0 = [HomologyGroup(free_rank=M.rank(0))] + [
+        chain_homology(IntMatrix(0, M.rank(n + 1)), u[n]) for n in range(M.n_max)]
+    deg_m_u = max((n for n in range(M.n_max) if smith_normal_form(u[n]).rank < M.rank(n)),
+                  default=-1)
+    tor1 = [chain_homology(beta_matrix(parts.ur, M, n, min_i=1, classes=parts.ur_classes),
+                           tensor_presentation(parts.ur, M, n, min_i=1))
+            for n in range(min(parts.ur.n_max, M.n_max) + 1)]
+    deg_tor0, deg_tor1 = deg_of(tor0), deg_of(tor1)
+    delta = max(deg_tor0, deg_tor1)
+    a_m = max(deg_m_u, deg_tor0)
+    tensor_deg = deg_of(graded_tensor(parts.rbar, M))
+    deg_h0 = deg_of(h0(M))
+    lhs_bound = min(parts.rbar_deg + deg_h0, parts.rbar_h0_deg + module_deg(M))
+    return DeltaBounds(tor0=tuple(tor0), tor1=tuple(tor1), delta=delta,
+                       deg_m_u=deg_m_u, deg_m_mod_u=deg_tor0, deg_h0=deg_h0, a_m=a_m,
+                       a_bound_ok=a_m <= delta + parts.a_r,
+                       tensor_bound_ok=tensor_deg <= lhs_bound)
+
+
+def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
+    """Whether components up to degree a generate M, by the integer span: the
+    submodule generated by degrees <= a fills M_n iff the accumulated image
+    lattice is all of Z^{rank}."""
+    prev_gens = None
+    for n in range(M.n_max + 1):
+        cols = []
+        if n <= a:
+            cols.append(np.eye(M.rank(n), dtype=np.int64))
+        if n > 0 and prev_gens is not None and prev_gens.shape[1]:
+            image = M.acts[n - 1] @ prev_gens  # one block of columns per class
+            cols.append(image.transpose(1, 0, 2).reshape(M.rank(n), image.shape[0] * image.shape[2]))
+        gens = (np.concatenate(cols, axis=1) if cols
+                else np.zeros((M.rank(n), 0), dtype=np.int64))
+        if gens.shape[1]:
+            gens = _kernels.distinct(gens, axis=1)  # duplicate columns add nothing to the span
+        if M.rank(n):
+            snf = smith_normal_form(from_dense(gens, rows=M.rank(n), cols=gens.shape[1]))
+            if not (snf.rank == M.rank(n) and all(f == 1 for f in snf.factors)):
+                return False
+        prev_gens = gens
+    return True

@@ -1,8 +1,11 @@
 """Test-only reference for ``stabring.zlinalg``: the dense Smith normal form
 with unimodular transforms that the library no longer keeps, the kernel-basis
 and image-membership checks built on it, ``to_dense``, which turns an
-``IntMatrix`` into nested lists for them and for sympy, and ``from_text``,
-which reads back what ``IntMatrix.to_text`` writes.
+``IntMatrix`` into nested lists for them and for sympy, ``from_dense``, its
+inverse, ``to_text``, the
+per-entry text of a matrix that ``stabring run --dump-matrices`` writes
+(``pipeline._dump_matrices``, by array arithmetic a piece at a time), and
+``from_text``, which reads it back.
 
 ``unit_pivots`` is the plain greedy loop, one candidate at a time over
 Python lists, that ``zlinalg._unit_pivots`` (the same loop over pieces of
@@ -23,7 +26,7 @@ from math import gcd
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from stabring.zlinalg import IntMatrix, LinAlgError
+from stabring.zlinalg import IntMatrix, LinAlgError, _as_int64
 
 
 def to_dense(A: IntMatrix) -> list:
@@ -33,8 +36,31 @@ def to_dense(A: IntMatrix) -> list:
     return dense.tolist()
 
 
+def from_dense(rows_list, rows: int | None = None, cols: int | None = None) -> IntMatrix:
+    """The matrix of a nested list or 2-D array; ``rows`` and ``cols`` give
+    the shape of an empty one."""
+    dense = _as_int64(rows_list)
+    if dense.size == 0:
+        m = dense.shape[0] if rows is None else rows
+        n = (dense.shape[1] if dense.ndim == 2 else 0) if cols is None else cols
+        return IntMatrix(m, n)
+    if dense.ndim != 2:
+        raise LinAlgError(f"dense matrix must be two-dimensional, got {dense.ndim}")
+    m = dense.shape[0] if rows is None else rows
+    n = dense.shape[1] if cols is None else cols
+    r, c = np.nonzero(dense)
+    return IntMatrix.from_triplets(m, n, r, c, dense[r, c])
+
+
+def to_text(A: IntMatrix) -> str:
+    """The line "rows cols nnz", then "row col value" per entry."""
+    lines = [f"{A.rows} {A.cols} {A.nnz}"]
+    lines += [f"{r} {c} {v}" for r, c, v in zip(A.row.tolist(), A.col.tolist(), A.val.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def from_text(text: str) -> IntMatrix:
-    """Inverse of ``IntMatrix.to_text``; a duplicate position or a zero value is an error."""
+    """Inverse of ``to_text``; a duplicate position or a zero value is an error."""
     lines = [l.split() for l in text.splitlines() if l.strip()]
     if not lines:
         raise LinAlgError("empty matrix text")

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import reference_modules as ref
-from stabring.modules import (GradedModule, ModuleError, _beta_matrix, _class_actions,
-                              _tensor_presentation, _u_image, delta_and_bounds,
-                              deg_of, derive_module, generated_in_degrees_upto,
-                              graded_tensor, h0, module_deg,
+from conftest import BATTERY_SPECS, EXTRA_SPECS
+from stabring.groups import load_group
+from stabring.modules import (GradedModule, ModuleError, _class_images, _images, _u_image,
+                              delta_and_bounds, deg_of, derive_module,
+                              generated_in_degrees_upto, graded_tensor, h0, module_deg,
                               quotient_u_module, regular_module, ring_parts, shift_module,
                               truncate_module, u_kernel_module, ur_ideal_module)
-from stabring.ring import GradedRing
-from stabring.zlinalg import HomologyGroup
+from stabring.ring import GradedRing, build_ring
+from stabring.zlinalg import HomologyGroup, LinAlgError
+
+RECIPES = (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1))
 
 
 def z_module(ring, side: str = "left") -> GradedModule:
@@ -133,6 +136,24 @@ def test_derived_modules_match_the_reference(rings):
         assert_matches_reference(ring)
 
 
+def merged_top(ring) -> GradedRing:
+    """ring with a single top-degree class, so that the last U merges every class."""
+    top = ring.n_max
+    return relabelled(ring, top, np.zeros(ring.steps[top - 1].shape, dtype=np.int64))
+
+
+def merged_below_top(ring):
+    """ring with the U images of the pairs of classes below the top degree
+    merged, and those pairs: (0, 3) and (1, 2) where there are four classes."""
+    top = ring.n_max
+    umap = ring.u_map(top - 2)
+    pairs = [(0, 3), (1, 2)] if len(umap) >= 4 else [(0, 1)]
+    labels = ring.steps[top - 2].copy()
+    for j, l in pairs:
+        labels[labels == umap[l]] = umap[j]
+    return relabelled(ring, top - 1, labels), pairs
+
+
 def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
     # Every battery ring has an injective U.  One top-degree class makes the
     # last U merge every class.  Merging U images of pairs of classes below it
@@ -140,19 +161,13 @@ def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
     # the pairs (0, 3) and (1, 2) order ker U by image differently than by class.
     nonzero = {}
     for name in ("C2", "C4", "C2xC2", "S3"):
-        ring = rings[name]
+        ring = merged_top(rings[name])
         top = ring.n_max
-        ring = relabelled(ring, top, np.zeros(ring.steps[top - 1].shape, dtype=np.int64))
         assert ring.counts[top] == 1
         assert not ring.stability_profile().u_injective[top - 1]
         assert u_kernel_module(ring).ranks[top - 1] == ring.counts[top - 1] - 1
         assert_matches_reference(ring)
-        umap = ring.u_map(top - 2)
-        pairs = [(0, 3), (1, 2)] if len(umap) >= 4 else [(0, 1)]
-        labels = ring.steps[top - 2].copy()
-        for j, l in pairs:
-            labels[labels == umap[l]] = umap[j]
-        ring = relabelled(ring, top - 1, labels)
+        ring, pairs = merged_below_top(ring)
         RU = u_kernel_module(ring)
         assert RU.ranks[top - 2] == len(pairs)
         nonzero[name] = bool(RU.acts[top - 2].any())
@@ -235,7 +250,10 @@ def test_tensor_degree_bound_randomized(rings):
               derive_module(ring, ("shift", 1))]
     for N in rights:
         for M in lefts:
-            t_deg = deg_of(graded_tensor(N, M))
+            tensor = graded_tensor(N, M)
+            assert tensor == ref.graded_tensor(N, M), (N.name, M.name)
+            assert h0(M) == ref.h0(M) and h0(N) == ref.h0(N), (N.name, M.name)
+            t_deg = deg_of(tensor)
             bound = min(module_deg(N) + deg_of(h0(M)),
                         deg_of(h0(N)) + module_deg(M))
             assert t_deg <= bound, (N.name, M.name, t_deg, bound)
@@ -288,16 +306,29 @@ def test_delta_and_bounds_derived_battery(rings):
             assert delta_and_bounds(M, parts) == db, (name, recipe)
 
 
+def as_images(acting: np.ndarray) -> np.ndarray:
+    """A stack of monomial matrices as image arrays: the row of each column's
+    one nonzero, or -1."""
+    out = np.full((acting.shape[0], acting.shape[2]), -1)
+    c, r, m = np.nonzero(acting)
+    out[c, m] = r
+    return out
+
+
 def test_act_class_respects_factorization(rings):
     # the batched action of a degree-i class on M_{n-i} is the product of the
-    # pair actions of its representative, last pair first; on a mutant too
+    # pair actions of its representative, last pair first; on a mutant too.
+    # On the monomial R the library's class images are those products.
     for name in ("S3", "C2xC2"):
         ring = rings[name]
         R = regular_module(ring)
+        images = _class_images(R, _images(R), ring.n_max)
         for M in (R, mutant(R, 1, 1)):
             for n in range(ring.n_max + 1):
-                for i, acting in enumerate(_class_actions(M, n)):
+                for i, acting in enumerate(ref.class_actions(M, n)):
                     assert acting.shape == (ring.basis_size(i), M.rank(n), M.rank(n - i))
+                    if M is R:
+                        assert np.array_equal(images[i, n - i], as_images(acting)), (name, n, i)
                     for idx in range(ring.basis_size(i)):
                         rep = ring.rep(i, idx)
                         want = np.eye(M.rank(n - i), dtype=np.int64)
@@ -319,8 +350,8 @@ def raised(M: GradedModule) -> GradedModule:
 
 
 def test_tensor_and_beta_match_the_dense_references(rings):
-    # the triplets read off the action arrays equal the dense kron blocks and
-    # the per-generator class products, split by split
+    # the reference's triplets read off the action arrays equal the dense kron
+    # blocks and the per-generator class products, split by split
     calls = 0
     for name in ("C2", "C4", "C2xC2", "S3"):
         ring = rings[name]
@@ -338,14 +369,86 @@ def test_tensor_and_beta_match_the_dense_references(rings):
             for M in lefts:
                 for n in range(min(N.n_max, M.n_max) + 1):
                     for min_i in (0, 1):
-                        got = _tensor_presentation(N, M, n, min_i)
-                        assert got == ref.tensor_presentation(N, M, n, min_i), \
+                        got = ref.tensor_presentation(N, M, n, min_i)
+                        assert got == ref.kron_tensor_presentation(N, M, n, min_i), \
                             (name, N.name, M.name, n, min_i)
-                        got = _beta_matrix(N, M, n, min_i, classes)
-                        assert got == ref.beta_matrix(N, M, n, min_i, classes), \
+                        got = ref.beta_matrix(N, M, n, min_i, classes)
+                        assert got == ref.generator_beta_matrix(N, M, n, min_i, classes), \
                             (name, N.name, M.name, n, min_i)
                         calls += 2
     assert calls > 1000
+
+
+@pytest.fixture(scope="module")
+def battery_rings(rings):
+    """The fixture rings past the trivial group, and C8 (n <= 3), C2^3, A4 and
+    D4 (n <= 8), where the Smith-form battery takes under 0.5 s each."""
+    out = {name: rings[name] for name in ("C2", "C3", "C4", "C2xC2", "S3")}
+    specs = {"C8": ({"kind": "cyclic", "order": 8}, 3),
+             "C2^3": ({"kind": "product", "factors": [BATTERY_SPECS["C2"]] * 3}, 8),
+             "A4": (EXTRA_SPECS["A4"], 8), "D4": (EXTRA_SPECS["D4"], 8)}
+    out.update((name, build_ring(load_group(spec), n)) for name, (spec, n) in specs.items())
+    return out
+
+
+def test_battery_matches_the_smith_form_reference(battery_rings):
+    # every DeltaBounds field, and generation up to deg H0(M) but not below it,
+    # equal the chain_homology and smith_normal_form answers
+    for name, ring in battery_rings.items():
+        parts, want_parts = ring_parts(ring), ref.ring_parts(ring)
+        assert parts.rbar_h0_deg == want_parts.rbar_h0_deg, name
+        for recipe in RECIPES:
+            M = derive_module(ring, recipe)
+            db = delta_and_bounds(M, parts)
+            assert db == ref.delta_and_bounds(M, want_parts), (name, recipe)
+            for a in (db.deg_h0, db.deg_h0 - 1):
+                assert generated_in_degrees_upto(M, a) == \
+                    ref.generated_in_degrees_upto(M, a), (name, recipe, a)
+
+
+def two_in_a_column(M: GradedModule) -> GradedModule:
+    """M with a second 1 in the column of its first nonzero action entry."""
+    for n, act in enumerate(M.acts):
+        hit = np.argwhere(act)
+        if len(hit) and act.shape[1] > 1:
+            c, r, j = hit[0]
+            acts = [a.copy() for a in M.acts]
+            acts[n][c, (r + 1) % act.shape[1], j] = 1
+            return dataclasses.replace(M, name=f"{M.name}2", acts=acts)
+    raise AssertionError(f"{M.name} has no column to add to")
+
+
+def test_battery_refuses_modules_that_are_not_monomial(rings):
+    # an entry of 2, a column with two nonzeros, and R[U] of a ring whose U
+    # merges classes below its top degree, where e_j - e_l maps to a
+    # difference: every count of the battery needs a monomial module
+    ring = rings["C4"]
+    R = regular_module(ring)
+    merged = merged_below_top(merged_top(ring))[0]
+    RU = u_kernel_module(merged)
+    assert (RU.acts[-1] < 0).any()
+    for M, name in ((raised(R), r"R\+"), (two_in_a_column(R), "R2"), (RU, r"R\[U\]")):
+        for call in (delta_and_bounds, h0, lambda M: generated_in_degrees_upto(M, 1),
+                     lambda M: graded_tensor(regular_module(M.ring, "right"), M)):
+            with pytest.raises(ModuleError, match=name + ": the action at degree"):
+                call(M)
+    # the reference's Smith forms take any module
+    assert len(ref.delta_and_bounds(RU).tor0) == RU.n_max + 1
+
+
+def test_tor1_refuses_a_beta_that_does_not_vanish_on_the_relations(rings):
+    # U(R)'s classes in reverse order make beta differ across some relation;
+    # the library refuses it where the reference's chain check fails
+    for name in ("C4", "S3"):
+        ring = rings[name]
+        parts = ring_parts(ring)
+        wrong = dataclasses.replace(parts, ur_classes=[c[::-1] for c in parts.ur_classes])
+        R = regular_module(ring)
+        with pytest.raises(ModuleError, match="R: beta"):
+            delta_and_bounds(R, wrong)
+        with pytest.raises(LinAlgError, match="d_out . d_in != 0"):
+            ref.delta_and_bounds(R, dataclasses.replace(ref.ring_parts(ring),
+                                                        ur_classes=wrong.ur_classes))
 
 
 def test_unknown_recipe(rings):

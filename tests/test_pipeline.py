@@ -21,7 +21,7 @@ from stabring.pipeline import (ConfigError, PipelineConfig, emit_report,
                                render_summary, run_pipeline)
 
 from conftest import BATTERY_SPECS, BATTERY_WINDOWS, verdict_of
-from reference_snf import from_text
+from reference_snf import from_dense, from_text, to_text
 
 
 def small_config(**overrides):
@@ -450,7 +450,7 @@ def test_cli_run_exit_codes(tmp_path):
     assert dumped
     for path in dumped:
         text = path.read_text()
-        assert from_text(text).to_text() == text, path.name
+        assert to_text(from_text(text)) == text, path.name
 
 
 def test_cli_dump_moves_writes_one_manifest_per_degree(tmp_path, monkeypatch):
@@ -701,3 +701,43 @@ def test_pipeline_calls_no_k_level_chain_map_check(monkeypatch):
             REPORT_SHA256[name, n_max, p_max], name
         for check in ("u_commutes_with_d", "homology_annihilation"):
             assert verdict_of(report, check)["status"] == "pass", (name, check)
+
+
+def test_lemma_battery_makes_no_smith_form(monkeypatch, rings):
+    """The battery counts components: with Smith forms and chain homology made
+    to raise, its verdict still passes on every battery ring."""
+    from stabring import modules, zlinalg
+
+    def refuse(*args):
+        raise AssertionError("the lemma battery made a Smith form")
+
+    assert not hasattr(modules, "smith_normal_form") and not hasattr(modules, "chain_homology")
+    monkeypatch.setattr(zlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(zlinalg, "chain_homology", refuse)
+    for name, ring in rings.items():
+        assert pipeline._lemma_battery_verdict(ring)["status"] == "pass", name
+
+
+def test_dumped_matrices_equal_the_per_entry_text(tmp_path, monkeypatch):
+    """``_dump_matrices`` writes a piece of ``_kernels.CHUNK`` entries at a
+    time by array arithmetic: with pieces of 7 entries, every file equals the
+    reference's per-entry text, on matrices with no entry, one entry and
+    entries up to +-(2^63 - 1), and a matrix two keys share is in both files."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    top = 2 ** 63 - 1
+    vals = np.concatenate((rng.integers(-12, 12, 40), [top, -top, 1, -1, 10, -10, 99, 100]))
+    vals = vals[vals != 0]
+    big = IntMatrix.from_triplets(10 ** 12, 7, rng.integers(0, 10 ** 12, len(vals)),
+                                  rng.integers(0, 7, len(vals)), vals)
+    mats = [IntMatrix(0, 3), IntMatrix(4, 5), from_dense([[0, -3]]), big]
+    d = {(1, n): mat for n, mat in enumerate(mats)}
+    d[2, 9] = big
+    monkeypatch.setattr(_kernels, "CHUNK", 7)
+    pipeline._dump_matrices(SimpleNamespace(d=d), str(tmp_path))
+    for (p, n), mat in d.items():
+        assert (tmp_path / "matrices" / f"d_p{p}_n{n}.txt").read_text() == to_text(mat), (p, n)
+    assert big.nnz > 3 * 7

@@ -5,8 +5,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
-from reference_snf import (from_text, normalize_factors, scipy_matmul, scipy_schur,
-                           smith_with_transforms, to_dense, unit_pivots)
+from reference_snf import (from_dense, from_text, normalize_factors, scipy_matmul, scipy_schur,
+                           smith_with_transforms, to_dense, to_text, unit_pivots)
 from stabring import zlinalg
 from stabring.kcomplex import build_kcomplex
 from stabring.modules import regular_module
@@ -79,7 +79,7 @@ def test_snf_zero():
 
 def test_snf_diag_two_three():
     # two row/column reduction steps fold diag(2, 3) into diag(1, 6)
-    A = IntMatrix.from_dense([[2, 0], [0, 3]])
+    A = from_dense([[2, 0], [0, 3]])
     assert smith_normal_form(A).factors == (1, 6)
 
 
@@ -155,15 +155,33 @@ def test_chain_homology_zero_maps():
 
 
 def test_chain_homology_multiplication_by_two():
-    h = chain_homology(IntMatrix(0, 1), IntMatrix.from_dense([[2]]))
+    h = chain_homology(IntMatrix(0, 1), from_dense([[2]]))
     assert h.free_rank == 0 and h.torsion == (2,)
 
 
 def test_chain_homology_rejects_nonzero_composite():
-    d_out = IntMatrix.from_dense([[1, 0]])
-    d_in = IntMatrix.from_dense([[1], [0]])
+    d_out = from_dense([[1, 0]])
+    d_in = from_dense([[1], [0]])
     with pytest.raises(LinAlgError, match="!= 0"):
         chain_homology(d_out, d_in)
+
+
+def test_chain_homology_multiplies_each_operand_pair_once(monkeypatch):
+    # a repeated pair of objects skips the product; an equal copy of d_in is
+    # a new pair and is multiplied; a nonzero composite is never recorded, so
+    # it fails with the same error every time
+    products = []
+    real = IntMatrix.matmul
+    monkeypatch.setattr(IntMatrix, "matmul", lambda A, B: products.append((A, B)) or real(A, B))
+    d_out, d_in = from_dense([[1, 1]]), from_dense([[1], [-1]])
+    assert chain_homology(d_out, d_in) == chain_homology(d_out, d_in) == HomologyGroup(0)
+    assert len(products) == 1
+    assert chain_homology(d_out, fresh(d_in)) == HomologyGroup(0) and len(products) == 2
+    bad = from_dense([[1], [1]])
+    for _ in range(2):
+        with pytest.raises(LinAlgError, match=r"d_out \. d_in != 0: entry \(0,0\) = 2"):
+            chain_homology(d_out, bad)
+    assert len(products) == 4
 
 
 def test_chain_homology_dimension_mismatch():
@@ -174,8 +192,8 @@ def test_chain_homology_dimension_mismatch():
 def test_chain_homology_unimodular_invariance():
     # H of C2 -> C1 -> C0 is unchanged by a unimodular change of basis on C1
     rng = random.Random(23)
-    d_out = IntMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
-    d_in = IntMatrix.from_dense([[2], [-2], [2]])
+    d_out = from_dense([[1, 1, 0], [0, 1, 1]])
+    d_in = from_dense([[2], [-2], [2]])
     base = chain_homology(d_out, d_in)
     assert base == HomologyGroup(0, (2,))
     for _ in range(20):
@@ -187,8 +205,8 @@ def test_chain_homology_unimodular_invariance():
                 E[i, j] = rng.randint(-2, 2)
                 Pm = Pm * E
         assert abs(Pm.det()) == 1
-        d_out2 = IntMatrix.from_dense((sympy.Matrix(to_dense(d_out)) * Pm.inv()).tolist())
-        d_in2 = IntMatrix.from_dense((Pm * sympy.Matrix(to_dense(d_in))).tolist())
+        d_out2 = from_dense((sympy.Matrix(to_dense(d_out)) * Pm.inv()).tolist())
+        d_in2 = from_dense((Pm * sympy.Matrix(to_dense(d_in))).tolist())
         assert chain_homology(d_out2, d_in2) == base
 
 
@@ -212,10 +230,10 @@ def test_homology_group_validation():
 
 
 def test_matrix_text_round_trip():
-    A = IntMatrix.from_dense([[0, 3], [-1, 0], [0, 7]])
-    B = from_text(A.to_text())
+    A = from_dense([[0, 3], [-1, 0], [0, 7]])
+    B = from_text(to_text(A))
     assert A == B
-    assert A.to_text().splitlines()[0] == "3 2 3"
+    assert to_text(A).splitlines()[0] == "3 2 3"
     with pytest.raises(LinAlgError, match="declares"):
         from_text("2 2 5\n0 0 1\n")
 
@@ -231,12 +249,12 @@ def test_from_text_rejects_what_to_text_never_writes():
 
 
 def test_matmul_and_transpose():
-    A = IntMatrix.from_dense([[1, 2], [0, 1]])
-    B = IntMatrix.from_dense([[1, 0], [3, 1]])
+    A = from_dense([[1, 2], [0, 1]])
+    B = from_dense([[1, 0], [3, 1]])
     assert to_dense(A.matmul(B)) == [[7, 2], [3, 1]]
     assert to_dense(transpose(A)) == [[1, 0], [2, 1]]
     # cancelling products leave no stored zero
-    C = IntMatrix.from_dense([[1, 1]]).matmul(IntMatrix.from_dense([[1], [-1]]))
+    C = from_dense([[1, 1]]).matmul(from_dense([[1], [-1]]))
     assert C.is_zero and C.nnz == 0
 
 
@@ -252,10 +270,10 @@ def test_triplets_are_canonical():
 def test_values_outside_int64_are_rejected():
     for big in (2 ** 63, 2 ** 70, -2 ** 63, -2 ** 70):
         with pytest.raises(LinAlgError):
-            IntMatrix.from_dense([[big]])
+            from_dense([[big]])
         with pytest.raises(LinAlgError):
             IntMatrix.from_triplets(1, 1, [0], [0], [big])
-    assert to_dense(IntMatrix.from_dense([[2 ** 63 - 1]])) == [[2 ** 63 - 1]]
+    assert to_dense(from_dense([[2 ** 63 - 1]])) == [[2 ** 63 - 1]]
     # duplicates whose sum could leave int64
     with pytest.raises(LinAlgError, match="duplicate"):
         IntMatrix.from_triplets(1, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62])
@@ -263,19 +281,19 @@ def test_values_outside_int64_are_rejected():
 
 def test_matmul_refuses_before_the_bound_reaches_int64():
     # bound = max|A| * max|B| * inner dimension
-    a = IntMatrix.from_dense([[2 ** 30, 0]])
-    b = IntMatrix.from_dense([[2 ** 31], [0]])
+    a = from_dense([[2 ** 30, 0]])
+    b = from_dense([[2 ** 31], [0]])
     assert to_dense(a.matmul(b)) == [[2 ** 61]]  # bound 2^62
     with pytest.raises(LinAlgError, match="int64"):  # bound 2^63, same entries
-        IntMatrix.from_dense([[2 ** 30, 0, 0, 0]]).matmul(
-            IntMatrix.from_dense([[2 ** 31], [0], [0], [0]]))
+        from_dense([[2 ** 30, 0, 0, 0]]).matmul(
+            from_dense([[2 ** 31], [0], [0], [0]]))
     with pytest.raises(LinAlgError, match="int64"):
-        IntMatrix.from_dense([[2 ** 32]]).matmul(IntMatrix.from_dense([[2 ** 31]]))
+        from_dense([[2 ** 32]]).matmul(from_dense([[2 ** 31]]))
 
 
 def test_snf_keeps_python_integers_past_int64():
     # entries fit in int64, but the determinant 2^124 is the second factor
-    A = IntMatrix.from_dense([[2 ** 62, 3], [0, 2 ** 62]])
+    A = from_dense([[2 ** 62, 3], [0, 2 ** 62]])
     assert smith_normal_form(A).factors == (1, 2 ** 124) == sympy_factors(A)
     assert chain_homology(IntMatrix(0, 2), A) == HomologyGroup(0, (2 ** 124,))
 
@@ -319,7 +337,7 @@ def test_blocked_snf_matches_single_block_and_sympy():
 
 def test_blocks_are_the_connected_components():
     # rows 0, 2 share column 1; row 1 alone with column 0; row 3 with columns 2, 3
-    A = IntMatrix.from_dense([[0, 2, 0, 0], [5, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 3]])
+    A = from_dense([[0, 2, 0, 0], [5, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 3]])
     got = sorted((sorted(set(r.tolist())), sorted(set(c.tolist()))) for r, c, _ in _blocks(A))
     assert got == [([0, 2], [1]), ([1], [0]), ([3], [2, 3])]
     assert smith_normal_form(A).factors == (1, 1, 10)
@@ -445,14 +463,14 @@ def test_rounds_hand_off_before_the_product_leaves_int64():
     assert A.nnz >= _ROUND_MIN_NNZ
     assert _unit_round(A) is None
     want = (1,) * copies + (3 * 2 ** 62 - 1,) * copies
-    assert sympy_factors(IntMatrix.from_dense(motif)) == (1, 3 * 2 ** 62 - 1)
+    assert sympy_factors(from_dense(motif)) == (1, 3 * 2 ** 62 - 1)
     assert smith_normal_form(A).factors == want == eliminator_factors(fresh(A))
 
 
 def test_rounds_run_up_to_the_int64_bound():
     # the same motif with 2^62 - 1 and 1: bound 1 + 1 * (2^62 - 1) * 2 copies
     # = 2^63 - 1, so the round runs, and its products stay exact
-    A = IntMatrix.from_dense([[1, 2 ** 62 - 1, 0, 0], [1, 1, 0, 0],
+    A = from_dense([[1, 2 ** 62 - 1, 0, 0], [1, 1, 0, 0],
                               [0, 0, 1, 2 ** 62 - 1], [0, 0, 1, 1]])
     prow, pcol, rest = _unit_round(A)
     assert len(prow) == 2 and 1 + (2 ** 62 - 1) * len(prow) == INT64_MAX
@@ -522,8 +540,9 @@ def test_one_growing_round_is_kept(monkeypatch):
 
 def test_small_residuals_skip_the_block_split(monkeypatch):
     """Every Smith normal form the C8 (n <= 3), S3 (n <= 3, p <= 2) and C3
-    (n <= 4, p <= 3) pipelines compute, the lemma battery's included (it
-    builds what it reads of the ring once), against the per-block
+    (n <= 4, p <= 3) pipelines compute, and those of the lemma battery's
+    Smith-form reference on their rings (``tests/reference_modules.py``; the
+    library's battery counts components instead), against the per-block
     eliminator with no rounds and, where the matrix has at most 40 rows or 40
     columns, the dense transform SNF.  Only a residual of at least
     ``_ROUND_MIN_NNZ`` nonzeros or one with no +-1 entry is split into
@@ -531,8 +550,11 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
     reaches the cutoff any more (S3's 3,888 nonzeros that no round could
     shrink now lose their duplicate columns), so the split at the cutoff is
     exercised on 512 unit-free 3x3 blocks, which no step can shrink."""
-    from stabring import modules
+    import reference_modules
+    from stabring.groups import load_group
+    from stabring.modules import derive_module
     from stabring.pipeline import PipelineConfig, run_pipeline
+    from stabring.ring import build_ring
 
     computed, split = [], []
     real_snf, real_blocks = zlinalg.smith_normal_form, zlinalg._blocks
@@ -546,7 +568,7 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         split.append(A)
         return real_blocks(A)
 
-    for module in (zlinalg, modules):
+    for module in (zlinalg, reference_modules):
         monkeypatch.setattr(module, "smith_normal_form", noted_snf)
     monkeypatch.setattr(zlinalg, "_blocks", noted_blocks)
     for group, n_max, p_max in (({"kind": "cyclic", "order": 8}, 3, 0),
@@ -555,6 +577,13 @@ def test_small_residuals_skip_the_block_split(monkeypatch):
         report = run_pipeline(PipelineConfig(group=group, n_max=n_max, p_max=p_max,
                                              well_definedness_samples=10))
         assert report.failure is None
+        ring = build_ring(load_group(group), n_max)
+        parts = reference_modules.ring_parts(ring)
+        for recipe in (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1)):
+            M = derive_module(ring, recipe)
+            a = reference_modules.delta_and_bounds(M, parts).deg_h0
+            reference_modules.generated_in_degrees_upto(M, a)
+            reference_modules.generated_in_degrees_upto(M, a - 1)
     # 512 copies of 2U, U unimodular with no zero entry, rows and columns
     # shuffled: 4,608 nonzeros and no unit, so it is split whole
     U = [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
@@ -620,7 +649,7 @@ def test_unit_free_residual_under_the_cutoff_is_split_into_blocks(monkeypatch):
     factors = smith_normal_form(A).factors
     assert calls == [9] * k
     # the dense transform SNF of each block, folded by the pairwise reference
-    blocks = [smith_with_transforms(IntMatrix.from_dense([[s * x for x in row] for row in U]))[0]
+    blocks = [smith_with_transforms(from_dense([[s * x for x in row] for row in U]))[0]
               for s in scale]
     assert factors == normalize_factors([f for block in blocks for f in block])
     assert factors == (1,) * 96 + (2,) * 96 + (6,) * 96 + (12,) * 96
@@ -636,7 +665,7 @@ def dense_product(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     a, b = to_dense(A), to_dense(B)
     out = [[sum(a[i][k] * b[k][j] for k in range(A.cols)) for j in range(B.cols)]
            for i in range(A.rows)]
-    return IntMatrix.from_dense(out, A.rows, B.cols)
+    return from_dense(out, A.rows, B.cols)
 
 
 def test_matmul_matches_dense_and_scipy_products():
@@ -660,11 +689,11 @@ def test_matmul_matches_dense_and_scipy_products():
     # the bound max|A| max|B| inner is INT64_MAX = 7^2 73 127 . 337 92737 649657
     a, b = 7 ** 2 * 73 * 127, 337 * 92737 * 649657
     assert a * b == INT64_MAX
-    assert to_dense(IntMatrix.from_dense([[a]]).matmul(IntMatrix.from_dense([[b]]))) == [[INT64_MAX]]
+    assert to_dense(from_dense([[a]]).matmul(from_dense([[b]]))) == [[INT64_MAX]]
     with pytest.raises(LinAlgError, match="int64"):
-        IntMatrix.from_dense([[a + 1]]).matmul(IntMatrix.from_dense([[b]]))
+        from_dense([[a + 1]]).matmul(from_dense([[b]]))
     # a zero factor gives the zero product before any bound is read
-    huge = IntMatrix.from_dense([[2 ** 62]])
+    huge = from_dense([[2 ** 62]])
     assert huge.matmul(IntMatrix(1, 3)) == IntMatrix(1, 3)
     with pytest.raises(LinAlgError, match="cannot multiply"):
         huge.matmul(IntMatrix(2, 1))
@@ -694,7 +723,7 @@ def test_unit_pivots_match_the_greedy_loop_on_random_matrices(monkeypatch, piece
             for _ in range(300)]
     mats += [random_unit_rich(rng) for _ in range(4)]
     mats += [hub_matrix(rng, rng.randint(20, 300), rng.randint(200, 3000)) for _ in range(6)]
-    mats += [IntMatrix(3, 4), IntMatrix.from_dense([[2, 4], [0, -6]])]
+    mats += [IntMatrix(3, 4), from_dense([[2, 4], [0, -6]])]
     for A in mats:
         got, want = _unit_pivots(A), unit_pivots(A)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), A
@@ -751,7 +780,7 @@ def test_unit_round_matches_dense_and_scipy_schur_complements():
         prow, pcol, S = _unit_round(A)
         assert S == scipy_schur(A, prow, pcol)
     # the complement cancels to the zero matrix
-    prow, pcol, S = _unit_round(IntMatrix.from_dense([[1, 1], [1, 1]]))
+    prow, pcol, S = _unit_round(from_dense([[1, 1], [1, 1]]))
     assert S.is_zero and S.nnz == 0 and (S.rows, S.cols) == (2, 2)
 
 
