@@ -8,15 +8,17 @@ row 0, the class of (e, e), is U.
 
 Every module the library builds is monomial: an action sends a basis vector
 to a basis vector or to 0.  The battery reads the actions as image arrays
-and refuses any other module.  Its relation matrices are then incidence
-matrices of graphs, totally unimodular (Schrijver, Theory of Linear and
-Integer Programming, 1986, ch. 19), so every group it reads is free, of a
-rank that counts basis vectors no action hits or live components of a
-generator graph; ``tests/reference_modules.py`` takes them from Smith forms."""
+(``GradedModule.images``) and refuses any other module.  Its relation
+matrices are then incidence matrices of graphs, totally unimodular
+(Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19), so
+every group it reads is free, of a rank that counts basis vectors no action
+hits or live components of a generator graph; ``tests/reference_modules.py``
+takes them from Smith forms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +55,23 @@ class GradedModule:
         if n > self.n_max:
             raise ModuleError(f"degree {n} beyond module window {self.n_max}")
         return self.ranks[n]
+
+    @cached_property
+    def images(self) -> list:
+        """Per degree n < n_max, the action as an image array, read once: [c, j]
+        is the index of c . e_j in M_{n+1}, or -1 for 0.  A ModuleError naming
+        the module and the degree refuses an action that is not monomial, as
+        the battery's counts need."""
+        out = []
+        for n, act in enumerate(self.acts):
+            c, r, j = np.nonzero(act)
+            image = np.full((act.shape[0], act.shape[2]), -1, dtype=np.int64)
+            image[c, j] = r
+            if (act[c, r, j] != 1).any() or np.count_nonzero(image >= 0) < len(c):
+                raise ModuleError(f"{self.name}: the action at degree {n} is not monomial (an "
+                                  "entry outside {0, 1} or two nonzeros in one column)")
+            out.append(image)
+        return out
 
     def u_matrix(self, n: int) -> np.ndarray:
         """U: M_n -> M_{n+1}, the action of class 0, the class of (e, e)."""
@@ -210,22 +229,6 @@ def derive_module(ring: GradedRing, recipe) -> GradedModule:
 # -- H0, tensor products and the degree battery, by counts ------------------
 
 
-def _images(M: GradedModule) -> list:
-    """Per degree n < n_max, M's action as an image array: [c, j] is the index
-    of c . e_j in M_{n+1}, or -1 for 0.  A ModuleError naming the module and
-    the degree refuses an action that is not monomial, as the counts need."""
-    out = []
-    for n, act in enumerate(M.acts):
-        c, r, j = np.nonzero(act)
-        image = np.full((act.shape[0], act.shape[2]), -1, dtype=np.int64)
-        image[c, j] = r
-        if (act[c, r, j] != 1).any() or np.count_nonzero(image >= 0) < len(c):
-            raise ModuleError(f"{M.name}: the action at degree {n} is not monomial (an entry "
-                              "outside {0, 1} or two nonzeros in one column)")
-        out.append(image)
-    return out
-
-
 def _hits(image: np.ndarray) -> int:
     """How many distinct basis vectors an image array reaches."""
     return len(_kernels.distinct(image[image >= 0]))
@@ -235,18 +238,13 @@ def _free(ranks) -> list:
     return [HomologyGroup(free_rank=int(r)) for r in ranks]
 
 
-def _h0(M: GradedModule, images: list) -> list:
-    return _free([M.rank(0)] + [M.rank(n + 1) - _hits(image) for n, image in enumerate(images)])
-
-
 def h0(M: GradedModule) -> list:
     """H0(M) = M / R_{>0} M degreewise, free on the basis vectors no degree-1
     action hits; for either side, which the act matrices already encode."""
-    return _h0(M, _images(M))
+    return _free([M.rank(0)] + [M.rank(n + 1) - _hits(image) for n, image in enumerate(M.images)])
 
 
-def _tensor_graph(N: GradedModule, M: GradedModule, n_images: list, m_images: list,
-                  top: int, min_i: int = 0):
+def _tensor_graph(N: GradedModule, M: GradedModule, top: int, min_i: int = 0):
     """The generator graph of N (x)_R M in degrees n <= top, splits i >= min_i:
     u (x) m of N_i x M_k is generator start[n, i] + u * rank M_k + m.  The
     relation (u . c) (x) m - u (x) (c . m) of a degree-1 class c joins its
@@ -264,12 +262,12 @@ def _tensor_graph(N: GradedModule, M: GradedModule, n_images: list, m_images: li
             start[n, i], at = at, at + N.rank(i) * M.rank(n - i)
         first.append(at)
     labels, live = np.arange(first[-1]), np.ones(first[-1], dtype=bool)
-    relations = len(n_images[0]) * np.array([0] + first[:-1])
+    relations = M.ring.basis_size(1) * np.array([0] + first[:-1])
     for lo, hi in _kernels.pieces(relations, np.arange(top + 1)):
         src, dst, dead = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
         for n, i in ((n, i) for n in range(lo, hi) for i in range(min_i, n)):
             k = n - 1 - i
-            v, r = n_images[i][:, :, None], m_images[k][:, None, :]  # u . c and c . m
+            v, r = N.images[i][:, :, None], M.images[k][:, None, :]  # u . c and c . m
             left = start[n, i + 1] - first[lo] + v * M.rank(k) + np.arange(M.rank(k))
             right = start[n, i] - first[lo] + np.arange(N.rank(i))[:, None] * M.rank(k + 1) + r
             src.append(left[(v >= 0) & (r >= 0)])
@@ -285,11 +283,11 @@ def _tensor_graph(N: GradedModule, M: GradedModule, n_images: list, m_images: li
 def graded_tensor(N: GradedModule, M: GradedModule) -> list:
     """(N (x)_R M)_n as abelian groups, degree by degree within the window."""
     top = min(N.n_max, M.n_max)
-    _, degree, _, live = _tensor_graph(N, M, _images(N), _images(M), top)
+    _, degree, _, live = _tensor_graph(N, M, top)
     return _free(np.bincount(degree[live], minlength=top + 1))
 
 
-def _class_images(M: GradedModule, images: list, top: int) -> dict:
+def _class_images(M: GradedModule, top: int) -> dict:
     """[i, k][j, m]: the index of (class j of R_i) . e_m in M_{k+i}, or -1,
     for i + k <= top.  Class j, whose least entry in product(i - 1, 1) is
     (p, y), acts as p . (y . m); a last column of -1 keeps 0 at 0."""
@@ -300,18 +298,18 @@ def _class_images(M: GradedModule, images: list, top: int) -> dict:
         for k in range(top + 1 - i):
             before = acting[i - 1, k + 1]
             before = np.concatenate((before, np.full((len(before), 1), -1)), axis=1)
-            acting[i, k] = before[p[:, None], images[k][y]]
+            acting[i, k] = before[p[:, None], M.images[k][y]]
     return acting
 
 
-def _tor1(parts: "RingParts", M: GradedModule, images: list) -> list:
+def _tor1(parts: "RingParts", M: GradedModule) -> list:
     """Tor_1 = ker(beta: U(R) (x)_R M -> M), beta(u (x) m) = (class of u) . m,
     degreewise.  beta sends a generator to a basis vector or to 0; it must
     be constant on each component and 0 on the dead ones (else ModuleError),
     and the rank is the live components less their distinct nonzero images."""
     top = min(parts.ur.n_max, M.n_max)
-    start, degree, labels, live = _tensor_graph(parts.ur, M, parts.ur_images, images, top, min_i=1)
-    acting = _class_images(M, images, top)
+    start, degree, labels, live = _tensor_graph(parts.ur, M, top, min_i=1)
+    acting = _class_images(M, top)
     beta = np.full(len(labels), -1, dtype=np.int64)
     for (n, i), at in start.items():
         image = acting[i, n - i][parts.ur_classes[i]]
@@ -351,43 +349,39 @@ class DeltaBounds:
 @dataclass(frozen=True)
 class RingParts:
     """What ``delta_and_bounds`` reads of the ring alone, the same for every
-    module M: U(R) and R/UR as right modules with their image arrays, the
-    classes of U(R), the degrees of R/UR and of its H0, and A(R)."""
+    module M: U(R) and R/UR as right modules, the classes of U(R), the
+    degrees of R/UR and of its H0, and A(R)."""
     ur: GradedModule
-    ur_images: list
     ur_classes: list
     rbar: GradedModule
-    rbar_images: list
     rbar_deg: int
     rbar_h0_deg: int
     a_r: int
 
 
 def ring_parts(ring: GradedRing) -> RingParts:
-    ur, rbar = ur_ideal_module(ring, side="right"), quotient_u_module(ring, side="right")
-    return RingParts(ur=ur, ur_images=_images(ur), ur_classes=_u_image(ring),
-                     rbar=rbar, rbar_images=_images(rbar), rbar_deg=module_deg(rbar),
-                     rbar_h0_deg=deg_of(h0(rbar)), a_r=ring.stability_profile().a_r)
+    rbar = quotient_u_module(ring, side="right")
+    return RingParts(ur=ur_ideal_module(ring, side="right"), ur_classes=_u_image(ring),
+                     rbar=rbar, rbar_deg=module_deg(rbar), rbar_h0_deg=deg_of(h0(rbar)),
+                     a_r=ring.stability_profile().a_r)
 
 
 def delta_and_bounds(M: GradedModule, parts: RingParts | None = None) -> DeltaBounds:
     """delta(M), A(M), and the two degree-bound verdicts, within the window.
     ``parts`` is ``ring_parts(M.ring)``, built here when not given."""
     parts = parts or ring_parts(M.ring)
-    images = _images(M)
     # U: M_n -> M_{n+1} hits u_hits[n] basis vectors; M/UM is free on the rest
-    u_hits = [_hits(image[0]) for image in images]
+    u_hits = [_hits(image[0]) for image in M.images]
     tor0 = _free([M.rank(0)] + [M.rank(n + 1) - hits for n, hits in enumerate(u_hits)])
     deg_m_u = max((n for n, hits in enumerate(u_hits) if hits < M.rank(n)), default=-1)
-    tor1 = _tor1(parts, M, images)
+    tor1 = _tor1(parts, M)
     deg_tor0 = deg_of(tor0)
     delta = max(deg_tor0, deg_of(tor1))
     a_m = max(deg_m_u, deg_tor0)
     # tensor degree bound at (Rbar, M): deg(Rbar (x) M) <= min(...)
-    _, degree, _, live = _tensor_graph(parts.rbar, M, parts.rbar_images, images,
-                                       min(parts.rbar.n_max, M.n_max))
+    _, degree, _, live = _tensor_graph(parts.rbar, M, min(parts.rbar.n_max, M.n_max))
     tensor_deg = int(degree[live].max(initial=-1))
-    deg_h0 = deg_of(_h0(M, images))
+    deg_h0 = deg_of(h0(M))
     lhs_bound = min(parts.rbar_deg + deg_h0, parts.rbar_h0_deg + module_deg(M))
     return DeltaBounds(tor0=tuple(tor0), tor1=tuple(tor1), delta=delta,
                        deg_m_u=deg_m_u, deg_m_mod_u=deg_tor0, deg_h0=deg_h0, a_m=a_m,
@@ -400,12 +394,11 @@ def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
     whether they reach every basis vector, all of M_n for n <= a and above a
     those that a degree-1 action hits from the ones reached in degree n - 1,
     as an action sends a basis vector to a basis vector or to 0."""
-    images = _images(M)
     reached = np.full(M.rank(0), a >= 0)
     for n in range(1, M.n_max + 1):
         if not reached.all():
             return False
-        hit = images[n - 1][:, reached]
+        hit = M.images[n - 1][:, reached]
         reached = np.full(M.rank(n), n <= a)
         reached[hit[hit >= 0]] = True
     return bool(reached.all())

@@ -6,7 +6,7 @@ import pytest
 import reference_modules as ref
 from conftest import BATTERY_SPECS, EXTRA_SPECS
 from stabring.groups import load_group
-from stabring.modules import (GradedModule, ModuleError, _class_images, _images, _u_image,
+from stabring.modules import (GradedModule, ModuleError, _class_images, _u_image,
                               delta_and_bounds, deg_of, derive_module,
                               generated_in_degrees_upto, graded_tensor, h0, module_deg,
                               quotient_u_module, regular_module, ring_parts, shift_module,
@@ -322,7 +322,7 @@ def test_act_class_respects_factorization(rings):
     for name in ("S3", "C2xC2"):
         ring = rings[name]
         R = regular_module(ring)
-        images = _class_images(R, _images(R), ring.n_max)
+        images = _class_images(R, ring.n_max)
         for M in (R, mutant(R, 1, 1)):
             for n in range(ring.n_max + 1):
                 for i, acting in enumerate(ref.class_actions(M, n)):
