@@ -1,17 +1,19 @@
 """The Koszul-type complex of a graded module: explicit differential with
 commutator conjugators (each built into one key array after its entry count
 is checked against the memory budget, and shared between degrees n whose
-module action repeats), d^2 = 0, the prepend chain homotopy (checked by
-gathering columns and relabelling rows of d, as the maps composed with d send
-basis elements to basis elements, in batches sized by entries), and homology
-per spot.  Each differential is eliminated from a closed-form unit matching
-(``unit_matching``): row s (x) y goes to column (s, t_y) (x) j_y, whose
-last-pair term is its only entry on a matched row, so the block is a signed
-identity and ``zlinalg`` eliminates it in one Schur step before any pivot
-search.  The verdicts live in ``pipeline``, which checks dU = Ud and right
-multiplication on the ring; ``u_commutes_with_d``, ``_id_tensor_u`` and
-``right_mult_is_chain_map`` check them on K, kept only for the benchmark
-harness and as test references."""
+module action repeats), d^2 = 0, the prepend chain homotopy S (its identity
+checked by gathering columns and relabelling rows of d, as the maps composed
+with d send basis elements to basis elements, in batches sized by entries),
+and homology per spot.  Each differential is eliminated from a closed-form
+unit matching (``unit_matching``): row s (x) y goes to column (s, t_y) (x)
+j_y, whose last-pair term is its only entry on a matched row, so the block
+is a signed identity and ``zlinalg`` eliminates it in one Schur step before
+any pivot search.  The verdicts live in ``pipeline``, which checks dU = Ud,
+right multiplication and S d + d S = Rmult on the ring's product tables;
+``u_commutes_with_d``, ``_id_tensor_u``, ``right_mult_is_chain_map`` and
+``homotopy_check`` (with ``_homotopy_failures``, ``_Prepend`` and
+``HOMOTOPY_BATCH``) check them on K, kept only for the benchmark harness and
+as test references."""
 
 from __future__ import annotations
 
@@ -369,19 +371,6 @@ def homotopy_check(K: KComplex, g: int, h: int):
     element (p, n, tuple rank, class index)."""
     failures = _homotopy_failures(K, np.array([g]), np.array([h]))
     return (False, *failures.values()) if failures else (True, None)
-
-
-def homotopy_check_all(K: KComplex):
-    """``homotopy_check`` for every pair (g, h) of G^2, in batches sized by
-    entries; returns (True, None) or (False, (g, h, witness)) for the first
-    failing pair in (g, h) order."""
-    order = K.G.order
-    failures = _homotopy_failures(K, np.repeat(np.arange(order), order),
-                                  np.tile(np.arange(order), order))
-    if not failures:
-        return True, None
-    g, h = min(failures)
-    return False, (g, h, failures[g, h])
 
 
 def right_mult_is_chain_map(K: KComplex, g: int, h: int):

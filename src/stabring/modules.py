@@ -85,7 +85,11 @@ class GradedModule:
         Per degree n and degree-2 class, the first tuple (a, b, c, d) in rank
         order whose composite of the (a, b) and (c, d) actions differs from
         the composite of the class representative.  Every tuple of G^4 is
-        checked: its composite is the composite of its two degree-1 classes.
+        checked: its composite is the composite of its two degree-1 classes,
+        so each pair of degree-1 classes is compared once, as a dense
+        composite (the actions may be any integer matrices), with the pair of
+        its degree-2 class representative.  Where the actions at degrees
+        n - 1, n and n + 1 are equal, degree n repeats degree n - 1's result.
         """
         ring = self.ring
         if ring.n_max < 2:
@@ -106,14 +110,16 @@ class GradedModule:
             at, at_rep = head * classes + tail, rep_head * classes + rep_tail
         else:
             at, at_rep = tail * classes + head, rep_tail * classes + rep_head
-        bad = []
+        rep_at = np.empty(classes * classes, dtype=np.int64)
+        rep_at[at] = at_rep  # every pair of classes is that of some tuple
+        acts, bad = self.acts, []
         for n in range(self.n_max - 1):
-            comp = np.matmul(self.acts[n + 1][:, None], self.acts[n][None, :])
-            flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
-            _, label = np.unique(flat, axis=0, return_inverse=True)
-            label = label.ravel()
-            wrong = np.flatnonzero(label[at] != label[at_rep])
-            found, first = np.unique(cls[wrong], return_index=True)
+            if not (n and np.array_equal(acts[n + 1], acts[n])
+                    and np.array_equal(acts[n], acts[n - 1])):
+                comp = np.matmul(acts[n + 1][:, None], acts[n][None, :])
+                flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
+                wrong = np.flatnonzero((flat != flat[rep_at]).any(axis=1)[at])
+                found, first = np.unique(cls[wrong], return_index=True)
             bad.extend((n, int(c), decode_tuple(int(t), order, 4))
                        for c, t in zip(found, wrong[first]))
         return bad

@@ -1,6 +1,8 @@
 """Test-only references for ``stabring.kcomplex``: the per-(tuple, basis)
-loops that the array code replaced, and the per-pair sparse-product
-homotopy check that the batched index gathers replaced.
+loops that the array code replaced, the per-pair sparse-product homotopy
+check that the batched index gathers replaced, and ``homotopy_check_all``,
+those gathers over every pair of G^2, the K-level form of the pipeline's
+homotopy verdict.
 
 Matrices are built and multiplied here as dicts ``{(row, col): value}`` over
 Python integers, one basis element at a time, with no stored zeros.  Only the
@@ -18,7 +20,7 @@ from reference_kernels import boundary_eval_tuple, encode_tuple
 import reference_modules
 from stabring import _kernels
 from stabring.kcomplex import (KComplex, KComplexError, _commutator_products,
-                               _group_tables, _require_regular)
+                               _group_tables, _homotopy_failures, _require_regular)
 from stabring.orbits import decode_tuple
 from stabring.zlinalg import IntMatrix
 
@@ -319,3 +321,16 @@ def homotopy_loop(K: KComplex, check=product_homotopy_check):
             if not ok:
                 return False, (g, h, witness)
     return True, None
+
+
+def homotopy_check_all(K: KComplex):
+    """``kcomplex.homotopy_check`` for every pair (g, h) of G^2, in the batches
+    of ``kcomplex._homotopy_failures``, sized by entries; returns (True, None)
+    or (False, (g, h, witness)) for the first failing pair in (g, h) order."""
+    order = K.G.order
+    failures = _homotopy_failures(K, np.repeat(np.arange(order), order),
+                                  np.tile(np.arange(order), order))
+    if not failures:
+        return True, None
+    g, h = min(failures)
+    return False, (g, h, failures[g, h])

