@@ -25,7 +25,6 @@ from . import _kernels
 from .groups import FiniteGroup
 from .modules import GradedModule
 from .ring import GradedRing
-from .words import boundary_eval
 from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 
 
@@ -299,9 +298,7 @@ class _Prepend:
             states = G.order ** (2 * p)
             tuple_comm = _commutator_products(
                 G, self.comm, _kernels._decode_all(2 * p, G.order, states))[0]
-            rank = K.module.rank(m)
-            reps = np.array([K.ring.rep(m, j) for j in range(rank)], dtype=np.int64)
-            boundary = boundary_eval(G, reps.reshape(rank, 2 * m))
+            boundary = K.ring.boundary_values(m)
             got = G.inverse[G.table[tuple_comm[:, None], boundary[None, :]]]
             self._tau_inv[p, m] = got
         return got

@@ -88,8 +88,7 @@ class GradedModule:
         checked: its composite is the composite of its two degree-1 classes,
         so each pair of degree-1 classes is compared once, as a dense
         composite (the actions may be any integer matrices), with the pair of
-        its degree-2 class representative.  Where the actions at degrees
-        n - 1, n and n + 1 are equal, degree n repeats degree n - 1's result.
+        its degree-2 class representative.
         """
         ring = self.ring
         if ring.n_max < 2:
@@ -114,12 +113,10 @@ class GradedModule:
         rep_at[at] = at_rep  # every pair of classes is that of some tuple
         acts, bad = self.acts, []
         for n in range(self.n_max - 1):
-            if not (n and np.array_equal(acts[n + 1], acts[n])
-                    and np.array_equal(acts[n], acts[n - 1])):
-                comp = np.matmul(acts[n + 1][:, None], acts[n][None, :])
-                flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
-                wrong = np.flatnonzero((flat != flat[rep_at]).any(axis=1)[at])
-                found, first = np.unique(cls[wrong], return_index=True)
+            comp = np.matmul(acts[n + 1][:, None], acts[n][None, :])
+            flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
+            wrong = np.flatnonzero((flat != flat[rep_at]).any(axis=1)[at])
+            found, first = np.unique(cls[wrong], return_index=True)
             bad.extend((n, int(c), decode_tuple(int(t), order, 4))
                        for c, t in zip(found, wrong[first]))
         return bad

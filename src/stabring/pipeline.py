@@ -233,10 +233,7 @@ def _homotopy_verdict(ring) -> dict:
     G = ring.G
     table, inverse = G.table, G.inverse
     g, h = np.divmod(np.arange(G.order ** 2), G.order)
-    bd = []  # bd[m][j], one boundary_eval per degree
-    for m in range(ring.n_max + 1):
-        reps = [ring.rep(m, j) for j in range(ring.basis_size(m))]
-        bd.append(boundary_eval(G, np.array(reps, dtype=np.int64).reshape(len(reps), 2 * m)))
+    bd = [ring.boundary_values(m) for m in range(ring.n_max + 1)]  # bd[m][j]
 
     def conjugated_class(m):  # [x^(bd(j)^-1)], shape (pairs, |R_m|)
         b, b_inv = bd[m][None, :], inverse[bd[m]][None, :]

@@ -10,7 +10,7 @@ import numpy as np
 from . import _kernels
 from .groups import FiniteGroup
 from .orbits import enumerate_orbits, local_steps, step_table
-from .words import compile_moves, moveset_hash
+from .words import boundary_eval, compile_moves, moveset_hash
 
 
 class RingError(ValueError):
@@ -118,6 +118,12 @@ class GradedRing:
             idx, y = divmod(int(self._least[k][idx]), len(self._rep1))
             pairs.append(self._rep1[y])
         return tuple(x for pair in reversed(pairs) for x in pair)
+
+    def boundary_values(self, n: int) -> np.ndarray:
+        """bd(j) for every class j of degree n: the boundary value of its
+        representative, an orbit invariant, so any representative gives it."""
+        reps = [self.rep(n, j) for j in range(self.basis_size(n))]
+        return boundary_eval(self.G, np.array(reps, dtype=np.int64).reshape(len(reps), 2 * n))
 
     # -- product and U -----------------------------------------------------
 

@@ -61,29 +61,6 @@ def test_consistency_matches_the_per_tuple_reference_on_mutants(rings):
                     assert M.consistency_failures() == want, (name, side, n, c)
 
 
-def test_consistency_repeats_the_witnesses_of_a_repeated_composite(rings):
-    """Where the actions at degrees n - 1, n and n + 1 are equal, the check
-    takes degree n's failures from degree n - 1 without a composite; with one
-    class's entry (0, 0) raised at every degree from 1 on, so that the
-    actions keep repeating, they still equal the per-tuple reference's."""
-    reused = 0
-    for name in ("C2", "C4", "C2xC2"):
-        ring = rings[name]
-        for side in ("left", "right"):
-            R = regular_module(ring, side)
-            for c in range(ring.basis_size(1)):
-                acts = [act.copy() for act in R.acts]
-                for act in acts[1:]:
-                    act[c, 0, 0] += 1
-                M = dataclasses.replace(R, acts=acts)
-                repeats = [n for n in range(2, M.n_max - 1)
-                           if all(np.array_equal(acts[k], acts[n]) for k in (n - 1, n + 1))]
-                want = ref.consistency_failures(M)
-                assert M.consistency_failures() == want, (name, side, c)
-                reused += any(n in repeats for n, _, _ in want)
-    assert reused == 10, reused
-
-
 def test_derived_modules_consistency(rings):
     ring = rings["C2xC2"]
     for recipe in (("Rbar",), ("RU",), ("shift", 1), ("trunc", 2)):

@@ -9,7 +9,7 @@ from conftest import BATTERY_SPECS, EXTRA_SPECS
 from stabring.groups import load_group
 from stabring.orbits import OrbitError, step_table
 from stabring.ring import GradedRing, RingError, build_ring
-from stabring.words import compile_moves
+from stabring.words import boundary_eval, compile_moves
 
 
 def mult(ring, m: int, i: int, n: int, j: int) -> int:
@@ -114,6 +114,21 @@ def test_u_commutes_with_degree_one_classes(rings, groups):
                 lhs = ring.class_index(3, (0, 0) + (a, b) + rep)
                 rhs = ring.class_index(3, (a, b) + (0, 0) + rep)
                 assert lhs == rhs
+
+
+def test_boundary_values_are_the_boundary_of_every_tuple_of_the_class(rings):
+    """bd(j) read off the representative equals the boundary value of every
+    tuple of class j, in every degree up to 3."""
+    for name in ("C2", "C3", "C4", "C2xC2", "S3"):
+        ring = rings[name]
+        G = ring.G
+        assert ring.boundary_values(0).tolist() == [G.identity], name
+        for n in range(1, min(ring.n_max, 3) + 1):
+            tuples = np.indices((G.order,) * (2 * n)).reshape(2 * n, -1).T
+            got = ring.boundary_values(n)
+            assert got.shape == (ring.basis_size(n),), (name, n)
+            assert np.array_equal(got[ring.class_index(n, tuples)],
+                                  boundary_eval(G, tuples)), (name, n)
 
 
 def test_every_class_factors_through_degree_one(rings):
