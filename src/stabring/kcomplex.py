@@ -1,15 +1,16 @@
 """The Koszul-type complex of a graded module: explicit differential with
-commutator conjugators (each built into one key array after its entry count
-is checked against the memory budget, and shared between degrees n whose
-module action repeats), d^2 = 0, the prepend chain homotopy S (its identity
-checked by gathering columns and relabelling rows of d, as the maps composed
-with d send basis elements to basis elements, in batches sized by entries),
-and homology per spot.  Each differential is eliminated from a closed-form
-unit matching (``unit_matching``): row s (x) y goes to column (s, t_y) (x)
-j_y, whose last-pair term is its only entry on a matched row, so the block
-is a signed identity and ``zlinalg`` eliminates it in one Schur step before
-any pivot search.  The verdicts live in ``pipeline``, which checks dU = Ud,
-right multiplication and S d + d S = Rmult on the ring's product tables;
+commutator conjugators (each built into one key array from the module's
+image arrays, after its entry count is checked against the memory budget,
+and shared between degrees n whose module action repeats), d^2 = 0, the
+prepend chain homotopy S (its identity checked by gathering columns and
+relabelling rows of d, as the maps composed with d send basis elements to
+basis elements, in batches sized by entries), and homology per spot.  Each
+differential is eliminated from a closed-form unit matching
+(``unit_matching``): row s (x) y goes to column (s, t_y) (x) j_y, whose
+last-pair term is its only entry on a matched row, so the block is a signed
+identity and ``zlinalg`` eliminates it in one Schur step before any pivot
+search.  The verdicts live in ``pipeline``, which checks dU = Ud, right
+multiplication and S d + d S = Rmult on the ring's product tables;
 ``u_commutes_with_d``, ``_id_tensor_u``, ``right_mult_is_chain_map`` and
 ``homotopy_check`` (with ``_homotopy_failures``, ``_Prepend`` and
 ``HOMOTOPY_BATCH``) check them on K, kept only for the benchmark harness and
@@ -29,8 +30,9 @@ from .zlinalg import HomologyGroup, IntMatrix, chain_homology
 
 
 # Peak bytes per entry of one differential's build, the stored result
-# included, with margin: tracemalloc measures 44 to 73 on every d_{p,n} of
-# 20,000 entries or more of S3, D4, C2xC2 and A4 (n <= 4, p <= 3).
+# included, with margin: tracemalloc measures 40 to 60 over the tuple arrays
+# on every d_{p,n} of 20,000 entries or more of S3, D4 and C2xC2 (n <= 4,
+# p <= 3) and A4 (n <= 4, p <= 2).
 BYTES_PER_KENTRY = 96
 
 # Peak bytes per tuple and pair of the per-p index arrays of the build (the
@@ -107,11 +109,12 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     Column rule for a basis element (a_1, b_1, ..., a_p, b_p) (x) m:
     sum over k of (-1)^(k-1) (pairs minus k-th) (x) [a_k^{d_k}, b_k^{d_k}] m
     with d_k the product of the commutators of the later pairs.  Each term is
-    an index gather over all tuples at once: the class of the conjugated pair
-    picks the nonzeros of its row of the module's action array.  So n enters
-    only through ``M.acts[n - p]``: where that array equals ``M.acts[n - p - 1]``
-    in shape and entries, d_{p,n} is the same ``IntMatrix`` object as
-    d_{p,n-1}, and the two share one Smith form.
+    an index gather over all tuples at once: the class c of the conjugated
+    pair picks row c of the module's image array, whose entry c . m >= 0 is
+    the one nonzero, 1, of column m of its action.  So n enters only through
+    ``M.images[n - p]`` and the rank of M_{n-p+1}: where both equal those one
+    degree down, d_{p,n} is the same ``IntMatrix`` object as d_{p,n-1}, and
+    the two share one Smith form.
 
     Each p with entries to compute first holds per-tuple index arrays,
     ``BYTES_PER_KTUPLE`` per tuple and pair; a KComplexError refuses them
@@ -120,9 +123,9 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     summed from the class of every tuple's pair, and a differential whose
     ``BYTES_PER_KENTRY`` per entry would not fit is refused the same way
     (that figure was measured with the tuple arrays alive).  Each term writes the
-    positions row * cols + col and the values of its entries, a few tuples
-    at a time, into one key and one value array, which
-    ``IntMatrix.from_keys`` sums.
+    positions row * cols + col and the values of its entries, about
+    ``_kernels.CHUNK`` image entries at a time, into one key and one value
+    array, which ``IntMatrix.from_keys`` sums.
     """
     if M.side != "left":
         raise KComplexError("K-complex coefficients must form a left module")
@@ -136,7 +139,8 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
     for p in range(1, min(p_max, n_max) + 1):
         states = order ** (2 * p)
         degrees = range(p, n_max + 1)
-        same = [n > p and np.array_equal(M.acts[n - p], M.acts[n - p - 1]) for n in degrees]
+        same = [n > p and M.rank(n - p + 1) == M.rank(n - p)
+                and np.array_equal(M.images[n - p], M.images[n - p - 1]) for n in degrees]
         built = [n for n, shared in zip(degrees, same)
                  if not shared and M.rank(n - p) and M.rank(n - p + 1)]
         if built:
@@ -165,12 +169,8 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
             if n not in built:
                 d[p, n] = IntMatrix(*shape)
                 continue
-            # nonzeros of every class's action, ordered by (class, column, row)
-            acts = M.acts[n - p].transpose(0, 2, 1)
-            nz_cls, nz_col, nz_row = np.nonzero(acts)
-            nz_val = acts[nz_cls, nz_col, nz_row]
-            ptr = np.searchsorted(nz_cls * rank_hi + nz_col, np.arange(len(acts) * rank_hi + 1))
-            per_class = np.diff(ptr[::rank_hi])  # entries of each class's action
+            image = M.images[n - p]
+            per_class = np.count_nonzero(image >= 0, axis=1)  # entries of each class's action
             total = sum(int(per_class[class_k].sum()) for class_k in classes)
             need = total * BYTES_PER_KENTRY
             if need > budget:
@@ -180,23 +180,19 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
                     f"memory budget of {budget / 2 ** 20:.1f} MiB")
             key = np.empty(total, dtype=np.int64)
             val = np.empty(total, dtype=np.int64)
-            done = 0
+            done, step = 0, max(1, _kernels.CHUNK // rank_hi)
             for k, class_k in enumerate(classes):
                 sign, low = (1 if k % 2 == 0 else -1), order ** (2 * (p - k - 1))
-                tuple_ptr = np.zeros(states + 1, dtype=np.int64)
-                np.cumsum(per_class[class_k], out=tuple_ptr[1:])
-                for t0, t1 in _kernels.pieces(tuple_ptr, np.arange(states)):
-                    count, idx = _kernels.ragged_gather(
-                        ptr, (class_k[t0:t1, None] * rank_hi + np.arange(rank_hi)).ravel())
-                    ranks = np.arange(t0, t1, dtype=np.int64)
+                start = done
+                for t0 in range(0, states, step):
+                    ranks = np.arange(t0, min(t0 + step, states), dtype=np.int64)[:, None]
+                    rows = image[class_k[t0:t0 + step]]  # c . m in M_{n-p+1}, or -1
                     rest = ranks // (low * order * order) * low + ranks % low  # tuple without pair k
-                    part = slice(done, done + len(idx))
-                    key[part] = np.repeat(rest * rank_lo, np.take(per_class, class_k[t0:t1]))
-                    key[part] += np.take(nz_row, idx)
-                    key[part] *= shape[1]
-                    key[part] += np.repeat(np.arange(t0 * rank_hi, t1 * rank_hi), count)
-                    np.multiply(np.take(nz_val, idx), sign, out=val[part])
-                    done += len(idx)
+                    at = (rest * rank_lo + rows) * shape[1] + ranks * rank_hi + np.arange(rank_hi)
+                    hit = at[rows >= 0]
+                    key[done:done + len(hit)] = hit
+                    done += len(hit)
+                val[start:done] = sign
             d[p, n] = IntMatrix.from_keys(*shape, key, val)
             del key, val
     return KComplex(module=M, ring=ring, p_max=p_max, n_max=n_max, d=d)
@@ -235,11 +231,11 @@ def _id_tensor_u(M: GradedModule, p: int, n: int, states: int) -> IntMatrix:
     """Id (x) U: K_p(n) -> K_p(n+1), for ``u_commutes_with_d``."""
     rank_src = M.rank(n - p)
     rank_tgt = M.rank(n + 1 - p)
-    u = M.u_matrix(n - p) if rank_src and n - p < M.n_max else np.zeros((rank_tgt, rank_src), dtype=np.int64)
-    r, j = np.nonzero(u)
+    u = M.images[n - p][0] if rank_src and n - p < M.n_max else np.zeros(0, dtype=np.int64)
+    j = np.flatnonzero(u >= 0)
     t = np.arange(states, dtype=np.int64)[:, None]
-    return IntMatrix.from_triplets(states * rank_tgt, states * rank_src, t * rank_tgt + r,
-                                   t * rank_src + j, np.broadcast_to(u[r, j], (states, len(r))))
+    return IntMatrix.from_triplets(states * rank_tgt, states * rank_src, t * rank_tgt + u[j],
+                                   t * rank_src + j, np.ones((states, len(j)), dtype=np.int64))
 
 
 def _require_regular(K: KComplex) -> None:
@@ -390,23 +386,21 @@ def unit_matching(M: GradedModule, p: int, n: int):
     the module action in the last pair (Joellenbeck and Welker 2009).
 
     For each basis element y of M_{n-p+1} take the least degree-1 class
-    x_y (class 0, the U class, first) and then the least j_y such that
-    lambda(x_y)[y, j_y] = +-1 is the only nonzero of column j_y; let t_y be
-    the least pair of class x_y, and T the set of the t_y.  Row s (x) y is
-    matched to column (s, t_y) (x) j_y for every s in (G^2)^(p-1) whose last
-    pair is not in T (every s when p = 1).  The k = p term of that column
-    is the entry +-lambda(x_y)[y, j_y] on row s (x) y, since the conjugator
-    of the last pair is trivial; every k < p term keeps the last pair t_y,
-    so it lands on an unmatched row.  The block is thus a signed identity,
-    and distinct rows get distinct columns, as y is the only nonzero row of
-    column j_y of lambda(x_y)."""
+    x_y (class 0, the U class, first) and then the least j_y with
+    x_y . e_{j_y} = e_y, so that lambda(x_y)[y, j_y] = 1 is the only
+    nonzero of column j_y; let t_y be the least pair of class x_y, and T
+    the set of the t_y.  Row s (x) y is matched to column (s, t_y) (x) j_y
+    for every s in (G^2)^(p-1) whose last pair is not in T (every s when
+    p = 1).  The k = p term of that column is the entry 1 on row s (x) y,
+    since the conjugator of the last pair is trivial; every k < p term
+    keeps the last pair t_y, so it lands on an unmatched row.  The block is
+    thus a signed identity, and distinct rows get distinct columns, as y is
+    the only nonzero row of column j_y of lambda(x_y)."""
     G = M.ring.G
     pairs = G.order ** 2
-    acts = M.acts[n - p]  # acts[x][y, j] = lambda(x)[y, j]
-    single = (np.count_nonzero(acts, axis=1) == 1) & (np.abs(acts.sum(axis=1)) == 1)
-    x, j = np.nonzero(single)  # in (class, column) order
-    y = np.argmax(acts[x, :, j] != 0, axis=1)
-    y, first = np.unique(y, return_index=True)
+    image = M.images[n - p]  # image[x, j] = x . e_j
+    x, j = np.nonzero(image >= 0)  # in (class, column) order
+    y, first = np.unique(image[x, j], return_index=True)
     x, j = x[first], j[first]
     t = np.unique(M.ring.pair_class, return_index=True)[1][x]  # least pair of each class
     s = np.arange(pairs ** (p - 1), dtype=np.int64)

@@ -2,23 +2,21 @@
 constructions and degree-bound battery built on them.
 
 R is generated in degree 1, so a module is fixed by how the degree-1 classes
-act on it.  A module keeps one int64 array per degree, ``acts[n]`` of shape
-(|R_1|, rank_{n+1}, rank_n): row c is the action of degree-1 class c, and
-row 0, the class of (e, e), is U.
+act on it.  Every module the library builds is monomial: an action sends a
+basis vector to a basis vector or to 0.  So a module keeps one int64 image
+array per degree, ``images[n]`` of shape (|R_1|, rank_n): [c, j] is the index
+of c . e_j in M_{n+1}, or -1 for 0, and row 0, the class of (e, e), is U.
 
-Every module the library builds is monomial: an action sends a basis vector
-to a basis vector or to 0.  The battery reads the actions as image arrays
-(``GradedModule.images``) and refuses any other module.  Its relation
-matrices are then incidence matrices of graphs, totally unimodular
-(Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19), so
-every group it reads is free, of a rank that counts basis vectors no action
-hits or live components of a generator graph; ``tests/reference_modules.py``
-takes them from Smith forms."""
+The battery's relation matrices are then incidence matrices of graphs,
+totally unimodular (Schrijver, Theory of Linear and Integer Programming,
+1986, ch. 19), so every group it reads is free, of a rank that counts basis
+vectors no action hits or live components of a generator graph;
+``tests/reference_modules.py`` takes them from Smith forms of the dense
+action matrices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +32,11 @@ class ModuleError(ValueError):
 
 @dataclass
 class GradedModule:
-    """Degreewise-free graded module; acts[n][c] is the integer matrix of
-    degree-1 class c acting M_n -> M_{n+1}, for 0 <= n < n_max.  A pair
-    (a, b) acts through its class, ring.pair_class at its rank.
+    """Degreewise-free monomial graded module; images[n][c, j] is the index
+    of (degree-1 class c) . e_j in M_{n+1}, or -1 for 0, for 0 <= n < n_max.
+    A pair (a, b) acts through its class, ring.pair_class at its rank.
 
-    side "left": matrices realize m -> [a,b] m; side "right": m -> m [a,b].
+    side "left": images realize m -> [a,b] m; side "right": m -> m [a,b].
     Components above n_max are unknown, not zero.
     """
 
@@ -46,8 +44,21 @@ class GradedModule:
     ring: GradedRing
     side: str
     ranks: tuple
-    acts: list
+    images: list
     n_max: int
+
+    def __post_init__(self):
+        if len(self.images) != self.n_max or len(self.ranks) != self.n_max + 1:
+            raise ModuleError(f"{self.name}: {len(self.images)} image arrays and "
+                              f"{len(self.ranks)} ranks for window {self.n_max}")
+        classes = self.ring.basis_size(1)
+        for n, image in enumerate(self.images):
+            if image.shape != (classes, self.ranks[n]):
+                raise ModuleError(f"{self.name}: images at degree {n} have shape {image.shape}, "
+                                  f"not {(classes, self.ranks[n])}")
+            if image.size and not -1 <= image.min() <= image.max() < self.ranks[n + 1]:
+                raise ModuleError(f"{self.name}: an image at degree {n} lies outside "
+                                  f"[-1, {self.ranks[n + 1]})")
 
     def rank(self, n: int) -> int:
         if n < 0:
@@ -56,29 +67,6 @@ class GradedModule:
             raise ModuleError(f"degree {n} beyond module window {self.n_max}")
         return self.ranks[n]
 
-    @cached_property
-    def images(self) -> list:
-        """Per degree n < n_max, the action as an image array, read once: [c, j]
-        is the index of c . e_j in M_{n+1}, or -1 for 0.  A ModuleError naming
-        the module and the degree refuses an action that is not monomial, as
-        the battery's counts need."""
-        out = []
-        for n, act in enumerate(self.acts):
-            c, r, j = np.nonzero(act)
-            image = np.full((act.shape[0], act.shape[2]), -1, dtype=np.int64)
-            image[c, j] = r
-            if (act[c, r, j] != 1).any() or np.count_nonzero(image >= 0) < len(c):
-                raise ModuleError(f"{self.name}: the action at degree {n} is not monomial (an "
-                                  "entry outside {0, 1} or two nonzeros in one column)")
-            out.append(image)
-        return out
-
-    def u_matrix(self, n: int) -> np.ndarray:
-        """U: M_n -> M_{n+1}, the action of class 0, the class of (e, e)."""
-        if not 0 <= n < self.n_max:
-            raise ModuleError(f"action at degree {n} beyond window {self.n_max}")
-        return self.acts[n][0]
-
     def consistency_failures(self) -> list:
         """Degree-2 orbit relations violated by the actions (empty when sound).
 
@@ -86,9 +74,8 @@ class GradedModule:
         order whose composite of the (a, b) and (c, d) actions differs from
         the composite of the class representative.  Every tuple of G^4 is
         checked: its composite is the composite of its two degree-1 classes,
-        so each pair of degree-1 classes is compared once, as a dense
-        composite (the actions may be any integer matrices), with the pair of
-        its degree-2 class representative.
+        so each pair of degree-1 classes is compared once, as the composed
+        image array, with the pair of its degree-2 class representative.
         """
         ring = self.ring
         if ring.n_max < 2:
@@ -103,7 +90,7 @@ class GradedModule:
         # the class representative's handles are the least entry of its class
         _, least = np.unique(ring.steps[1], return_index=True)
         rep_head, rep_tail = np.divmod(least[cls], classes)
-        # composite labels are indexed by (last, first) class; the left side
+        # composites are indexed by (last, first) class; the left side
         # applies (c, d) first, the right side (a, b)
         if self.side == "left":
             at, at_rep = head * classes + tail, rep_head * classes + rep_tail
@@ -111,10 +98,11 @@ class GradedModule:
             at, at_rep = tail * classes + head, rep_tail * classes + rep_head
         rep_at = np.empty(classes * classes, dtype=np.int64)
         rep_at[at] = at_rep  # every pair of classes is that of some tuple
-        acts, bad = self.acts, []
+        bad = []
         for n in range(self.n_max - 1):
-            comp = np.matmul(acts[n + 1][:, None], acts[n][None, :])
-            flat = comp.reshape(classes * classes, comp.shape[2] * comp.shape[3])
+            # a last column of -1 keeps 0 at 0
+            last = np.concatenate((self.images[n + 1], np.full((classes, 1), -1)), axis=1)
+            flat = last[:, self.images[n]].reshape(classes * classes, self.rank(n))
             wrong = np.flatnonzero((flat != flat[rep_at]).any(axis=1)[at])
             found, first = np.unique(cls[wrong], return_index=True)
             bad.extend((n, int(c), decode_tuple(int(t), order, 4))
@@ -125,14 +113,9 @@ class GradedModule:
 def regular_module(ring: GradedRing, side: str = "left") -> GradedModule:
     """R itself; every action sends a basis class to a single basis class."""
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
-    classes = np.arange(ranks[1])[:, None]
-    acts = []
-    for n in range(ring.n_max):
-        image = ring.product(1, n) if side == "left" else ring.product(n, 1).T
-        act = np.zeros((ranks[1], ranks[n + 1], ranks[n]), dtype=np.int64)
-        act[classes, image, np.arange(ranks[n])] = 1
-        acts.append(act)
-    return GradedModule("R", ring, side, ranks, acts, ring.n_max)
+    images = [ring.product(1, n) if side == "left" else ring.product(n, 1).T
+              for n in range(ring.n_max)]
+    return GradedModule("R", ring, side, ranks, images, ring.n_max)
 
 
 def shift_module(M: GradedModule, p: int) -> GradedModule:
@@ -141,20 +124,24 @@ def shift_module(M: GradedModule, p: int) -> GradedModule:
         raise ModuleError("shift amount must be >= 0")
     ranks = tuple([0] * p + list(M.ranks))[:M.n_max + 1]
     classes = M.ring.basis_size(1)
-    acts = [M.acts[n - p] if n >= p
-            else np.zeros((classes, ranks[n + 1], ranks[n]), dtype=np.int64)
-            for n in range(M.n_max)]
-    return GradedModule(f"{M.name}[{p}]", M.ring, M.side, ranks, acts, M.n_max)
+    images = [M.images[n - p] if n >= p else np.full((classes, ranks[n]), -1, dtype=np.int64)
+              for n in range(M.n_max)]
+    return GradedModule(f"{M.name}[{p}]", M.ring, M.side, ranks, images, M.n_max)
 
 
 def _basis_restriction(M: GradedModule, kept: list, name: str) -> GradedModule:
     """The module on the basis vectors kept[n] of each M_n: every action
-    restricted to kept rows and columns.  It is the submodule they span when
-    the actions keep that span, and the quotient by the other basis vectors
-    when the actions keep theirs."""
+    restricted to the kept vectors, an image outside them sent to 0.  It is
+    the submodule they span when the actions keep that span, and the
+    quotient by the other basis vectors when the actions keep theirs."""
     ranks = tuple(len(k) for k in kept)
-    acts = [act[:, kept[n + 1]][:, :, kept[n]] for n, act in enumerate(M.acts)]
-    return GradedModule(name, M.ring, M.side, ranks, acts, M.n_max)
+    images = []
+    for n, image in enumerate(M.images):
+        # new index of each kept vector of M_{n+1}, -1 for the others and for 0
+        relabel = np.full(M.rank(n + 1) + 1, -1, dtype=np.int64)
+        relabel[kept[n + 1]] = np.arange(ranks[n + 1])
+        images.append(relabel[image[:, kept[n]]])
+    return GradedModule(name, M.ring, M.side, ranks, images, M.n_max)
 
 
 def truncate_module(M: GradedModule, k: int) -> GradedModule:
@@ -190,26 +177,30 @@ def u_kernel_module(ring: GradedRing, side: str = "left") -> GradedModule:
     the U map out of it.
     """
     R = regular_module(ring, side)
-    basis, incl = [], []  # per degree: the classes j, and the columns e_j - e_l
+    basis, least = [], []  # per degree: the classes j, and the least class of each fibre
     for n in range(ring.n_max):
         umap = ring.u_map(n)
         _, first, fibre = np.unique(umap, return_index=True, return_inverse=True)
-        least = first[fibre]
         order = np.argsort(umap, kind="stable")
-        keep = order[order != least[order]]
-        cols = np.arange(len(keep))
-        mat = np.zeros((len(umap), len(keep)), dtype=np.int64)
-        mat[keep, cols] = 1
-        mat[least[keep], cols] = -1
-        basis.append(keep)
-        incl.append(mat)
-    acts = []
-    for n in range(ring.n_max - 1):
-        image = R.acts[n] @ incl[n]
-        if (R.u_matrix(n + 1) @ image).any():
+        least.append(first[fibre])
+        basis.append(order[order != least[n][order]])
+    # c . (e_j - e_l) = e_{c.j} - e_{c.l}, which U must kill at every degree
+    ends = [(image[:, basis[n]], image[:, least[n][basis[n]]])
+            for n, image in enumerate(R.images[:-1])]
+    for n, (cj, cl) in enumerate(ends):
+        if (R.images[n + 1][0][cj] != R.images[n + 1][0][cl]).any():
             raise ModuleError("R: kernel image escapes the difference basis")
-        acts.append(image[:, basis[n + 1]])
-    return GradedModule("R[U]", ring, side, tuple(len(b) for b in basis), acts, ring.n_max - 1)
+    images = []
+    for n, (cj, cl) in enumerate(ends):
+        # e_{c.j} - e_{c.l} is the basis vector at c.j when c.l is the least of
+        # their fibre; otherwise it is minus one, or a difference of two
+        if ((cj != cl) & (cl != least[n + 1][cl])).any():
+            raise ModuleError(f"R[U]: the action at degree {n} is not monomial (an entry "
+                              "outside {0, 1} or two nonzeros in one column)")
+        position = np.full(ring.basis_size(n + 1), -1, dtype=np.int64)
+        position[basis[n + 1]] = np.arange(len(basis[n + 1]))
+        images.append(np.where(cj != cl, position[cj], -1))
+    return GradedModule("R[U]", ring, side, tuple(len(b) for b in basis), images, ring.n_max - 1)
 
 
 def derive_module(ring: GradedRing, recipe) -> GradedModule:
@@ -243,7 +234,7 @@ def _free(ranks) -> list:
 
 def h0(M: GradedModule) -> list:
     """H0(M) = M / R_{>0} M degreewise, free on the basis vectors no degree-1
-    action hits; for either side, which the act matrices already encode."""
+    action hits; for either side, which the image arrays already encode."""
     return _free([M.rank(0)] + [M.rank(n + 1) - _hits(image) for n, image in enumerate(M.images)])
 
 

@@ -80,6 +80,7 @@ def build_kcomplex(M, p_max: int, n_max: int) -> KComplex:
     ring = M.ring
     G = ring.G
     order = G.order
+    actions = reference_modules.dense(M)
     d = {}
     for p in range(1, p_max + 1):
         states = order ** (2 * p)
@@ -99,7 +100,7 @@ def build_kcomplex(M, p_max: int, n_max: int) -> KComplex:
                         pair_k = (conjugate(G, pairs[k][0], ck), conjugate(G, pairs[k][1], ck))
                         act = acts.get(pair_k)
                         if act is None:
-                            act = reference_modules.act(M, pair_k, n - p)
+                            act = reference_modules.act(actions, pair_k, n - p)
                             acts[pair_k] = act
                         rest = [e for i, pr in enumerate(pairs) if i != k for e in pr]
                         t2 = encode_tuple(rest, order)
@@ -124,7 +125,10 @@ def verify_d_squared(K: KComplex):
 def _id_tensor_u(M, p: int, n: int, states: int) -> IntMatrix:
     rank_src = M.rank(n - p)
     rank_tgt = M.rank(n + 1 - p)
-    u = M.u_matrix(n - p) if rank_src and n - p < M.n_max else np.zeros((rank_tgt, rank_src), dtype=np.int64)
+    if rank_src and n - p < M.n_max:
+        u = reference_modules.dense(M).u_matrix(n - p)
+    else:
+        u = np.zeros((rank_tgt, rank_src), dtype=np.int64)
     ents = {}
     for t in range(states):
         for j in range(rank_src):

@@ -1,6 +1,12 @@
 """Test-only references for ``stabring.modules``: the per-tuple constructions
-that the product table, the basis restrictions and the per-class action
+that the product table, the basis restrictions and the per-class image
 arrays replaced.
+
+The references hold a module as dense action matrices, ``DenseModule``:
+``acts[n]`` of shape (|R_1|, rank_{n+1}, rank_n), row c the matrix of
+degree-1 class c, with any integer entries.  ``dense`` writes a library
+module's image arrays out in that form, and every reference that reads
+actions takes either kind through it.
 
 ``regular_module`` looks up the class of every concatenated tuple with
 ``class_index``.  ``quotient_u_module`` and ``u_kernel_module`` work on any
@@ -43,18 +49,53 @@ from stabring.modules import DeltaBounds, GradedModule, ModuleError, deg_of, mod
 from stabring.zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
 
 
+@dataclasses.dataclass
+class DenseModule:
+    """A graded module by dense action arrays: acts[n][c] is the integer
+    matrix of degree-1 class c acting M_n -> M_{n+1}, for 0 <= n < n_max."""
+
+    name: str
+    ring: object
+    side: str
+    ranks: tuple
+    acts: list
+    n_max: int
+
+    rank = GradedModule.rank
+
+    def u_matrix(self, n: int) -> np.ndarray:
+        """U: M_n -> M_{n+1}, the action of class 0, the class of (e, e)."""
+        if not 0 <= n < self.n_max:
+            raise ModuleError(f"action at degree {n} beyond window {self.n_max}")
+        return self.acts[n][0]
+
+
+def dense(M) -> DenseModule:
+    """A library module with each image array written out as its 0/1 action
+    matrices; a ``DenseModule`` as it is."""
+    if isinstance(M, DenseModule):
+        return M
+    acts = []
+    for n, image in enumerate(M.images):
+        act = np.zeros((len(image), M.rank(n + 1), M.rank(n)), dtype=np.int64)
+        c, j = np.nonzero(image >= 0)
+        act[c, image[c, j], j] = 1
+        acts.append(act)
+    return DenseModule(M.name, M.ring, M.side, M.ranks, acts, M.n_max)
+
+
 def pairs(G) -> list:
     return [(a, b) for a in range(G.order) for b in range(G.order)]
 
 
-def act(M: GradedModule, pair, n: int) -> np.ndarray:
+def act(M, pair, n: int) -> np.ndarray:
     """Matrix of the (a, b) action M_n -> M_{n+1}."""
     if not 0 <= n < M.n_max:
         raise ModuleError(f"action at degree {n} beyond window {M.n_max}")
-    return M.acts[n][M.ring.class_index(1, pair)]
+    return dense(M).acts[n][M.ring.class_index(1, pair)]
 
 
-def act_class(M: GradedModule, deg: int, ring_idx: int, n: int) -> np.ndarray:
+def act_class(M, deg: int, ring_idx: int, n: int) -> np.ndarray:
     """Matrix of multiplication by the degree-``deg`` basis class, M_n -> M_{n+deg}:
     the pair actions of its representative, last pair first on the left."""
     if n + deg > M.n_max:
@@ -67,7 +108,7 @@ def act_class(M: GradedModule, deg: int, ring_idx: int, n: int) -> np.ndarray:
     return mat
 
 
-def module_from_pairs(name, ring, side, ranks, lam: dict, n_max: int) -> GradedModule:
+def module_from_pairs(name, ring, side, ranks, lam: dict, n_max: int) -> DenseModule:
     """The module whose pair (a, b) acts on degree n by lam[(a, b)][n]; every
     pair must be given, and pairs of one degree-1 class must agree."""
     assert sorted(lam) == pairs(ring.G)
@@ -83,13 +124,14 @@ def module_from_pairs(name, ring, side, ranks, lam: dict, n_max: int) -> GradedM
             act[c] = mats[n]
             seen.add(c)
         acts.append(act)
-    return GradedModule(name, ring, side, ranks, acts, n_max)
+    return DenseModule(name, ring, side, ranks, acts, n_max)
 
 
-def consistency_failures(M: GradedModule) -> list:
+def consistency_failures(M) -> list:
     """Degree-2 orbit relations violated by the actions, one tuple at a time:
     per degree n and degree-2 class, the first tuple in rank order whose
     composite differs from that of the first tuple of its class."""
+    M = dense(M)
     ring = M.ring
     if ring.n_max < 2:
         raise ModuleError("consistency check needs ring degree >= 2")
@@ -118,7 +160,7 @@ def consistency_failures(M: GradedModule) -> list:
     return bad
 
 
-def regular_module(ring, side: str = "left") -> GradedModule:
+def regular_module(ring, side: str = "left") -> DenseModule:
     """R itself, one concatenated tuple per basis class and pair."""
     ranks = tuple(ring.basis_size(n) for n in range(ring.n_max + 1))
     lam = {}
@@ -148,8 +190,9 @@ def _monomial_image_rows(u: np.ndarray) -> set | None:
     return rows
 
 
-def quotient_u_module(M: GradedModule) -> GradedModule:
+def quotient_u_module(M) -> DenseModule:
     """M / UM, for modules whose U action is monomial (basis to basis or zero)."""
+    M = dense(M)
     kept = [list(range(M.ranks[0]))]
     for n in range(1, M.n_max + 1):
         hit = _monomial_image_rows(M.u_matrix(n - 1))
@@ -165,12 +208,14 @@ def quotient_u_module(M: GradedModule) -> GradedModule:
     return module_from_pairs(name, M.ring, M.side, ranks, lam, M.n_max)
 
 
-def u_kernel_module(M: GradedModule) -> GradedModule:
+def u_kernel_module(M) -> DenseModule:
     """M[U] = ker(U), for monomial U; basis vectors are fiber differences.
+    Its actions may have entries -1 and two nonzeros in a column.
 
     The window shrinks by one degree: the kernel at the top degree would need
     the U map out of it.
     """
+    M = dense(M)
     n_top = M.n_max - 1
     fibers = []
     for n in range(n_top + 1):
@@ -236,7 +281,7 @@ def u_image(ring) -> list:
                    for n in range(1, ring.n_max + 1)]
 
 
-def ur_ideal_module(ring, side: str = "left") -> GradedModule:
+def ur_ideal_module(ring, side: str = "left") -> DenseModule:
     """U(R) as a module: degree-n basis = distinct U images inside R_n."""
     bases = u_image(ring)
     ranks = tuple(len(b) for b in bases)
@@ -256,8 +301,9 @@ def ur_ideal_module(ring, side: str = "left") -> GradedModule:
     return module_from_pairs("UR", ring, side, ranks, lam, ring.n_max)
 
 
-def truncate_module(M: GradedModule, k: int) -> GradedModule:
+def truncate_module(M, k: int) -> DenseModule:
     """Quotient truncation: components above degree k become zero."""
+    M = dense(M)
     ranks = tuple(r if n <= k else 0 for n, r in enumerate(M.ranks))
     lam = {}
     for pair in pairs(M.ring.G):
@@ -267,7 +313,7 @@ def truncate_module(M: GradedModule, k: int) -> GradedModule:
     return module_from_pairs(f"{M.name}<= {k}", M.ring, M.side, ranks, lam, M.n_max)
 
 
-def h1(M: GradedModule) -> list:
+def h1(M) -> list:
     """H1(M) = ker(beta: R_{>0} (x)_R M -> M) degreewise."""
     rplus = dataclasses.replace(modules.regular_module(M.ring, side="right"), name="R>0")
     identity = [range(rank) for rank in rplus.ranks]
@@ -276,11 +322,11 @@ def h1(M: GradedModule) -> list:
             for n in range(M.n_max + 1)]
 
 
-def kron_tensor_presentation(N: GradedModule, M: GradedModule, n: int,
-                             min_i: int = 0) -> IntMatrix:
+def kron_tensor_presentation(N, M, n: int, min_i: int = 0) -> IntMatrix:
     """``tensor_presentation`` from dense blocks: per split
     i + 1 + k = n, -kron(I, lambda_c) on the N_i x M_{k+1} generators stacked
     on kron(rho_c, I) on the N_{i+1} x M_k generators right after them."""
+    N, M = dense(N), dense(M)
     offsets, dim = gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     n_rel = 0
@@ -300,9 +346,9 @@ def kron_tensor_presentation(N: GradedModule, M: GradedModule, n: int,
                                    np.concatenate(cols), np.concatenate(vals))
 
 
-def generator_beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                          classes: list) -> IntMatrix:
+def generator_beta_matrix(N, M, n: int, min_i: int, classes: list) -> IntMatrix:
     """``beta_matrix`` by one ``act_class`` product per generator."""
+    M = dense(M)
     offsets, dim = gen_offsets(N, M, n, min_i)
     rows, cols, vals = [], [], []
     for i in range(min_i, n + 1):
@@ -324,7 +370,7 @@ def generator_beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
 # -- the lemma battery by Smith normal forms ---------------------------------
 
 
-def gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
+def gen_offsets(N, M, n: int, min_i: int = 0):
     """Generators of (+)_{i+k=n} N_i x M_k with i >= min_i; returns offsets."""
     if N.side != "right" or M.side != "left":
         raise ModuleError("tensor needs a right module and a left module")
@@ -333,7 +379,7 @@ def gen_offsets(N: GradedModule, M: GradedModule, n: int, min_i: int = 0):
     return dict(zip(splits, starts)), starts[-1]
 
 
-def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0) -> IntMatrix:
+def tensor_presentation(N, M, n: int, min_i: int = 0) -> IntMatrix:
     """Relation matrix of the degree-n piece of N (x)_R M.
 
     Generators u (x) m over splits i + k = n (i >= min_i), numbered as in
@@ -344,6 +390,7 @@ def tensor_presentation(N: GradedModule, M: GradedModule, n: int, min_i: int = 0
     N_i x M_{k+1}, for every u; each nonzero rho_c[v, u] of N gives
     rho_c[v, u] at generator v (x) m of N_{i+1} x M_k, for every m.
     """
+    N, M = dense(N), dense(M)
     offsets, dim = gen_offsets(N, M, n, min_i)
     classes = M.ring.basis_size(1)
     rows, cols, vals = [], [], []
@@ -373,8 +420,7 @@ def from_blocks(n_rows: int, n_cols: int, rows: list, cols: list, vals: list) ->
     return IntMatrix.from_triplets(n_rows, n_cols, *flat)
 
 
-def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
-                classes: list) -> IntMatrix:
+def beta_matrix(N, M, n: int, min_i: int, classes: list) -> IntMatrix:
     """beta: (N (x)_R M)_n -> M_n sending u (x) m to (class behind u) . m;
     classes[i][u] is that class, of degree i."""
     offsets, dim = gen_offsets(N, M, n, min_i)
@@ -390,11 +436,12 @@ def beta_matrix(N: GradedModule, M: GradedModule, n: int, min_i: int,
     return from_blocks(M.rank(n), dim, rows, cols, vals)
 
 
-def class_actions(M: GradedModule, n: int):
+def class_actions(M, n: int):
     """Per degree i = 0..n, the actions M_{n-i} -> M_n of every class of R_i
     on the left module M, stacked by class.  Class j of degree i, whose least
     entry in product(i - 1, 1) is (p, y), acts as p . (y . m): one batched
     product per degree."""
+    M = dense(M)
     ring = M.ring
     acting = np.eye(M.rank(n), dtype=np.int64)[None]
     yield acting
@@ -405,8 +452,9 @@ def class_actions(M: GradedModule, n: int):
         yield acting
 
 
-def graded_tensor(N: GradedModule, M: GradedModule) -> list:
+def graded_tensor(N, M) -> list:
     """(N (x)_R M)_n as abelian groups, degree by degree within the window."""
+    N, M = dense(N), dense(M)
     out = []
     for n in range(min(N.n_max, M.n_max) + 1):
         rel = tensor_presentation(N, M, n)
@@ -414,8 +462,9 @@ def graded_tensor(N: GradedModule, M: GradedModule) -> list:
     return out
 
 
-def h0(M: GradedModule) -> list:
+def h0(M) -> list:
     """H0(M) = M / R_{>0} M degreewise: coker of all degree-1 actions."""
+    M = dense(M)
     out = [HomologyGroup(free_rank=M.rank(0))]
     for n in range(1, M.n_max + 1):
         rows = M.rank(n)
@@ -433,10 +482,11 @@ def ring_parts(ring) -> modules.RingParts:
     return dataclasses.replace(parts, rbar_h0_deg=deg_of(h0(parts.rbar)))
 
 
-def delta_and_bounds(M: GradedModule, parts=None) -> DeltaBounds:
+def delta_and_bounds(M, parts=None) -> DeltaBounds:
     """``modules.delta_and_bounds`` with every group a ``chain_homology``
     Smith form: M/UM and ker U from U's matrices, Tor_1 from the tensor
     presentation and beta."""
+    M = dense(M)
     parts = parts or ring_parts(M.ring)
     u = [from_dense(M.u_matrix(n), rows=M.rank(n + 1), cols=M.rank(n))
          for n in range(M.n_max)]
@@ -459,10 +509,11 @@ def delta_and_bounds(M: GradedModule, parts=None) -> DeltaBounds:
                        tensor_bound_ok=tensor_deg <= lhs_bound)
 
 
-def generated_in_degrees_upto(M: GradedModule, a: int) -> bool:
+def generated_in_degrees_upto(M, a: int) -> bool:
     """Whether components up to degree a generate M, by the integer span: the
     submodule generated by degrees <= a fills M_n iff the accumulated image
     lattice is all of Z^{rank}."""
+    M = dense(M)
     prev_gens = None
     for n in range(M.n_max + 1):
         cols = []

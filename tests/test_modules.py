@@ -20,9 +20,9 @@ RECIPES = (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1))
 def z_module(ring, side: str = "left") -> GradedModule:
     """Z = R / R_{>0}, concentrated in degree 0 with the zero action."""
     ranks = tuple([1] + [0] * ring.n_max)
-    acts = [np.zeros((ring.basis_size(1), ranks[n + 1], ranks[n]), dtype=np.int64)
-            for n in range(ring.n_max)]
-    return GradedModule("Z", ring, side, ranks, acts, ring.n_max)
+    images = [np.full((ring.basis_size(1), ranks[n]), -1, dtype=np.int64)
+              for n in range(ring.n_max)]
+    return GradedModule("Z", ring, side, ranks, images, ring.n_max)
 
 
 def test_regular_module_consistency(rings):
@@ -31,10 +31,32 @@ def test_regular_module_consistency(rings):
 
 
 def mutant(M: GradedModule, n: int, c: int) -> GradedModule:
-    """M with entry (0, 0) of class c's action at degree n raised by one."""
-    acts = [act.copy() for act in M.acts]
-    acts[n][c, 0, 0] += 1
-    return dataclasses.replace(M, acts=acts)
+    """M with class c at degree n sending e_0 to the basis vector after its
+    image (cyclically), in place of that image."""
+    images = [image.copy() for image in M.images]
+    images[n][c, 0] = (images[n][c, 0] + 1) % M.rank(n + 1)
+    return dataclasses.replace(M, images=images)
+
+
+def test_graded_module_refuses_a_bad_shape_and_an_out_of_range_image(rings):
+    R = regular_module(rings["S3"])
+    images = [image.copy() for image in R.images]
+    with pytest.raises(ModuleError, match="R: images at degree 1 have shape"):
+        dataclasses.replace(R, images=images[:1] + [images[1][:, 1:]] + images[2:])
+    with pytest.raises(ModuleError, match="R: images at degree 0 have shape"):
+        dataclasses.replace(R, images=[images[0][1:]] + images[1:])
+    with pytest.raises(ModuleError, match="image arrays and"):
+        dataclasses.replace(R, images=images[:-1])
+    for n in range(R.n_max):
+        for wrong in (-2, R.rank(n + 1)):
+            bad = [image.copy() for image in images]
+            bad[n][-1, -1] = wrong
+            with pytest.raises(ModuleError, match=rf"R: an image at degree {n} lies outside "
+                                                  rf"\[-1, {R.rank(n + 1)}\)"):
+                dataclasses.replace(R, images=bad)
+    # the last value in range is accepted
+    images[-1][-1, -1] = R.rank(R.n_max) - 1
+    assert dataclasses.replace(R, images=images).images[-1][-1, -1] == R.rank(R.n_max) - 1
 
 
 def test_consistency_matches_the_per_tuple_reference(rings):
@@ -47,7 +69,7 @@ def test_consistency_matches_the_per_tuple_reference(rings):
 
 
 def test_consistency_matches_the_per_tuple_reference_on_mutants(rings):
-    # one class's action perturbed at degree 0 or 1 breaks the relations of
+    # one class's image redirected at degree 0 or 1 breaks the relations of
     # every degree-2 class whose tuples compose it with other classes
     for name in ("S3", "C4", "C2xC2"):
         ring = rings[name]
@@ -71,7 +93,7 @@ def test_regular_module_trivial_group(rings):
     R = regular_module(rings["trivial"])
     assert R.ranks == (1, 1, 1, 1, 1)
     for n in range(R.n_max):
-        assert R.u_matrix(n).tolist() == [[1]]
+        assert R.images[n].tolist() == [[0]]
 
 
 def test_rbar_trivial_group(rings):
@@ -90,7 +112,9 @@ def test_ru_kernel_vanishes_where_u_injective(rings):
     assert all(r == 0 for r in RU.ranks)
 
 
-def assert_same_module(M: GradedModule, N: GradedModule) -> None:
+def assert_same_module(M: GradedModule, N: ref.DenseModule) -> None:
+    """The library module M, written out dense, is the reference N."""
+    M = ref.dense(M)
     assert (M.name, M.side, M.ranks, M.n_max) == (N.name, N.side, N.ranks, N.n_max)
     assert len(M.acts) == len(N.acts) == M.n_max
     for n in range(M.n_max):
@@ -100,18 +124,40 @@ def assert_same_module(M: GradedModule, N: GradedModule) -> None:
             assert np.array_equal(a, b), (M.name, pair, n)
 
 
-def assert_matches_reference(ring) -> None:
-    """R, R/UR, R[U], U(R) and every truncation of R equal the per-tuple
-    references, on both sides."""
+def not_monomial(M: ref.DenseModule) -> list:
+    """The degrees where an action of M has an entry outside {0, 1} or two
+    nonzeros in one column."""
+    return [n for n, act in enumerate(M.acts)
+            if ((act != 0) & (act != 1)).any() or (np.count_nonzero(act, axis=1) > 1).any()]
+
+
+def assert_matches_reference(ring) -> list:
+    """R, R/UR, R[U], U(R) and every truncation of R and of R/UR equal the
+    per-tuple references, on both sides; R[U] is refused instead, at the first degree
+    where the reference's is not monomial, if there is one.  Returns whether
+    R[U] was refused on each side."""
     assert [c.tolist() for c in _u_image(ring)] == ref.u_image(ring)
+    refused = []
     for side in ("left", "right"):
         R = ref.regular_module(ring, side)
         assert_same_module(regular_module(ring, side), R)
-        assert_same_module(quotient_u_module(ring, side), ref.quotient_u_module(R))
-        assert_same_module(u_kernel_module(ring, side), ref.u_kernel_module(R))
+        Q = ref.quotient_u_module(R)
+        assert_same_module(quotient_u_module(ring, side), Q)
+        want = ref.u_kernel_module(R)
+        bad = not_monomial(want)
+        if bad:
+            with pytest.raises(ModuleError, match=rf"^R\[U\]: the action at degree {bad[0]} "
+                                                  "is not monomial"):
+                u_kernel_module(ring, side)
+        else:
+            assert_same_module(u_kernel_module(ring, side), want)
+        refused.append(bool(bad))
         assert_same_module(ur_ideal_module(ring, side), ref.ur_ideal_module(ring, side))
         for k in range(ring.n_max + 1):
-            assert_same_module(truncate_module(R, k), ref.truncate_module(R, k))
+            # R/UR has images -1, which a truncation must keep at 0
+            for M, N in ((regular_module(ring, side), R), (quotient_u_module(ring, side), Q)):
+                assert_same_module(truncate_module(M, k), ref.truncate_module(N, k))
+    return refused
 
 
 def relabelled(ring, n: int, labels: np.ndarray) -> GradedRing:
@@ -133,7 +179,7 @@ def relabelled(ring, n: int, labels: np.ndarray) -> GradedRing:
 
 def test_derived_modules_match_the_reference(rings):
     for ring in rings.values():
-        assert_matches_reference(ring)
+        assert assert_matches_reference(ring) == [False, False]
 
 
 def merged_top(ring) -> GradedRing:
@@ -159,21 +205,25 @@ def test_derived_modules_match_the_reference_where_u_merges_classes(rings):
     # last U merge every class.  Merging U images of pairs of classes below it
     # puts e_j - e_l in ker U, and the actions carry it into the top kernel;
     # the pairs (0, 3) and (1, 2) order ker U by image differently than by class.
-    nonzero = {}
+    # The library builds R[U] where the reference's is monomial and refuses
+    # it exactly where it is not.
+    nonzero, refused = {}, {}
     for name in ("C2", "C4", "C2xC2", "S3"):
         ring = merged_top(rings[name])
         top = ring.n_max
         assert ring.counts[top] == 1
         assert not ring.stability_profile().u_injective[top - 1]
         assert u_kernel_module(ring).ranks[top - 1] == ring.counts[top - 1] - 1
-        assert_matches_reference(ring)
+        assert assert_matches_reference(ring) == [False, False]
         ring, pairs = merged_below_top(ring)
-        RU = u_kernel_module(ring)
+        RU = ref.u_kernel_module(ref.regular_module(ring))
         assert RU.ranks[top - 2] == len(pairs)
         nonzero[name] = bool(RU.acts[top - 2].any())
-        assert_matches_reference(ring)
+        refused[name] = assert_matches_reference(ring)
     # with two degree-3 classes, C2's merge leaves one class there and zero actions
     assert nonzero == {"C2": False, "C4": True, "C2xC2": True, "S3": True}
+    assert refused == {"C2": [False, False], "C4": [True, True], "C2xC2": [True, True],
+                       "S3": [True, True]}
 
 
 def test_u_kernel_refuses_an_action_that_leaves_the_kernel(rings):
@@ -337,8 +387,10 @@ def test_act_class_respects_factorization(rings):
                         assert np.array_equal(acting[idx], want), (name, n, i, idx)
 
 
-def raised(M: GradedModule) -> GradedModule:
-    """M with its first nonzero action entry raised by one (1 becomes 2)."""
+def raised(M: GradedModule) -> ref.DenseModule:
+    """M, written out dense, with its first nonzero action entry raised by
+    one (1 becomes 2)."""
+    M = ref.dense(M)
     for n, act in enumerate(M.acts):
         hit = np.argwhere(act)
         if len(hit):
@@ -349,22 +401,38 @@ def raised(M: GradedModule) -> GradedModule:
     raise AssertionError(f"{M.name} has no nonzero action")
 
 
+def two_in_a_column(M: GradedModule) -> ref.DenseModule:
+    """M, written out dense, with a second 1 in the column of its first
+    nonzero action entry."""
+    M = ref.dense(M)
+    for n, act in enumerate(M.acts):
+        hit = np.argwhere(act)
+        if len(hit) and act.shape[1] > 1:
+            c, r, j = hit[0]
+            acts = [a.copy() for a in M.acts]
+            acts[n][c, (r + 1) % act.shape[1], j] = 1
+            return dataclasses.replace(M, name=f"{M.name}2", acts=acts)
+    raise AssertionError(f"{M.name} has no column to add to")
+
+
 def test_tensor_and_beta_match_the_dense_references(rings):
     # the reference's triplets read off the action arrays equal the dense kron
-    # blocks and the per-generator class products, split by split
+    # blocks and the per-generator class products, split by split, also on
+    # dense modules with an entry of 2 or a column with two nonzeros
     calls = 0
     for name in ("C2", "C4", "C2xC2", "S3"):
         ring = rings[name]
         lefts = [derive_module(ring, recipe) for recipe in
                  (("R",), ("Rbar",), ("RU",), ("shift", 1), ("trunc", 1))]
-        lefts.append(raised(lefts[0]))
+        lefts += [raised(lefts[0]), two_in_a_column(lefts[0])]
         # each right module with the ring class behind each of its basis vectors
         image = _u_image(ring)
         rights = [(regular_module(ring, "right"), [range(c) for c in ring.counts]),
                   (quotient_u_module(ring, "right"),
                    [np.setdiff1d(np.arange(c), k) for c, k in zip(ring.counts, image)]),
                   (ur_ideal_module(ring, "right"), image)]
-        rights.append((raised(rights[0][0]), rights[0][1]))
+        rights += [(raised(rights[0][0]), rights[0][1]),
+                   (two_in_a_column(rights[0][0]), rights[0][1])]
         for N, classes in rights:
             for M in lefts:
                 for n in range(min(N.n_max, M.n_max) + 1):
@@ -406,32 +474,20 @@ def test_battery_matches_the_smith_form_reference(battery_rings):
                     ref.generated_in_degrees_upto(M, a), (name, recipe, a)
 
 
-def two_in_a_column(M: GradedModule) -> GradedModule:
-    """M with a second 1 in the column of its first nonzero action entry."""
-    for n, act in enumerate(M.acts):
-        hit = np.argwhere(act)
-        if len(hit) and act.shape[1] > 1:
-            c, r, j = hit[0]
-            acts = [a.copy() for a in M.acts]
-            acts[n][c, (r + 1) % act.shape[1], j] = 1
-            return dataclasses.replace(M, name=f"{M.name}2", acts=acts)
-    raise AssertionError(f"{M.name} has no column to add to")
-
-
 def test_battery_refuses_modules_that_are_not_monomial(rings):
-    # an entry of 2, a column with two nonzeros, and R[U] of a ring whose U
+    # every count of the battery needs a monomial module, and a module holds
+    # only image arrays, so none other can reach it: R[U] of a ring whose U
     # merges classes below its top degree, where e_j - e_l maps to a
-    # difference: every count of the battery needs a monomial module
+    # difference, is refused where it is built.  An entry of 2 or a column
+    # with two nonzeros has no image array (see the shape and range test).
     ring = rings["C4"]
-    R = regular_module(ring)
     merged = merged_below_top(merged_top(ring))[0]
-    RU = u_kernel_module(merged)
-    assert (RU.acts[-1] < 0).any()
-    for M, name in ((raised(R), r"R\+"), (two_in_a_column(R), "R2"), (RU, r"R\[U\]")):
-        for call in (delta_and_bounds, h0, lambda M: generated_in_degrees_upto(M, 1),
-                     lambda M: graded_tensor(regular_module(M.ring, "right"), M)):
-            with pytest.raises(ModuleError, match=name + ": the action at degree"):
-                call(M)
+    RU = ref.u_kernel_module(ref.regular_module(merged))
+    assert (RU.acts[-1] < 0).any() and not_monomial(RU) == [RU.n_max - 1]
+    with pytest.raises(ModuleError, match=rf"R\[U\]: the action at degree {RU.n_max - 1} "
+                                          r"is not monomial \(an entry outside \{0, 1\} or "
+                                          r"two nonzeros in one column\)"):
+        u_kernel_module(merged)
     # the reference's Smith forms take any module
     assert len(ref.delta_and_bounds(RU).tor0) == RU.n_max + 1
 
@@ -460,6 +516,6 @@ def test_window_guard(rings):
     R = regular_module(rings["C2"])
     for n in (-1, R.n_max):
         with pytest.raises(ModuleError):
-            R.u_matrix(n)
+            ref.dense(R).u_matrix(n)
     with pytest.raises(ModuleError):
         R.rank(R.n_max + 1)

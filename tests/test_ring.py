@@ -156,7 +156,7 @@ def test_degree_overflow_raises(rings):
 
 
 def test_ring_refuses_a_pair_class_numbering_without_u_first(rings):
-    # U and every module's u_matrix read class 0 of degree 1 as the class of (e, e)
+    # U and row 0 of every module's image arrays read class 0 of degree 1 as the class of (e, e)
     ring = rings["C2"]
     swap = np.array([1, 0] + list(range(2, ring.basis_size(1))))
     with pytest.raises(RingError, match=r"\(e, e\) must be class 0"):

@@ -848,7 +848,8 @@ def test_s3_d33_rounds_match_the_references_within_memory_bounds(rings):
     complement, and so does the unit matching's one step, which the pipeline
     takes first (7,308 pivots, where the first greedy round finds 5,655).
     tracemalloc bounds, per stored nonzero: ``build_kcomplex`` measures 58.5
-    bytes over the 155,592 nonzeros of the differentials it stores (the
+    bytes over the 155,592 nonzeros of the differentials it stores, reading
+    the module's image arrays as it did its dense action arrays (the
     bound leaves a third more; 63.3 while it kept each term's tuple ranks,
     131.9 before its triplets were written a piece at a time into one key
     array), and ``smith_normal_form`` 80 bytes
