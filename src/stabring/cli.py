@@ -22,9 +22,11 @@ from .words import (compile_moves, enumerate_stabilizing_automorphisms,
 
 
 def _load_spec(arg: str) -> dict:
-    """Group spec from inline JSON or a path to a JSON file."""
+    """Group spec from inline JSON or a path to a JSON file.  Text that opens
+    an object or an array is inline, so a spec of the wrong type reaches
+    ``load_group``, which names what a spec must be."""
     text = arg
-    if not arg.lstrip().startswith("{"):
+    if not arg.lstrip().startswith(("{", "[")):
         with open(arg) as fh:
             text = fh.read()
     return json.loads(text)

@@ -9,12 +9,12 @@ differential is eliminated from a closed-form unit matching
 (``unit_matching``): row s (x) y goes to column (s, t_y) (x) j_y, whose
 last-pair term is its only entry on a matched row, so the block is a signed
 identity and ``zlinalg`` eliminates it in one Schur step before any pivot
-search.  The verdicts live in ``pipeline``, which checks dU = Ud, right
-multiplication and S d + d S = Rmult on the ring's product tables;
-``u_commutes_with_d``, ``_id_tensor_u``, ``right_mult_is_chain_map`` and
-``homotopy_check`` (with ``_homotopy_failures``, ``_Prepend`` and
-``HOMOTOPY_BATCH``) check them on K, kept only for the benchmark harness and
-as test references."""
+search.  The verdicts live in ``pipeline``, which checks d^2 = 0, dU = Ud,
+right multiplication and S d + d S = Rmult on the ring's product tables;
+``verify_d_squared``, ``u_commutes_with_d``, ``_id_tensor_u``,
+``right_mult_is_chain_map`` and ``homotopy_check`` (with
+``_homotopy_failures``, ``_Prepend`` and ``HOMOTOPY_BATCH``) check them on
+K, kept only for the benchmark harness and as test references."""
 
 from __future__ import annotations
 
@@ -200,9 +200,10 @@ def build_kcomplex(M: GradedModule, p_max: int, n_max: int) -> KComplex:
 
 def verify_d_squared(K: KComplex):
     """True iff every composable composite is the zero matrix; else the first
-    offending (p, n, basis column).  ``h_profile`` multiplies out the same
-    composites in ``chain_homology``, so the pipeline does not call this; the
-    benchmark harness times it."""
+    offending (p, n, basis column).  The pipeline does not call this: its
+    homology stage certifies d^2 = 0 on the ring's product tables
+    (``pipeline._d_squared_failure``).  The benchmark harness times it, and
+    the tests use it as the reference."""
     for p in range(2, K.p_max + 1):
         for n in range(p, K.n_max + 1):
             comp = K.d_matrix(p - 1, n).matmul(K.d_matrix(p, n))
@@ -413,7 +414,9 @@ def unit_matching(M: GradedModule, p: int, n: int):
 
 def kc_homology(K: KComplex, p: int, n: int) -> HomologyGroup:
     """H_p of the complex at total degree n (needs d_{p+1} in the window);
-    each differential is eliminated from its ``unit_matching`` on."""
+    each differential is eliminated from its ``unit_matching`` on.  The
+    caller certifies d_p d_{p+1} = 0, as ``chain_homology`` multiplies
+    nothing: the pipeline does so on the ring's tables, before any spot."""
     if p + 1 > K.p_max:
         raise KComplexError(f"homology at p={p} needs differentials to p={p + 1}")
     if p < 0 or n > K.n_max:
@@ -434,7 +437,8 @@ class HProfileRow:
 
 
 def h_profile(K: KComplex) -> list:
-    """Homology at every computable spot, flagged at the window edge."""
+    """Homology at every computable spot, flagged at the window edge; d^2 = 0
+    is the caller's to certify, as in ``kc_homology``."""
     rows = []
     for p in range(0, K.p_max):
         for n in range(p, K.n_max + 1):

@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .groups import SUBGROUP_ORDER_CAP, FiniteGroup, enumerate_subgroups
 from .orbits import local_steps, step_table
-from .zlinalg import IntMatrix, chain_homology
+from .zlinalg import IntMatrix, LinAlgError, chain_homology
 
 
 class OracleError(ValueError):
@@ -61,9 +61,16 @@ def bar_homology(G: FiniteGroup) -> dict:
     """H1 and H2 of G with integer coefficients, from the normalized bar complex.
 
     Orders above ``groups.SUBGROUP_ORDER_CAP`` are refused, the cap at which
-    ``enumerate_subgroups`` stops too; d3 has (|G| - 1)^3 columns."""
+    ``enumerate_subgroups`` stops too; d3 has (|G| - 1)^3 columns.  The bar
+    complex is not K(R), so no identity of R's tables certifies d2 d3 = 0
+    here: the product is multiplied out, and a nonzero entry raises a
+    LinAlgError before any Smith form."""
     _check_bar_order(G)
     d2, d3 = bar_differentials(G)
+    composite = d2.matmul(d3)
+    if not composite.is_zero:
+        r, c, v = (int(a[0]) for a in (composite.row, composite.col, composite.val))
+        raise LinAlgError(f"bar d2 . d3 != 0: entry ({r},{c}) = {v}")
     m = G.order - 1
     h1 = chain_homology(IntMatrix(0, m), d2)
     h2 = chain_homology(d2, d3)

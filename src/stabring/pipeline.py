@@ -1,8 +1,8 @@
 """Pipeline orchestration: configuration, staged execution, every verdict record
-(exact chain checks on K(R): d^2 = 0 from the homology stage, and dU = Ud,
-right multiplication and the prepend homotopy from identities of the ring's
-product tables that imply them; the oracles; the paper's degree bounds), and
-report emission."""
+(exact chain checks on K(R): d^2 = 0, dU = Ud, right multiplication and the
+prepend homotopy, each from identities of the ring's product tables that
+imply it, d^2 = 0 at the start of the homology stage and the others among
+the verdicts; the oracles; the paper's degree bounds), and report emission."""
 
 from __future__ import annotations
 
@@ -190,6 +190,47 @@ def _first_ring_failure(ring, sides, stop=None) -> tuple | None:
         bad = np.argwhere(np.not_equal(*sides(ring.product, m)))
         if len(bad):
             return (m, *bad[0].tolist())
+
+
+def _d_squared_failure(ring) -> tuple | None:
+    """The first (w, y), w and then y in rank order over the pairs of G^2,
+    where (D) [y] . [w^c(y)] = [w] . [y] fails in R_2, or None.  Write [x]
+    for the class of a pair x, c(x) for its commutator and x^z for
+    z^-1 x z, entrywise on a pair.
+
+    With the modules stage's check that lambda(a) lambda(b) on R_m depends
+    only on the class [a] . [b] (``GradedModule.consistency_failures``,
+    m <= n_max - 2), (D) gives d_{p-1} d_p = 0 on K(R) at every spot.  Take
+    a basis element t (x) j of K_p(n), p >= 2, t = (x_1, ..., x_p), j of
+    R_m, m = n - p <= n_max - 2, and let D_i be the product of the c(x_k),
+    k > i, so the term i of d(t (x) j) is (-1)^(i-1) (t minus x_i) (x)
+    [x_i^(D_i)] . j.  Every term of d d(t (x) j) removes two pairs
+    x_i, x_l, i < l, in one order or the other, and reaches t minus x_i, x_l:
+    - x_i first, sign -(-1)^(i+l): x_l keeps its conjugator D_l, giving
+      [x_l^(D_l)] . ([x_i^(D_i)] . j);
+    - x_l first, sign (-1)^(i+l): x_i's conjugator loses c(x_l), giving
+      [x_i^(P D_l)] . ([x_l^(D_l)] . j), with D_i = P c(x_l) D_l, P the
+      product of the c(x_k), i < k < l.
+    Put y = x_l^(D_l) and w = x_i^(P D_l).  Then c(y) = D_l^-1 c(x_l) D_l,
+    so w^c(y) = x_i^(P c(x_l) D_l) = x_i^(D_i), and the two terms are
+    lambda(y) lambda(w^c(y)) j and lambda(w) lambda(y) j with opposite
+    signs.  By consistency each composite is fixed by its class in R_2, and
+    (D) makes the classes equal, so every such pair of terms cancels.  (D)
+    is sufficient, not necessary: terms of different basis elements could
+    cancel otherwise, and lambda(a) lambda(b) can agree on classes that
+    differ.  Every (w, y) arises, from x_l = y^(D_l^-1) and
+    x_i = w^((P D_l)^-1), so no pair of pairs can be skipped.  The check is
+    one gather on ``ring.product(1, 1)`` over the |G|^4 pairs of pairs, with
+    the commutator and conjugation tables the K build uses."""
+    G = ring.G
+    comm, conj = kc._group_tables(G)
+    g, h = np.divmod(np.arange(G.order ** 2), G.order)
+    c = comm[g, h][None, :]  # c(y), per column y
+    w_c = ring.pair_class[conj[g[:, None], c] * G.order + conj[h[:, None], c]]  # [w^c(y)]
+    x, product = ring.pair_class, ring.product(1, 1)
+    bad = np.argwhere(product[x[None, :], w_c] != product[x[:, None], x[None, :]])
+    if len(bad):
+        return tuple(divmod(r, G.order) for r in bad[0].tolist())
 
 
 def _u_commutes_verdict(ring) -> dict:
@@ -439,7 +480,14 @@ def run_pipeline(config: PipelineConfig) -> Report:
         if config.dump_matrices:
             stage("dump-matrices", lambda: _dump_matrices(K, config.out_dir))
 
-        rows = stage("homology", lambda: kc.h_profile(K))
+        def _homology():
+            if K.p_max >= 2:  # K holds a composable pair d_{p-1} d_p
+                bad = _d_squared_failure(ring)
+                if bad:
+                    raise ValueError(f"(D) [y] . [w^c(y)] != [w] . [y] at (w, y) = {bad}, "
+                                     "so d^2 = 0 is not certified")
+            return kc.h_profile(K)
+        rows = stage("homology", _homology)
         report.homology = [
             {"p": r.p, "n": r.n, "free_rank": r.homology.free_rank,
              "torsion": list(r.homology.torsion), "certified": r.certified}
@@ -459,8 +507,9 @@ def run_pipeline(config: PipelineConfig) -> Report:
         report.oracle = stage("oracles", _oracles)
 
         def _verdicts():
-            # the homology stage multiplied out every composite d_{p-1} d_p
-            # that kc.verify_d_squared reads, and fails the run on a nonzero one
+            # the homology stage checked (D), which with the modules stage's
+            # consistency check gives d_{p-1} d_p = 0 at every spot, and fails
+            # the run where (D) fails
             verdicts = [_verdict("d_squared_zero",
                                  "the differential composes to zero at every spot",
                                  "pass", None)]

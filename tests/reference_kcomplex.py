@@ -2,7 +2,7 @@
 loops that the array code replaced, the per-pair sparse-product homotopy
 check that the batched index gathers replaced, and ``homotopy_check_all``,
 those gathers over every pair of G^2, the K-level form of the pipeline's
-homotopy verdict.
+homotopy verdict, and the per-element rule of ``unit_matching``.
 
 Matrices are built and multiplied here as dicts ``{(row, col): value}`` over
 Python integers, one basis element at a time, with no stored zeros.  Only the
@@ -120,6 +120,35 @@ def verify_d_squared(K: KComplex):
             if comp:
                 return False, (p, n, min(c for (_, c) in comp))
     return True, None
+
+
+def unit_matching(M, p: int, n: int):
+    """The rule of ``stabring.kcomplex.unit_matching``, one basis element at a
+    time on the dense actions: for each y of M_{n-p+1} the least class x_y,
+    then the least column j_y of lambda(x_y) that is e_y, and the least pair
+    t_y of class x_y; rows s (x) y for s in loop order, y ascending."""
+    act = reference_modules.dense(M).acts[n - p]
+    rank_in, rank_out = M.rank(n - p), M.rank(n - p + 1)
+    pair_class = M.ring.pair_class.tolist()
+    pairs = len(pair_class)
+    chosen = {}
+    for y in range(rank_out):
+        e_y = np.zeros(rank_out, dtype=np.int64)
+        e_y[y] = 1
+        for x in range(len(act)):
+            j = next((j for j in range(rank_in) if np.array_equal(act[x][:, j], e_y)), None)
+            if j is not None:
+                chosen[y] = (j, pair_class.index(x))
+                break
+    last_pairs = {t for _, t in chosen.values()}
+    prow, pcol = [], []
+    for s in range(pairs ** (p - 1)):
+        if p > 1 and s % pairs in last_pairs:
+            continue
+        for y, (j, t) in chosen.items():
+            prow.append(s * rank_out + y)
+            pcol.append((s * pairs + t) * rank_in + j)
+    return prow, pcol
 
 
 def _id_tensor_u(M, p: int, n: int, states: int) -> IntMatrix:

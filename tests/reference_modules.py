@@ -28,6 +28,9 @@ U(R) (x)_R M -> M off the classes' actions (``class_actions``, one batched
 product per degree), and ``graded_tensor``, ``h0``, ``delta_and_bounds``
 and ``generated_in_degrees_upto`` take every group from ``chain_homology``
 or ``smith_normal_form``.  These work on any module, monomial or not.
+``chain_homology`` here multiplies d_out . d_in out before the library's,
+which leaves that check to its callers, so a presentation and a beta that
+do not compose to zero fail.
 ``kron_tensor_presentation`` builds each split's relations as dense
 ``np.kron`` blocks instead, and ``generator_beta_matrix`` multiplies the
 pair actions out for one generator at a time.
@@ -44,9 +47,18 @@ from itertools import accumulate
 import numpy as np
 
 from reference_snf import from_dense
-from stabring import _kernels, modules
+from stabring import _kernels, modules, zlinalg
 from stabring.modules import DeltaBounds, GradedModule, ModuleError, deg_of, module_deg
-from stabring.zlinalg import HomologyGroup, IntMatrix, chain_homology, smith_normal_form
+from stabring.zlinalg import HomologyGroup, IntMatrix, LinAlgError, smith_normal_form
+
+
+def chain_homology(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
+    """``zlinalg.chain_homology`` after checking d_out . d_in = 0."""
+    composite = d_out.matmul(d_in)
+    if not composite.is_zero:
+        r, c, v = (int(a[0]) for a in (composite.row, composite.col, composite.val))
+        raise LinAlgError(f"d_out . d_in != 0: entry ({r},{c}) = {v}")
+    return zlinalg.chain_homology(d_out, d_in)
 
 
 @dataclasses.dataclass

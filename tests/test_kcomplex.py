@@ -497,6 +497,23 @@ def test_unit_matching_is_a_signed_identity_on_every_differential(matching_compl
     assert checked >= 40, checked
 
 
+def test_unit_matching_takes_the_least_class_column_and_pair(rings, matching_complexes):
+    # the documented choice, pinned against a per-element reference: any
+    # column with a single entry would give a valid matching, so taking the
+    # last j_y in place of the least passes every other test
+    modules = [regular_module(ring) for ring in rings.values()]
+    modules += [K.module for name, K in matching_complexes.items() if name.startswith("C2")]
+    checked = 0
+    for M in modules:
+        for p in (1, 2, 3):
+            for n in range(p, M.n_max + 1):
+                prow, pcol = unit_matching(M, p, n)
+                want = ref.unit_matching(M, p, n)
+                assert (prow.tolist(), pcol.tolist()) == want, (M.ring.G.order, M.name, p, n)
+                checked += len(want[0])
+    assert checked > 10_000, checked
+
+
 def test_a_matching_with_a_cross_entry_is_refused(matching_complexes):
     K = matching_complexes["S3"]
     d = K.d[2, 3]
@@ -538,24 +555,34 @@ def test_smith_forms_agree_with_and_without_the_matching(matching_complexes):
     assert dense >= 15, dense
 
 
-def test_d_squared_is_checked_before_the_spot_is_eliminated(reference_pairs, monkeypatch):
-    """On a mutant d_{2,3}, the spot (1, 3) fails its d^2 check before any
-    Smith form or matching of that spot is computed, so h_profile still
-    raises the d^2 error, not the matching check's."""
-    called = []
-    real = zlinalg.smith_normal_form
+def test_d_squared_is_checked_before_the_spot_is_eliminated(rings, monkeypatch):
+    """The pipeline certifies d^2 = 0 by (D) on the ring's tables at the start
+    of the homology stage, before ``h_profile`` makes any Smith form: on S3
+    (n <= 3, p <= 2) the check runs once, ahead of every Smith form, and on
+    S3 with the pair (1, 4) moved into class 0, which fails (D), the run
+    stops at the homology stage with no Smith form made."""
+    from conftest import BATTERY_SPECS
+    from stabring import pipeline
+    from stabring.ring import GradedRing
+
+    events = []
+    real_check, real_snf = pipeline._d_squared_failure, zlinalg.smith_normal_form
+    monkeypatch.setattr(pipeline, "_d_squared_failure",
+                        lambda ring: events.append("(D)") or real_check(ring))
     monkeypatch.setattr(zlinalg, "smith_normal_form",
-                        lambda A, matching=None: called.append(A) or real(A, matching))
-    for name in ("S3", "C2xC2"):
-        K, _ = reference_pairs[name]
-        cx = mutant(K, (2, 3))
-        called.clear()
-        with pytest.raises(zlinalg.LinAlgError, match=r"d_out \. d_in != 0"):
-            kc_homology(cx, 1, 3)
-        assert not called, name
-        with pytest.raises(zlinalg.LinAlgError, match=r"d_out \. d_in != 0"):
-            h_profile(cx)
-        assert cx.d[2, 3]._snf is None, name
+                        lambda A, matching=None: events.append("SNF") or real_snf(A, matching))
+    config = pipeline.PipelineConfig(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
+                                     well_definedness_samples=10)
+    assert pipeline.run_pipeline(config).failure is None
+    assert events[0] == "(D)" and events.count("(D)") == 1 and "SNF" in events
+    ring = rings["S3"]
+    pair_class = ring.pair_class.copy()
+    pair_class[1 * ring.G.order + 4] = 0
+    mutated = GradedRing(ring.G, ring.n_max, pair_class, ring.steps)
+    monkeypatch.setattr(pipeline, "local_ring", lambda G, n_max, tables: mutated)
+    events.clear()
+    report = pipeline.run_pipeline(config)
+    assert report.failure["stage"] == "homology" and events == ["(D)"]
 
 
 def test_equal_actions_share_one_differential(tmp_path):

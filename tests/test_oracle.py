@@ -21,6 +21,24 @@ def test_bar_differentials_match_the_loop_reference(name):
     assert d3 == want3
 
 
+def test_bar_homology_rejects_nonzero_composite(monkeypatch):
+    # the bar complex is not K(R): bar_homology multiplies d2 d3 out itself,
+    # and one flipped sign in d3 fails before any Smith form
+    from stabring import zlinalg
+    from stabring.zlinalg import IntMatrix, LinAlgError
+
+    d2, d3 = bar_differentials(cyclic_group(3))
+    val = d3.val.copy()
+    val[0] = -val[0]
+    flipped = IntMatrix.from_triplets(d3.rows, d3.cols, d3.row, d3.col, val)
+    monkeypatch.setattr(oracle, "bar_differentials", lambda G: (d2, flipped))
+    monkeypatch.setattr(zlinalg, "smith_normal_form", pytest.fail)
+    want = d2.matmul(flipped)
+    with pytest.raises(LinAlgError, match=rf"bar d2 \. d3 != 0: entry \({want.row[0]},"
+                                          rf"{want.col[0]}\) = {want.val[0]}$"):
+        bar_homology(cyclic_group(3))
+
+
 def test_bar_homology_trivial(groups):
     bh = bar_homology(groups["trivial"])
     assert bh["H1"].is_zero and bh["H2"].is_zero

@@ -308,6 +308,18 @@ def pair_class_mutant(ring):
     return GradedRing(G, ring.n_max, pair_class, ring.steps)
 
 
+def moved_pair_mutants(ring):
+    """(label, ring): the ring with the last pair of G^2 moved into each other
+    degree-1 class, where its own class keeps another pair."""
+    last = len(ring.pair_class) - 1
+    for target in range(ring.basis_size(1)):
+        pair_class = ring.pair_class.copy()
+        pair_class[last] = target
+        if target != ring.pair_class[last] and ring.pair_class[last] in pair_class:
+            yield f"pair {last} to class {target}", GradedRing(ring.G, ring.n_max, pair_class,
+                                                               ring.steps)
+
+
 def homotopy_cases(rings):
     """(group, label, ring): every ring of ``rings``, the ``ring_mutants`` of
     each with two or more degree-1 classes, and the ``pair_class_mutant`` of
@@ -392,27 +404,74 @@ def test_homotopy_verdict_names_the_first_failing_pair(rings):
     assert ring.pair_class[0 * ring.G.order + 1] == 1
 
 
-def test_a_d_squared_mutant_fails_the_run_at_the_homology_stage(monkeypatch):
-    """The homology stage multiplies out every composite d_{p-1} d_p of the
-    run once and fails the run on a nonzero one, naming its first entry, so
-    the d_squared_zero verdict is not reached; kc.verify_d_squared finds the
-    same composite.  One sign flipped in d_{1,3}, d_{2,3} or d_{2,2} of S3
-    (n <= 3, p <= 2) gives this failure, as it did when the verdict
-    multiplied the composites again."""
-    from reference_kcomplex import mutant
+def d_squared_ring_mutants(rings):
+    """S3's ring mutants that pass the consistency check and fail only (D):
+    its ``pair_class_mutant``, which moves the pair (1, 4) into class 0, and
+    its last pair, 35 = (5, 5), moved into class 5 or 6, with the witness
+    each fails (D) at."""
+    moved = dict(moved_pair_mutants(rings["S3"]))
+    return {"pair class": (pair_class_mutant(rings["S3"]), ((0, 1), (1, 4))),
+            **{label: (moved[label], ((1, 1), (1, 3)))
+               for label in ("pair 35 to class 5", "pair 35 to class 6")}}
 
+
+def test_a_d_squared_mutant_fails_the_run_at_the_homology_stage(monkeypatch, rings):
+    """The homology stage checks (D) on the ring's product tables before any
+    spot and fails the run where it fails, naming the first failing (w, y),
+    so no homology row and no verdict is reached.  On each of S3's (D)
+    mutants (n <= 3, p <= 2) the modules stage passes, and
+    ``kc.verify_d_squared`` finds a nonzero composite on the K the run
+    built.  The K-level sign mutants run against ``verify_d_squared`` in
+    ``test_kcomplex``."""
     real = kc.build_kcomplex
-    for key, want in {(1, 3): "d_out . d_in != 0: entry (6,92) = -2",
-                      (2, 3): "d_out . d_in != 0: entry (3,126) = -2",
-                      (2, 2): "d_out . d_in != 0: entry (3,18) = -2"}.items():
+    for label, (ring, (w, y)) in d_squared_ring_mutants(rings).items():
         built = []
+        monkeypatch.setattr(pipeline, "local_ring", lambda G, n_max, tables: ring)
         monkeypatch.setattr(kc, "build_kcomplex",
-                            lambda M, p, n: built.append(mutant(real(M, p, n), key)) or built[-1])
+                            lambda M, p, n: built.append(real(M, p, n)) or built[-1])
         report = run_pipeline(small_config(group=BATTERY_SPECS["S3"], n_max=3, p_max=2,
                                            well_definedness_samples=10))
-        assert report.failure == {"stage": "homology", "error": want}, key
+        assert report.failure == {
+            "stage": "homology",
+            "error": f"(D) [y] . [w^c(y)] != [w] . [y] at (w, y) = {(w, y)}, "
+                     "so d^2 = 0 is not certified"}, label
         assert report.verdicts == [] and report.homology == [] and report.exit_code == 1
-        assert not kc.verify_d_squared(built[0])[0], key
+        assert built[0].ring is ring and not kc.verify_d_squared(built[0])[0], label
+
+
+def test_d_squared_identity_agrees_with_the_k_level_reference(rings):
+    """Consistency together with (D) against ``kc.verify_d_squared`` on K(R)
+    built to p_max = n_max, which holds every composite d_{p-1} d_p of the
+    window, on the fixture rings, their ring mutants, their pair-class
+    mutants and the mutants with their last pair moved.  Both pass on every
+    true ring.  (D) is only sufficient, but the two agree on all 44 cases,
+    23 of which fail.  Three mutants of S3 pass consistency and fail only
+    (D), and K fails there too: its pair-class mutant and its last pair
+    moved into class 5 or 6."""
+    cases, failed, only_ring = 0, 0, []
+    d_only = {}
+    for name, label, ring in [*homotopy_cases(rings),
+                              *((name, label, mutated) for name in rings
+                                for label, mutated in moved_pair_mutants(rings[name]))]:
+        R = regular_module(ring)
+        consistent = not R.consistency_failures()
+        d_bad = pipeline._d_squared_failure(ring)
+        k_ok, _ = kc.verify_d_squared(build_kcomplex(R, ring.n_max, ring.n_max))
+        ring_ok = consistent and d_bad is None
+        if label == "true":
+            assert ring_ok and k_ok, name
+        assert k_ok or not ring_ok, (name, label)
+        if k_ok and not ring_ok:
+            only_ring.append((name, label))
+        if consistent and d_bad is not None:
+            d_only[name, label] = d_bad
+        cases += 1
+        failed += not k_ok
+    assert only_ring == []
+    assert (cases, failed) == (44, 23)
+    assert d_only == {("S3", "pair class"): ((0, 1), (1, 4)),
+                      ("S3", "pair 35 to class 5"): ((1, 1), (1, 3)),
+                      ("S3", "pair 35 to class 6"): ((1, 1), (1, 3))}
 
 
 def test_import_and_run_load_no_scipy_and_no_new_module(tmp_path):
@@ -574,6 +633,15 @@ def test_cli_orbits_and_oracle(tmp_path, capsys):
         assert cli_main(["oracle", "--group", group, "--n", "-3"]) == 1
         out, err = capsys.readouterr()
         assert "H1 =" not in out and "--n must be >= 0, got -3" in err
+
+
+def test_cli_reads_inline_json_that_is_not_an_object(capsys):
+    # an array was once read as a file path: "No such file or directory: '[1]'"
+    for command in (["oracle"], ["orbits", "--n", "1"]):
+        for spec in ("[1]", " []"):
+            assert cli_main([*command, "--group", spec]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: group spec must be a mapping with a 'kind' field\n"
 
 
 def test_cli_bad_config_returns_one(tmp_path):
@@ -765,15 +833,33 @@ def test_report_json_is_pinned(reports):
 
 
 def test_pipeline_calls_no_k_level_chain_map_check(monkeypatch):
-    """The U, homotopy and annihilation verdicts read only the ring: with the
-    K-level checks made to raise, the pinned reports of S3 (n <= 3, p <= 2)
-    and C2 (n <= 4, p <= 3) come out unchanged."""
+    """The d^2, U, homotopy and annihilation verdicts read only the ring: with
+    the K-level checks made to raise, and ``IntMatrix.matmul`` too while
+    ``kc.h_profile`` runs, the pinned reports of S3 (n <= 3, p <= 2) and C2
+    (n <= 4, p <= 3) come out unchanged."""
     def refuse(*args):
         raise AssertionError("the pipeline called a K-level chain-map check")
 
-    monkeypatch.setattr(kc, "right_mult_is_chain_map", refuse)
-    monkeypatch.setattr(kc, "u_commutes_with_d", refuse)
-    monkeypatch.setattr(kc, "_homotopy_failures", refuse)
+    real_profile, real_matmul = kc.h_profile, IntMatrix.matmul
+    profiling = []
+
+    def profile(K):
+        profiling.append(K)
+        try:
+            return real_profile(K)
+        finally:
+            profiling.pop()
+
+    def matmul(A, B):
+        if profiling:
+            raise AssertionError("the homology stage multiplied two matrices")
+        return real_matmul(A, B)
+
+    for name in ("right_mult_is_chain_map", "u_commutes_with_d", "_homotopy_failures",
+                 "verify_d_squared"):
+        monkeypatch.setattr(kc, name, refuse)
+    monkeypatch.setattr(kc, "h_profile", profile)
+    monkeypatch.setattr(IntMatrix, "matmul", matmul)
     for name in ("S3", "C2"):
         n_max, p_max = BATTERY_WINDOWS[name]
         report = run_pipeline(PipelineConfig(group=BATTERY_SPECS[name], n_max=n_max,

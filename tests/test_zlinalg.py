@@ -159,29 +159,18 @@ def test_chain_homology_multiplication_by_two():
     assert h.free_rank == 0 and h.torsion == (2,)
 
 
-def test_chain_homology_rejects_nonzero_composite():
-    d_out = from_dense([[1, 0]])
-    d_in = from_dense([[1], [0]])
-    with pytest.raises(LinAlgError, match="!= 0"):
-        chain_homology(d_out, d_in)
+def test_chain_homology_multiplies_nothing_and_refuses_a_negative_free_rank(monkeypatch):
+    # d_out d_in = 0 is the caller's to certify: no product is formed, so a
+    # pair that is no chain gives a group unless its ranks leave a negative
+    # free rank
+    def refuse(A, B):
+        raise AssertionError("chain_homology multiplied its operands")
 
-
-def test_chain_homology_multiplies_each_operand_pair_once(monkeypatch):
-    # a repeated pair of objects skips the product; an equal copy of d_in is
-    # a new pair and is multiplied; a nonzero composite is never recorded, so
-    # it fails with the same error every time
-    products = []
-    real = IntMatrix.matmul
-    monkeypatch.setattr(IntMatrix, "matmul", lambda A, B: products.append((A, B)) or real(A, B))
-    d_out, d_in = from_dense([[1, 1]]), from_dense([[1], [-1]])
-    assert chain_homology(d_out, d_in) == chain_homology(d_out, d_in) == HomologyGroup(0)
-    assert len(products) == 1
-    assert chain_homology(d_out, fresh(d_in)) == HomologyGroup(0) and len(products) == 2
-    bad = from_dense([[1], [1]])
-    for _ in range(2):
-        with pytest.raises(LinAlgError, match=r"d_out \. d_in != 0: entry \(0,0\) = 2"):
-            chain_homology(d_out, bad)
-    assert len(products) == 4
+    monkeypatch.setattr(IntMatrix, "matmul", refuse)
+    assert chain_homology(from_dense([[1, 1]]), from_dense([[1], [-1]])) == HomologyGroup(0)
+    assert chain_homology(from_dense([[1, 0]]), from_dense([[1], [0]])) == HomologyGroup(0)
+    with pytest.raises(LinAlgError, match="negative free rank"):
+        chain_homology(from_dense([[1]]), from_dense([[1]]))
 
 
 def test_chain_homology_dimension_mismatch():
@@ -227,6 +216,18 @@ def test_homology_group_validation():
     assert str(HomologyGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
     assert HomologyGroup(0, (2,)).order() == 2
     assert HomologyGroup(1).order() is None
+
+
+def test_homology_group_refuses_a_negative_free_rank_and_non_integer_torsion():
+    # HomologyGroup(-2) once printed as "Z" with order() None, HomologyGroup(1.5)
+    # as "Z^1.5", and a string torsion factor raised a bare TypeError
+    for free_rank in (-2, -1, 1.5, 1.0, True, False, "1", None):
+        with pytest.raises(LinAlgError, match="free rank must be a non-negative integer"):
+            HomologyGroup(free_rank, (2,))
+    for torsion in (("2",), (2.0,), (2, None), (True,)):
+        with pytest.raises(LinAlgError, match="torsion factors must be integers"):
+            HomologyGroup(0, torsion)
+    assert str(HomologyGroup(0)) == "0" and str(HomologyGroup(2, (3,))) == "Z^2 + Z/3"
 
 
 def test_matrix_text_round_trip():
